@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from expanderlab import graphs, linalg, sampling
+from expanderlab import graphs, sampling
 from expanderlab.rng import generator
 
 
@@ -49,11 +49,10 @@ def main():
 
     rows = []
     for name, arr in battery(args.seed):
-        b = linalg.DenseMatrix.from_array(arr)
         n = arr.shape[0]
         for mode in ("two_sided_bernoulli", "symmetric_uniform"):
             est = sampling.submatrix_norm_experiment(
-                b, mode, sigma=args.sigma, m=max(1, int(args.sigma * n)),
+                arr, mode, sigma=args.sigma, m=max(1, int(args.sigma * n)),
                 p=args.p, trials=args.trials, seed=args.seed)
             rows.append({"matrix": name, "mode": mode, "n": n,
                          "empirical_lp": est.empirical_lp,

@@ -181,7 +181,7 @@ def _cmd_match(args) -> int:
         cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
         seed = derive_seed(args.seed, "match-s2") % 2**31
         sub, _ = g.induced(view.left + view.right)
-        s2 = linalg.singular_values_array(sub.spectral_matrix(), 2,
+        s2 = linalg.singular_values_array(sub.adjacency_sparse(), 2,
                                           seed=seed).values[1]
         m = matching.perfect_matching_expander(
             view, d=cert.d, gamma=args.gamma, lam=s2,

@@ -2,8 +2,10 @@
 
 Graphs are simple, undirected and immutable after construction.
 Adjacency is stored sparse (per-vertex sorted neighbor tuples plus
-neighbor sets for O(1) edge queries); spectral kernels densify on
-demand up to DENSIFY_CAP and use the sparse iterative path beyond.
+neighbor sets for O(1) edge queries). Spectral certification hands
+`adjacency_sparse()` to `linalg.singular_values_array`, which picks
+LAPACK or ARPACK by size; `adjacency_dense()` materializes the matrix
+for callers that need it, up to DENSIFY_CAP vertices.
 """
 
 from __future__ import annotations
@@ -83,10 +85,6 @@ class Graph:
         for u in range(self.n):
             a[u, list(self.adjacency[u])] = 1.0
         return a
-
-    def spectral_matrix(self):
-        """Adjacency in whichever form the eigensolver should see."""
-        return self.adjacency_sparse() if self.n > 64 else self.adjacency_dense()
 
     def induced(self, vertices) -> tuple["Graph", list]:
         """Induced subgraph plus the sorted vertex list mapping new->old."""
@@ -265,7 +263,7 @@ def certify_expander(g: Graph, tol: float = 1e-8, seed: int = 0) -> SpectralCert
     gamma_hat = float(np.abs(degs - d).max() / d)
     if g.n == 1:
         raise IsolatedVertex("single-vertex graph")
-    spec = linalg.singular_values_array(g.spectral_matrix(), 2, tol=tol, seed=seed)
+    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, tol=tol, seed=seed)
     return SpectralCertificate(n=g.n, d=d, gamma_hat=gamma_hat,
                                lambda_hat=spec.values[1],
                                residual=max(spec.residuals), seed=seed)
@@ -280,7 +278,7 @@ def check_certificate(g: Graph, cert: SpectralCertificate, tol: float = 1e-6) ->
     hi = (1 + cert.gamma_hat) * cert.d + tol
     if degs.min() < lo or degs.max() > hi:
         return False
-    spec = linalg.singular_values_array(g.spectral_matrix(), 2, seed=cert.seed)
+    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, seed=cert.seed)
     return abs(spec.values[1] - cert.lambda_hat) <= max(tol, 100 * cert.residual)
 
 
@@ -306,7 +304,7 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
                                           window=(lo, hi),
                                           reason="cross-degree outside window")
     union, _ = view.parent.induced(view.left + view.right)
-    spec = linalg.singular_values_array(union.spectral_matrix(), 2,
+    spec = linalg.singular_values_array(union.adjacency_sparse(), 2,
                                         tol=max(tol, 1e-8), seed=seed)
     s2 = spec.values[1]
     if s2 > lam + tol:

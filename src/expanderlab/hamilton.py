@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 from . import extend, linalg, matching
@@ -44,6 +45,10 @@ CONSTANT_DEFAULTS = {
 }
 
 
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Pipeline knobs; defaults form the documented desk profile."""
@@ -59,6 +64,19 @@ class PipelineConfig:
     constant_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        ints = ["seed", "l_max", "max_partition_retries",
+                "max_repartition_retries"] + (["k"] if self.k is not None else [])
+        for name in ints:
+            if not _is_number(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name}={getattr(self, name)!r} is not an integer")
+        for name in ("reserve_fraction", "min_reserve_ratio"):
+            if not _is_number(getattr(self, name), numbers.Real):
+                raise ConfigError(f"{name}={getattr(self, name)!r} is not a number")
+        for name in ("gamma_caps", "constant_overrides"):
+            table = getattr(self, name)
+            if not isinstance(table, dict) or not all(
+                    _is_number(v, numbers.Real) for v in table.values()):
+                raise ConfigError(f"{name}={table!r} is not a table of numbers")
         if not 0 < self.reserve_fraction < 0.5:
             raise ConfigError(
                 f"reserve_fraction={self.reserve_fraction} outside (0, 0.5)")
@@ -205,7 +223,7 @@ def _degree_window_ok(g: Graph, vertices, target_set, lo: float,
 
 def _induced_s2(g: Graph, vertices, seed: int) -> float:
     sub, _ = g.induced(sorted(vertices))
-    spec = linalg.singular_values_array(sub.spectral_matrix(), 2, tol=1e-8,
+    spec = linalg.singular_values_array(sub.adjacency_sparse(), 2, tol=1e-8,
                                         seed=seed)
     return spec.values[1]
 

@@ -1,24 +1,21 @@
-"""Dense/sparse linear-algebra kernels.
+"""Linear-algebra kernels on plain dense or sparse matrices.
 
 Singular values, matrix norms, line-sum normalization, best rank-one
-approximation and interlacing checks. Everything else in the package
-computes spectra through this module.
-
-Two computation routes coexist on purpose:
-
-* the iterative route (`singular_values`): ARPACK Lanczos on the matrix
-  itself when symmetric, otherwise on the Gram operator, with seeded
-  start vectors for bit-reproducibility;
-* the brute-force oracle (`dense_singular_values`): a full LAPACK SVD,
-  capped at 64x64, used by property tests to cross-check the iterative
-  route and never used by it.
+approximation, interlacing checks and matrix file I/O. Every spectrum in
+the package comes from one kernel, `singular_values_array`: LAPACK
+(`eigh` if symmetric, else `svd`) up to DENSE_CUTOFF, ARPACK above it on
+A if symmetric, else on [[0, A], [A^T, 0]], with a seeded start vector
+and a stopping tolerance derived from `tol`. Either way the residuals
+||A v - s u|| and ||A^T u - s v|| of the returned triples must stay
+within `tol`. `dense_singular_values` is the independent test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -28,44 +25,22 @@ from .rng import generator
 DEFAULT_TOL = 1e-9
 ZERO_SNAP = 1e-10
 DENSE_ORACLE_CAP = 64
-
-# ARPACK needs k strictly below the operator dimension with a little
-# headroom for its Krylov basis; below this margin (or for very small
-# operators) we fall back to an exact Rayleigh-Ritz on the full space.
-_ARPACK_MARGIN = 3
-_ARPACK_MIN_DIM = 10
-
-
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Row-major real matrix."""
-
-    rows: int
-    cols: int
-    entries: np.ndarray  # shape (rows, cols), float64
-
-    @staticmethod
-    def from_array(a) -> "DenseMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        if not np.all(np.isfinite(a)):
-            raise NonFinite("matrix has NaN/Inf entries")
-        a = a.copy()
-        a.setflags(write=False)
-        return DenseMatrix(rows=a.shape[0], cols=a.shape[1], entries=a)
-
-    def array(self) -> np.ndarray:
-        return self.entries
+# Largest min(rows, cols) solved by LAPACK. With one BLAS thread, LAPACK
+# takes 25 ms on a 504-vertex induced subgraph of Paley 1009, where the
+# clustered top spectrum holds ARPACK for 0.7-1.2 s; on all of Paley 1009
+# ARPACK takes 30 ms and LAPACK 230 ms.
+DENSE_CUTOFF = 600
 
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Top singular values in nonincreasing order with residual estimates."""
+    """Top singular values, nonincreasing; column i of `left`/`right` is u_i/v_i."""
 
     values: tuple
     residuals: tuple
     tolerance: float
+    left: np.ndarray = field(compare=False, repr=False)
+    right: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -76,19 +51,14 @@ class NormBundle:
     max_abs: float           # max |entry|
 
 
-@dataclass(frozen=True)
-class NormalizedMatrix:
-    """L^{-1/2} A R^{-1/2} together with the line sums that produced it."""
-
-    base: DenseMatrix
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-
-
 def _check_finite(a) -> None:
     data = a.data if sp.issparse(a) else a
     if not np.all(np.isfinite(data)):
         raise NonFinite("matrix has NaN/Inf entries")
+
+
+def _dense(a) -> np.ndarray:
+    return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
 
 
 def _is_symmetric(a) -> bool:
@@ -99,36 +69,16 @@ def _is_symmetric(a) -> bool:
     return np.allclose(a, a.T, atol=1e-14, rtol=0.0)
 
 
-def _triple_residuals(a, values, vectors, symmetric: bool, transposed: bool):
-    """Backward-error estimate per singular triple.
-
-    `vectors` are right singular vectors of `a` (or of a^T when
-    `transposed`). For value s with right vector v and u = Av/s, report
-    ||A^T u - s v||; for s = 0 report ||A v||.
-    """
-    at = a.T
-    if transposed:
-        a, at = at, a
-    res = []
-    for s, v in zip(values, vectors.T):
-        av = a @ v
-        if s <= ZERO_SNAP:
-            res.append(float(np.linalg.norm(av)))
-            continue
-        u = av / s
-        if symmetric:
-            # eigsh may converge to a negative eigenvalue -s; both signs
-            # describe the same singular triple.
-            r = min(np.linalg.norm(a @ v - s * v), np.linalg.norm(a @ v + s * v))
-            res.append(float(r))
-        else:
-            res.append(float(np.linalg.norm(at @ u - s * v)))
-    return res
+def _eigen_triples(w, x, k: int):
+    """(s, u, v) = (|w|, sign(w) x, x) for the k eigenpairs of largest |w|."""
+    order = np.argsort(-np.abs(w))[:k]
+    w, x = w[order], x[:, order]
+    return np.abs(w), x * np.where(w < 0, -1.0, 1.0), x
 
 
 def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
                           seed: int = 0) -> SingularSpectrum:
-    """Top-k singular values of a dense or sparse matrix.
+    """Top-k singular triples of a dense or sparse matrix.
 
     Deterministic for a fixed seed: the Lanczos start vector is drawn
     from a Philox stream derived from `seed`.
@@ -139,70 +89,54 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
         raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
     if tol <= 0:
         raise ValueError("tol must be positive")
-
     symmetric = _is_symmetric(a)
-    if symmetric:
-        dim = n
-        operator = a
-    else:
-        # Work on the Gram operator of the smaller side.
-        transposed = m < n
-        b = a.T if transposed else a  # tall: shape (max, min)
-        dim = b.shape[1]
-        bt = b.T
-        operator = spla.LinearOperator(
-            shape=(dim, dim), matvec=lambda x: bt @ (b @ x), dtype=float)
-
-    if k > dim - _ARPACK_MARGIN or dim < _ARPACK_MIN_DIM:
-        # Exact Rayleigh-Ritz on the full space (matrices here are small
-        # or the request is for nearly the whole spectrum).
-        dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+    if min(m, n) <= DENSE_CUTOFF or 2 * k >= min(m, n):
+        dense = _dense(a)
         if symmetric:
-            w, vecs = np.linalg.eigh(dense)
+            # The top k |eigenvalues| are among the k lowest and k highest; MRRR
+            # on those two ends beats a full eigh in time and n-by-n memory.
+            ends = [[0, k - 1], [m - k, m - 1]] if 2 * k < m else [[0, m - 1]]
+            pairs = [sla.eigh(dense, subset_by_index=r, driver="evr") for r in ends]
+            vals, u, v = _eigen_triples(np.concatenate([w for w, _ in pairs]),
+                                        np.hstack([x for _, x in pairs]), k)
         else:
-            g = (dense.T @ dense) if m >= n else (dense @ dense.T)
-            w, vecs = np.linalg.eigh(g)
-        order = np.argsort(-np.abs(w) if symmetric else -w)[:k]
-        eigs, vecs = w[order], vecs[:, order]
-        vals = np.abs(eigs) if symmetric else np.sqrt(np.clip(eigs, 0.0, None))
-        src = dense if symmetric else (dense if m >= n else dense.T)
-        residuals = _triple_residuals(src, vals, vecs, symmetric,
-                                      transposed=False)
+            u, vals, vt = np.linalg.svd(dense, full_matrices=False)
+            u, vals, v = u[:, :k], vals[:k], vt[:k].T
     else:
-        rng = generator(seed, "lanczos-start", dim)
-        v0 = rng.standard_normal(dim)
+        dim = n if symmetric else m + n
+        v0 = generator(seed, "lanczos-start", dim).standard_normal(dim)
+        # ARPACK stops at Ritz residuals below arpack_tol * |theta| with
+        # |theta| <= ||A||_F; 2 covers the sqrt(2) rescaling of u and v below.
+        scale = spla.norm(a) if sp.issparse(a) else np.linalg.norm(a)
+        arpack_tol = tol / max(2.0 * scale, 1.0)
+        if symmetric:
+            operator, which = a, "LM"
+        else:
+            operator, which = spla.LinearOperator(
+                (dim, dim), dtype=float,
+                matvec=lambda x: np.concatenate([a @ x[m:], a.T @ x[:m]])), "LA"
         try:
-            if symmetric:
-                w, vecs = spla.eigsh(a, k=k, which="LM", v0=v0, tol=0)
-                order = np.argsort(-np.abs(w))
-                eigs, vecs = w[order], vecs[:, order]
-                vals = np.abs(eigs)
-                residuals = _triple_residuals(a, vals, vecs, True, False)
-            else:
-                w, vecs = spla.eigsh(operator, k=k, which="LM", v0=v0, tol=0)
-                order = np.argsort(-w)
-                eigs, vecs = w[order], vecs[:, order]
-                vals = np.sqrt(np.clip(eigs, 0.0, None))
-                residuals = _triple_residuals(b, vals, vecs, False, False)
+            w, x = spla.eigsh(operator, k=k, which=which, v0=v0, tol=arpack_tol)
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence(str(exc)) from exc
-
+        vals, u, v = _eigen_triples(w, x, k)
+        if not symmetric:
+            # v = [u; v] / sqrt(2) for the eigenvalue s of [[0, A], [A^T, 0]].
+            u, v = np.sqrt(2.0) * v[:m], np.sqrt(2.0) * v[m:]
+    residuals = np.maximum(np.linalg.norm(a @ v - u * vals, axis=0),
+                           np.linalg.norm(a.T @ u - v * vals, axis=0))
     vals = np.where(vals < ZERO_SNAP, 0.0, vals)
-    if max(residuals, default=0.0) > tol:
+    if residuals.max() > tol:
         raise NoConvergence(
-            f"worst residual {max(residuals):.3e} above tolerance {tol:.3e}")
-    return SingularSpectrum(values=tuple(float(v) for v in vals),
-                            residuals=tuple(residuals), tolerance=tol)
-
-
-def singular_values(m: DenseMatrix, k: int, tol: float = DEFAULT_TOL,
-                    seed: int = 0) -> SingularSpectrum:
-    return singular_values_array(m.array(), k, tol=tol, seed=seed)
+            f"worst residual {residuals.max():.3e} above tolerance {tol:.3e}")
+    return SingularSpectrum(values=tuple(float(s) for s in vals),
+                            residuals=tuple(float(r) for r in residuals),
+                            tolerance=tol, left=u, right=v)
 
 
 def dense_singular_values(a, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
     """Brute-force oracle: full LAPACK SVD, for small matrices only."""
-    a = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+    a = _dense(a)
     if max(a.shape) > cap:
         raise ValueError(f"dense oracle capped at {cap}x{cap}, got {a.shape}")
     _check_finite(a)
@@ -210,7 +144,7 @@ def dense_singular_values(a, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
 
 
 def operator_norm(a, tol: float = 1e-8, seed: int = 0) -> float:
-    """Largest singular value; dispatches to the iterative route."""
+    """Largest singular value, from the kernel."""
     if min(a.shape) == 0:
         return 0.0
     return singular_values_array(a, 1, tol=max(tol, 1e-12), seed=seed).values[0]
@@ -218,7 +152,7 @@ def operator_norm(a, tol: float = 1e-8, seed: int = 0) -> float:
 
 def norm_bundle_array(a, seed: int = 0) -> NormBundle:
     _check_finite(a)
-    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+    dense = _dense(a)
     col = float(np.sqrt((dense ** 2).sum(axis=0).max())) if dense.size else 0.0
     row = float(np.sqrt((dense ** 2).sum(axis=1).max())) if dense.size else 0.0
     mx = float(np.abs(dense).max()) if dense.size else 0.0
@@ -229,14 +163,10 @@ def norm_bundle_array(a, seed: int = 0) -> NormBundle:
                       one_to_two_transpose=row, max_abs=mx)
 
 
-def norm_bundle(m: DenseMatrix, seed: int = 0) -> NormBundle:
-    return norm_bundle_array(m.array(), seed=seed)
-
-
 def normalize_array(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (L^{-1/2} A R^{-1/2}, row_sums, col_sums) for nonnegative A."""
     _check_finite(a)
-    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+    dense = _dense(a)
     if dense.min(initial=0.0) < 0:
         raise NegativeEntry("normalization requires nonnegative entries")
     row_sums = dense.sum(axis=1)
@@ -249,72 +179,30 @@ def normalize_array(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bar, row_sums, col_sums
 
 
-def normalize(a: DenseMatrix) -> NormalizedMatrix:
-    bar, row_sums, col_sums = normalize_array(a.array())
-    return NormalizedMatrix(base=DenseMatrix.from_array(bar),
-                            row_sums=row_sums, col_sums=col_sums)
-
-
-def best_rank_one_residual(m: DenseMatrix, tol: float = DEFAULT_TOL,
-                           seed: int = 0) -> tuple[DenseMatrix, float]:
+def best_rank_one_residual(a, tol: float = DEFAULT_TOL,
+                           seed: int = 0) -> tuple[np.ndarray, float]:
     """Top rank-one approximation B1 = s1 u1 v1^T and ||M - B1||.
 
     The residual equals s2(M) by the best low-rank approximation lemma;
     it is measured directly on M - B1 rather than read off the spectrum.
     """
-    a = m.array()
+    a = _dense(a)
     if min(a.shape) < 2:
         raise ValueError("need min(rows, cols) >= 2")
-    rows, cols = a.shape
-    if _is_symmetric(a):
-        if rows < _ARPACK_MIN_DIM + _ARPACK_MARGIN:
-            w, vecs = np.linalg.eigh(a)
-        else:
-            v0 = generator(seed, "lanczos-start", rows).standard_normal(rows)
-            try:
-                w, vecs = spla.eigsh(a, k=1, which="LM", v0=v0, tol=0)
-            except spla.ArpackNoConvergence as exc:
-                raise NoConvergence(str(exc)) from exc
-        i = int(np.argmax(np.abs(w)))
-        s1 = abs(float(w[i]))
-        v1 = vecs[:, i]
-        u1 = a @ v1 / w[i] if s1 > ZERO_SNAP else v1
-    else:
-        b = a if rows >= cols else a.T
-        if b.shape[1] < _ARPACK_MIN_DIM + _ARPACK_MARGIN:
-            w, vecs = np.linalg.eigh(b.T @ b)
-            i = int(np.argmax(w))
-        else:
-            bt = b.T
-            op = spla.LinearOperator((b.shape[1],) * 2,
-                                     matvec=lambda x: bt @ (b @ x), dtype=float)
-            v0 = generator(seed, "lanczos-start", b.shape[1]).standard_normal(b.shape[1])
-            try:
-                w, vecs = spla.eigsh(op, k=1, which="LM", v0=v0, tol=0)
-            except spla.ArpackNoConvergence as exc:
-                raise NoConvergence(str(exc)) from exc
-            i = 0
-        v1 = vecs[:, i]
-        s1 = float(np.sqrt(max(w[i], 0.0)))
-        u1 = b @ v1 / s1 if s1 > ZERO_SNAP else np.zeros(b.shape[0])
-        if rows < cols:
-            u1, v1 = v1, u1
-    b1 = s1 * np.outer(u1, v1)
-    residual = operator_norm(a - b1, seed=seed) if s1 > ZERO_SNAP else \
-        operator_norm(a, seed=seed)
-    if residual < ZERO_SNAP:
-        residual = 0.0
-    return DenseMatrix.from_array(b1), float(residual)
+    spec = singular_values_array(a, 1, tol=tol, seed=seed)
+    b1 = spec.values[0] * np.outer(spec.left[:, 0], spec.right[:, 0])
+    residual = operator_norm(a - b1, seed=seed)
+    return b1, (0.0 if residual < ZERO_SNAP else float(residual))
 
 
-def interlace_check(m: DenseMatrix, row_subset, col_subset,
+def interlace_check(a, row_subset, col_subset,
                     tol: float = 1e-9, seed: int = 0) -> bool:
     """True iff s_i(submatrix) <= s_i(M) + tol for all i."""
     rows = sorted(set(int(i) for i in row_subset))
     cols = sorted(set(int(j) for j in col_subset))
     if not rows or not cols:
         raise EmptySubset("row and column subsets must be nonempty")
-    a = m.array()
+    a = _dense(a)
     sub = a[np.ix_(rows, cols)]
     k = min(len(rows), len(cols))
     s_sub = singular_values_array(sub, k, tol=max(tol, 1e-8), seed=seed).values
@@ -322,7 +210,7 @@ def interlace_check(m: DenseMatrix, row_subset, col_subset,
     return all(s_sub[i] <= s_full[i] + tol for i in range(k))
 
 
-def read_matrix(path) -> DenseMatrix:
+def read_matrix(path) -> np.ndarray:
     """Matrix text format: first line "rows cols", then row-major reals."""
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
@@ -332,11 +220,14 @@ def read_matrix(path) -> DenseMatrix:
     vals = [float(t) for t in tokens[2:]]
     if len(vals) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(vals)}")
-    return DenseMatrix.from_array(np.array(vals).reshape(rows, cols))
+    a = np.array(vals).reshape(rows, cols)  # always 2-D
+    _check_finite(a)
+    return a
 
 
-def write_matrix(m: DenseMatrix, path) -> None:
+def write_matrix(a, path) -> None:
+    a = _dense(a)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{m.rows} {m.cols}\n")
-        for row in m.array():
+        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
+        for row in a:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")

@@ -10,7 +10,7 @@ never an acceptable outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,6 @@ class MixingAudit:
     holds: bool
     main_term: float
     s2_used: float
-
-    def to_record(self, kind: str, n: int, params: dict) -> dict:
-        return {"kind": kind, "n": n, "params": params,
-                "lhs": self.lhs_deviation, "rhs": self.rhs_bound,
-                "holds": self.holds}
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class JoinednessCertificate:
     trials_run: int
 
 
-def eml_matrix_audit(a: linalg.DenseMatrix, s, t, tol: float = 1e-9,
+def eml_matrix_audit(a: np.ndarray, s, t, tol: float = 1e-9,
                      s2_bar: float | None = None, seed: int = 0) -> MixingAudit:
     """Audit the mixing inequality for a nonnegative matrix.
 
@@ -94,7 +89,7 @@ def eml_matrix_audit(a: linalg.DenseMatrix, s, t, tol: float = 1e-9,
     cols = sorted(set(int(j) for j in t))
     if not rows or not cols:
         raise EmptySubset("S and T must be nonempty")
-    arr = a.array()
+    arr = np.asarray(a, dtype=float)
     if s2_bar is None:
         if max(arr.shape) > FRESH_S2_CAP:
             raise ValueError(f"matrix too large to re-normalize (cap {FRESH_S2_CAP})")

@@ -12,11 +12,6 @@ import hashlib
 import numpy as np
 
 
-def _label_key(label: str) -> int:
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     """Deterministic 63-bit child seed for (master_seed, label, index)."""
     h = hashlib.sha256()

@@ -20,7 +20,6 @@ from .errors import (AsymmetricInput, BadParameter, BadRange,
 from .graphs import Graph, SpectralCertificate
 from .rng import derive_seed, generator
 
-DENSE_NORM_CAP = 600      # side length up to which full SVD is used per trial
 BATCHES = 10              # batch-means groups for standard errors
 
 
@@ -139,15 +138,6 @@ def exact_hypergeometric_tail(big_n: int, k: int, n: int, a: float,
     return total / denom
 
 
-def _submatrix_norm(arr: np.ndarray, rows, cols, seed: int) -> float:
-    if len(rows) == 0 or len(cols) == 0:
-        return 0.0
-    sub = arr[np.ix_(rows, cols)]
-    if max(sub.shape) <= DENSE_NORM_CAP:
-        return float(np.linalg.norm(sub, 2))
-    return linalg.operator_norm(sub, seed=seed)
-
-
 def _batch_lp(values: np.ndarray, p: float):
     """Lp mean and batch-means standard error."""
     lp = float(np.mean(np.abs(values) ** p) ** (1 / p))
@@ -158,7 +148,7 @@ def _batch_lp(values: np.ndarray, p: float):
     return lp, se
 
 
-def submatrix_norm_experiment(b: linalg.DenseMatrix, mode: str,
+def submatrix_norm_experiment(b: np.ndarray, mode: str,
                               sigma: float | None = None,
                               m: int | None = None,
                               p: float = 2.0, trials: int = 200,
@@ -173,7 +163,7 @@ def submatrix_norm_experiment(b: linalg.DenseMatrix, mode: str,
     """
     if p < 2:
         raise BadParameter(f"p={p} must be >= 2")
-    arr = b.array()
+    arr = np.asarray(b, dtype=float)
     nrows, ncols = arr.shape
     n = max(nrows, ncols)
     q = max(p, 2 * math.log(n))
@@ -206,7 +196,8 @@ def submatrix_norm_experiment(b: linalg.DenseMatrix, mode: str,
             cols = np.flatnonzero(rng.random(ncols) < sigma)
         else:
             rows = cols = rng.permutation(n)[:m]
-        norms[t] = _submatrix_norm(arr, rows, cols, seed=trial_seed % (2**31))
+        norms[t] = linalg.operator_norm(arr[np.ix_(rows, cols)],
+                                        seed=trial_seed % (2**31))
     lp, se = _batch_lp(norms, p)
     return MomentEstimate(p=p, trials=trials, empirical_lp=lp, std_error=se,
                           theoretical_bound=float(bound), seed=seed)

@@ -45,7 +45,7 @@ def test_criterion_01_spectral_oracle_agreement():
     for q in (5, 13, 17, 29, 37, 41, 53, 61):
         fixtures.append(graphs.gen_paley(q))
     rng = generator(0, "acceptance-random-graphs")
-    mats = [g.spectral_matrix().astype(float) for g in fixtures]
+    mats = [g.adjacency_dense() for g in fixtures]
     for _ in range(200):
         n = int(rng.integers(3, 65))
         upper = np.triu(rng.random((n, n)) < 0.5, k=1)
@@ -66,7 +66,7 @@ def test_criterion_02_paley_closed_form():
     worst = 0.0
     for q in (5, 13, 17, 29, 101, 1009):
         g = graphs.gen_paley(q)
-        spec = linalg.singular_values_array(g.spectral_matrix(), 2, seed=q)
+        spec = linalg.singular_values_array(g.adjacency_sparse(), 2, seed=q)
         worst = max(worst, abs(spec.values[1] - (1 + math.sqrt(q)) / 2))
     _budget(2, started, 30)
     _report(2, worst <= 1e-6,
@@ -87,14 +87,13 @@ def test_criterion_03_eml_never_violated():
         rng.random((20, 20)) + 0.05,
     ]
     for arr in matrix_fixtures:
-        m = linalg.DenseMatrix.from_array(arr)
         bar, _, _ = linalg.normalize_array(arr)
         s2_bar = linalg.dense_singular_values(bar)[1]
         n = arr.shape[0]
         for _ in range(12_500):
             a, b = rng.integers(1, n // 2 + 1, size=2)
             perm = rng.permutation(n)
-            audit = mixing.eml_matrix_audit(m, perm[:a], perm[a:a + b],
+            audit = mixing.eml_matrix_audit(arr, perm[:a], perm[a:a + b],
                                             s2_bar=s2_bar)
             violations += not audit.holds
             total += 1
@@ -131,12 +130,11 @@ def test_criterion_04_submatrix_bound_battery():
 
     failed_batches = []
     for name, arr in battery:
-        b = linalg.DenseMatrix.from_array(arr)
         n = arr.shape[0]
         for mode in ("two_sided_bernoulli", "symmetric_uniform"):
             for batch in range(10):      # 10 batches x 50 trials = 500
                 est = sampling.submatrix_norm_experiment(
-                    b, mode, sigma=0.3, m=max(1, int(0.3 * n)),
+                    arr, mode, sigma=0.3, m=max(1, int(0.3 * n)),
                     trials=50, seed=batch)
                 if not est.holds:
                     failed_batches.append((name, mode, batch))
@@ -330,7 +328,7 @@ def _write_artifacts(out_dir):
                      "--trials", "10", "--gamma-target", "0.3"]) == 0
     mat = out_dir / "b.txt"
     arr = graphs.gen_paley(61).adjacency_dense().astype(float)
-    linalg.write_matrix(linalg.DenseMatrix.from_array(arr), mat)
+    linalg.write_matrix(arr, mat)
     assert cli.main(["--seed", "11", "--out", str(out_dir / "mom.json"),
                      "submatrix", "--matrix", str(mat),
                      "--mode", "symmetric_uniform", "--m", "20",

@@ -105,6 +105,15 @@ def test_hamilton_bad_config_key(paley401_file, tmp_path):
     assert run("--config", str(cfg), "hamilton", str(paley401_file)) == 2
 
 
+@pytest.mark.parametrize("cfg_data", [{"k": "abc"}, {"seed": 1.5},
+                                      {"reserve_fraction": None},
+                                      {"gamma_caps": {"P1": "wide"}}])
+def test_hamilton_mistyped_config_value(paley401_file, tmp_path, cfg_data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    assert run("--config", str(cfg), "hamilton", str(paley401_file)) == 2
+
+
 def test_hamilton_weak_expander_exit_code(tmp_path):
     out = tmp_path / "c.txt"
     assert run("--out", str(out), "gen", "cycle", "150") == 0

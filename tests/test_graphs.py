@@ -17,7 +17,7 @@ def test_paley_13_shape(paley13):
 
 
 def test_paley_second_singular_value_closed_form(paley13):
-    spec = linalg.singular_values_array(paley13.spectral_matrix(), 2, seed=0)
+    spec = linalg.singular_values_array(paley13.adjacency_sparse(), 2, seed=0)
     assert abs(spec.values[1] - (1 + math.sqrt(13)) / 2) < 1e-8
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from expanderlab import graphs, linalg, mixing
+from expanderlab import graphs, mixing
 from expanderlab.errors import (DegenerateGamma, EmptySubset,
                                 PreconditionViolated)
 
@@ -13,8 +13,7 @@ nonneg = st.floats(min_value=0, max_value=5, allow_nan=False,
 
 
 def test_matrix_audit_complete_graph_tight():
-    a = linalg.DenseMatrix.from_array(
-        np.ones((4, 4)) - np.eye(4))
+    a = np.ones((4, 4)) - np.eye(4)
     audit = mixing.eml_matrix_audit(a, [0, 1], [2, 3])
     # s2 of the normalized K4 adjacency is 1/3; deviation hits the bound.
     assert abs(audit.s2_used - 1 / 3) < 1e-8
@@ -24,7 +23,7 @@ def test_matrix_audit_complete_graph_tight():
 
 def test_matrix_audit_precomputed_s2_matches_fresh():
     rng = np.random.default_rng(0)
-    a = linalg.DenseMatrix.from_array(rng.random((12, 12)) + 0.1)
+    a = rng.random((12, 12)) + 0.1
     fresh = mixing.eml_matrix_audit(a, [0, 1, 2], [5, 6])
     reused = mixing.eml_matrix_audit(a, [0, 1, 2], [5, 6],
                                      s2_bar=fresh.s2_used)
@@ -33,7 +32,7 @@ def test_matrix_audit_precomputed_s2_matches_fresh():
 
 
 def test_matrix_audit_empty_subset():
-    a = linalg.DenseMatrix.from_array(np.ones((3, 3)))
+    a = np.ones((3, 3))
     with pytest.raises(EmptySubset):
         mixing.eml_matrix_audit(a, [], [0])
 
@@ -44,7 +43,7 @@ def test_matrix_audit_never_violated_fuzz(a, data):
     a = a + 0.05          # keep all line sums positive
     s = data.draw(st.sets(st.integers(0, 7), min_size=1, max_size=4))
     t = data.draw(st.sets(st.integers(0, 7), min_size=1, max_size=4))
-    audit = mixing.eml_matrix_audit(linalg.DenseMatrix.from_array(a), s, t)
+    audit = mixing.eml_matrix_audit(a, s, t)
     assert audit.holds
 
 
