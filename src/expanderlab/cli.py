@@ -64,10 +64,6 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _load_graph(path: str) -> graphs.Graph:
-    return graphs.read_graph(path)
-
-
 def _vertex_list(spec: str) -> list:
     return [int(tok) for tok in spec.replace(",", " ").split()]
 
@@ -82,14 +78,12 @@ def _cmd_gen(args) -> int:
     else:
         n = int(args.params[0]) if args.params else None
         g = graphs.gen_named(kind, n)
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges()))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(graphs.graph_file_bytes(g).decode("ascii"), args.out)
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.read_graph(args.graph)
     cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
     if args.format == "csv":
         buf = io.StringIO()
@@ -103,7 +97,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_eml(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.read_graph(args.graph)
     cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
     rng = generator(args.seed, "eml-samples")
     rows = []
@@ -133,7 +127,7 @@ def _cmd_eml(args) -> int:
 
 
 def _cmd_subsample(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.read_graph(args.graph)
     cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
     exp = sampling.induced_subgraph_experiment(
         g, cert, args.sigma, trials=args.trials, seed=args.seed,
@@ -172,7 +166,7 @@ def _cmd_submatrix(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.read_graph(args.graph)
     view = graphs.BipartiteView(parent=g, left=_vertex_list(args.left),
                                 right=_vertex_list(args.right))
     if args.mode == "max":
@@ -193,7 +187,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_hamilton(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.read_graph(args.graph)
     cfg_data = {}
     if args.config:
         cfg_data = json.loads(Path(args.config).read_text())
@@ -218,7 +212,7 @@ def _cmd_hamilton(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.read_graph(args.graph)
     cycle = hamilton.HamiltonCycle.from_line(Path(args.cycle).read_text())
     verdict = hamilton.verify_hamilton_cycle(g, cycle)
     sys.stdout.write(json.dumps({"ok": verdict.ok,

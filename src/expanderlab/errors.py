@@ -51,6 +51,10 @@ class UnknownName(ExpanderLabError):
     """Unknown named-graph identifier."""
 
 
+class MalformedGraphFile(ExpanderLabError, ValueError):
+    """Graph file that does not follow the "n m" plus m "u v" lines format."""
+
+
 class IsolatedVertex(ExpanderLabError):
     """Graph has a vertex of degree zero where positive degrees are required."""
 

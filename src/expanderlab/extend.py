@@ -80,7 +80,7 @@ def _defines_violation(g: Graph, s: Subgraph, d_par: int, u_set) -> bool:
     vs = set(s.vertices)
     closed = set(u_set)
     for u in u_set:
-        closed.update(g.adjacency[u])
+        closed.update(g.neighbors(u).tolist())
     lhs = len(closed - vs)
     rhs = (d_par - 1) * len(u_set) - sum(s.degree(u) - 1
                                          for u in u_set if u in vs)
@@ -92,7 +92,7 @@ def _sufficient_holds(g: Graph, s: Subgraph, d_par: int, u_set) -> bool:
     vs = set(s.vertices)
     nbrs = set()
     for u in u_set:
-        nbrs.update(g.adjacency[u])
+        nbrs.update(g.neighbors(u).tolist())
     return len(nbrs - vs) >= d_par * len(u_set)
 
 
@@ -246,7 +246,7 @@ class Connector:
             rng.shuffle(candidates)
             inserted = False
             for w in candidates:
-                wn = self.g.neighbor_set(w)
+                wn = set(self.g.neighbors(w).tolist())
                 best = None      # (path length, path index, position)
                 for pi, path in enumerate(routed):
                     if len(path) - 1 >= self.budget:
@@ -277,7 +277,7 @@ class Connector:
             depth += 1
             nxt = []
             for w in frontier:
-                nbrs = [x for x in self.g.adjacency[w]
+                nbrs = [x for x in self.g.neighbors(w).tolist()
                         if x in allowed and x not in parent]
                 rng.shuffle(nbrs)
                 for x in nbrs:

@@ -1,125 +1,187 @@
 """Graph representation, generators and spectral certification.
 
-Graphs are simple, undirected and immutable after construction.
-Adjacency is stored sparse (per-vertex sorted neighbor tuples plus
-neighbor sets for O(1) edge queries). Spectral certification hands
-`adjacency_sparse()` to `linalg.singular_values_array`, which picks
-LAPACK or ARPACK by size; `adjacency_dense()` materializes the matrix
-for callers that need it, up to DENSIFY_CAP vertices.
+Graphs are simple, undirected and immutable after construction. A graph
+is stored as CSR: read-only int32 arrays `indptr` and `indices`, where
+the neighbours of v are indices[indptr[v]:indptr[v + 1]] in increasing
+order. Degrees, induced subgraphs, degrees into a vertex set and edge
+counts are array operations on these two arrays, and
+`adjacency_sparse()` wraps them in a float64 scipy matrix for
+`linalg.singular_values_array`; `adjacency_dense()` materializes the
+matrix for callers that need it, up to DENSIFY_CAP vertices. Graph
+files move whole arrays through `read_graph` and `write_graph`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .errors import (BadResidueClass, EmptySide, IsolatedVertex, NotPrime,
-                     ParityViolation, RetryExhausted, UnknownName)
+from .errors import (BadResidueClass, EmptySide, IsolatedVertex,
+                     MalformedGraphFile, NotPrime, ParityViolation,
+                     RetryExhausted, UnknownName)
 from .rng import generator
 
 DENSIFY_CAP = 4000
 PAIRING_ATTEMPT_FACTOR = 100  # cap on stub-pair draws: 100 * n * d
 
 
-class Graph:
-    """Simple undirected graph with 0-based vertices."""
+def vertex_array(vertices) -> np.ndarray:
+    """Sorted distinct vertices of any iterable, as an int64 array."""
+    if not isinstance(vertices, np.ndarray):
+        vertices = np.fromiter(vertices, dtype=np.int64)
+    return np.unique(vertices.astype(np.int64, copy=False))
 
-    __slots__ = ("n", "adjacency", "edge_count", "_neighbor_sets")
+
+def _first_invalid_edge(n: int, u: np.ndarray, v: np.ndarray):
+    """(index, reason) of the first edge that is a self-loop, leaves
+    range(n) or repeats an earlier edge; None if every edge is valid."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    loop = lo == hi
+    outside = (lo < 0) | (hi >= n)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    bad = np.flatnonzero(loop | outside | repeat)
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if loop[i]:
+        return i, f"self-loop at {u[i]}"
+    if outside[i]:
+        return i, f"edge ({u[i]},{v[i]}) out of range"
+    return i, f"duplicate edge {(int(lo[i]), int(hi[i]))}"
+
+
+class Graph:
+    """Simple undirected graph with 0-based vertices, stored as CSR."""
+
+    __slots__ = ("n", "indptr", "indices")
 
     def __init__(self, n: int, edges):
-        adj = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+        if not 0 <= n < 2 ** 31:
+            raise ValueError(f"n={n} outside the int32 vertex range")
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.int64)
+        if e.size and (e.ndim != 2 or e.shape[1] != 2):
+            raise ValueError("edges must be (u, v) pairs")
+        u, v = e.reshape(-1, 2).T
+        bad = _first_invalid_edge(n, u, v)
+        if bad is not None:
+            raise ValueError(bad[1])
+        keys = np.concatenate([u * n + v, v * n + u])   # row * n + column
+        keys.sort()
+        self._set(int(n), np.searchsorted(keys, np.arange(n + 1) * n),
+                  np.remainder(keys, max(n, 1), out=keys))
+
+    @classmethod
+    def _from_csr(cls, n: int, indptr, indices) -> "Graph":
+        """Wrap CSR arrays that already describe a simple graph."""
+        g = cls.__new__(cls)
+        g._set(n, indptr, indices)
+        return g
+
+    def _set(self, n, indptr, indices) -> None:
+        if len(indices) >= 2 ** 31:
+            raise ValueError(f"{len(indices)} adjacency entries overflow int32")
         self.n = n
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
-        self.edge_count = len(seen)
-        self._neighbor_sets = tuple(frozenset(a) for a in self.adjacency)
+        self.indptr = np.asarray(indptr, dtype=np.int32)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency])
+        return np.diff(self.indptr)
 
-    def neighbors(self, v: int):
-        return self.adjacency[v]
-
-    def neighbor_set(self, v: int) -> frozenset:
-        return self._neighbor_sets[v]
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._neighbor_sets[u]
+        nbrs = self.neighbors(u)
+        i = np.searchsorted(nbrs, v)
+        return bool(i < len(nbrs) and nbrs[i] == v)
 
-    def edges(self):
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
+    def edges(self) -> np.ndarray:
+        """(m, 2) array of the edges (u, v), u < v, in increasing order."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int32), self.degrees())
+        upper = rows < self.indices
+        return np.column_stack([rows[upper], self.indices[upper]])
+
+    def _neighbor_lists(self, vs: np.ndarray):
+        """The neighbour lists of vs, concatenated in the order of vs, and their lengths."""
+        starts = self.indptr[vs].astype(np.int64)
+        counts = self.indptr[vs + 1] - starts
+        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        return self.indices[offsets + np.arange(len(offsets))], counts
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray):
+        """CSR of the submatrix A[rows, cols]: indptr, and the kept
+        neighbours as vertex ids, in increasing order within each row."""
+        nbrs, counts = self._neighbor_lists(rows)
+        member = np.zeros(self.n, dtype=bool)
+        member[cols] = True
+        keep = member[nbrs]
+        kept = np.bincount(np.repeat(np.arange(len(rows)), counts)[keep],
+                           minlength=len(rows))
+        return np.concatenate([[0], np.cumsum(kept)]), nbrs[keep]
 
     def adjacency_sparse(self) -> sp.csr_matrix:
-        indptr = np.cumsum([0] + [len(a) for a in self.adjacency])
-        indices = np.fromiter((v for a in self.adjacency for v in a),
-                              dtype=np.int64, count=indptr[-1])
-        data = np.ones(indptr[-1])
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        return sp.csr_matrix((np.ones(len(self.indices)), self.indices, self.indptr),
+                             shape=(self.n, self.n))
 
     def adjacency_dense(self) -> np.ndarray:
         if self.n > DENSIFY_CAP:
             raise ValueError(f"densify cap is {DENSIFY_CAP}, graph has n={self.n}")
         a = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            a[u, list(self.adjacency[u])] = 1.0
+        a[np.repeat(np.arange(self.n), self.degrees()), self.indices] = 1.0
         return a
 
     def induced(self, vertices) -> tuple["Graph", list]:
         """Induced subgraph plus the sorted vertex list mapping new->old."""
-        vs = sorted(set(int(v) for v in vertices))
-        pos = {v: i for i, v in enumerate(vs)}
-        edges = []
-        vset = set(vs)
-        for u in vs:
-            for w in self.adjacency[u]:
-                if u < w and w in vset:
-                    edges.append((pos[u], pos[w]))
-        return Graph(len(vs), edges), vs
+        vs = vertex_array(vertices)
+        indptr, kept = self._block(vs, vs)
+        return Graph._from_csr(len(vs), indptr, np.searchsorted(vs, kept)), vs.tolist()
 
-    def cross_degree(self, v: int, targets) -> int:
-        tset = targets if isinstance(targets, (set, frozenset)) else set(targets)
-        nbrs = self._neighbor_sets[v]
-        if len(tset) < len(nbrs):
-            return sum(1 for w in tset if w in nbrs)
-        return sum(1 for w in nbrs if w in tset)
+    def cross_degree(self, v, targets):
+        """Number of neighbours in the vertex set `targets`: an int for one
+        vertex v, an int array for an array (or sequence) of vertices.
+
+        One bincount over the neighbour lists of `targets` gives every
+        vertex's degree into it; v picks from that.
+        """
+        nbrs, _ = self._neighbor_lists(vertex_array(targets))
+        into = np.bincount(nbrs, minlength=self.n)
+        return int(into[v]) if np.ndim(v) == 0 else into[np.asarray(v, dtype=np.int64)]
 
     def count_edges_between(self, s, t) -> int:
-        """e(S,T): edges with one endpoint in S and the other in T (unordered)."""
-        sset = set(s)
-        tset = set(t)
-        count = 0
-        for u, v in self.edges():
-            if (u in sset and v in tset) or (v in sset and u in tset):
-                count += 1
-        return count
+        """e(S,T): edges with one endpoint in S and the other in T (unordered).
+
+        The ordered count 1_S^T A 1_T counts each edge inside S n T twice.
+        """
+        s, t = vertex_array(s), vertex_array(t)
+        both = np.intersect1d(s, t, assume_unique=True)
+        return int(self.cross_degree(s, t).sum() - self.cross_degree(both, both).sum() // 2)
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.adjacency == other.adjacency
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __hash__(self):
-        return hash(self.adjacency)
+        return hash((self.n, self.indices.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -151,12 +213,18 @@ class BipartiteView:
         object.__setattr__(self, "left", tuple(sorted(set(self.left))))
         object.__setattr__(self, "right", tuple(sorted(set(self.right))))
 
+    def cross_adjacency(self) -> dict:
+        """Left vertex -> increasing list of its right neighbours, read off
+        the CSR submatrix A[left, right]."""
+        indptr, kept = self.parent._block(np.asarray(self.left, dtype=np.int64),
+                                          np.asarray(self.right, dtype=np.int64))
+        kept = kept.tolist()
+        return {u: kept[indptr[i]:indptr[i + 1]] for i, u in enumerate(self.left)}
+
     def cross_edges(self):
-        rset = set(self.right)
-        for u in self.left:
-            for v in self.parent.adjacency[u]:
-                if v in rset:
-                    yield (u, v)
+        for u, right in self.cross_adjacency().items():
+            for v in right:
+                yield (u, v)
 
 
 @dataclass(frozen=True)
@@ -176,29 +244,22 @@ class BipartiteViolation:
     reason: str
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def gen_paley(q: int) -> Graph:
     """Paley graph on Z_q: a~b iff a-b is a nonzero quadratic residue."""
-    if not _is_prime(q):
+    if q < 2 or any(q % f == 0 for f in range(2, math.isqrt(q) + 1)):
         raise NotPrime(f"{q} is not prime")
     if q % 4 != 1:
         raise BadResidueClass(f"need q = 1 mod 4, got {q} = {q % 4} mod 4")
-    residues = {(x * x) % q for x in range(1, q)}
-    edges = [(a, b) for a in range(q) for b in range(a + 1, q)
-             if (b - a) % q in residues]
-    return Graph(q, edges)
+    residues = np.unique(np.arange(1, q, dtype=np.int64) ** 2 % q)
+    r = len(residues)
+    # Circulant: row a is sort((a + R) mod q), the residues past q - a
+    # wrapped to the front.
+    rows = np.empty((q, r), dtype=np.int32)
+    for a in range(q):
+        wrap = np.searchsorted(residues, q - a)
+        rows[a, :r - wrap] = residues[wrap:] + (a - q)
+        rows[a, r - wrap:] = residues[:wrap] + a
+    return Graph._from_csr(q, np.arange(0, q * r + 1, r), rows.ravel())
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -214,15 +275,12 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     draws = 0
     cap = PAIRING_ATTEMPT_FACTOR * n * d
     while draws < cap:
-        perm = rng.permutation(stubs)
-        draws += len(stubs) // 2
-        pairs = perm.reshape(-1, 2)
-        if np.any(pairs[:, 0] == pairs[:, 1]):
+        pairs = rng.permutation(stubs).reshape(-1, 2)
+        draws += len(pairs)
+        try:
+            return Graph(n, pairs)
+        except ValueError:      # a self-loop or a repeated edge
             continue
-        keys = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in pairs}
-        if len(keys) < len(pairs):
-            continue
-        return Graph(n, sorted(keys))
     raise RetryExhausted(f"pairing model failed after {draws} stub draws")
 
 
@@ -282,6 +340,29 @@ def check_certificate(g: Graph, cert: SpectralCertificate, tol: float = 1e-6) ->
     return abs(spec.values[1] - cert.lambda_hat) <= max(tol, 100 * cert.residual)
 
 
+def degree_window_violation(g: Graph, vertices, targets, lo: float, hi: float):
+    """First of `vertices`, in their given order, whose degree into
+    `targets` leaves [lo, hi], as (vertex, degree); None if none does."""
+    vs = np.asarray(vertices, dtype=np.int64)
+    deg = g.cross_degree(vs, targets)
+    bad = np.flatnonzero((deg < lo) | (deg > hi))
+    return (int(vs[bad[0]]), int(deg[bad[0]])) if bad.size else None
+
+
+def cross_window_violation(g: Graph, left, right, d: float, n: int,
+                           gamma: float, tol: float = 0.0):
+    """First vertex, left side first, whose degree into the other side
+    leaves (1 +- gamma) * d * |other| / n, widened by tol, as (vertex,
+    degree, lo, hi) with the unwidened window; None if none does."""
+    for side, other in ((left, right), (right, left)):
+        target = d * len(other) / n
+        lo, hi = (1 - gamma) * target, (1 + gamma) * target
+        bad = degree_window_violation(g, side, other, lo - tol, hi + tol)
+        if bad is not None:
+            return bad + (lo, hi)
+    return None
+
+
 def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
                                lam: float, tol: float = 1e-8, seed: int = 0):
     """Check the proportional cross-degree windows and the s2 bound.
@@ -293,16 +374,13 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
     if not view.left or not view.right:
         raise EmptySide("both sides must be nonempty")
     n = len(view.left) + len(view.right)
-    for side, other in ((view.left, view.right), (view.right, view.left)):
-        oset = set(other)
-        target = d * len(other) / n
-        lo, hi = (1 - gamma) * target, (1 + gamma) * target
-        for v in side:
-            deg = view.parent.cross_degree(v, oset)
-            if not (lo - tol <= deg <= hi + tol):
-                return BipartiteViolation(vertex=v, observed=float(deg),
-                                          window=(lo, hi),
-                                          reason="cross-degree outside window")
+    bad = cross_window_violation(view.parent, view.left, view.right, d, n,
+                                 gamma, tol)
+    if bad is not None:
+        v, deg, lo, hi = bad
+        return BipartiteViolation(vertex=v, observed=float(deg),
+                                  window=(lo, hi),
+                                  reason="cross-degree outside window")
     union, _ = view.parent.induced(view.left + view.right)
     spec = linalg.singular_values_array(union.adjacency_sparse(), 2,
                                         tol=max(tol, 1e-8), seed=seed)
@@ -337,22 +415,64 @@ def certificate_from_json(text: str) -> SpectralCertificate:
 
 
 def read_graph(path) -> Graph:
-    """Graph file format: "n m" header, then m lines "u v" with u < v."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for _ in range(m):
-            u, v = fh.readline().split()
-            edges.append((int(u), int(v)))
-    g = Graph(n, edges)
-    if g.edge_count != m:
-        raise ValueError("edge count mismatch")
-    return g
+    """Graph file format: "n m" header, then m lines "u v" with u < v.
+
+    The file is parsed as whole arrays. A missing or malformed header, a
+    token that is not a non-negative integer, an edge line without
+    exactly two tokens, fewer or more than m edge lines, and an edge the
+    `Graph` constructor rejects all raise MalformedGraphFile naming the
+    line.
+    """
+    n, edges = _parse_graph_file(path)
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        bad = _first_invalid_edge(n, edges[:, 0], edges[:, 1])
+        line, why = (1, exc) if bad is None else (bad[0] + 2, bad[1])
+        raise MalformedGraphFile(f"{path}: line {line}: {why}") from None
+
+
+def _parse_graph_file(path):
+    """(n, (m, 2) edge array) of a graph file whose lines have the right shape."""
+    text = Path(path).read_bytes()
+    data = np.frombuffer(text, dtype=np.uint8)
+    line_ends = np.flatnonzero(data == ord("\n"))
+
+    def fail(line, why):
+        raise MalformedGraphFile(f"{path}: line {line}: {why}")
+
+    allowed = np.zeros(256, dtype=bool)
+    allowed[list(b"0123456789 \t\r\n")] = True
+    junk = ~allowed[data]
+    if junk.any():
+        fail(np.searchsorted(line_ends, np.argmax(junk)) + 1,
+             "not a non-negative integer")
+    digit = np.concatenate([[False], (data >= ord("0")) & (data <= ord("9")), [False]])
+    starts = np.flatnonzero(digit[1:] & ~digit[:-1])
+    length = np.flatnonzero(digit[:-1] & ~digit[1:]) - starts
+    if length.size and length.max() > 18:
+        fail(np.searchsorted(line_ends, starts[np.argmax(length)]) + 1,
+             "integer too large")
+    values = np.fromstring(text, dtype=np.int64, sep=" ")   # digits and blanks only
+    m = int(values[1]) if len(values) > 1 else 0
+    # Integers per line: two on the header and on each of the m edge
+    # lines, none after them.
+    per_line = np.bincount(np.searchsorted(line_ends, starts), minlength=1)
+    want = np.zeros(len(per_line), dtype=np.int64)
+    want[:m + 1] = 2
+    wrong = np.flatnonzero(per_line != want)
+    if wrong.size:
+        fail(wrong[0] + 1, f"{per_line[wrong[0]]} integers where {want[wrong[0]]} belong")
+    if m >= len(per_line):
+        fail(len(per_line) + 1, f"the file ends after {len(per_line) - 1} of {m} edges")
+    return int(values[0]), values[2:].reshape(-1, 2)
+
+
+def graph_file_bytes(g: Graph) -> bytes:
+    """The graph file: "n m", then one line "u v" per edge, u < v, in increasing order."""
+    return (f"{g.n} {g.edge_count}\n" + "%d %d\n" * g.edge_count
+            % tuple(g.edges().ravel().tolist())).encode("ascii")
 
 
 def write_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{g.n} {g.edge_count}\n")
-        for u, v in sorted(g.edges()):
-            fh.write(f"{u} {v}\n")
+    Path(path).write_bytes(graph_file_bytes(g))

@@ -21,11 +21,14 @@ import math
 import numbers
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from . import extend, linalg, matching
-from .errors import (ConfigError, ExpanderLabError, CoverageGap,
-                     MatchingFloorMissed, PartitionRetriesExhausted,
-                     PreconditionViolated)
-from .graphs import BipartiteView, Graph, certify_expander
+from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
+                     CoverageGap, MatchingFloorMissed,
+                     PartitionRetriesExhausted, PreconditionViolated)
+from .graphs import (BipartiteView, Graph, certify_expander,
+                     cross_window_violation, degree_window_violation)
 from .rng import derive_seed, generator
 
 SCHEMA_VERSION = 1
@@ -82,9 +85,17 @@ class PipelineConfig:
                 f"reserve_fraction={self.reserve_fraction} outside (0, 0.5)")
         if self.k is not None and self.k < 2:
             raise ConfigError(f"k={self.k} must be at least 2")
-        for key in self.gamma_caps:
+        for name in ("l_max", "max_partition_retries", "max_repartition_retries"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}={getattr(self, name)} must be at least 1")
+        if self.min_reserve_ratio <= 0:
+            raise ConfigError(
+                f"min_reserve_ratio={self.min_reserve_ratio} must be positive")
+        for key, cap in self.gamma_caps.items():
             if key not in GAMMA_DEFAULTS:
                 raise ConfigError(f"unknown gamma cap {key!r}")
+            if cap < 0:
+                raise ConfigError(f"gamma cap {key}={cap} is negative")
         for key in self.constant_overrides:
             if key not in CONSTANT_DEFAULTS:
                 raise ConfigError(f"unknown constant override {key!r}")
@@ -210,17 +221,6 @@ class PipelineResult:
     trace: PipelineTrace
 
 
-def _degree_window_ok(g: Graph, vertices, target_set, lo: float,
-                      hi: float):
-    """First vertex whose degree into target_set leaves [lo, hi], or None."""
-    tset = set(target_set)
-    for v in vertices:
-        deg = g.cross_degree(v, tset)
-        if not lo <= deg <= hi:
-            return v, deg
-    return None
-
-
 def _induced_s2(g: Graph, vertices, seed: int) -> float:
     sub, _ = g.induced(sorted(vertices))
     spec = linalg.singular_values_array(sub.adjacency_sparse(), 2, tol=1e-8,
@@ -256,8 +256,8 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
 
         target = d * r / n
         g1 = cfg.gamma("P1")
-        bad = _degree_window_ok(g, range(n), r1,
-                                (1 - 2 * g1) * target, (1 + 2 * g1) * target)
+        bad = degree_window_violation(g, range(n), r1, (1 - 2 * g1) * target,
+                                      (1 + 2 * g1) * target)
         if bad is not None:
             trace.check("partition", "P1", False,
                         f"retry {retry}: deg({bad[0]}, R1)={bad[1]} outside "
@@ -294,23 +294,18 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
 def _bipartite_window(g: Graph, left, right, d: float, n: int,
                       gamma: float):
     """Cross-degree window check for both sides; returns a description or None."""
-    for side, other in ((left, right), (right, left)):
-        target = d * len(other) / n
-        lo, hi = (1 - gamma) * target, (1 + gamma) * target
-        bad = _degree_window_ok(g, side, other, lo, hi)
-        if bad is not None:
-            return (f"deg({bad[0]})={bad[1]} outside [{lo:.3f}, {hi:.3f}]")
-    return None
+    bad = cross_window_violation(g, left, right, d, n, gamma)
+    return None if bad is None else \
+        f"deg({bad[0]})={bad[1]} outside [{bad[2]:.3f}, {bad[3]:.3f}]"
 
 
 def _observed_gamma(g: Graph, left, right, d: float, n: int) -> float:
     """Largest relative cross-degree deviation from the proportional target."""
     worst = 0.0
     for side, other in ((left, right), (right, left)):
-        oset = set(other)
         target = d * len(other) / n
-        for v in side:
-            worst = max(worst, abs(g.cross_degree(v, oset) - target) / target)
+        deviation = np.abs(g.cross_degree(side, other) - target) / target
+        worst = max(worst, float(deviation.max(initial=0.0)))
     return worst
 
 
@@ -349,13 +344,13 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
             continue
 
         g3 = cfg.gamma("Q3")
-        vertices = sorted(set(parts.x) | set(parts.y) | set(middle))
+        vertices = np.array(sorted(set(parts.x) | set(parts.y) | set(middle)))
         ok = True
         for i, (h1, _) in enumerate(halves):
             target = d * len(h1) / n
             lo = max(0.0, (1 - 2 * g3) * target)
             hi = (1 + 2 * g3) * target
-            bad = _degree_window_ok(g, vertices, h1, lo, hi)
+            bad = degree_window_violation(g, vertices, h1, lo, hi)
             if bad is not None:
                 trace.check("repartition", "Q3", False,
                             f"retry {retry}: deg({bad[0]}, half of block "
@@ -523,6 +518,9 @@ def close_cycle(paths: extend.PathSystem, connector,
         b, a = pairing[i]
         link = by_ends.get((b, a))
         if link is None:
+            if (a, b) not in by_ends:
+                raise ConnectFailed((b, a), 0, "the connector returned no "
+                                    "path for this pair")
             link = by_ends[(a, b)][::-1]
         order.extend(link[1:-1])
     if trace is not None:

@@ -10,6 +10,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import mixing
 from .errors import (CertificateMismatch, MatchingFloorMissed, NoEdgeFound,
                      PerfectMatchingFailed, PreconditionViolated,
@@ -101,15 +103,9 @@ class _HopcroftKarp:
         return self.match_left
 
 
-def _cross_adjacency(view: BipartiteView):
-    rset = set(view.right)
-    return {u: [v for v in view.parent.adjacency[u] if v in rset]
-            for u in view.left}
-
-
 def max_matching(view: BipartiteView) -> Matching:
     """Maximum-cardinality matching of the view's cross edges."""
-    adj = _cross_adjacency(view)
+    adj = view.cross_adjacency()
     hk = _HopcroftKarp(view.left, adj)
     match = hk.solve()
     return Matching.from_edges((u, v) for u, v in match.items() if v is not None)
@@ -126,7 +122,7 @@ def hall_violator(view: BipartiteView, side: str = "left"):
                              right=view.left)
     elif side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    adj = _cross_adjacency(view)
+    adj = view.cross_adjacency()
     hk = _HopcroftKarp(view.left, adj)
     match = hk.solve()
     free = [u for u in view.left if match[u] is None]
@@ -193,25 +189,27 @@ def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,
             "avoid_size", f"|S_i| must be <= |V_i| - theta (theta={theta})")
     u1 = sorted(v1 - s1)
     u2 = set(v2 - s2)
+    free = np.zeros(g.n, dtype=bool)
+    free[list(u2)] = True
+    # The lexicographically smallest edge between the residual sides is
+    # taken each step. A vertex of u1 without a free neighbour never gets
+    # one later, so one pass over u1 in order takes the same edges.
     edges = []
-    while u1 and u2:
-        pick = None
-        for u in u1:
-            for v in g.adjacency[u]:
-                if v in u2:
-                    pick = (u, v)
-                    break
-            if pick:
-                break
-        if pick is None:
-            if len(u1) > theta and len(u2) > theta:
-                raise NoEdgeFound(
-                    f"no edge between residual sides of sizes {len(u1)}, "
-                    f"{len(u2)} > theta={theta}; the certificate must be invalid")
-            break   # below the guaranteed regime; greedy simply stops
-        edges.append(pick)
-        u1.remove(pick[0])
-        u2.remove(pick[1])
+    for u in u1:
+        if not u2:
+            break
+        nbrs = g.neighbors(u)
+        hit = np.flatnonzero(free[nbrs])
+        if hit.size:
+            v = int(nbrs[hit[0]])
+            edges.append((u, v))
+            u2.remove(v)
+            free[v] = False
+    unmatched = len(u1) - len(edges)
+    if unmatched > theta and len(u2) > theta:
+        raise NoEdgeFound(
+            f"no edge between residual sides of sizes {unmatched}, "
+            f"{len(u2)} > theta={theta}; the certificate must be invalid")
     floor = max(0, math.ceil(min(len(v1) - len(s1) - theta,
                                  len(v2) - len(s2) - theta)))
     if len(edges) < floor:

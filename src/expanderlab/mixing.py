@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import (CertificateMismatch, DegenerateGamma, EmptySubset,
                      PreconditionViolated, TheoremFalsified)
-from .graphs import Graph, SpectralCertificate
+from .graphs import Graph, SpectralCertificate, vertex_array
 from .rng import generator
 
 FRESH_S2_CAP = 4000  # side length up to which s2 is recomputed per audit
@@ -114,9 +114,8 @@ def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t,
     """Audit the two-sided edge-count window for an almost regular expander."""
     if cert.n != g.n:
         raise CertificateMismatch(f"certificate n={cert.n} vs graph n={g.n}")
-    sset = sorted(set(int(v) for v in s))
-    tset = sorted(set(int(v) for v in t))
-    if not sset or not tset:
+    sset, tset = vertex_array(s), vertex_array(t)
+    if not sset.size or not tset.size:
         raise EmptySubset("S and T must be nonempty")
     gam, d, lam, n = cert.gamma_hat, cert.d, cert.lambda_hat, cert.n
     size_s, size_t = len(sset), len(tset)
@@ -124,10 +123,9 @@ def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t,
     lower = (1 - gam) ** 2 * d * size_s * size_t / ((1 + gam) * n) - eps
     upper = (1 + gam) ** 2 * d * size_s * size_t / ((1 - gam) * n) + eps
 
-    tlookup = set(tset)
-    ordered = sum(1 for u in sset for v in g.adjacency[u] if v in tlookup)
+    ordered = int(g.cross_degree(sset, tset).sum())
     unordered = g.count_edges_between(sset, tset)
-    disjoint = not (set(sset) & tlookup)
+    disjoint = not np.intersect1d(sset, tset, assume_unique=True).size
     return GraphMixingAudit(
         ordered_count=float(ordered), unordered_count=unordered,
         lower=float(lower), upper=float(upper), epsilon=float(eps),
@@ -172,15 +170,15 @@ def expansion_audit(cert: SpectralCertificate, g: Graph, s, t, x,
             "x_size_cap",
             f"|X|={len(xset)} > {constants.size_cap_factor}*lambda*n/d")
     min_deg = d / constants.min_degree_divisor
-    for v in sset:
-        if g.cross_degree(v, tset) < min_deg:
-            raise PreconditionViolated(
-                "min_degree_into_t", f"deg({v},T) < d/{constants.min_degree_divisor}")
-    neighborhood = set()
-    for v in xset:
-        neighborhood.update(g.adjacency[v])
-    neighborhood -= xset
-    actual = len(neighborhood & tset)
+    # The set's own iteration order picks which vertex the error names.
+    svec = np.fromiter(sset, dtype=np.int64, count=len(sset))
+    low = np.flatnonzero(g.cross_degree(svec, tset) < min_deg)
+    if low.size:
+        raise PreconditionViolated(
+            "min_degree_into_t",
+            f"deg({svec[low[0]]},T) < d/{constants.min_degree_divisor}")
+    outside_x = np.fromiter(tset - xset, dtype=np.int64)
+    actual = int(np.count_nonzero(g.cross_degree(outside_x, xset)))
     required = d / (constants.divisor * lam) * len(xset)
     return ExpansionAudit(required=float(required), actual=actual,
                           holds=actual >= required)
@@ -199,10 +197,9 @@ def joinedness_certify(cert: SpectralCertificate, g: Graph,
         perm = rng.permutation(g.n)
         s = perm[:m]
         t = perm[m:2 * m]
-        tset = set(int(v) for v in t)
-        if not any(w in tset for v in s for w in g.adjacency[v]):
+        if not g.cross_degree(s, t).any():
             raise TheoremFalsified(
                 f"disjoint {m}-sets with no edge found at trial {trial}: "
-                f"S={sorted(map(int, s))}, T={sorted(tset)}")
+                f"S={sorted(map(int, s))}, T={sorted(map(int, t))}")
     return JoinednessCertificate(m=m, threshold=float(theta),
                                  degenerate=False, trials_run=trials)

@@ -203,11 +203,26 @@ def submatrix_norm_experiment(b: np.ndarray, mode: str,
                           theoretical_bound=float(bound), seed=seed)
 
 
-def _subgraph_s2(arr: np.ndarray, seed: int) -> float:
-    if arr.shape[0] < 2:
-        return 0.0
-    spec = linalg.singular_values_array(arr, 2, tol=1e-8, seed=seed)
-    return spec.values[1]
+def _subgraph_trials(g: Graph, label: str, trials: int, seed: int, sigma,
+                     gamma, lam_bound, hyp, draw) -> SubgraphExperiment:
+    """Seeded trials: draw(rng) gives a vertex set and whether its degree
+    windows hold; a trial succeeds when they do and s2 of the subgraph
+    the set induces is at most lam_bound."""
+    adj = g.adjacency_sparse()
+    records = []
+    for t in range(trials):
+        trial_seed = derive_seed(seed, label, t)
+        members, degrees_ok = draw(generator(seed, label, t))
+        sub = adj[np.ix_(members, members)].toarray().astype(float)
+        s2 = 0.0 if len(members) < 2 else linalg.singular_values_array(
+            sub, 2, tol=1e-8, seed=trial_seed % (2**31)).values[1]
+        records.append(TrialRecord(trial=t, seed=trial_seed, s2=s2,
+                                   degrees_ok=degrees_ok,
+                                   success=degrees_ok and s2 <= lam_bound))
+    return SubgraphExperiment(
+        sigma=sigma, trials=trials, gamma_used=gamma, lambda_bound=lam_bound,
+        success_fraction=sum(r.success for r in records) / trials,
+        hypotheses_hold=hyp, per_trial=tuple(records))
 
 
 def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
@@ -238,25 +253,14 @@ def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
     log_n = math.log(n)
     hyp = (sigma * d >= constant_c * gamma ** -2 * log_n
            and sigma * lam >= constant_c * math.sqrt(sigma * d * log_n))
-    adj = g.adjacency_sparse()
-    records = []
-    successes = 0
-    for t in range(trials):
-        trial_seed = derive_seed(seed, "induced-subgraph", t)
-        rng = generator(seed, "induced-subgraph", t)
+
+    def draw(rng):
         members = np.sort(rng.permutation(n)[:m])
-        sub = adj[np.ix_(members, members)].toarray().astype(float)
-        degs = sub.sum(axis=1)
-        degrees_ok = bool(degs.min() >= lo and degs.max() <= hi)
-        s2 = _subgraph_s2(sub, seed=trial_seed % (2**31))
-        success = degrees_ok and s2 <= lam_bound
-        successes += success
-        records.append(TrialRecord(trial=t, seed=trial_seed, s2=s2,
-                                   degrees_ok=degrees_ok, success=success))
-    return SubgraphExperiment(sigma=sigma, trials=trials, gamma_used=gamma,
-                              lambda_bound=lam_bound,
-                              success_fraction=successes / trials,
-                              hypotheses_hold=hyp, per_trial=tuple(records))
+        degs = g.cross_degree(members, members)
+        return members, bool(degs.min() >= lo and degs.max() <= hi)
+
+    return _subgraph_trials(g, "induced-subgraph", trials, seed, sigma, gamma,
+                            lam_bound, hyp, draw)
 
 
 def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
@@ -281,30 +285,18 @@ def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
     gamma = cert.gamma_hat if cert.gamma_hat > 0 else gamma_target
     sigma = sigma1 + sigma2
     lam_bound = 6 * sigma * lam
-    adj = g.adjacency_sparse()
-    records = []
-    successes = 0
-    for t in range(trials):
-        trial_seed = derive_seed(seed, "bipartite-induced", t)
-        rng = generator(seed, "bipartite-induced", t)
+
+    def draw(rng):
         perm = rng.permutation(n)
         x, y = perm[:m1], perm[m1:m1 + m2]
-        cross = adj[np.ix_(x, y)].toarray().astype(float)
-        deg_x = cross.sum(axis=1)   # deg(v, Y) for v in X
-        deg_y = cross.sum(axis=0)   # deg(v, X) for v in Y
+        deg_x = g.cross_degree(x, y)   # deg(v, Y) for v in X
+        deg_y = g.cross_degree(y, x)   # deg(v, X) for v in Y
         degrees_ok = bool(
             deg_x.min() >= (1 - 2 * gamma) * sigma2 * d
             and deg_x.max() <= (1 + 2 * gamma) * sigma2 * d
             and deg_y.min() >= (1 - 2 * gamma) * sigma1 * d
             and deg_y.max() <= (1 + 2 * gamma) * sigma1 * d)
-        union = np.sort(np.concatenate([x, y]))
-        sub = adj[np.ix_(union, union)].toarray().astype(float)
-        s2 = _subgraph_s2(sub, seed=trial_seed % (2**31))
-        success = degrees_ok and s2 <= lam_bound
-        successes += success
-        records.append(TrialRecord(trial=t, seed=trial_seed, s2=s2,
-                                   degrees_ok=degrees_ok, success=success))
-    return SubgraphExperiment(sigma=sigma, trials=trials, gamma_used=gamma,
-                              lambda_bound=lam_bound,
-                              success_fraction=successes / trials,
-                              hypotheses_hold=False, per_trial=tuple(records))
+        return np.sort(np.concatenate([x, y])), degrees_ok
+
+    return _subgraph_trials(g, "bipartite-induced", trials, seed, sigma, gamma,
+                            lam_bound, False, draw)

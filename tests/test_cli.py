@@ -154,3 +154,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("gen", "moebius", "10") == 2
     assert run("certify", str(tmp_path / "missing.txt")) == 2
     assert run() == 2
+
+
+@pytest.mark.parametrize("text, why", [
+    ("", "line 1: 0 integers where 2 belong"),
+    ("3\n", "line 1: 1 integers where 2 belong"),
+    ("3 2 9\n0 1\n1 2\n", "line 1: 3 integers where 2 belong"),
+    ("3 2\n0 1\n1 2\n0 2\n", "line 4: 2 integers where 0 belong"),
+    ("3 2\n0 1\n", "line 3: the file ends after 1 of 2 edges"),
+    ("3 2\n0 1\n2\n", "line 3: 1 integers where 2 belong"),
+    ("3 2\n0 1\n1 2 0\n", "line 3: 3 integers where 2 belong"),
+    ("3 2\n0 1\n1 x\n", "line 3: not a non-negative integer"),
+    ("3 2\n0 1\n1 3\n", "line 3: edge (1,3) out of range"),
+    ("3000000000 0\n", "line 1: n=3000000000 outside the int32 vertex range"),
+])
+def test_malformed_graph_file_exits_2(tmp_path, capsys, text, why):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run("certify", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err

@@ -17,7 +17,7 @@ def _violates(g, s, d_par, u_set):
     vs = set(s.vertices)
     closed = set(u_set)
     for u in u_set:
-        closed.update(g.adjacency[u])
+        closed.update(g.neighbors(u).tolist())
     lhs = len(closed - vs)
     rhs = (d_par - 1) * len(u_set) - sum(s.degree(u) - 1
                                          for u in u_set if u in vs)

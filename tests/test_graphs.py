@@ -1,11 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import graphs, linalg
+from expanderlab import graphs, linalg, mixing
 from expanderlab.errors import (BadResidueClass, NotPrime, ParityViolation,
                                 UnknownName)
 
@@ -104,3 +106,73 @@ def test_bipartite_view_validation(paley13):
 def test_adjacency_dense_matches_sparse(paley13):
     assert np.array_equal(paley13.adjacency_dense(),
                           paley13.adjacency_sparse().toarray())
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]),
+        unique_by=lambda e: (min(e), max(e)), max_size=40))
+    return n, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_lists(), st.data())
+def test_csr_graph_matches_brute_force(edge_list, data):
+    n, pairs = edge_list
+    g = graphs.Graph(n, pairs)
+    adj = {frozenset(e) for e in pairs}
+    nbrs = [sorted(w for w in range(n) if frozenset((v, w)) in adj)
+            for v in range(n)]
+    assert g.edge_count == len(pairs)
+    assert g.degrees().tolist() == [len(a) for a in nbrs]
+    assert [g.neighbors(v).tolist() for v in range(n)] == nbrs
+    assert all(g.has_edge(u, v) == (frozenset((u, v)) in adj)
+               for u in range(n) for v in range(n))
+
+    subset = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    sub, mapping = g.induced(subset)
+    assert mapping == sorted(set(subset))
+    assert all(sub.has_edge(i, j) == g.has_edge(u, v)
+               for i, u in enumerate(mapping) for j, v in enumerate(mapping))
+
+    s = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    t = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    every = np.arange(n)
+    assert g.cross_degree(every, t).tolist() == \
+        [g.cross_degree(v, t) for v in range(n)] == \
+        [sum(frozenset((v, w)) in adj for w in t) for v in range(n)]
+    assert g.count_edges_between(s, t) == len(
+        {frozenset((u, v)) for u in s for v in t} & adj)
+    ordered = sum(frozenset((u, v)) in adj for u in s for v in t)
+    assert _audit_ordered_count(g, s, t) == ordered
+
+    expected = f"{n} {len(pairs)}\n" + "".join(
+        f"{u} {v}\n" for u, v in sorted((min(e), max(e)) for e in pairs))
+    assert graphs.graph_file_bytes(g) == expected.encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        graphs.write_graph(g, path)
+        back = graphs.read_graph(path)
+        assert back == g
+        graphs.write_graph(back, path)
+        assert path.read_bytes() == expected.encode()
+
+    v = data.draw(st.integers(0, n - 1))
+    with pytest.raises(ValueError, match="self-loop"):
+        graphs.Graph(n, pairs + [(v, v)])
+    with pytest.raises(ValueError, match="out of range"):
+        graphs.Graph(n, pairs + [(v, n)])
+    if pairs:
+        u, w = data.draw(st.sampled_from(pairs))
+        with pytest.raises(ValueError, match="duplicate"):
+            graphs.Graph(n, pairs + [(w, u)])
+
+
+def _audit_ordered_count(g, s, t):
+    """The ordered count eml_graph_audit reports, through its public entry."""
+    cert = graphs.SpectralCertificate(n=g.n, d=1.0, gamma_hat=0.0,
+                                      lambda_hat=0.0, residual=0.0, seed=0)
+    return mixing.eml_graph_audit(cert, g, s, t).ordered_count

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from expanderlab import graphs, hamilton
-from expanderlab.errors import ConfigError
+from expanderlab import extend, graphs, hamilton
+from expanderlab.errors import ConfigError, ConnectFailed
 
 
 def test_config_validation():
@@ -15,6 +15,27 @@ def test_config_validation():
         hamilton.PipelineConfig(gamma_caps={"P9": 0.5})
     with pytest.raises(ConfigError):
         hamilton.PipelineConfig(constant_overrides={"bogus": 1.0})
+
+
+@pytest.mark.parametrize("fields", [
+    {"gamma_caps": {"Q4": -0.1}}, {"l_max": 0}, {"max_partition_retries": 0},
+    {"max_repartition_retries": 0}, {"min_reserve_ratio": 0.0},
+    {"min_reserve_ratio": -1.0}])
+def test_config_range_checks(fields):
+    with pytest.raises(ConfigError):
+        hamilton.PipelineConfig(**fields)
+
+
+def test_close_cycle_names_a_pair_the_connector_left_out():
+    class Stub:
+        reserved = ()
+
+        def connect_pairs(self, pairing):
+            return extend.PathSystem(paths=())
+
+    paths = extend.PathSystem(paths=((0, 1), (2, 3)))
+    with pytest.raises(ConnectFailed, match=r"pair \(1, 2\)"):
+        hamilton.close_cycle(paths, Stub())
 
 
 def test_config_roundtrip_and_unknown_keys():

@@ -64,7 +64,7 @@ def test_hall_violator_is_genuine():
     assert violator is not None
     nbrs = set()
     for u in violator:
-        nbrs.update(v for v in view.parent.adjacency[u] if v in view.right)
+        nbrs.update(v for v in view.parent.neighbors(u).tolist() if v in view.right)
     assert len(nbrs) < len(violator)
 
 
