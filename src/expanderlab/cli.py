@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import graphs, hamilton, linalg, matching, mixing, sampling
 from .errors import (BadParameter, ConnectFailed, CoverageGap,
                      ExpanderLabError, NoConvergence,
@@ -174,9 +172,7 @@ def _cmd_match(args) -> int:
     elif args.mode == "perfect":
         cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
         seed = derive_seed(args.seed, "match-s2") % 2**31
-        sub, _ = g.induced(view.left + view.right)
-        s2 = linalg.singular_values_array(sub.adjacency_sparse(), 2,
-                                          seed=seed).values[1]
+        s2 = graphs.induced_s2(g, view.left + view.right, linalg.DEFAULT_TOL, seed)
         m = matching.perfect_matching_expander(
             view, d=cert.d, gamma=args.gamma, lam=s2,
             gamma_cap=args.gamma_cap, ratio_cap=args.ratio_cap)

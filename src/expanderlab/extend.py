@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (BadParameter, ConnectFailed, DegreeCap,
                      PreconditionViolated, ReserveTooSmall, TooLarge,
@@ -327,9 +327,8 @@ def verify_path_system(g: Graph, system: PathSystem, pairs=None,
         if seen & set(p):
             return False
         seen.update(p)
-        for a, b in zip(p, p[1:]):
-            if not g.has_edge(a, b):
-                return False
+        if not g.has_edge(p[:-1], p[1:]).all():
+            return False
         if l_max is not None and len(p) - 1 > l_max:
             return False
     if pairs is not None:

@@ -3,11 +3,12 @@
 Graphs are simple, undirected and immutable after construction. A graph
 is stored as CSR: read-only int32 arrays `indptr` and `indices`, where
 the neighbours of v are indices[indptr[v]:indptr[v + 1]] in increasing
-order. Degrees, induced subgraphs, degrees into a vertex set and edge
-counts are array operations on these two arrays, and
-`adjacency_sparse()` wraps them in a float64 scipy matrix for
-`linalg.singular_values_array`; `adjacency_dense()` materializes the
-matrix for callers that need it, up to DENSIFY_CAP vertices. Graph
+order. Induced subgraphs, degrees into a vertex set, cross adjacencies
+and edge lookups are row, column and element indexing on a scipy CSR
+view of the same two arrays; `induced_s2` is the one route from a vertex
+set to the s2 of the subgraph it induces. `adjacency_sparse()` wraps the
+arrays in a float64 scipy matrix for `linalg.singular_values_array`, and
+`adjacency_dense()` materializes it up to DENSIFY_CAP vertices. Graph
 files move whole arrays through `read_graph` and `write_graph`.
 """
 
@@ -62,7 +63,7 @@ def _first_invalid_edge(n: int, u: np.ndarray, v: np.ndarray):
 class Graph:
     """Simple undirected graph with 0-based vertices, stored as CSR."""
 
-    __slots__ = ("n", "indptr", "indices")
+    __slots__ = ("n", "indptr", "indices", "_csr")
 
     def __init__(self, n: int, edges):
         if not 0 <= n < 2 ** 31:
@@ -95,6 +96,8 @@ class Graph:
         self.indices = np.asarray(indices, dtype=np.int32)
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
+        self._csr = sp.csr_array((np.ones(len(indices), dtype=np.int8),
+                                  self.indices, self.indptr), shape=(n, n))
 
     @property
     def edge_count(self) -> int:
@@ -109,34 +112,21 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return bool(i < len(nbrs) and nbrs[i] == v)
+    def has_edge(self, u, v):
+        """Whether u ~ v: a bool for two vertices, a bool array for two
+        arrays of vertices. A vertex outside range(n) has no edges."""
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        inside = (u >= 0) & (u < self.n) & (v >= 0) & (v < self.n)
+        hit = np.zeros(inside.shape, dtype=bool)
+        if inside.any():    # scipy answers empty index arrays with a sparse array
+            hit[inside] = self._csr[u[inside], v[inside]] != 0
+        return bool(hit) if hit.ndim == 0 else hit
 
     def edges(self) -> np.ndarray:
         """(m, 2) array of the edges (u, v), u < v, in increasing order."""
         rows = np.repeat(np.arange(self.n, dtype=np.int32), self.degrees())
         upper = rows < self.indices
         return np.column_stack([rows[upper], self.indices[upper]])
-
-    def _neighbor_lists(self, vs: np.ndarray):
-        """The neighbour lists of vs, concatenated in the order of vs, and their lengths."""
-        starts = self.indptr[vs].astype(np.int64)
-        counts = self.indptr[vs + 1] - starts
-        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        return self.indices[offsets + np.arange(len(offsets))], counts
-
-    def _block(self, rows: np.ndarray, cols: np.ndarray):
-        """CSR of the submatrix A[rows, cols]: indptr, and the kept
-        neighbours as vertex ids, in increasing order within each row."""
-        nbrs, counts = self._neighbor_lists(rows)
-        member = np.zeros(self.n, dtype=bool)
-        member[cols] = True
-        keep = member[nbrs]
-        kept = np.bincount(np.repeat(np.arange(len(rows)), counts)[keep],
-                           minlength=len(rows))
-        return np.concatenate([[0], np.cumsum(kept)]), nbrs[keep]
 
     def adjacency_sparse(self) -> sp.csr_matrix:
         return sp.csr_matrix((np.ones(len(self.indices)), self.indices, self.indptr),
@@ -152,28 +142,22 @@ class Graph:
     def induced(self, vertices) -> tuple["Graph", list]:
         """Induced subgraph plus the sorted vertex list mapping new->old."""
         vs = vertex_array(vertices)
-        indptr, kept = self._block(vs, vs)
-        return Graph._from_csr(len(vs), indptr, np.searchsorted(vs, kept)), vs.tolist()
+        sub = self._csr[vs][:, vs]
+        return Graph._from_csr(len(vs), sub.indptr, sub.indices), vs.tolist()
 
     def cross_degree(self, v, targets):
         """Number of neighbours in the vertex set `targets`: an int for one
         vertex v, an int array for an array (or sequence) of vertices.
 
-        One bincount over the neighbour lists of `targets` gives every
-        vertex's degree into it; v picks from that.
+        One bincount over the rows of `targets` gives every vertex's
+        degree into it (the adjacency is symmetric); v picks from that.
         """
-        nbrs, _ = self._neighbor_lists(vertex_array(targets))
-        into = np.bincount(nbrs, minlength=self.n)
+        into = np.bincount(self._csr[vertex_array(targets)].indices, minlength=self.n)
         return int(into[v]) if np.ndim(v) == 0 else into[np.asarray(v, dtype=np.int64)]
 
     def count_edges_between(self, s, t) -> int:
-        """e(S,T): edges with one endpoint in S and the other in T (unordered).
-
-        The ordered count 1_S^T A 1_T counts each edge inside S n T twice.
-        """
-        s, t = vertex_array(s), vertex_array(t)
-        both = np.intersect1d(s, t, assume_unique=True)
-        return int(self.cross_degree(s, t).sum() - self.cross_degree(both, both).sum() // 2)
+        """e(S,T): edges with one endpoint in S and the other in T (unordered)."""
+        return edge_counts(self, vertex_array(s), vertex_array(t))[1]
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -185,6 +169,27 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def edge_counts(g: Graph, s: np.ndarray, t: np.ndarray):
+    """(1_S^T A 1_T, e(S,T), S n T) for sorted distinct vertex arrays s, t.
+
+    The ordered count 1_S^T A 1_T counts each edge inside S n T twice;
+    the unordered count e(S,T) counts it once.
+    """
+    ordered = int(g.cross_degree(s, t).sum())
+    both = np.intersect1d(s, t, assume_unique=True)
+    return ordered, ordered - int(g.cross_degree(both, both).sum()) // 2, both
+
+
+def induced_s2(g: Graph, vertices, tol: float, seed: int) -> float:
+    """Second singular value of the subgraph `vertices` induce (0.0 below
+    two vertices), from `linalg.singular_values_array` at `tol` and `seed`."""
+    sub, _ = g.induced(vertices)
+    if sub.n < 2:
+        return 0.0
+    return linalg.singular_values_array(sub.adjacency_sparse(), 2, tol=tol,
+                                        seed=seed).values[1]
 
 
 @dataclass(frozen=True)
@@ -216,10 +221,11 @@ class BipartiteView:
     def cross_adjacency(self) -> dict:
         """Left vertex -> increasing list of its right neighbours, read off
         the CSR submatrix A[left, right]."""
-        indptr, kept = self.parent._block(np.asarray(self.left, dtype=np.int64),
-                                          np.asarray(self.right, dtype=np.int64))
-        kept = kept.tolist()
-        return {u: kept[indptr[i]:indptr[i + 1]] for i, u in enumerate(self.left)}
+        right = np.asarray(self.right, dtype=np.int64)
+        block = self.parent._csr[np.asarray(self.left, dtype=np.int64)][:, right]
+        kept = right[block.indices].tolist()
+        return {u: kept[block.indptr[i]:block.indptr[i + 1]]
+                for i, u in enumerate(self.left)}
 
     def cross_edges(self):
         for u, right in self.cross_adjacency().items():
@@ -381,10 +387,7 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
         return BipartiteViolation(vertex=v, observed=float(deg),
                                   window=(lo, hi),
                                   reason="cross-degree outside window")
-    union, _ = view.parent.induced(view.left + view.right)
-    spec = linalg.singular_values_array(union.adjacency_sparse(), 2,
-                                        tol=max(tol, 1e-8), seed=seed)
-    s2 = spec.values[1]
+    s2 = induced_s2(view.parent, view.left + view.right, max(tol, 1e-8), seed)
     if s2 > lam + tol:
         return BipartiteViolation(vertex=-1, observed=s2, window=(0.0, lam),
                                   reason="s2 above bound")

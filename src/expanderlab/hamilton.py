@@ -23,12 +23,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import extend, linalg, matching
+from . import extend, matching
 from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
                      CoverageGap, MatchingFloorMissed,
                      PartitionRetriesExhausted, PreconditionViolated)
 from .graphs import (BipartiteView, Graph, certify_expander,
-                     cross_window_violation, degree_window_violation)
+                     cross_window_violation, degree_window_violation,
+                     induced_s2)
 from .rng import derive_seed, generator
 
 SCHEMA_VERSION = 1
@@ -42,7 +43,6 @@ CONSTANT_DEFAULTS = {
     "lambda_ratio_cap": 0.2,    # certification gate and matching s2 caps
     "p2_scale": 1.2,            # s2(G[X u Y u R1]) <= p2_scale * lambda
     "pm_gamma_cap": 1.2,        # cross-degree tolerance for perfect matchings
-    "theta_scale": 1.0,         # multiplier on the one-edge threshold
     "q1_overlap_cap": 0.0,      # allowed reserve overlap per block, as k fraction
     "q_pair_sample": 40,        # block pairs checked when t > 12
 }
@@ -221,15 +221,24 @@ class PipelineResult:
     trace: PipelineTrace
 
 
-def _induced_s2(g: Graph, vertices, seed: int) -> float:
-    sub, _ = g.induced(sorted(vertices))
-    spec = linalg.singular_values_array(sub.adjacency_sparse(), 2, tol=1e-8,
-                                        seed=seed)
-    return spec.values[1]
+class _Rejected(Exception):
+    """A sampled set failed one check: args are (check, detail)."""
+
+
+def _retry(phase: str, retries: int, trace: PipelineTrace, attempt):
+    """Return attempt(retry) for the first retry it does not reject; each
+    rejection is logged as a failed check of `phase`."""
+    for retry in range(retries):
+        try:
+            return attempt(retry)
+        except _Rejected as rejected:
+            check, detail = rejected.args
+            trace.check(phase, check, False, f"retry {retry}: {detail}")
+    raise PartitionRetriesExhausted(check, retries)
 
 
 def partition_phase(g: Graph, cert, cfg: PipelineConfig,
-                    trace: PipelineTrace | None = None) -> Parts:
+                    trace: PipelineTrace) -> Parts:
     """Random split V = X1 u X2 u Y1 u Y2 u R1 u R2 with verified properties.
 
     P1: every degree into the reserve R1 is proportional within the P1
@@ -239,13 +248,15 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
     and are replaced by direct checks on the concrete sets sampled in
     the later phases.
     """
-    trace = trace if trace is not None else PipelineTrace(g.n, cfg)
     plan = plan_sizes(g.n, cfg)
     trace.data["plan"] = asdict(plan)
     n, d, lam = g.n, cert.d, cert.lambda_hat
     k, k5, r = plan.k, plan.k5, plan.reserve_size
-    last_failure = "P1"
-    for retry in range(cfg.max_partition_retries):
+    target = d * r / n
+    g1, g5 = cfg.gamma("P1"), cfg.gamma("P5")
+    cap = cfg.constant("p2_scale") * lam
+
+    def attempt(retry):
         perm = [int(v) for v in
                 generator(cfg.seed, "partition", retry).permutation(n)]
         bounds = [k5, k, k + k5, 2 * k, 2 * k + r, n]
@@ -253,42 +264,27 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
             tuple(sorted(perm[a:b]))
             for a, b in zip([0] + bounds[:-1], bounds))
         parts = Parts(x1=x1, x2=x2, y1=y1, y2=y2, r1=r1, r2=r2)
-
-        target = d * r / n
-        g1 = cfg.gamma("P1")
         bad = degree_window_violation(g, range(n), r1, (1 - 2 * g1) * target,
                                       (1 + 2 * g1) * target)
         if bad is not None:
-            trace.check("partition", "P1", False,
-                        f"retry {retry}: deg({bad[0]}, R1)={bad[1]} outside "
-                        f"(1±{2 * g1:.2f})*{target:.3f}")
-            last_failure = "P1"
-            continue
-
+            raise _Rejected("P1", f"deg({bad[0]}, R1)={bad[1]} outside "
+                                  f"(1±{2 * g1:.2f})*{target:.3f}")
         seed2 = derive_seed(cfg.seed, "partition-p2", retry) % (2 ** 31)
-        s2 = _induced_s2(g, parts.x + parts.y + r1, seed2)
-        cap = cfg.constant("p2_scale") * lam
+        s2 = induced_s2(g, parts.x + parts.y + r1, 1e-8, seed2)
         if s2 > cap:
-            trace.check("partition", "P2", False,
-                        f"retry {retry}: s2={s2:.4f} > {cap:.4f}")
-            last_failure = "P2"
-            continue
-
-        g5 = cfg.gamma("P5")
+            raise _Rejected("P2", f"s2={s2:.4f} > {cap:.4f}")
         bad = _bipartite_window(g, parts.x, parts.y, d, n, g5)
         if bad is not None:
-            trace.check("partition", "P5", False,
-                        f"retry {retry}: {bad}")
-            last_failure = "P5"
-            continue
+            raise _Rejected("P5", bad)
+        return parts, s2
 
-        trace.check("partition", "P1", True, f"window ±{2 * g1:.2f} around {target:.3f}")
-        trace.check("partition", "P2", True, f"s2={s2:.4f} <= {cap:.4f}")
-        trace.check("partition", "P3", True, "deferred to repartition checks")
-        trace.check("partition", "P4", True, "deferred to repartition checks")
-        trace.check("partition", "P5", True, f"cross-degree gamma cap {g5}")
-        return parts
-    raise PartitionRetriesExhausted(last_failure, cfg.max_partition_retries)
+    parts, s2 = _retry("partition", cfg.max_partition_retries, trace, attempt)
+    trace.check("partition", "P1", True, f"window ±{2 * g1:.2f} around {target:.3f}")
+    trace.check("partition", "P2", True, f"s2={s2:.4f} <= {cap:.4f}")
+    trace.check("partition", "P3", True, "deferred to repartition checks")
+    trace.check("partition", "P4", True, "deferred to repartition checks")
+    trace.check("partition", "P5", True, f"cross-degree gamma cap {g5}")
+    return parts
 
 
 def _bipartite_window(g: Graph, left, right, d: float, n: int,
@@ -310,8 +306,7 @@ def _observed_gamma(g: Graph, left, right, d: float, n: int) -> float:
 
 
 def repartition_phase(g: Graph, cert, parts: Parts, connector,
-                      cfg: PipelineConfig,
-                      trace: PipelineTrace | None = None) -> list:
+                      cfg: PipelineConfig, trace: PipelineTrace) -> list:
     """Split the middle region into equal k-blocks with verified properties.
 
     Q1: block overlap with the connector reserve under the configured
@@ -320,15 +315,17 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
     window. Q4/Q5: block pairs and half pairs are bipartite expanders;
     all pairs when t <= 12, a seeded sample above.
     """
-    trace = trace if trace is not None else PipelineTrace(g.n, cfg)
     plan = plan_sizes(g.n, cfg)
-    n, d, lam = g.n, cert.d, cert.lambda_hat
+    n, d = g.n, cert.d
     k, t = plan.k, plan.t
     middle = sorted(parts.r2)
     reserve = set(connector.reserved)
     overlap_cap = cfg.constant("q1_overlap_cap") * k
-    last_failure = "Q1"
-    for retry in range(cfg.max_repartition_retries):
+    vertices = np.array(sorted(set(parts.x) | set(parts.y) | set(middle)))
+    g3, g4, g5 = cfg.gamma("Q3"), cfg.gamma("Q4"), cfg.gamma("Q5")
+    cap = cfg.constant("lambda_ratio_cap") * d
+
+    def attempt(retry):
         rng = generator(cfg.seed, "repartition", retry)
         perm = [middle[i] for i in rng.permutation(len(middle))]
         blocks = [tuple(sorted(perm[i * k:(i + 1) * k]))
@@ -338,72 +335,50 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
         q1_bad = [i for i, b in enumerate(blocks)
                   if len(set(b) & reserve) > overlap_cap]
         if q1_bad:
-            trace.check("repartition", "Q1", False,
-                        f"retry {retry}: blocks {q1_bad} overlap the reserve")
-            last_failure = "Q1"
-            continue
-
-        g3 = cfg.gamma("Q3")
-        vertices = np.array(sorted(set(parts.x) | set(parts.y) | set(middle)))
-        ok = True
+            raise _Rejected("Q1", f"blocks {q1_bad} overlap the reserve")
         for i, (h1, _) in enumerate(halves):
             target = d * len(h1) / n
             lo = max(0.0, (1 - 2 * g3) * target)
             hi = (1 + 2 * g3) * target
             bad = degree_window_violation(g, vertices, h1, lo, hi)
             if bad is not None:
-                trace.check("repartition", "Q3", False,
-                            f"retry {retry}: deg({bad[0]}, half of block "
-                            f"{i})={bad[1]} outside [{lo:.3f}, {hi:.3f}]")
-                ok = False
-                last_failure = "Q3"
-                break
-        if not ok:
-            continue
+                raise _Rejected("Q3", f"deg({bad[0]}, half of block {i})="
+                                      f"{bad[1]} outside [{lo:.3f}, {hi:.3f}]")
 
-        g4, g5 = cfg.gamma("Q4"), cfg.gamma("Q5")
         pairs = [(i, j) for i in range(len(blocks))
                  for j in range(i + 1, len(blocks))]
         if t > 12:
             sample = min(len(pairs), int(cfg.constant("q_pair_sample")))
             idx = rng.choice(len(pairs), size=sample, replace=False)
             pairs = [pairs[int(i)] for i in sorted(idx)]
-        cap = cfg.constant("lambda_ratio_cap") * d
         for i, j in pairs:
             bad = _bipartite_window(g, blocks[i], blocks[j], d, n, g4)
+            if bad is not None:
+                raise _Rejected("Q4", f"pair ({i},{j}): {bad}")
             seed4 = derive_seed(cfg.seed, f"q4-{retry}-{i}-{j}") % (2 ** 31)
-            s2 = _induced_s2(g, blocks[i] + blocks[j], seed4)
-            if bad is not None or s2 > cap:
-                trace.check("repartition", "Q4", False,
-                            f"retry {retry}: pair ({i},{j}): "
-                            f"{bad or f's2={s2:.3f} > {cap:.3f}'}")
-                ok = False
-                last_failure = "Q4"
-                break
-            bad5 = _bipartite_window(g, halves[i][0], halves[j][0], d, n, g5)
-            if bad5 is not None:
-                trace.check("repartition", "Q5", False,
-                            f"retry {retry}: half pair ({i},{j}): {bad5}")
-                ok = False
-                last_failure = "Q5"
-                break
-        if not ok:
-            continue
+            s2 = induced_s2(g, blocks[i] + blocks[j], 1e-8, seed4)
+            if s2 > cap:
+                raise _Rejected("Q4", f"pair ({i},{j}): s2={s2:.3f} > {cap:.3f}")
+            bad = _bipartite_window(g, halves[i][0], halves[j][0], d, n, g5)
+            if bad is not None:
+                raise _Rejected("Q5", f"half pair ({i},{j}): {bad}")
+        return blocks, len(pairs)
 
-        trace.check("repartition", "Q1", True,
-                    f"reserve overlap cap {overlap_cap}")
-        trace.check("repartition", "Q2", True,
-                    f"halves of sizes {(k + 1) // 2}, {k // 2}")
-        trace.check("repartition", "Q3", True, f"gamma cap {g3}")
-        trace.check("repartition", "Q4", True,
-                    f"{len(pairs)} pairs, s2 cap {cap:.3f}")
-        trace.check("repartition", "Q5", True, f"gamma cap {g5}")
-        return blocks
-    raise PartitionRetriesExhausted(last_failure, cfg.max_repartition_retries)
+    blocks, checked = _retry("repartition", cfg.max_repartition_retries,
+                             trace, attempt)
+    trace.check("repartition", "Q1", True,
+                f"reserve overlap cap {overlap_cap}")
+    trace.check("repartition", "Q2", True,
+                f"halves of sizes {(k + 1) // 2}, {k // 2}")
+    trace.check("repartition", "Q3", True, f"gamma cap {g3}")
+    trace.check("repartition", "Q4", True,
+                f"{checked} pairs, s2 cap {cap:.3f}")
+    trace.check("repartition", "Q5", True, f"gamma cap {g5}")
+    return blocks
 
 
 def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
-                     trace: PipelineTrace | None = None) -> extend.PathSystem:
+                     trace: PipelineTrace) -> extend.PathSystem:
     """Thread vertex-disjoint paths from X to Y through the middle blocks.
 
     Blocks are ordered by non-increasing size with X first. Surplus
@@ -411,7 +386,6 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
     Y; perfect matchings N_i link consecutive blocks. Every path starts
     in X and ends in Y, and the paths cover X, Y and all blocks exactly.
     """
-    trace = trace if trace is not None else PipelineTrace(g.n, cfg)
     n, d = g.n, cert.d
     x = sorted(parts.x)
     vt = sorted(parts.y)
@@ -454,10 +428,9 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
         target_side = sorted(us[i + 1]) if i + 1 < len(us) else sorted(vt_free)
         view = BipartiteView(parent=g, left=tuple(u_cur),
                              right=tuple(target_side))
-        union = view.left + view.right
         gamma_obs = _observed_gamma(g, view.left, view.right, d, n)
         seed_i = derive_seed(cfg.seed, "path-cover-n", i) % (2 ** 31)
-        s2 = _induced_s2(g, union, seed_i)
+        s2 = induced_s2(g, view.left + view.right, 1e-8, seed_i)
         pm = matching.perfect_matching_expander(
             view, d=d, gamma=gamma_obs, lam=s2,
             gamma_cap=pm_gamma_cap, ratio_cap=ratio_cap)
@@ -494,7 +467,7 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
 
 
 def close_cycle(paths: extend.PathSystem, connector,
-                trace: PipelineTrace | None = None) -> HamiltonCycle:
+                trace: PipelineTrace) -> HamiltonCycle:
     """Splice the cover paths into one cycle through the connector reserve.
 
     Path i ends at b_i in Y and path i+1 starts at a_{i+1} in X; the
@@ -523,12 +496,11 @@ def close_cycle(paths: extend.PathSystem, connector,
                                     "path for this pair")
             link = by_ends[(a, b)][::-1]
         order.extend(link[1:-1])
-    if trace is not None:
-        trace.data["connector"] = {
-            "pairs": len(pairing),
-            "reserve": len(connector.reserved),
-            "closing_lengths": [len(p) - 1 for p in closing.paths],
-        }
+    trace.data["connector"] = {
+        "pairs": len(pairing),
+        "reserve": len(connector.reserved),
+        "closing_lengths": [len(p) - 1 for p in closing.paths],
+    }
     return HamiltonCycle(order=tuple(int(v) for v in order))
 
 
@@ -541,10 +513,11 @@ def verify_hamilton_cycle(g: Graph, cycle: HamiltonCycle) -> CycleVerification:
         return CycleVerification(False, "repeated vertex")
     if set(order) != set(range(g.n)):
         return CycleVerification(False, "not a permutation of V")
-    for i in range(len(order)):
-        u, v = order[i], order[(i + 1) % len(order)]
-        if not g.has_edge(u, v):
-            return CycleVerification(False, f"missing edge ({u},{v})")
+    following = np.roll(order, -1)
+    missing = np.flatnonzero(~g.has_edge(order, following))
+    if missing.size:
+        i = missing[0]
+        return CycleVerification(False, f"missing edge ({order[i]},{following[i]})")
     return CycleVerification(True, "ok")
 
 

@@ -52,7 +52,7 @@ def verify_matching(m: Matching, g: Graph, left=None, right=None) -> bool:
         return False
     if right is not None and not m.right_cover <= set(right):
         return False
-    return all(g.has_edge(u, v) for u, v in m.edges)
+    return bool(g.has_edge(*np.reshape(m.edges, (-1, 2)).T).all())
 
 
 class _HopcroftKarp:

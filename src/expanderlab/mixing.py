@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import (CertificateMismatch, DegenerateGamma, EmptySubset,
                      PreconditionViolated, TheoremFalsified)
-from .graphs import Graph, SpectralCertificate, vertex_array
+from .graphs import Graph, SpectralCertificate, edge_counts, vertex_array
 from .rng import generator
 
 FRESH_S2_CAP = 4000  # side length up to which s2 is recomputed per audit
@@ -123,13 +123,11 @@ def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t,
     lower = (1 - gam) ** 2 * d * size_s * size_t / ((1 + gam) * n) - eps
     upper = (1 + gam) ** 2 * d * size_s * size_t / ((1 - gam) * n) + eps
 
-    ordered = int(g.cross_degree(sset, tset).sum())
-    unordered = g.count_edges_between(sset, tset)
-    disjoint = not np.intersect1d(sset, tset, assume_unique=True).size
+    ordered, unordered, both = edge_counts(g, sset, tset)
     return GraphMixingAudit(
         ordered_count=float(ordered), unordered_count=unordered,
         lower=float(lower), upper=float(upper), epsilon=float(eps),
-        disjoint=disjoint,
+        disjoint=not both.size,
         holds=lower - tol <= ordered <= upper + tol,
         unordered_holds=lower - tol <= unordered <= upper + tol)
 

@@ -17,7 +17,8 @@ import numpy as np
 from . import linalg
 from .errors import (AsymmetricInput, BadParameter, BadRange,
                      CertificateMismatch)
-from .graphs import Graph, SpectralCertificate
+from .graphs import (Graph, SpectralCertificate, degree_window_violation,
+                     induced_s2)
 from .rng import derive_seed, generator
 
 BATCHES = 10              # batch-means groups for standard errors
@@ -208,14 +209,11 @@ def _subgraph_trials(g: Graph, label: str, trials: int, seed: int, sigma,
     """Seeded trials: draw(rng) gives a vertex set and whether its degree
     windows hold; a trial succeeds when they do and s2 of the subgraph
     the set induces is at most lam_bound."""
-    adj = g.adjacency_sparse()
     records = []
     for t in range(trials):
         trial_seed = derive_seed(seed, label, t)
         members, degrees_ok = draw(generator(seed, label, t))
-        sub = adj[np.ix_(members, members)].toarray().astype(float)
-        s2 = 0.0 if len(members) < 2 else linalg.singular_values_array(
-            sub, 2, tol=1e-8, seed=trial_seed % (2**31)).values[1]
+        s2 = induced_s2(g, members, 1e-8, trial_seed % (2**31))
         records.append(TrialRecord(trial=t, seed=trial_seed, s2=s2,
                                    degrees_ok=degrees_ok,
                                    success=degrees_ok and s2 <= lam_bound))
@@ -255,9 +253,8 @@ def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
            and sigma * lam >= constant_c * math.sqrt(sigma * d * log_n))
 
     def draw(rng):
-        members = np.sort(rng.permutation(n)[:m])
-        degs = g.cross_degree(members, members)
-        return members, bool(degs.min() >= lo and degs.max() <= hi)
+        members = rng.permutation(n)[:m]
+        return members, degree_window_violation(g, members, members, lo, hi) is None
 
     return _subgraph_trials(g, "induced-subgraph", trials, seed, sigma, gamma,
                             lam_bound, hyp, draw)
@@ -289,14 +286,11 @@ def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
     def draw(rng):
         perm = rng.permutation(n)
         x, y = perm[:m1], perm[m1:m1 + m2]
-        deg_x = g.cross_degree(x, y)   # deg(v, Y) for v in X
-        deg_y = g.cross_degree(y, x)   # deg(v, X) for v in Y
-        degrees_ok = bool(
-            deg_x.min() >= (1 - 2 * gamma) * sigma2 * d
-            and deg_x.max() <= (1 + 2 * gamma) * sigma2 * d
-            and deg_y.min() >= (1 - 2 * gamma) * sigma1 * d
-            and deg_y.max() <= (1 + 2 * gamma) * sigma1 * d)
-        return np.sort(np.concatenate([x, y])), degrees_ok
+        degrees_ok = all(      # deg(v, Y) for v in X, then deg(v, X) for v in Y
+            degree_window_violation(g, side, other, (1 - 2 * gamma) * share * d,
+                                    (1 + 2 * gamma) * share * d) is None
+            for side, other, share in ((x, y, sigma2), (y, x, sigma1)))
+        return np.concatenate([x, y]), degrees_ok
 
     return _subgraph_trials(g, "bipartite-induced", trials, seed, sigma, gamma,
                             lam_bound, False, draw)

@@ -1,10 +1,13 @@
 """Golden digests: outputs that must not drift when the code is refactored.
 
 The SHA-256 of the trace JSON plus cycle line (as `expanderlab hamilton`
-prints them) for Paley 401 at config seeds 0-2, and of the graph file
-`write_graph` writes for Paley 401. Neighbour order feeds Hopcroft-Karp
-and the connector's shuffles, so a change of tie-breaking anywhere in the
-pipeline changes these digests.
+prints them) for Paley 401 at config seeds 0-2, for Paley 401 runs that
+fail on each partition and repartition check (their trace details name
+the failed check, the retry and the offending value), and of the graph
+file `write_graph` writes for Paley 401. Neighbour order feeds
+Hopcroft-Karp and the connector's shuffles, so a change of tie-breaking
+anywhere in the pipeline changes these digests. `scripts/golden_digests.py`
+prints the same digests for the larger criterion-9 table.
 """
 
 import hashlib
@@ -18,6 +21,41 @@ PIPELINE_401 = {
     1: "ef4ba9015a0b02b3cb128fa2f01ea332ab2d38a1281ffe80b1e6dad737e3c8c3",
     2: "d8f26f5c8118d5097746ef3ac0d6a59be84dd7a6935a9c41b0a928eb6918659a",
 }
+# (config, outcome, digest) of one run failing on each check named by its id.
+FAILURES_401 = [
+    pytest.param({"seed": 0, "gamma_caps": {"P1": 0.02}},
+                 "failed:partition:PartitionRetriesExhausted",
+                 "d4bdffe7859546111a803be3388d27518a95f507975d1daa7d994f8f2e1d8720",
+                 id="P1"),
+    pytest.param({"seed": 0, "gamma_caps": {"P5": 0.05}},
+                 "failed:partition:PartitionRetriesExhausted",
+                 "33d481f40a2ec6da7e14f63ce37a1b69dad282e0a1faeb106390ec74f2e5dcb3",
+                 id="P5"),
+    pytest.param({"seed": 0, "gamma_caps": {"Q3": 0.1}},
+                 "failed:repartition:PartitionRetriesExhausted",
+                 "2265b58ccf0cba3c3facbc94042941961385a4c1e331e2eb9bb71dd591b80841",
+                 id="Q3"),
+    pytest.param({"seed": 0, "gamma_caps": {"Q4": 0.1}},
+                 "failed:repartition:PartitionRetriesExhausted",
+                 "1fd8611e52bc91b28eb6dabeff0b4eac086e95d3c487a6120d3da2e287797a62",
+                 id="Q4"),
+    pytest.param({"seed": 0, "gamma_caps": {"Q5": 0.1}},
+                 "failed:repartition:PartitionRetriesExhausted",
+                 "3f50a5a93080569f9f16a0febfcecb8a7382d2c2796c17850ec1c25d339289ee",
+                 id="Q5"),
+    pytest.param({"seed": 1, "constant_overrides": {"p2_scale": 0.5}},
+                 "failed:partition:PartitionRetriesExhausted",
+                 "7bc1e22e62bdf67ec493bebd7d6bb0bef0c56a7df0e29c7bdd50b8033339f99e",
+                 id="P2"),
+    pytest.param({"seed": 1, "constant_overrides": {"pm_gamma_cap": 0.05}},
+                 "failed:path_cover:PreconditionViolated",
+                 "4dadf82853975b1ec77bacf6c2319b8e2ad87982835940ff0d602e48f02042ef",
+                 id="pm_gamma_cap"),
+    pytest.param({"seed": 0, "constant_overrides": {"lambda_ratio_cap": 0.03}},
+                 "failed:certification:PreconditionViolated",
+                 "a585e7bda6a50c61c98f785c388bc85ed3e3640e0e562add2a72dddba3ceaa76",
+                 id="lambda_ratio_cap"),
+]
 GRAPH_FILE_401 = "44cbc459178be8675b49c3bbbd8c7b766f6579b5525dd58ee145dd1c3d556294"
 
 
@@ -26,13 +64,23 @@ def paley401():
     return graphs.gen_paley(401)
 
 
-@pytest.mark.parametrize("seed", sorted(PIPELINE_401))
-def test_pipeline_trace_and_cycle_digest(paley401, seed):
-    result = hamilton.hamilton_pipeline(paley401, hamilton.PipelineConfig(seed=seed))
+def _digest(g, cfg):
+    result = hamilton.hamilton_pipeline(g, cfg)
     text = result.trace.to_json() + "\n"
     if result.cycle is not None:
         text += result.cycle.to_line() + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == PIPELINE_401[seed]
+    return result.trace.outcome, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(PIPELINE_401))
+def test_pipeline_trace_and_cycle_digest(paley401, seed):
+    outcome, digest = _digest(paley401, hamilton.PipelineConfig(seed=seed))
+    assert (outcome, digest) == ("success", PIPELINE_401[seed])
+
+
+@pytest.mark.parametrize("cfg_data, outcome, digest", FAILURES_401)
+def test_failed_run_trace_digest(paley401, cfg_data, outcome, digest):
+    assert _digest(paley401, hamilton.PipelineConfig(**cfg_data)) == (outcome, digest)
 
 
 def test_graph_file_digest(paley401, tmp_path):

@@ -131,12 +131,16 @@ def test_csr_graph_matches_brute_force(edge_list, data):
     assert [g.neighbors(v).tolist() for v in range(n)] == nbrs
     assert all(g.has_edge(u, v) == (frozenset((u, v)) in adj)
                for u in range(n) for v in range(n))
+    us, vs = np.divmod(np.arange(-n, n * n + n), n)     # rows -1 and n too
+    assert g.has_edge(us, vs).tolist() == [
+        frozenset((u, v)) in adj for u, v in zip(us.tolist(), vs.tolist())]
 
     subset = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
     sub, mapping = g.induced(subset)
     assert mapping == sorted(set(subset))
     assert all(sub.has_edge(i, j) == g.has_edge(u, v)
                for i, u in enumerate(mapping) for j, v in enumerate(mapping))
+    assert g.induced([])[0] == graphs.Graph(0, [])
 
     s = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     t = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
@@ -144,6 +148,8 @@ def test_csr_graph_matches_brute_force(edge_list, data):
     assert g.cross_degree(every, t).tolist() == \
         [g.cross_degree(v, t) for v in range(n)] == \
         [sum(frozenset((v, w)) in adj for w in t) for v in range(n)]
+    assert g.cross_degree(every, []).tolist() == [0] * n
+    assert g.cross_degree([], t).tolist() == []
     assert g.count_edges_between(s, t) == len(
         {frozenset((u, v)) for u in s for v in t} & adj)
     ordered = sum(frozenset((u, v)) in adj for u in s for v in t)

@@ -34,17 +34,20 @@ def test_close_cycle_names_a_pair_the_connector_left_out():
             return extend.PathSystem(paths=())
 
     paths = extend.PathSystem(paths=((0, 1), (2, 3)))
+    trace = hamilton.PipelineTrace(4, hamilton.PipelineConfig())
     with pytest.raises(ConnectFailed, match=r"pair \(1, 2\)"):
-        hamilton.close_cycle(paths, Stub())
+        hamilton.close_cycle(paths, Stub(), trace)
 
 
 def test_config_roundtrip_and_unknown_keys():
     cfg = hamilton.PipelineConfig(seed=5, gamma_caps={"P1": 0.25},
-                                  constant_overrides={"theta_scale": 1.5})
+                                  constant_overrides={"p2_scale": 1.5})
     back = hamilton.PipelineConfig.from_dict(cfg.to_dict())
     assert back == cfg
     with pytest.raises(ConfigError):
         hamilton.PipelineConfig.from_dict({"seed": 1, "extra": 2})
+    with pytest.raises(ConfigError, match="theta_scale"):
+        hamilton.PipelineConfig(constant_overrides={"theta_scale": 1.0})
 
 
 def test_config_gamma_and_constant_lookup():
