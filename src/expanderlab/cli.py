@@ -68,6 +68,10 @@ def _vertex_list(spec: str) -> list:
 
 def _cmd_gen(args) -> int:
     kind = args.kind
+    needed = {"paley": 1, "regular": 2}.get(kind, 0)
+    if len(args.params) < needed:
+        raise BadParameter(f"gen {kind} needs {needed} size argument(s), "
+                           f"got {len(args.params)}")
     if kind == "paley":
         g = graphs.gen_paley(int(args.params[0]))
     elif kind == "regular":
@@ -95,6 +99,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_eml(args) -> int:
+    if args.samples < 1:
+        raise BadParameter(f"--samples {args.samples} must be at least 1")
     g = graphs.read_graph(args.graph)
     cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
     rng = generator(args.seed, "eml-samples")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import (BadParameter, ConnectFailed, DegreeCap,
                      PreconditionViolated, ReserveTooSmall, TooLarge,
                      UnbalancedSides)
-from .graphs import Graph
+from .graphs import Graph, vertex_array
 from .rng import generator
 
 EXACT_VERTEX_CAP = 24    # exhaustive check bound on n
@@ -174,9 +174,9 @@ class Connector:
     def __init__(self, g: Graph, left_ports, right_ports, reserved,
                  budget: int, seed: int = 0, consume_all: bool = False):
         self.g = g
-        self.left_ports = tuple(sorted(set(left_ports)))
-        self.right_ports = tuple(sorted(set(right_ports)))
-        self.reserved = tuple(sorted(set(reserved)))
+        self.left_ports = tuple(vertex_array(left_ports).tolist())
+        self.right_ports = tuple(vertex_array(right_ports).tolist())
+        self.reserved = tuple(vertex_array(reserved).tolist())
         self.budget = budget
         self.seed = seed
         self.consume_all = consume_all

@@ -206,17 +206,22 @@ class SpectralCertificate:
 
 @dataclass(frozen=True)
 class BipartiteView:
-    """View of the parent edges crossing between two disjoint vertex sets."""
+    """View of the parent edges crossing between two disjoint vertex sets;
+    each side is stored as an increasing tuple of distinct vertices."""
 
     parent: Graph
     left: tuple
     right: tuple
 
     def __post_init__(self):
-        if set(self.left) & set(self.right):
+        left, right = vertex_array(self.left), vertex_array(self.right)
+        both = np.concatenate([left, right])
+        if both.size and (both.min() < 0 or both.max() >= self.parent.n):
+            raise ValueError(f"a side has a vertex outside range({self.parent.n})")
+        if np.intersect1d(left, right).size:
             raise ValueError("sides must be disjoint")
-        object.__setattr__(self, "left", tuple(sorted(set(self.left))))
-        object.__setattr__(self, "right", tuple(sorted(set(self.right))))
+        object.__setattr__(self, "left", tuple(left.tolist()))
+        object.__setattr__(self, "right", tuple(right.tolist()))
 
     def cross_adjacency(self) -> dict:
         """Left vertex -> increasing list of its right neighbours, read off
@@ -226,11 +231,6 @@ class BipartiteView:
         kept = right[block.indices].tolist()
         return {u: kept[block.indptr[i]:block.indptr[i + 1]]
                 for i, u in enumerate(self.left)}
-
-    def cross_edges(self):
-        for u, right in self.cross_adjacency().items():
-            for v in right:
-                yield (u, v)
 
 
 @dataclass(frozen=True)

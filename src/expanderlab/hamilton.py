@@ -1,9 +1,11 @@
 """Constructive Hamilton-cycle pipeline on certified expanders.
 
-Phases: certify, random partition into port/reserve/middle regions,
-connector construction over the reserve, repartition of the middle
-region into equal blocks, a path cover threading perfect matchings
-between consecutive blocks, and cycle closing through the connector.
+Phases: certify, random partition into ports X and Y, a reserve and a
+middle region, connector construction over the reserve, repartition of
+the middle region into blocks of exactly k vertices (the size of X and
+Y), a path cover that chains one perfect matching per consecutive pair
+X -> B_1 -> ... -> B_{t-2} -> Y, and cycle closing through the
+connector. Vertex sets travel between phases as sorted int arrays.
 Every phase verifies concrete properties of the sampled sets and logs
 them into a schema-versioned trace; failures name the violated check
 and never produce an unverified cycle.
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import extend, matching
 from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
-                     CoverageGap, MatchingFloorMissed,
-                     PartitionRetriesExhausted, PreconditionViolated)
+                     CoverageGap, PartitionRetriesExhausted,
+                     PreconditionViolated)
 from .graphs import (BipartiteView, Graph, certify_expander,
                      cross_window_violation, degree_window_violation,
                      induced_s2)
@@ -123,7 +125,7 @@ class SizePlan:
     k: int
     t: int              # total block count, middle blocks are 2..t-1
     reserve_size: int
-    k5: int             # |X1| = |Y1|
+    k5: int             # max(1, k // 5); recorded in the trace, read by no phase
 
 
 def plan_sizes(n: int, cfg: PipelineConfig) -> SizePlan:
@@ -150,20 +152,12 @@ def plan_sizes(n: int, cfg: PipelineConfig) -> SizePlan:
 
 @dataclass(frozen=True)
 class Parts:
-    x1: tuple
-    x2: tuple
-    y1: tuple
-    y2: tuple
-    r1: tuple      # reserve region (the connector's pool)
-    r2: tuple      # middle region, split into blocks later
+    """The partition's vertex sets, each a sorted int array."""
 
-    @property
-    def x(self) -> tuple:
-        return tuple(sorted(self.x1 + self.x2))
-
-    @property
-    def y(self) -> tuple:
-        return tuple(sorted(self.y1 + self.y2))
+    x: np.ndarray          # path starts, k vertices
+    y: np.ndarray          # path ends, k vertices
+    reserve: np.ndarray    # the connector's pool
+    middle: np.ndarray     # (t - 2) * k vertices, split into blocks later
 
 
 @dataclass(frozen=True)
@@ -239,10 +233,10 @@ def _retry(phase: str, retries: int, trace: PipelineTrace, attempt):
 
 def partition_phase(g: Graph, cert, cfg: PipelineConfig,
                     trace: PipelineTrace) -> Parts:
-    """Random split V = X1 u X2 u Y1 u Y2 u R1 u R2 with verified properties.
+    """Random split V = X u Y u R u M with verified properties.
 
-    P1: every degree into the reserve R1 is proportional within the P1
-    gamma cap. P2: s2 of the induced graph on X u Y u R1 stays under
+    P1: every degree into the reserve R is proportional within the P1
+    gamma cap. P2: s2 of the induced graph on X u Y u R stays under
     p2_scale * lambda. P5: (X, Y) is a bipartite expander. P3/P4 of the
     underlying claim quantify over exponentially many subset families
     and are replaced by direct checks on the concrete sets sampled in
@@ -251,26 +245,23 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
     plan = plan_sizes(g.n, cfg)
     trace.data["plan"] = asdict(plan)
     n, d, lam = g.n, cert.d, cert.lambda_hat
-    k, k5, r = plan.k, plan.k5, plan.reserve_size
+    k, r = plan.k, plan.reserve_size
     target = d * r / n
     g1, g5 = cfg.gamma("P1"), cfg.gamma("P5")
     cap = cfg.constant("p2_scale") * lam
 
     def attempt(retry):
-        perm = [int(v) for v in
-                generator(cfg.seed, "partition", retry).permutation(n)]
-        bounds = [k5, k, k + k5, 2 * k, 2 * k + r, n]
-        x1, x2, y1, y2, r1, r2 = (
-            tuple(sorted(perm[a:b]))
-            for a, b in zip([0] + bounds[:-1], bounds))
-        parts = Parts(x1=x1, x2=x2, y1=y1, y2=y2, r1=r1, r2=r2)
-        bad = degree_window_violation(g, range(n), r1, (1 - 2 * g1) * target,
+        perm = generator(cfg.seed, "partition", retry).permutation(n)
+        parts = Parts(*(np.sort(part) for part in
+                        np.split(perm, [k, 2 * k, 2 * k + r])))
+        bad = degree_window_violation(g, range(n), parts.reserve,
+                                      (1 - 2 * g1) * target,
                                       (1 + 2 * g1) * target)
         if bad is not None:
             raise _Rejected("P1", f"deg({bad[0]}, R1)={bad[1]} outside "
                                   f"(1±{2 * g1:.2f})*{target:.3f}")
         seed2 = derive_seed(cfg.seed, "partition-p2", retry) % (2 ** 31)
-        s2 = induced_s2(g, parts.x + parts.y + r1, 1e-8, seed2)
+        s2 = induced_s2(g, perm[:2 * k + r], 1e-8, seed2)
         if s2 > cap:
             raise _Rejected("P2", f"s2={s2:.4f} > {cap:.4f}")
         bad = _bipartite_window(g, parts.x, parts.y, d, n, g5)
@@ -306,8 +297,9 @@ def _observed_gamma(g: Graph, left, right, d: float, n: int) -> float:
 
 
 def repartition_phase(g: Graph, cert, parts: Parts, connector,
-                      cfg: PipelineConfig, trace: PipelineTrace) -> list:
-    """Split the middle region into equal k-blocks with verified properties.
+                      cfg: PipelineConfig, trace: PipelineTrace) -> np.ndarray:
+    """Split the middle region into t - 2 blocks of k vertices with
+    verified properties; returns them as a (t - 2) x k array of sorted rows.
 
     Q1: block overlap with the connector reserve under the configured
     cap (zero here, since the reserve is disjoint by construction).
@@ -317,36 +309,30 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
     """
     plan = plan_sizes(g.n, cfg)
     n, d = g.n, cert.d
-    k, t = plan.k, plan.t
-    middle = sorted(parts.r2)
-    reserve = set(connector.reserved)
+    k, t, half = plan.k, plan.t, (plan.k + 1) // 2
     overlap_cap = cfg.constant("q1_overlap_cap") * k
-    vertices = np.array(sorted(set(parts.x) | set(parts.y) | set(middle)))
+    vertices = np.sort(np.concatenate([parts.x, parts.y, parts.middle]))
     g3, g4, g5 = cfg.gamma("Q3"), cfg.gamma("Q4"), cfg.gamma("Q5")
     cap = cfg.constant("lambda_ratio_cap") * d
+    target = d * half / n
+    lo, hi = max(0.0, (1 - 2 * g3) * target), (1 + 2 * g3) * target
 
     def attempt(retry):
         rng = generator(cfg.seed, "repartition", retry)
-        perm = [middle[i] for i in rng.permutation(len(middle))]
-        blocks = [tuple(sorted(perm[i * k:(i + 1) * k]))
-                  for i in range(t - 2)]
-        halves = [(b[: (k + 1) // 2], b[(k + 1) // 2:]) for b in blocks]
+        blocks = parts.middle[rng.permutation(len(parts.middle))].reshape(t - 2, k)
+        blocks.sort(axis=1)
 
-        q1_bad = [i for i, b in enumerate(blocks)
-                  if len(set(b) & reserve) > overlap_cap]
+        overlap = np.isin(blocks, connector.reserved).sum(axis=1)
+        q1_bad = np.flatnonzero(overlap > overlap_cap).tolist()
         if q1_bad:
             raise _Rejected("Q1", f"blocks {q1_bad} overlap the reserve")
-        for i, (h1, _) in enumerate(halves):
-            target = d * len(h1) / n
-            lo = max(0.0, (1 - 2 * g3) * target)
-            hi = (1 + 2 * g3) * target
+        for i, h1 in enumerate(blocks[:, :half]):
             bad = degree_window_violation(g, vertices, h1, lo, hi)
             if bad is not None:
                 raise _Rejected("Q3", f"deg({bad[0]}, half of block {i})="
                                       f"{bad[1]} outside [{lo:.3f}, {hi:.3f}]")
 
-        pairs = [(i, j) for i in range(len(blocks))
-                 for j in range(i + 1, len(blocks))]
+        pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
         if t > 12:
             sample = min(len(pairs), int(cfg.constant("q_pair_sample")))
             idx = rng.choice(len(pairs), size=sample, replace=False)
@@ -356,10 +342,11 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
             if bad is not None:
                 raise _Rejected("Q4", f"pair ({i},{j}): {bad}")
             seed4 = derive_seed(cfg.seed, f"q4-{retry}-{i}-{j}") % (2 ** 31)
-            s2 = induced_s2(g, blocks[i] + blocks[j], 1e-8, seed4)
+            s2 = induced_s2(g, blocks[[i, j]].ravel(), 1e-8, seed4)
             if s2 > cap:
                 raise _Rejected("Q4", f"pair ({i},{j}): s2={s2:.3f} > {cap:.3f}")
-            bad = _bipartite_window(g, halves[i][0], halves[j][0], d, n, g5)
+            bad = _bipartite_window(g, blocks[i, :half], blocks[j, :half],
+                                    d, n, g5)
             if bad is not None:
                 raise _Rejected("Q5", f"half pair ({i},{j}): {bad}")
         return blocks, len(pairs)
@@ -369,7 +356,7 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
     trace.check("repartition", "Q1", True,
                 f"reserve overlap cap {overlap_cap}")
     trace.check("repartition", "Q2", True,
-                f"halves of sizes {(k + 1) // 2}, {k // 2}")
+                f"halves of sizes {half}, {k // 2}")
     trace.check("repartition", "Q3", True, f"gamma cap {g3}")
     trace.check("repartition", "Q4", True,
                 f"{checked} pairs, s2 cap {cap:.3f}")
@@ -379,91 +366,43 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
 
 def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
                      trace: PipelineTrace) -> extend.PathSystem:
-    """Thread vertex-disjoint paths from X to Y through the middle blocks.
+    """Thread k vertex-disjoint paths from X to Y through the middle blocks.
 
-    Blocks are ordered by non-increasing size with X first. Surplus
-    matchings M_i of size n_i - n_{i+1} send early path endings into
-    Y; perfect matchings N_i link consecutive blocks. Every path starts
-    in X and ends in Y, and the paths cover X, Y and all blocks exactly.
+    The blocks, ordered by smallest vertex, form the chain X -> B_1 ->
+    ... -> B_{t-2} -> Y. A perfect matching between each consecutive
+    pair extends a k x t array of paths, one row per vertex of X in
+    increasing order, by one column, so every path starts in X, ends in
+    Y and the paths cover X, Y and every block exactly. Sides of unequal
+    size stop at `matching.perfect_matching_expander` (UnbalancedSides).
     """
     n, d = g.n, cert.d
-    x = sorted(parts.x)
-    vt = sorted(parts.y)
-    middle = sorted((tuple(sorted(set(b))) for b in blocks),
-                    key=lambda b: (-len(b), b))
-    us = [tuple(x)] + middle
-    sizes = [len(u) for u in us]
-    if max(sizes) > sizes[0]:
-        raise PreconditionViolated(
-            "block_order", f"a middle block of size {max(sizes)} exceeds "
-            f"|X|={sizes[0]}; the construction needs X largest")
-    if len(vt) != sizes[0]:
-        raise PreconditionViolated(
-            "endpoint_count", f"|Y|={len(vt)} != |X|={sizes[0]}")
-
-    pm_gamma_cap = cfg.constant("pm_gamma_cap")
-    ratio_cap = cfg.constant("lambda_ratio_cap")
-    next_hop = {}
-    vt_free = set(vt)
-    m_sizes, n_sizes = [], []
-    for i in range(len(us)):
-        u_cur = list(us[i])
-        n_next = sizes[i + 1] if i + 1 < len(us) else len(vt_free)
-        surplus = len(u_cur) - n_next
-        if i + 1 < len(us) and surplus > 0:
-            gm = matching.greedy_matching_avoiding(
-                g, cert, u_cur, sorted(vt_free))
-            if gm.size < surplus:
-                raise MatchingFloorMissed(
-                    f"needed {surplus} early endings from block {i}, greedy "
-                    f"found {gm.size}")
-            chosen = gm.edges[:surplus]
-            for u, v in chosen:
-                next_hop[u] = v
-                vt_free.discard(v)
-            u_cur = [v for v in u_cur if v not in {u for u, _ in chosen}]
-            m_sizes.append(surplus)
-        elif i + 1 < len(us):
-            m_sizes.append(0)
-        target_side = sorted(us[i + 1]) if i + 1 < len(us) else sorted(vt_free)
-        view = BipartiteView(parent=g, left=tuple(u_cur),
-                             right=tuple(target_side))
-        gamma_obs = _observed_gamma(g, view.left, view.right, d, n)
+    chain = [parts.x, *sorted(blocks, key=min), parts.y]
+    columns = [parts.x]
+    n_sizes = []
+    for i, (left, right) in enumerate(zip(chain, chain[1:])):
+        view = BipartiteView(parent=g, left=left, right=right)
+        gamma_obs = _observed_gamma(g, left, right, d, n)
         seed_i = derive_seed(cfg.seed, "path-cover-n", i) % (2 ** 31)
-        s2 = induced_s2(g, view.left + view.right, 1e-8, seed_i)
+        s2 = induced_s2(g, np.concatenate([left, right]), 1e-8, seed_i)
         pm = matching.perfect_matching_expander(
             view, d=d, gamma=gamma_obs, lam=s2,
-            gamma_cap=pm_gamma_cap, ratio_cap=ratio_cap)
+            gamma_cap=cfg.constant("pm_gamma_cap"),
+            ratio_cap=cfg.constant("lambda_ratio_cap"))
         n_sizes.append(pm.size)
-        for u, v in pm.edges:
-            next_hop[u] = v
+        edges = np.array(pm.edges)        # sorted by left vertex
+        columns.append(edges[np.searchsorted(edges[:, 0], columns[-1]), 1])
+    paths = np.column_stack(columns)
+    # Every side has k vertices, so no block needs a surplus matching
+    # M_i; the schema-v1 trace keeps their sizes as zeros.
+    m_sizes = [0] * (len(chain) - 2)
     trace.data["m_sizes"] = m_sizes
     trace.data["n_sizes"] = n_sizes
     trace.check("path_cover", "sizes", True,
-                f"n_i={sizes}, |M_i|={m_sizes}, |N_i|={n_sizes}")
-
-    paths = []
-    covered = set()
-    for start in x:
-        path = [start]
-        while path[-1] in next_hop:
-            path.append(next_hop[path[-1]])
-        if path[-1] not in set(vt):
-            raise PreconditionViolated(
-                "path_endpoint", f"path from {start} ends at {path[-1]} "
-                "outside Y")
-        covered.update(path)
-        paths.append(tuple(path))
-    expected = set(x) | set(vt)
-    for b in blocks:
-        expected.update(b)
-    if covered != expected:
-        missing = sorted(expected - covered)[:10]
-        raise CoverageGap(missing)
-    system = extend.PathSystem(paths=tuple(paths))
+                f"n_i={[len(u) for u in chain[:-1]]}, |M_i|={m_sizes}, "
+                f"|N_i|={n_sizes}")
     trace.check("path_cover", "coverage", True,
-                f"{len(paths)} disjoint paths over {len(covered)} vertices")
-    return system
+                f"{len(paths)} disjoint paths over {np.unique(paths).size} vertices")
+    return extend.PathSystem(paths=tuple(map(tuple, paths.tolist())))
 
 
 def close_cycle(paths: extend.PathSystem, connector,
@@ -540,7 +479,7 @@ def hamilton_pipeline(g: Graph, cfg: PipelineConfig | None = None
         parts = partition_phase(g, cert, cfg, trace)
         phase = "connector"
         connector = extend.build_connector(
-            g, parts.x, parts.y, parts.r1, l_max=cfg.l_max,
+            g, parts.x, parts.y, parts.reserve, l_max=cfg.l_max,
             seed=derive_seed(cfg.seed, "connector") % (2 ** 31),
             consume_all=True, min_reserve_ratio=cfg.min_reserve_ratio)
         phase = "repartition"

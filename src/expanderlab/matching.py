@@ -112,36 +112,40 @@ def max_matching(view: BipartiteView) -> Matching:
 
 
 def hall_violator(view: BipartiteView, side: str = "left"):
-    """A set S on `side` with |N(S)| < |S|, or None if that side is saturated.
-
-    Extracted from alternating reachability out of the unmatched
-    vertices of a maximum matching (Koenig's construction).
-    """
+    """A set S on `side` with |N(S)| < |S|, or None if that side is saturated."""
     if side == "right":
         view = BipartiteView(parent=view.parent, left=view.right,
                              right=view.left)
     elif side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    adj = view.cross_adjacency()
-    hk = _HopcroftKarp(view.left, adj)
-    match = hk.solve()
-    free = [u for u in view.left if match[u] is None]
+    return _koenig_violator(view, max_matching(view))
+
+
+def _koenig_violator(view: BipartiteView, m: Matching):
+    """Hall violator on the left side from a maximum matching m of the view,
+    or None if m saturates the left side.
+
+    Koenig's construction: the left vertices reachable by alternating
+    paths from the unmatched ones. Every reached right vertex is matched
+    back into that set, so |N(S)| = |S| - #unmatched < |S|.
+    """
+    free = [u for u in view.left if u not in m.left_cover]
     if not free:
         return None
-    reach_left = set(free)
-    reach_right = set()
+    partner = {v: u for u, v in m.edges}
+    on_right = np.zeros(view.parent.n, dtype=bool)
+    on_right[list(view.right)] = True
+    reach_left, reach_right = set(free), set()
     queue = deque(free)
     while queue:
-        u = queue.popleft()
-        for v in adj[u]:
+        nbrs = view.parent.neighbors(queue.popleft())
+        for v in nbrs[on_right[nbrs]].tolist():
             if v not in reach_right:
                 reach_right.add(v)
-                w = hk.match_right.get(v)
+                w = partner.get(v)
                 if w is not None and w not in reach_left:
                     reach_left.add(w)
                     queue.append(w)
-    # every reached right vertex is matched back into reach_left, so
-    # |N(reach_left)| = |reach_left| - #free < |reach_left|
     return frozenset(reach_left)
 
 
@@ -151,7 +155,8 @@ def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
     """Perfect matching in a balanced certified bipartite expander.
 
     Under the verified preconditions the matching must exist; a miss is
-    reported as a theorem falsification carrying the Hall violator.
+    reported as a theorem falsification carrying the Hall violator,
+    taken from the same maximum matching.
     """
     if len(view.left) != len(view.right):
         raise UnbalancedSides(
@@ -164,7 +169,7 @@ def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
     m = max_matching(view)
     if m.size == len(view.left):
         return m
-    raise PerfectMatchingFailed(violator=hall_violator(view))
+    raise PerfectMatchingFailed(violator=_koenig_violator(view, m))
 
 
 def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,

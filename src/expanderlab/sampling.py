@@ -164,6 +164,8 @@ def submatrix_norm_experiment(b: np.ndarray, mode: str,
     """
     if p < 2:
         raise BadParameter(f"p={p} must be >= 2")
+    if trials < 1:
+        raise BadParameter(f"trials={trials} must be at least 1")
     arr = np.asarray(b, dtype=float)
     nrows, ncols = arr.shape
     n = max(nrows, ncols)
@@ -209,6 +211,8 @@ def _subgraph_trials(g: Graph, label: str, trials: int, seed: int, sigma,
     """Seeded trials: draw(rng) gives a vertex set and whether its degree
     windows hold; a trial succeeds when they do and s2 of the subgraph
     the set induces is at most lam_bound."""
+    if trials < 1:
+        raise BadParameter(f"trials={trials} must be at least 1")
     records = []
     for t in range(trials):
         trial_seed = derive_seed(seed, label, t)

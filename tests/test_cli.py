@@ -174,3 +174,23 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, text, why):
     assert run("certify", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and why in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "paley"],
+    ["gen", "regular", "10"],
+    ["--format", "csv", "eml", "--graph", "{graph}", "--samples", "0"],
+    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "0"],
+    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "-3"],
+    ["submatrix", "--matrix", "{matrix}", "--mode", "two_sided_bernoulli",
+     "--sigma", "0.5", "--trials", "0"],
+    ["match", "--graph", "{graph}", "--left", "0,1", "--right", "500"],
+], ids=["gen-paley-no-q", "gen-regular-no-d", "eml-no-samples",
+        "subsample-no-trials", "subsample-negative-trials",
+        "submatrix-no-trials", "match-vertex-out-of-range"])
+def test_bad_arguments_exit_2(paley13_file, tmp_path, capsys, argv):
+    matrix = tmp_path / "b.txt"
+    matrix.write_text("2 2\n1 0\n0 1\n")
+    argv = [a.format(graph=paley13_file, matrix=matrix) for a in argv]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,13 +1,14 @@
 """Golden digests: outputs that must not drift when the code is refactored.
 
 The SHA-256 of the trace JSON plus cycle line (as `expanderlab hamilton`
-prints them) for Paley 401 at config seeds 0-2, for Paley 401 runs that
-fail on each partition and repartition check (their trace details name
-the failed check, the retry and the offending value), and of the graph
-file `write_graph` writes for Paley 401. Neighbour order feeds
-Hopcroft-Karp and the connector's shuffles, so a change of tie-breaking
-anywhere in the pipeline changes these digests. `scripts/golden_digests.py`
-prints the same digests for the larger criterion-9 table.
+prints them) for Paley 401 at config seeds 0-2, for Paley 1009 and 2029
+at config seed 0, for Paley 401 runs that fail on each partition and
+repartition check (their trace details name the failed check, the retry
+and the offending value), and of the graph file `write_graph` writes for
+Paley 401. Neighbour order feeds Hopcroft-Karp and the connector's
+shuffles, so a change of tie-breaking anywhere in the pipeline changes
+these digests. `scripts/golden_digests.py` prints the same digests for
+the larger criterion-9 table.
 """
 
 import hashlib
@@ -56,6 +57,12 @@ FAILURES_401 = [
                  "a585e7bda6a50c61c98f785c388bc85ed3e3640e0e562add2a72dddba3ceaa76",
                  id="lambda_ratio_cap"),
 ]
+# Seed-0 runs on the larger criterion-9 graphs, as scripts/golden_digests.py
+# prints them.
+PIPELINE_SEED0 = {
+    1009: "be2b8992c3f323dfbcb5c4bafbc42fc0438a47608a2d86a0b71a74ae34f5b3c4",
+    2029: "c28f32b819035f81e110bfcdf0865c20fbbb175befce855c0c1280269c2a135b",
+}
 GRAPH_FILE_401 = "44cbc459178be8675b49c3bbbd8c7b766f6579b5525dd58ee145dd1c3d556294"
 
 
@@ -76,6 +83,12 @@ def _digest(g, cfg):
 def test_pipeline_trace_and_cycle_digest(paley401, seed):
     outcome, digest = _digest(paley401, hamilton.PipelineConfig(seed=seed))
     assert (outcome, digest) == ("success", PIPELINE_401[seed])
+
+
+@pytest.mark.parametrize("q", sorted(PIPELINE_SEED0))
+def test_larger_pipeline_trace_and_cycle_digest(q):
+    outcome, digest = _digest(graphs.gen_paley(q), hamilton.PipelineConfig(seed=0))
+    assert (outcome, digest) == ("success", PIPELINE_SEED0[q])
 
 
 @pytest.mark.parametrize("cfg_data, outcome, digest", FAILURES_401)

@@ -99,8 +99,14 @@ def test_edge_counts_match_brute_force(petersen, data):
 def test_bipartite_view_validation(paley13):
     with pytest.raises(ValueError):
         graphs.BipartiteView(parent=paley13, left=(0, 1), right=(1, 2))
-    view = graphs.BipartiteView(parent=paley13, left=(0, 1), right=(3, 4))
-    assert all(u in (0, 1) and v in (3, 4) for u, v in view.cross_edges())
+    for outside in (-1, 13):
+        with pytest.raises(ValueError, match="outside range"):
+            graphs.BipartiteView(parent=paley13, left=(0, 1), right=(3, outside))
+    view = graphs.BipartiteView(parent=paley13, left=(1, 0), right=(4, 3))
+    assert (view.left, view.right) == ((0, 1), (3, 4))
+    adj = view.cross_adjacency()
+    assert set(adj) == {0, 1}
+    assert all(v in (3, 4) for right in adj.values() for v in right)
 
 
 def test_adjacency_dense_matches_sparse(paley13):

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from expanderlab import extend, graphs, hamilton
-from expanderlab.errors import ConfigError, ConnectFailed
+from expanderlab.errors import ConfigError, ConnectFailed, UnbalancedSides
 
 
 def test_config_validation():
@@ -93,27 +94,42 @@ def test_verify_cycle_reasons(k4):
     assert not chord and "missing edge" in chord.reason
 
 
-def test_path_cover_uneven_blocks_surplus_matchings():
-    # X larger than the middle blocks forces surplus matchings M_i that
-    # retire paths early into Y: sizes (6, 4, 3) give |M_i| = (2, 1)
+def _parts(x, y):
+    x, y = np.array(x), np.array(y)
+    return hamilton.Parts(x=x, y=y, reserve=np.array([], dtype=int),
+                          middle=np.array([], dtype=int))
+
+
+def test_path_cover_chains_perfect_matchings_over_equal_blocks():
+    # X, Y and two blocks of 4 on K_25: one perfect matching per link
+    # of the chain X -> B_1 -> B_2 -> Y, no surplus matchings
     g = graphs.gen_named("complete", 25)
     cert = graphs.certify_expander(g, seed=0)
     cfg = hamilton.PipelineConfig(seed=0)
-    parts = hamilton.Parts(x1=(0, 1), x2=(2, 3, 4, 5),
-                           y1=(6, 7), y2=(8, 9, 10, 11),
-                           r1=(), r2=())
-    blocks = [tuple(range(12, 16)), tuple(range(16, 19))]
+    parts = _parts(range(0, 4), range(4, 8))
+    blocks = np.arange(8, 16).reshape(2, 4)[::-1]
     trace = hamilton.PipelineTrace(g.n, cfg)
     system = hamilton.path_cover_phase(g, cert, parts, blocks, cfg, trace)
-    assert trace.data["m_sizes"] == [2, 1]
-    assert trace.data["n_sizes"] == [4, 3, 3]
-    assert len(system.paths) == 6
-    xset, yset = set(parts.x), set(parts.y)
-    covered = set()
+    assert trace.data["m_sizes"] == [0, 0]
+    assert trace.data["n_sizes"] == [4, 4, 4]
+    assert [p[0] for p in system.paths] == [0, 1, 2, 3]
+    covered = []
     for p in system.paths:
-        assert p[0] in xset and p[-1] in yset
-        covered.update(p)
-    assert covered == xset | yset | set(range(12, 19))
+        assert p[-1] in range(4, 8)
+        assert p[1] in range(8, 12) and p[2] in range(12, 16)
+        covered += p
+    assert sorted(covered) == list(range(16))
+
+
+def test_path_cover_uneven_blocks_raise_unbalanced_sides():
+    g = graphs.gen_named("complete", 25)
+    cert = graphs.certify_expander(g, seed=0)
+    cfg = hamilton.PipelineConfig(seed=0)
+    blocks = [tuple(range(8, 12)), tuple(range(12, 15))]
+    trace = hamilton.PipelineTrace(g.n, cfg)
+    with pytest.raises(UnbalancedSides):
+        hamilton.path_cover_phase(g, cert, _parts(range(4), range(4, 8)),
+                                  blocks, cfg, trace)
 
 
 def test_pipeline_success_and_trace(paley13):
