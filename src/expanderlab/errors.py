@@ -55,6 +55,10 @@ class MalformedGraphFile(ExpanderLabError, ValueError):
     """Graph file that does not follow the "n m" plus m "u v" lines format."""
 
 
+class EmptyGraph(ExpanderLabError, ValueError):
+    """Graph with no vertices where at least one is required."""
+
+
 class IsolatedVertex(ExpanderLabError):
     """Graph has a vertex of degree zero where positive degrees are required."""
 

@@ -5,11 +5,13 @@ is stored as CSR: read-only int32 arrays `indptr` and `indices`, where
 the neighbours of v are indices[indptr[v]:indptr[v + 1]] in increasing
 order. Induced subgraphs, degrees into a vertex set, cross adjacencies
 and edge lookups are row, column and element indexing on a scipy CSR
-view of the same two arrays; `induced_s2` is the one route from a vertex
-set to the s2 of the subgraph it induces. `adjacency_sparse()` wraps the
-arrays in a float64 scipy matrix for `linalg.singular_values_array`, and
-`adjacency_dense()` materializes it up to DENSIFY_CAP vertices. Graph
-files move whole arrays through `read_graph` and `write_graph`.
+view of the same two arrays. A vertex pair (L, R) is checked on G[L u R],
+read once into an `InducedPair` that gives its degree windows, observed
+gamma and s2 (`induced_s2` is the pair (S, {})). `adjacency_sparse()`
+wraps the arrays in a float64 scipy matrix for the spectral kernel, which
+is told it is symmetric, and `adjacency_dense()` materializes it up to
+DENSIFY_CAP vertices. Graph files move whole arrays through `read_graph`
+and `write_graph`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .errors import (BadResidueClass, EmptySide, IsolatedVertex,
+from .errors import (BadResidueClass, EmptyGraph, EmptySide, IsolatedVertex,
                      MalformedGraphFile, NotPrime, ParityViolation,
                      RetryExhausted, UnknownName)
 from .rng import generator
@@ -183,13 +185,66 @@ def edge_counts(g: Graph, s: np.ndarray, t: np.ndarray):
 
 
 def induced_s2(g: Graph, vertices, tol: float, seed: int) -> float:
-    """Second singular value of the subgraph `vertices` induce (0.0 below
-    two vertices), from `linalg.singular_values_array` at `tol` and `seed`."""
-    sub, _ = g.induced(vertices)
-    if sub.n < 2:
-        return 0.0
-    return linalg.singular_values_array(sub.adjacency_sparse(), 2, tol=tol,
-                                        seed=seed).values[1]
+    """s2 of the subgraph `vertices` induce (0.0 below two vertices)."""
+    return InducedPair(g, vertices, ()).s2(tol, seed)
+
+
+class InducedPair:
+    """G[L u R] for a vertex pair (L, R), read once through `Graph.induced`.
+    Degrees between subsets of L u R are the same there as in G, so the
+    pair's windows, observed gamma and s2 come from this small subgraph;
+    vertices are named by the parent graph throughout."""
+
+    def __init__(self, g: Graph, left, right):
+        self.left, self.right = left, right
+        self.sub, names = g.induced(
+            np.concatenate([vertex_array(left), vertex_array(right)]))
+        self.names = np.asarray(names, dtype=np.int64)   # sub vertex -> parent
+
+    def degrees(self, side, other) -> np.ndarray:
+        """deg(v, other) for each v of `side`, in the given order."""
+        side, other = (np.searchsorted(self.names, np.asarray(vs, dtype=np.int64))
+                       for vs in (side, other))
+        return self.sub.cross_degree(side, other)
+
+    def window_violation(self, d: float, n: int, gamma: float,
+                         tol: float = 0.0, sides=None):
+        """First vertex of `sides` (default (L, R)), first side first, each
+        in its given order, whose degree into the other side leaves
+        (1 +- gamma) * d * |other| / n widened by tol, as (vertex, degree,
+        lo, hi) with the unwidened window; None if none does."""
+        left, right = sides if sides is not None else (self.left, self.right)
+        for side, other in ((left, right), (right, left)):
+            target = d * len(other) / n
+            lo, hi = (1 - gamma) * target, (1 + gamma) * target
+            deg = self.degrees(side, other)
+            bad = np.flatnonzero((deg < lo - tol) | (deg > hi + tol))
+            if bad.size:
+                return int(np.asarray(side)[bad[0]]), int(deg[bad[0]]), lo, hi
+        return None
+
+    def window_message(self, d: float, n: int, gamma: float, sides=None):
+        """The first window violation as trace text, or None."""
+        bad = self.window_violation(d, n, gamma, sides=sides)
+        return bad and f"deg({bad[0]})={bad[1]} outside [{bad[2]:.3f}, {bad[3]:.3f}]"
+
+    def observed_gamma(self, d: float, n: int) -> float:
+        """Largest relative deviation of a cross degree between L and R
+        from its target d * |other| / n."""
+        worst = 0.0
+        for side, other in ((self.left, self.right), (self.right, self.left)):
+            target = d * len(other) / n
+            deviation = np.abs(self.degrees(side, other) - target) / target
+            worst = max(worst, float(deviation.max(initial=0.0)))
+        return worst
+
+    def s2(self, tol: float, seed: int) -> float:
+        """Second singular value of G[L u R] (0.0 below two vertices)."""
+        if self.sub.n < 2:
+            return 0.0
+        return linalg.singular_values_array(self.sub.adjacency_sparse(), 2,
+                                            tol=tol, seed=seed,
+                                            symmetric=True).values[1]
 
 
 @dataclass(frozen=True)
@@ -319,15 +374,14 @@ def gen_named(name: str, n: int | None = None) -> Graph:
 def certify_expander(g: Graph, tol: float = 1e-8, seed: int = 0) -> SpectralCertificate:
     """Measure (d, gamma_hat, lambda_hat) and wrap them in a certificate."""
     if g.n == 0:
-        raise ValueError("empty graph")
+        raise EmptyGraph("empty graph")
     degs = g.degrees()
     if degs.min() == 0:
         raise IsolatedVertex(f"vertex {int(np.argmin(degs))} is isolated")
     d = float(degs.mean())
     gamma_hat = float(np.abs(degs - d).max() / d)
-    if g.n == 1:
-        raise IsolatedVertex("single-vertex graph")
-    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, tol=tol, seed=seed)
+    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, tol=tol,
+                                        seed=seed, symmetric=True)
     return SpectralCertificate(n=g.n, d=d, gamma_hat=gamma_hat,
                                lambda_hat=spec.values[1],
                                residual=max(spec.residuals), seed=seed)
@@ -342,7 +396,8 @@ def check_certificate(g: Graph, cert: SpectralCertificate, tol: float = 1e-6) ->
     hi = (1 + cert.gamma_hat) * cert.d + tol
     if degs.min() < lo or degs.max() > hi:
         return False
-    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, seed=cert.seed)
+    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, seed=cert.seed,
+                                        symmetric=True)
     return abs(spec.values[1] - cert.lambda_hat) <= max(tol, 100 * cert.residual)
 
 
@@ -353,20 +408,6 @@ def degree_window_violation(g: Graph, vertices, targets, lo: float, hi: float):
     deg = g.cross_degree(vs, targets)
     bad = np.flatnonzero((deg < lo) | (deg > hi))
     return (int(vs[bad[0]]), int(deg[bad[0]])) if bad.size else None
-
-
-def cross_window_violation(g: Graph, left, right, d: float, n: int,
-                           gamma: float, tol: float = 0.0):
-    """First vertex, left side first, whose degree into the other side
-    leaves (1 +- gamma) * d * |other| / n, widened by tol, as (vertex,
-    degree, lo, hi) with the unwidened window; None if none does."""
-    for side, other in ((left, right), (right, left)):
-        target = d * len(other) / n
-        lo, hi = (1 - gamma) * target, (1 + gamma) * target
-        bad = degree_window_violation(g, side, other, lo - tol, hi + tol)
-        if bad is not None:
-            return bad + (lo, hi)
-    return None
 
 
 def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
@@ -380,14 +421,13 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
     if not view.left or not view.right:
         raise EmptySide("both sides must be nonempty")
     n = len(view.left) + len(view.right)
-    bad = cross_window_violation(view.parent, view.left, view.right, d, n,
-                                 gamma, tol)
+    pair = InducedPair(view.parent, view.left, view.right)
+    bad = pair.window_violation(d, n, gamma, tol)
     if bad is not None:
         v, deg, lo, hi = bad
-        return BipartiteViolation(vertex=v, observed=float(deg),
-                                  window=(lo, hi),
+        return BipartiteViolation(vertex=v, observed=float(deg), window=(lo, hi),
                                   reason="cross-degree outside window")
-    s2 = induced_s2(view.parent, view.left + view.right, max(tol, 1e-8), seed)
+    s2 = pair.s2(max(tol, 1e-8), seed)
     if s2 > lam + tol:
         return BipartiteViolation(vertex=-1, observed=s2, window=(0.0, lam),
                                   reason="s2 above bound")

@@ -8,7 +8,8 @@ X -> B_1 -> ... -> B_{t-2} -> Y, and cycle closing through the
 connector. Vertex sets travel between phases as sorted int arrays.
 Every phase verifies concrete properties of the sampled sets and logs
 them into a schema-versioned trace; failures name the violated check
-and never produce an unverified cycle.
+and never produce an unverified cycle. Each sampled pair (P5, a Q4/Q5
+block pair, a path-cover link) is checked on the subgraph it induces.
 
 The asymptotic regime of the underlying theorem is unreachable at desk
 scale, so every threshold is a config knob with documented desk
@@ -29,9 +30,8 @@ from . import extend, matching
 from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
                      CoverageGap, PartitionRetriesExhausted,
                      PreconditionViolated)
-from .graphs import (BipartiteView, Graph, certify_expander,
-                     cross_window_violation, degree_window_violation,
-                     induced_s2)
+from .graphs import (BipartiteView, Graph, InducedPair, certify_expander,
+                     degree_window_violation, induced_s2)
 from .rng import derive_seed, generator
 
 SCHEMA_VERSION = 1
@@ -255,8 +255,7 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
         parts = Parts(*(np.sort(part) for part in
                         np.split(perm, [k, 2 * k, 2 * k + r])))
         bad = degree_window_violation(g, range(n), parts.reserve,
-                                      (1 - 2 * g1) * target,
-                                      (1 + 2 * g1) * target)
+                                      (1 - 2 * g1) * target, (1 + 2 * g1) * target)
         if bad is not None:
             raise _Rejected("P1", f"deg({bad[0]}, R1)={bad[1]} outside "
                                   f"(1±{2 * g1:.2f})*{target:.3f}")
@@ -264,7 +263,7 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
         s2 = induced_s2(g, perm[:2 * k + r], 1e-8, seed2)
         if s2 > cap:
             raise _Rejected("P2", f"s2={s2:.4f} > {cap:.4f}")
-        bad = _bipartite_window(g, parts.x, parts.y, d, n, g5)
+        bad = InducedPair(g, parts.x, parts.y).window_message(d, n, g5)
         if bad is not None:
             raise _Rejected("P5", bad)
         return parts, s2
@@ -276,24 +275,6 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
     trace.check("partition", "P4", True, "deferred to repartition checks")
     trace.check("partition", "P5", True, f"cross-degree gamma cap {g5}")
     return parts
-
-
-def _bipartite_window(g: Graph, left, right, d: float, n: int,
-                      gamma: float):
-    """Cross-degree window check for both sides; returns a description or None."""
-    bad = cross_window_violation(g, left, right, d, n, gamma)
-    return None if bad is None else \
-        f"deg({bad[0]})={bad[1]} outside [{bad[2]:.3f}, {bad[3]:.3f}]"
-
-
-def _observed_gamma(g: Graph, left, right, d: float, n: int) -> float:
-    """Largest relative cross-degree deviation from the proportional target."""
-    worst = 0.0
-    for side, other in ((left, right), (right, left)):
-        target = d * len(other) / n
-        deviation = np.abs(g.cross_degree(side, other) - target) / target
-        worst = max(worst, float(deviation.max(initial=0.0)))
-    return worst
 
 
 def repartition_phase(g: Graph, cert, parts: Parts, connector,
@@ -338,28 +319,25 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
             idx = rng.choice(len(pairs), size=sample, replace=False)
             pairs = [pairs[int(i)] for i in sorted(idx)]
         for i, j in pairs:
-            bad = _bipartite_window(g, blocks[i], blocks[j], d, n, g4)
+            pair = InducedPair(g, blocks[i], blocks[j])
+            bad = pair.window_message(d, n, g4)
             if bad is not None:
                 raise _Rejected("Q4", f"pair ({i},{j}): {bad}")
             seed4 = derive_seed(cfg.seed, f"q4-{retry}-{i}-{j}") % (2 ** 31)
-            s2 = induced_s2(g, blocks[[i, j]].ravel(), 1e-8, seed4)
+            s2 = pair.s2(1e-8, seed4)
             if s2 > cap:
                 raise _Rejected("Q4", f"pair ({i},{j}): s2={s2:.3f} > {cap:.3f}")
-            bad = _bipartite_window(g, blocks[i, :half], blocks[j, :half],
-                                    d, n, g5)
+            bad = pair.window_message(d, n, g5,
+                                      sides=(blocks[i, :half], blocks[j, :half]))
             if bad is not None:
                 raise _Rejected("Q5", f"half pair ({i},{j}): {bad}")
         return blocks, len(pairs)
 
-    blocks, checked = _retry("repartition", cfg.max_repartition_retries,
-                             trace, attempt)
-    trace.check("repartition", "Q1", True,
-                f"reserve overlap cap {overlap_cap}")
-    trace.check("repartition", "Q2", True,
-                f"halves of sizes {half}, {k // 2}")
+    blocks, checked = _retry("repartition", cfg.max_repartition_retries, trace, attempt)
+    trace.check("repartition", "Q1", True, f"reserve overlap cap {overlap_cap}")
+    trace.check("repartition", "Q2", True, f"halves of sizes {half}, {k // 2}")
     trace.check("repartition", "Q3", True, f"gamma cap {g3}")
-    trace.check("repartition", "Q4", True,
-                f"{checked} pairs, s2 cap {cap:.3f}")
+    trace.check("repartition", "Q4", True, f"{checked} pairs, s2 cap {cap:.3f}")
     trace.check("repartition", "Q5", True, f"gamma cap {g5}")
     return blocks
 
@@ -381,11 +359,10 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
     n_sizes = []
     for i, (left, right) in enumerate(zip(chain, chain[1:])):
         view = BipartiteView(parent=g, left=left, right=right)
-        gamma_obs = _observed_gamma(g, left, right, d, n)
+        pair = InducedPair(g, left, right)
         seed_i = derive_seed(cfg.seed, "path-cover-n", i) % (2 ** 31)
-        s2 = induced_s2(g, np.concatenate([left, right]), 1e-8, seed_i)
         pm = matching.perfect_matching_expander(
-            view, d=d, gamma=gamma_obs, lam=s2,
+            view, d=d, gamma=pair.observed_gamma(d, n), lam=pair.s2(1e-8, seed_i),
             gamma_cap=cfg.constant("pm_gamma_cap"),
             ratio_cap=cfg.constant("lambda_ratio_cap"))
         n_sizes.append(pm.size)
@@ -421,9 +398,7 @@ def close_cycle(paths: extend.PathSystem, connector,
     leftover = set(connector.reserved) - closing.interior_vertices()
     if leftover:
         raise CoverageGap(sorted(leftover))
-    by_ends = {}
-    for p in closing.paths:
-        by_ends[(p[0], p[-1])] = p
+    by_ends = {(p[0], p[-1]): p for p in closing.paths}
     order = []
     for i, p in enumerate(cover):
         order.extend(p)

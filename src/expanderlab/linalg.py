@@ -5,9 +5,11 @@ approximation, interlacing checks and matrix file I/O. Every spectrum in
 the package comes from one kernel, `singular_values_array`: LAPACK
 (`eigh` if symmetric, else `svd`) up to DENSE_CUTOFF, ARPACK above it on
 A if symmetric, else on [[0, A], [A^T, 0]], with a seeded start vector
-and a stopping tolerance derived from `tol`. Either way the residuals
-||A v - s u|| and ||A^T u - s v|| of the returned triples must stay
-within `tol`. `dense_singular_values` is the independent test oracle.
+and a stopping tolerance derived from `tol`. Callers state symmetry (graph
+adjacencies are symmetric by construction); only dense input that states
+nothing is tested for it. The residuals ||A v - s u|| and, if A is not
+symmetric, ||A^T u - s v|| of the returned triples must stay within
+`tol`. `dense_singular_values` is the independent test oracle.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ def _dense(a) -> np.ndarray:
     return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
 
 
-def _is_symmetric(a) -> bool:
-    if a.shape[0] != a.shape[1]:
-        return False
-    if sp.issparse(a):
-        return (abs(a - a.T) > 1e-14).nnz == 0
-    return np.allclose(a, a.T, atol=1e-14, rtol=0.0)
-
-
 def _eigen_triples(w, x, k: int):
     """(s, u, v) = (|w|, sign(w) x, x) for the k eigenpairs of largest |w|."""
     order = np.argsort(-np.abs(w))[:k]
@@ -77,9 +71,12 @@ def _eigen_triples(w, x, k: int):
 
 
 def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
-                          seed: int = 0) -> SingularSpectrum:
+                          seed: int = 0, *, symmetric: bool | None = None
+                          ) -> SingularSpectrum:
     """Top-k singular triples of a dense or sparse matrix.
 
+    `symmetric` states whether A = A^T and is trusted. Sparse input must
+    state it; for dense input None means test it to 1e-14.
     Deterministic for a fixed seed: the Lanczos start vector is drawn
     from a Philox stream derived from `seed`.
     """
@@ -89,7 +86,10 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
         raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    symmetric = _is_symmetric(a)
+    if symmetric is None:
+        if sp.issparse(a):
+            raise ValueError("sparse input must state symmetric=True or False")
+        symmetric = m == n and np.allclose(a, a.T, atol=1e-14, rtol=0.0)
     if min(m, n) <= DENSE_CUTOFF or 2 * k >= min(m, n):
         dense = _dense(a)
         if symmetric:
@@ -123,8 +123,9 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
         if not symmetric:
             # v = [u; v] / sqrt(2) for the eigenvalue s of [[0, A], [A^T, 0]].
             u, v = np.sqrt(2.0) * v[:m], np.sqrt(2.0) * v[m:]
-    residuals = np.maximum(np.linalg.norm(a @ v - u * vals, axis=0),
-                           np.linalg.norm(a.T @ u - v * vals, axis=0))
+    residuals = np.linalg.norm(a @ v - u * vals, axis=0)
+    if not symmetric:   # for symmetric A, ||A^T u - s v|| is the same number
+        residuals = np.maximum(residuals, np.linalg.norm(a.T @ u - v * vals, axis=0))
     vals = np.where(vals < ZERO_SNAP, 0.0, vals)
     if residuals.max() > tol:
         raise NoConvergence(

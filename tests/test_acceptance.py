@@ -66,7 +66,8 @@ def test_criterion_02_paley_closed_form():
     worst = 0.0
     for q in (5, 13, 17, 29, 101, 1009):
         g = graphs.gen_paley(q)
-        spec = linalg.singular_values_array(g.adjacency_sparse(), 2, seed=q)
+        spec = linalg.singular_values_array(g.adjacency_sparse(), 2, seed=q,
+                                            symmetric=True)
         worst = max(worst, abs(spec.values[1] - (1 + math.sqrt(q)) / 2))
     _budget(2, started, 30)
     _report(2, worst <= 1e-6,

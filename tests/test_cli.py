@@ -120,6 +120,16 @@ def test_hamilton_weak_expander_exit_code(tmp_path):
     assert run("hamilton", str(out)) == 3
 
 
+def test_empty_graph_file(tmp_path):
+    graph, trace = tmp_path / "empty.txt", tmp_path / "trace.json"
+    graph.write_text("0 0\n")
+    assert run("--out", str(trace), "hamilton", str(graph)) == 3
+    data = json.loads(trace.read_text())
+    assert data["outcome"] == "failed:certification:EmptyGraph"
+    assert data["checks"][-1]["check"] == "error"
+    assert run("certify", str(graph)) == 2
+
+
 def test_subsample_and_summarize(paley401_file, tmp_path):
     sweep = tmp_path / "sweep"
     sweep.mkdir()

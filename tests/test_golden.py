@@ -5,10 +5,11 @@ prints them) for Paley 401 at config seeds 0-2, for Paley 1009 and 2029
 at config seed 0, for Paley 401 runs that fail on each partition and
 repartition check (their trace details name the failed check, the retry
 and the offending value), and of the graph file `write_graph` writes for
-Paley 401. Neighbour order feeds Hopcroft-Karp and the connector's
-shuffles, so a change of tie-breaking anywhere in the pipeline changes
-these digests. `scripts/golden_digests.py` prints the same digests for
-the larger criterion-9 table.
+Paley 401; and the exact bits of the spectral certificates of Paley 1009
+and 2029 at the CLI's certificate seeds. Neighbour order feeds
+Hopcroft-Karp and the connector's shuffles, so a change of tie-breaking
+anywhere in the pipeline changes these digests. `scripts/golden_digests.py`
+prints the same digests for the larger criterion-9 table.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ import hashlib
 import pytest
 
 from expanderlab import graphs, hamilton
+from expanderlab.rng import derive_seed
 
 PIPELINE_401 = {
     0: "f85d4b4d3fdf8de78055e5136911a8617e8b8b8735595373ac19b0c3a1a7b5d6",
@@ -63,6 +65,15 @@ PIPELINE_SEED0 = {
     1009: "be2b8992c3f323dfbcb5c4bafbc42fc0438a47608a2d86a0b71a74ae34f5b3c4",
     2029: "c28f32b819035f81e110bfcdf0865c20fbbb175befce855c0c1280269c2a135b",
 }
+# float.hex of certify_expander's (lambda_hat, residual) at the certificate
+# seed of `expanderlab --seed <cli seed>`, as scripts/golden_digests.py
+# prints them.
+CERTIFICATE_BITS = {
+    (1009, 0): ("0x1.061e3aac71f64p+4", "0x1.117731ef5f841p-39"),
+    (1009, 11): ("0x1.061e3aac71f68p+4", "0x1.d17263575cf15p-40"),
+    (2029, 0): ("0x1.705afa3177ba8p+4", "0x1.0d6146eaac7f9p-36"),
+    (2029, 11): ("0x1.705afa3177ba8p+4", "0x1.227fa9329edf9p-36"),
+}
 GRAPH_FILE_401 = "44cbc459178be8675b49c3bbbd8c7b766f6579b5525dd58ee145dd1c3d556294"
 
 
@@ -100,3 +111,10 @@ def test_graph_file_digest(paley401, tmp_path):
     path = tmp_path / "p401.txt"
     graphs.write_graph(paley401, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GRAPH_FILE_401
+
+
+@pytest.mark.parametrize("q, cli_seed", sorted(CERTIFICATE_BITS))
+def test_certificate_bits(q, cli_seed):
+    cert = graphs.certify_expander(graphs.gen_paley(q),
+                                   seed=derive_seed(cli_seed, "certify") % 2 ** 31)
+    assert (cert.lambda_hat.hex(), cert.residual.hex()) == CERTIFICATE_BITS[q, cli_seed]

@@ -19,7 +19,8 @@ def test_paley_13_shape(paley13):
 
 
 def test_paley_second_singular_value_closed_form(paley13):
-    spec = linalg.singular_values_array(paley13.adjacency_sparse(), 2, seed=0)
+    spec = linalg.singular_values_array(paley13.adjacency_sparse(), 2, seed=0,
+                                        symmetric=True)
     assert abs(spec.values[1] - (1 + math.sqrt(13)) / 2) < 1e-8
 
 
@@ -181,6 +182,50 @@ def test_csr_graph_matches_brute_force(edge_list, data):
         u, w = data.draw(st.sampled_from(pairs))
         with pytest.raises(ValueError, match="duplicate"):
             graphs.Graph(n, pairs + [(w, u)])
+
+
+def _parent_window_violation(g, left, right, d, n, gamma):
+    """The pair window rule evaluated with parent-graph degrees."""
+    for side, other in ((left, right), (right, left)):
+        target = d * len(other) / n
+        bad = graphs.degree_window_violation(g, side, other, (1 - gamma) * target,
+                                             (1 + gamma) * target)
+        if bad is not None:
+            return bad
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_induced_pair_matches_parent_graph(n, p, seed, data):
+    rng = np.random.default_rng(seed)
+    g = graphs.Graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.integers(0, n - a))
+    perm = rng.permutation(n)
+    left, right = perm[:a], perm[a:a + b]     # unsorted, any sizes, maybe empty
+    pair = graphs.InducedPair(g, left, right)
+    halves = (left[:(a + 1) // 2], right[:b // 2])
+    for side, other in ((left, right), (right, left), halves, halves[::-1]):
+        assert pair.degrees(side, other).tolist() == \
+            g.cross_degree(side, other).tolist()
+
+    d = data.draw(st.floats(0.5, n))
+    gamma = data.draw(st.floats(0.0, 1.5))
+    for sides in ((left, right), halves):
+        miss = pair.window_violation(d, n, gamma, sides=sides)
+        want = _parent_window_violation(g, *sides, d, n, gamma)
+        assert (None if miss is None else tuple(miss[:2])) == want
+    if a and b:
+        assert pair.observed_gamma(d, n) == max(
+            np.abs(g.cross_degree(side, other) - d * len(other) / n).max()
+            / (d * len(other) / n) for side, other in ((left, right), (right, left)))
+
+    members = np.sort(perm[:a + b])
+    dense = g.adjacency_dense()[np.ix_(members, members)]
+    s2 = np.sort(np.abs(np.linalg.eigvalsh(dense)))[-2] if a + b >= 2 else 0.0
+    assert abs(pair.s2(1e-8, seed=0) - s2) < 1e-8
 
 
 def _audit_ordered_count(g, s, t):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from expanderlab import extend, graphs, hamilton
-from expanderlab.errors import ConfigError, ConnectFailed, UnbalancedSides
+from expanderlab.errors import (ConfigError, ConnectFailed, EmptyGraph,
+                                UnbalancedSides)
 
 
 def test_config_validation():
@@ -174,6 +175,17 @@ def test_pipeline_never_raises_on_sparse_graph():
     result = hamilton.hamilton_pipeline(c, hamilton.PipelineConfig())
     assert result.cycle is None
     assert result.trace.outcome.startswith("failed:")
+
+
+def test_empty_graph_fails_certification_cleanly():
+    empty = graphs.Graph(0, [])
+    with pytest.raises(EmptyGraph):
+        graphs.certify_expander(empty)
+    with pytest.raises(ValueError):     # EmptyGraph is also a ValueError
+        graphs.certify_expander(empty)
+    result = hamilton.hamilton_pipeline(empty)
+    assert result.cycle is None
+    assert result.trace.outcome == "failed:certification:EmptyGraph"
 
 
 def test_trace_json_is_valid(paley13):

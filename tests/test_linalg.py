@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -57,7 +58,7 @@ def test_degenerate_top_spectrum_converges():
     # exactly s2 there.
     members = np.sort(np.random.default_rng(0).permutation(2029)[:1500])
     sub = graphs.gen_paley(2029).adjacency_sparse()[np.ix_(members, members)]
-    spec = linalg.singular_values_array(sub, 2)
+    spec = linalg.singular_values_array(sub, 2, symmetric=True)
     assert abs(spec.values[1] - (1 + math.sqrt(2029)) / 2) < 1e-8
 
 
@@ -76,6 +77,34 @@ def test_paths_agree_at_cutoff(n):
     spec = linalg.singular_values_array(a, 2, seed=0)
     s2 = np.sort(np.abs(np.linalg.eigvalsh(a)))[-2]
     assert abs(spec.values[1] - s2) < 1e-9
+
+
+def test_sparse_input_must_state_symmetry():
+    a = graphs.gen_paley(13).adjacency_sparse()
+    with pytest.raises(ValueError, match="symmetric"):
+        linalg.singular_values_array(a, 2)
+
+
+@pytest.mark.parametrize("n", [80, linalg.DENSE_CUTOFF + 50])
+def test_stated_symmetric_matches_dense_oracle(n):
+    # G(n, 0.1): sparse, symmetric, with a simple top eigenvalue near 0.1 n.
+    upper = sp.triu(sp.random(n, n, density=0.1, random_state=n,
+                              data_rvs=np.ones), k=1)
+    a = (upper + upper.T).tocsr()
+    want = np.sort(np.abs(np.linalg.eigvalsh(a.toarray())))[::-1][:2]
+    for form in (a, a.toarray()):
+        spec = linalg.singular_values_array(form, 2, seed=0, symmetric=True)
+        assert np.allclose(spec.values, want, atol=1e-8, rtol=0)
+        assert max(spec.residuals) <= spec.tolerance
+
+
+def test_asymmetric_dense_unstated_takes_svd_route():
+    # eigh reads one triangle only, so on this matrix it would report the
+    # zero eigenvalues of its lower triangle instead of singular values.
+    a = np.triu(np.arange(1.0, 26.0).reshape(5, 5), k=1)
+    spec = linalg.singular_values_array(a, 2, seed=0)
+    assert np.allclose(spec.values, np.linalg.svd(a, compute_uv=False)[:2],
+                       atol=1e-9, rtol=0)
 
 
 def test_non_finite_rejected():

@@ -80,7 +80,7 @@ def test_perfect_matching_expander_on_paley(paley1009, cert1009):
     view = graphs.BipartiteView(parent=paley1009, left=left, right=right)
     union, _ = paley1009.induced(list(left) + list(right))
     lam = linalg.singular_values_array(union.adjacency_sparse(), 2,
-                                       seed=0).values[1]
+                                       seed=0, symmetric=True).values[1]
     m = matching.perfect_matching_expander(view, d=cert1009.d, gamma=0.5,
                                            lam=lam, gamma_cap=1.2,
                                            ratio_cap=0.2)
