@@ -8,9 +8,14 @@ partition and repartition check, on the perfect-matching gamma cap and
 on the lambda/d gate. Then one line per spectral certificate holds q,
 the CLI seed and `float.hex` of `certify_expander`'s lambda_hat and
 residual, for Paley q in {13, 101, 401, 1009, 2029} at the certificate
-seeds `expanderlab --seed 0` and `--seed 11` use. Two commits produce
-the same outputs when their printed lines are identical. From the root
-of each checkout (or with the package installed, without PYTHONPATH):
+seeds `expanderlab --seed 0` and `--seed 11` use. Below the cycle, on
+seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
+pair holds the SHA-256 of its maximum matching's edges, of its left and
+right Hall violators, and of `certify_bipartite_expander`'s results
+under three windows; one line per subgraph experiment holds the SHA-256
+of its trials' `float.hex` s2 and degrees_ok. Two commits produce the
+same outputs when their printed lines are identical. From the root of
+each checkout (or with the package installed, without PYTHONPATH):
 
     PYTHONPATH=src python3 scripts/golden_digests.py > after.txt
     diff before.txt after.txt
@@ -19,7 +24,9 @@ of each checkout (or with the package installed, without PYTHONPATH):
 import hashlib
 import json
 
-from expanderlab import graphs, hamilton
+import numpy as np
+
+from expanderlab import graphs, hamilton, matching, sampling
 from expanderlab.rng import derive_seed
 
 FAILURE_CONFIGS = [
@@ -32,6 +39,20 @@ FAILURE_CONFIGS = [
     {"seed": 1, "constant_overrides": {"pm_gamma_cap": 0.05}},
     {"seed": 0, "constant_overrides": {"lambda_ratio_cap": 0.03}},
 ]
+# (view seed, |L|, |R|) of the seeded vertex pairs: balanced, unbalanced
+# (the larger side has a Hall violator) and small enough for a
+# balanced pair to miss a perfect matching.
+VIEWS = [(0, 24, 24), (1, 30, 18), (2, 5, 5), (3, 6, 6), (4, 4, 4)]
+# (gamma, lambda as a multiple of sqrt(d')) of three bipartite
+# certificates, d' being the pair's share of the mean degree: on these
+# pairs the first fails a cross-degree window, the second the s2 bound,
+# and the third holds.
+BIPARTITE_WINDOWS = [(0.3, 1.0), (2.0, 1.0), (2.0, 3.0)]
+EXPERIMENT_SEEDS = (0, 1)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_digest(g, cfg_data: dict) -> tuple:
@@ -40,7 +61,7 @@ def run_digest(g, cfg_data: dict) -> tuple:
     text = result.trace.to_json() + "\n"
     if result.cycle is not None:
         text += result.cycle.to_line() + "\n"
-    return result.trace.outcome, hashlib.sha256(text.encode()).hexdigest()
+    return result.trace.outcome, sha256(text)
 
 
 def certificate_bits(g, cli_seed: int) -> tuple:
@@ -48,6 +69,43 @@ def certificate_bits(g, cli_seed: int) -> tuple:
     `expanderlab --seed cli_seed certify` computes."""
     cert = graphs.certify_expander(g, seed=derive_seed(cli_seed, "certify") % 2 ** 31)
     return cert.lambda_hat.hex(), cert.residual.hex()
+
+
+def view_digests(g, cert, view_seed: int, a: int, b: int) -> tuple:
+    """SHA-256 of the maximum matching, the (left, right) Hall violators
+    and the bipartite certificates of one seeded pair."""
+    perm = np.random.default_rng(view_seed).permutation(g.n)
+    view = graphs.BipartiteView(parent=g, left=perm[:a], right=perm[a:a + b])
+    edges = matching.max_matching(view).to_json()
+    violators = [matching.hall_violator(view, side) for side in ("left", "right")]
+    d = cert.d * (a + b) / g.n
+    certificates = [graphs.certify_bipartite_expander(view, d, gamma, scale * d ** 0.5)
+                    for gamma, scale in BIPARTITE_WINDOWS]
+    return (sha256(edges),
+            sha256(repr([None if s is None else sorted(s) for s in violators])),
+            sha256(repr(certificates)))
+
+
+def experiment_digest(experiment) -> str:
+    """SHA-256 of the (float.hex s2, degrees_ok) of each trial."""
+    return sha256(repr([(r.s2.hex(), r.degrees_ok) for r in experiment.per_trial]))
+
+
+def below_the_cycle(q: int, g):
+    """Digest lines of the matching, bipartite-certificate and subgraph
+    experiment layers on Paley q."""
+    cert = graphs.certify_expander(g, seed=derive_seed(0, "certify") % 2 ** 31)
+    for view_seed, a, b in VIEWS:
+        m, hall, bip = view_digests(g, cert, view_seed, a, b)
+        print(q, f"view {view_seed} {a}+{b}", "matching", m, "hall", hall,
+              "bipartite", bip)
+    for seed in EXPERIMENT_SEEDS:
+        plain = sampling.induced_subgraph_experiment(
+            g, cert, 0.5, trials=3, seed=seed, gamma_target=0.1)
+        bipartite = sampling.bipartite_induced_experiment(
+            g, cert, 0.25, 0.25, trials=3, seed=seed, gamma_target=0.1)
+        print(q, f"induced-subgraph seed {seed}", experiment_digest(plain))
+        print(q, f"bipartite-induced seed {seed}", experiment_digest(bipartite))
 
 
 def main():
@@ -63,6 +121,8 @@ def main():
         g = paley.get(q) or graphs.gen_paley(q)
         for cli_seed in (0, 11):
             print(q, f"certify --seed {cli_seed}", *certificate_bits(g, cli_seed))
+    for q in (401, 1009):
+        below_the_cycle(q, paley[q])
 
 
 if __name__ == "__main__":

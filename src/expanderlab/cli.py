@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -178,9 +179,9 @@ def _cmd_match(args) -> int:
     elif args.mode == "perfect":
         cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
         seed = derive_seed(args.seed, "match-s2") % 2**31
-        s2 = graphs.induced_s2(g, view.left + view.right, linalg.DEFAULT_TOL, seed)
         m = matching.perfect_matching_expander(
-            view, d=cert.d, gamma=args.gamma, lam=s2,
+            view, d=cert.d, gamma=args.gamma,
+            lam=view.s2(linalg.DEFAULT_TOL, seed),
             gamma_cap=args.gamma_cap, ratio_cap=args.ratio_cap)
     else:
         raise BadParameter(f"unknown match mode {args.mode!r}")
@@ -190,11 +191,10 @@ def _cmd_match(args) -> int:
 
 def _cmd_hamilton(args) -> int:
     g = graphs.read_graph(args.graph)
-    cfg_data = {}
-    if args.config:
-        cfg_data = json.loads(Path(args.config).read_text())
-    cfg_data.setdefault("seed", args.seed)
+    cfg_data = json.loads(Path(args.config).read_text()) if args.config else {}
     cfg = hamilton.PipelineConfig.from_dict(cfg_data)
+    if "seed" not in cfg_data:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     result = hamilton.hamilton_pipeline(g, cfg)
     trace_text = result.trace.to_json() + "\n"
     outputs = []
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     except _PHASE_ERRORS as exc:
         sys.stderr.write(f"phase failure: {exc}\n")
         return EXIT_PHASE
-    except (ExpanderLabError, FileNotFoundError, ValueError) as exc:
+    except (ExpanderLabError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
     if args.out and Path(args.out).exists():

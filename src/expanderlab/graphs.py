@@ -3,22 +3,22 @@
 Graphs are simple, undirected and immutable after construction. A graph
 is stored as CSR: read-only int32 arrays `indptr` and `indices`, where
 the neighbours of v are indices[indptr[v]:indptr[v + 1]] in increasing
-order. Induced subgraphs, degrees into a vertex set, cross adjacencies
-and edge lookups are row, column and element indexing on a scipy CSR
-view of the same two arrays. A vertex pair (L, R) is checked on G[L u R],
-read once into an `InducedPair` that gives its degree windows, observed
-gamma and s2 (`induced_s2` is the pair (S, {})). `adjacency_sparse()`
-wraps the arrays in a float64 scipy matrix for the spectral kernel, which
-is told it is symmetric, and `adjacency_dense()` materializes it up to
-DENSIFY_CAP vertices. Graph files move whole arrays through `read_graph`
-and `write_graph`.
+order. Induced subgraphs, degrees into a vertex set and edge lookups
+are row, column and element indexing on a scipy CSR view of the same
+two arrays. A vertex pair (L, R) is one `BipartiteView`: it reads
+G[L u R] once and gives the pair's degree windows, observed gamma, s2
+(that of G[S] is the pair (S, {})) and cross adjacency from that
+subgraph. `adjacency_sparse()` wraps the arrays in a float64 scipy
+matrix for the spectral kernel, which is told it is symmetric, and
+`adjacency_dense()` materializes it up to DENSIFY_CAP vertices. Graph
+files move whole arrays through `read_graph` and `write_graph`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -184,28 +184,53 @@ def edge_counts(g: Graph, s: np.ndarray, t: np.ndarray):
     return ordered, ordered - int(g.cross_degree(both, both).sum()) // 2, both
 
 
-def induced_s2(g: Graph, vertices, tol: float, seed: int) -> float:
-    """s2 of the subgraph `vertices` induce (0.0 below two vertices)."""
-    return InducedPair(g, vertices, ()).s2(tol, seed)
+@dataclass(frozen=True)
+class SpectralCertificate:
+    """Witness that a graph is an almost-(n,d,lambda)-graph."""
+
+    n: int
+    d: float            # mean degree
+    gamma_hat: float    # max relative degree deviation
+    lambda_hat: float   # second singular value of the adjacency matrix
+    residual: float
+    seed: int
 
 
-class InducedPair:
-    """G[L u R] for a vertex pair (L, R), read once through `Graph.induced`.
-    Degrees between subsets of L u R are the same there as in G, so the
-    pair's windows, observed gamma and s2 come from this small subgraph;
-    vertices are named by the parent graph throughout."""
+@dataclass(frozen=True)
+class BipartiteView:
+    """Disjoint vertex sets (L, R) of a parent graph, each an increasing
+    tuple. G[L u R] is read once, through `Graph.induced`, into `sub`,
+    whose vertex i is parent vertex names[i]. Degrees between subsets of
+    L u R are the same there as in the parent, so the pair's windows,
+    gamma, s2 and cross adjacency come from `sub`; vertices are named by
+    the parent throughout."""
 
-    def __init__(self, g: Graph, left, right):
-        self.left, self.right = left, right
-        self.sub, names = g.induced(
-            np.concatenate([vertex_array(left), vertex_array(right)]))
-        self.names = np.asarray(names, dtype=np.int64)   # sub vertex -> parent
+    parent: Graph
+    left: tuple
+    right: tuple
+    sub: Graph = field(init=False, repr=False, compare=False)
+    names: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        left, right = vertex_array(self.left), vertex_array(self.right)
+        both = np.concatenate([left, right])
+        if both.size and (both.min() < 0 or both.max() >= self.parent.n):
+            raise ValueError(f"a side has a vertex outside range({self.parent.n})")
+        if np.intersect1d(left, right).size:
+            raise ValueError("sides must be disjoint")
+        sub, names = self.parent.induced(both)
+        object.__setattr__(self, "left", tuple(left.tolist()))
+        object.__setattr__(self, "right", tuple(right.tolist()))
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "names", np.asarray(names, dtype=np.int64))
+
+    def _rows(self, vertices) -> np.ndarray:
+        """Sub-graph vertices of parent vertices of L u R."""
+        return np.searchsorted(self.names, np.asarray(vertices, dtype=np.int64))
 
     def degrees(self, side, other) -> np.ndarray:
         """deg(v, other) for each v of `side`, in the given order."""
-        side, other = (np.searchsorted(self.names, np.asarray(vs, dtype=np.int64))
-                       for vs in (side, other))
-        return self.sub.cross_degree(side, other)
+        return self.sub.cross_degree(self._rows(side), self._rows(other))
 
     def window_violation(self, d: float, n: int, gamma: float,
                          tol: float = 0.0, sides=None):
@@ -246,44 +271,11 @@ class InducedPair:
                                             tol=tol, seed=seed,
                                             symmetric=True).values[1]
 
-
-@dataclass(frozen=True)
-class SpectralCertificate:
-    """Witness that a graph is an almost-(n,d,lambda)-graph."""
-
-    n: int
-    d: float            # mean degree
-    gamma_hat: float    # max relative degree deviation
-    lambda_hat: float   # second singular value of the adjacency matrix
-    residual: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class BipartiteView:
-    """View of the parent edges crossing between two disjoint vertex sets;
-    each side is stored as an increasing tuple of distinct vertices."""
-
-    parent: Graph
-    left: tuple
-    right: tuple
-
-    def __post_init__(self):
-        left, right = vertex_array(self.left), vertex_array(self.right)
-        both = np.concatenate([left, right])
-        if both.size and (both.min() < 0 or both.max() >= self.parent.n):
-            raise ValueError(f"a side has a vertex outside range({self.parent.n})")
-        if np.intersect1d(left, right).size:
-            raise ValueError("sides must be disjoint")
-        object.__setattr__(self, "left", tuple(left.tolist()))
-        object.__setattr__(self, "right", tuple(right.tolist()))
-
     def cross_adjacency(self) -> dict:
         """Left vertex -> increasing list of its right neighbours, read off
-        the CSR submatrix A[left, right]."""
-        right = np.asarray(self.right, dtype=np.int64)
-        block = self.parent._csr[np.asarray(self.left, dtype=np.int64)][:, right]
-        kept = right[block.indices].tolist()
+        the sub-graph's block A[L, R]."""
+        block = self.sub._csr[self._rows(self.left)][:, self._rows(self.right)]
+        kept = np.asarray(self.right, dtype=np.int64)[block.indices].tolist()
         return {u: kept[block.indptr[i]:block.indptr[i + 1]]
                 for i, u in enumerate(self.left)}
 
@@ -421,13 +413,12 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
     if not view.left or not view.right:
         raise EmptySide("both sides must be nonempty")
     n = len(view.left) + len(view.right)
-    pair = InducedPair(view.parent, view.left, view.right)
-    bad = pair.window_violation(d, n, gamma, tol)
+    bad = view.window_violation(d, n, gamma, tol)
     if bad is not None:
         v, deg, lo, hi = bad
         return BipartiteViolation(vertex=v, observed=float(deg), window=(lo, hi),
                                   reason="cross-degree outside window")
-    s2 = pair.s2(max(tol, 1e-8), seed)
+    s2 = view.s2(max(tol, 1e-8), seed)
     if s2 > lam + tol:
         return BipartiteViolation(vertex=-1, observed=s2, window=(0.0, lam),
                                   reason="s2 above bound")

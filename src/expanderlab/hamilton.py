@@ -9,7 +9,9 @@ connector. Vertex sets travel between phases as sorted int arrays.
 Every phase verifies concrete properties of the sampled sets and logs
 them into a schema-versioned trace; failures name the violated check
 and never produce an unverified cycle. Each sampled pair (P5, a Q4/Q5
-block pair, a path-cover link) is checked on the subgraph it induces.
+block pair, a path-cover link) and P2's set S, as the pair (S, {}), is
+one `graphs.BipartiteView`, which reads the subgraph the pair induces
+once for its windows, s2 and perfect matching.
 
 The asymptotic regime of the underlying theorem is unreachable at desk
 scale, so every threshold is a config knob with documented desk
@@ -30,8 +32,8 @@ from . import extend, matching
 from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
                      CoverageGap, PartitionRetriesExhausted,
                      PreconditionViolated)
-from .graphs import (BipartiteView, Graph, InducedPair, certify_expander,
-                     degree_window_violation, induced_s2)
+from .graphs import (BipartiteView, Graph, certify_expander,
+                     degree_window_violation)
 from .rng import derive_seed, generator
 
 SCHEMA_VERSION = 1
@@ -113,6 +115,8 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "PipelineConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config is a {type(data).__name__}, not a JSON object")
         known = {f for f in PipelineConfig.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -260,10 +264,10 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
             raise _Rejected("P1", f"deg({bad[0]}, R1)={bad[1]} outside "
                                   f"(1±{2 * g1:.2f})*{target:.3f}")
         seed2 = derive_seed(cfg.seed, "partition-p2", retry) % (2 ** 31)
-        s2 = induced_s2(g, perm[:2 * k + r], 1e-8, seed2)
+        s2 = BipartiteView(g, perm[:2 * k + r], ()).s2(1e-8, seed2)
         if s2 > cap:
             raise _Rejected("P2", f"s2={s2:.4f} > {cap:.4f}")
-        bad = InducedPair(g, parts.x, parts.y).window_message(d, n, g5)
+        bad = BipartiteView(g, parts.x, parts.y).window_message(d, n, g5)
         if bad is not None:
             raise _Rejected("P5", bad)
         return parts, s2
@@ -319,7 +323,7 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
             idx = rng.choice(len(pairs), size=sample, replace=False)
             pairs = [pairs[int(i)] for i in sorted(idx)]
         for i, j in pairs:
-            pair = InducedPair(g, blocks[i], blocks[j])
+            pair = BipartiteView(g, blocks[i], blocks[j])
             bad = pair.window_message(d, n, g4)
             if bad is not None:
                 raise _Rejected("Q4", f"pair ({i},{j}): {bad}")
@@ -359,10 +363,9 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
     n_sizes = []
     for i, (left, right) in enumerate(zip(chain, chain[1:])):
         view = BipartiteView(parent=g, left=left, right=right)
-        pair = InducedPair(g, left, right)
         seed_i = derive_seed(cfg.seed, "path-cover-n", i) % (2 ** 31)
         pm = matching.perfect_matching_expander(
-            view, d=d, gamma=pair.observed_gamma(d, n), lam=pair.s2(1e-8, seed_i),
+            view, d=d, gamma=view.observed_gamma(d, n), lam=view.s2(1e-8, seed_i),
             gamma_cap=cfg.constant("pm_gamma_cap"),
             ratio_cap=cfg.constant("lambda_ratio_cap"))
         n_sizes.append(pm.size)

@@ -1,6 +1,8 @@
 """Bipartite matchings: maximum matching, Hall violators, and the two
 expander matching lemmas (perfect matching in a balanced bipartite
-expander; greedy matching avoiding prescribed sets).
+expander; greedy matching avoiding prescribed sets). All of them walk
+the cross adjacency of a `graphs.BipartiteView`, which is read off the
+subgraph the pair induces, never off the parent graph's rows.
 """
 
 from __future__ import annotations
@@ -132,14 +134,12 @@ def _koenig_violator(view: BipartiteView, m: Matching):
     free = [u for u in view.left if u not in m.left_cover]
     if not free:
         return None
+    adj = view.cross_adjacency()
     partner = {v: u for u, v in m.edges}
-    on_right = np.zeros(view.parent.n, dtype=bool)
-    on_right[list(view.right)] = True
     reach_left, reach_right = set(free), set()
     queue = deque(free)
     while queue:
-        nbrs = view.parent.neighbors(queue.popleft())
-        for v in nbrs[on_right[nbrs]].tolist():
+        for v in adj[queue.popleft()]:
             if v not in reach_right:
                 reach_right.add(v)
                 w = partner.get(v)
@@ -192,29 +192,22 @@ def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,
     if len(s1) > len(v1) - theta or len(s2) > len(v2) - theta:
         raise PreconditionViolated(
             "avoid_size", f"|S_i| must be <= |V_i| - theta (theta={theta})")
-    u1 = sorted(v1 - s1)
-    u2 = set(v2 - s2)
-    free = np.zeros(g.n, dtype=bool)
-    free[list(u2)] = True
+    view = BipartiteView(parent=g, left=v1 - s1, right=v2 - s2)
     # The lexicographically smallest edge between the residual sides is
-    # taken each step. A vertex of u1 without a free neighbour never gets
-    # one later, so one pass over u1 in order takes the same edges.
-    edges = []
-    for u in u1:
-        if not u2:
-            break
-        nbrs = g.neighbors(u)
-        hit = np.flatnonzero(free[nbrs])
-        if hit.size:
-            v = int(nbrs[hit[0]])
+    # taken each step. A left vertex without a free neighbour never gets
+    # one later, so one pass over the left side takes the same edges.
+    edges, taken = [], set()
+    for u, nbrs in view.cross_adjacency().items():
+        v = next((v for v in nbrs if v not in taken), None)
+        if v is not None:
             edges.append((u, v))
-            u2.remove(v)
-            free[v] = False
-    unmatched = len(u1) - len(edges)
-    if unmatched > theta and len(u2) > theta:
+            taken.add(v)
+    unmatched = len(view.left) - len(edges)
+    free = len(view.right) - len(edges)
+    if unmatched > theta and free > theta:
         raise NoEdgeFound(
             f"no edge between residual sides of sizes {unmatched}, "
-            f"{len(u2)} > theta={theta}; the certificate must be invalid")
+            f"{free} > theta={theta}; the certificate must be invalid")
     floor = max(0, math.ceil(min(len(v1) - len(s1) - theta,
                                  len(v2) - len(s2) - theta)))
     if len(edges) < floor:

@@ -2,9 +2,10 @@
 
 Two subset models (independent Bernoulli and uniform fixed size) feed
 the random-submatrix norm experiments and the induced-subgraph spectral
-experiments. Hypergeometric Chernoff bounds come with an exact-tail
-oracle so the inequalities can be tested against ground truth at small
-sizes.
+experiments, whose trials each read the degree windows and s2 of one
+`graphs.BipartiteView`, (S, {}) or (X, Y), off the subgraph it induces.
+Hypergeometric Chernoff bounds come with an exact-tail oracle so the
+inequalities can be tested against ground truth at small sizes.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import (AsymmetricInput, BadParameter, BadRange,
                      CertificateMismatch)
-from .graphs import (Graph, SpectralCertificate, degree_window_violation,
-                     induced_s2)
+from .graphs import BipartiteView, Graph, SpectralCertificate
 from .rng import derive_seed, generator
 
 BATCHES = 10              # batch-means groups for standard errors
@@ -206,18 +206,23 @@ def submatrix_norm_experiment(b: np.ndarray, mode: str,
                           theoretical_bound=float(bound), seed=seed)
 
 
-def _subgraph_trials(g: Graph, label: str, trials: int, seed: int, sigma,
-                     gamma, lam_bound, hyp, draw) -> SubgraphExperiment:
-    """Seeded trials: draw(rng) gives a vertex set and whether its degree
-    windows hold; a trial succeeds when they do and s2 of the subgraph
-    the set induces is at most lam_bound."""
+def _within(degrees: np.ndarray, lo: float, hi: float) -> bool:
+    return not ((degrees < lo) | (degrees > hi)).any()
+
+
+def _subgraph_trials(label: str, trials: int, seed: int, sigma, gamma,
+                     lam_bound, hyp, draw) -> SubgraphExperiment:
+    """Seeded trials: draw(rng) gives the trial's vertex pair as one
+    `BipartiteView` and whether its degree windows hold; a trial
+    succeeds when they do and s2 of the subgraph the pair induces is at
+    most lam_bound."""
     if trials < 1:
         raise BadParameter(f"trials={trials} must be at least 1")
     records = []
     for t in range(trials):
         trial_seed = derive_seed(seed, label, t)
-        members, degrees_ok = draw(generator(seed, label, t))
-        s2 = induced_s2(g, members, 1e-8, trial_seed % (2**31))
+        view, degrees_ok = draw(generator(seed, label, t))
+        s2 = view.s2(1e-8, trial_seed % (2**31))
         records.append(TrialRecord(trial=t, seed=trial_seed, s2=s2,
                                    degrees_ok=degrees_ok,
                                    success=degrees_ok and s2 <= lam_bound))
@@ -257,10 +262,10 @@ def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
            and sigma * lam >= constant_c * math.sqrt(sigma * d * log_n))
 
     def draw(rng):
-        members = rng.permutation(n)[:m]
-        return members, degree_window_violation(g, members, members, lo, hi) is None
+        view = BipartiteView(g, rng.permutation(n)[:m], ())
+        return view, _within(view.sub.degrees(), lo, hi)
 
-    return _subgraph_trials(g, "induced-subgraph", trials, seed, sigma, gamma,
+    return _subgraph_trials("induced-subgraph", trials, seed, sigma, gamma,
                             lam_bound, hyp, draw)
 
 
@@ -290,11 +295,12 @@ def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
     def draw(rng):
         perm = rng.permutation(n)
         x, y = perm[:m1], perm[m1:m1 + m2]
+        view = BipartiteView(g, x, y)
         degrees_ok = all(      # deg(v, Y) for v in X, then deg(v, X) for v in Y
-            degree_window_violation(g, side, other, (1 - 2 * gamma) * share * d,
-                                    (1 + 2 * gamma) * share * d) is None
+            _within(view.degrees(side, other), (1 - 2 * gamma) * share * d,
+                    (1 + 2 * gamma) * share * d)
             for side, other, share in ((x, y, sigma2), (y, x, sigma1)))
-        return np.concatenate([x, y]), degrees_ok
+        return view, degrees_ok
 
-    return _subgraph_trials(g, "bipartite-induced", trials, seed, sigma, gamma,
+    return _subgraph_trials("bipartite-induced", trials, seed, sigma, gamma,
                             lam_bound, False, draw)

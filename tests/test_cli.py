@@ -107,7 +107,8 @@ def test_hamilton_bad_config_key(paley401_file, tmp_path):
 
 @pytest.mark.parametrize("cfg_data", [{"k": "abc"}, {"seed": 1.5},
                                       {"reserve_fraction": None},
-                                      {"gamma_caps": {"P1": "wide"}}])
+                                      {"gamma_caps": {"P1": "wide"}},
+                                      [1], "abc", None])
 def test_hamilton_mistyped_config_value(paley401_file, tmp_path, cfg_data):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_data))
@@ -195,12 +196,20 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, text, why):
     ["submatrix", "--matrix", "{matrix}", "--mode", "two_sided_bernoulli",
      "--sigma", "0.5", "--trials", "0"],
     ["match", "--graph", "{graph}", "--left", "0,1", "--right", "500"],
+    ["certify", "{dir}"],
+    ["submatrix", "--matrix", "{dir}", "--mode", "two_sided_bernoulli",
+     "--sigma", "0.5"],
+    ["--config", "{dir}", "hamilton", "{graph}"],
+    ["--out", "{dir}", "certify", "{graph}"],
 ], ids=["gen-paley-no-q", "gen-regular-no-d", "eml-no-samples",
         "subsample-no-trials", "subsample-negative-trials",
-        "submatrix-no-trials", "match-vertex-out-of-range"])
+        "submatrix-no-trials", "match-vertex-out-of-range",
+        "certify-directory", "submatrix-directory", "config-directory",
+        "out-directory"])
 def test_bad_arguments_exit_2(paley13_file, tmp_path, capsys, argv):
     matrix = tmp_path / "b.txt"
     matrix.write_text("2 2\n1 0\n0 1\n")
-    argv = [a.format(graph=paley13_file, matrix=matrix) for a in argv]
+    argv = [a.format(graph=paley13_file, matrix=matrix, dir=tmp_path)
+            for a in argv]
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -6,7 +6,10 @@ at config seed 0, for Paley 401 runs that fail on each partition and
 repartition check (their trace details name the failed check, the retry
 and the offending value), and of the graph file `write_graph` writes for
 Paley 401; and the exact bits of the spectral certificates of Paley 1009
-and 2029 at the CLI's certificate seeds. Neighbour order feeds
+and 2029 at the CLI's certificate seeds. Below the cycle: the maximum
+matching, Hall violators and bipartite certificates of seeded vertex
+pairs of Paley 401 and 1009, and the trials of both subgraph
+experiments. Neighbour order feeds
 Hopcroft-Karp and the connector's shuffles, so a change of tie-breaking
 anywhere in the pipeline changes these digests. `scripts/golden_digests.py`
 prints the same digests for the larger criterion-9 table.
@@ -14,9 +17,10 @@ prints the same digests for the larger criterion-9 table.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from expanderlab import graphs, hamilton
+from expanderlab import graphs, hamilton, matching, sampling
 from expanderlab.rng import derive_seed
 
 PIPELINE_401 = {
@@ -75,6 +79,34 @@ CERTIFICATE_BITS = {
     (2029, 11): ("0x1.705afa3177ba8p+4", "0x1.227fa9329edf9p-36"),
 }
 GRAPH_FILE_401 = "44cbc459178be8675b49c3bbbd8c7b766f6579b5525dd58ee145dd1c3d556294"
+# SHA-256 of the maximum matching, the (left, right) Hall violators and the
+# three bipartite certificates of the pair (perm[:a], perm[a:a + b]), perm
+# drawn with the view seed, as scripts/golden_digests.py prints them.
+PAIRS = {
+    (401, 3, 6, 6): (
+        "4f8a464f08ed7498ee6ba3f4ddea48077291d3fbdf0ad7fe7c974f8663dec50d",
+        "0c4f83368c7d9a3866da819944653c3d291ede6db32ed58351b053aff234adc4",
+        "e2d6a6456d912f575fc1451bcde91811d85928a8d70eb684c9cde7750eca064b"),
+    (1009, 1, 30, 18): (
+        "3e12955ea57c7134d75a5deae5101a57254fa7741613240996bbac6477a23f09",
+        "9984c368e99177611aaf63873a19389965650ce0a75df2adf9e0f78bf9a69ab6",
+        "66693f9a723ea50afb094a33e35fec29c1300c43ab5e90c2c3e1d10ae806f250"),
+    (1009, 4, 4, 4): (
+        "bb7674ffeda642ab542ccefa8313ed3d82d4a79a48c2fb93ba8a35f4424d0dc9",
+        "bf83f71455fa80612aba66e4a3c02e7c72dd80c28592c35d3f00b09d4686fed0",
+        "f5ad01439c8ea759c06b0dff554ba4fbc6a8e2ad5069bc899d50e1bb57005965"),
+}
+BIPARTITE_WINDOWS = [(0.3, 1.0), (2.0, 1.0), (2.0, 3.0)]   # (gamma, lambda / sqrt(d'))
+# SHA-256 of the trials' (float.hex s2, degrees_ok) of three-trial
+# experiments at gamma_target 0.1, as scripts/golden_digests.py prints them.
+EXPERIMENTS = {
+    (401, "induced-subgraph", 1):
+        "155b3473b10ba6cedd987a34572935aff8208b94549e23f2522b9a44da10f2dd",
+    (401, "bipartite-induced", 0):
+        "e7bf9f19d5fdb9eb033ab06e450712986d94f888faa6cdee548091d52d1c59a9",
+    (1009, "bipartite-induced", 0):
+        "92dee7ea65f43e9c74fa2ed00913e8086c58af63cf672005751454a4790671f8",
+}
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +150,39 @@ def test_certificate_bits(q, cli_seed):
     cert = graphs.certify_expander(graphs.gen_paley(q),
                                    seed=derive_seed(cli_seed, "certify") % 2 ** 31)
     assert (cert.lambda_hat.hex(), cert.residual.hex()) == CERTIFICATE_BITS[q, cli_seed]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _certified(q):
+    g = graphs.gen_paley(q)
+    return g, graphs.certify_expander(g, seed=derive_seed(0, "certify") % 2 ** 31)
+
+
+@pytest.mark.parametrize("q, view_seed, a, b", sorted(PAIRS))
+def test_pair_matching_and_certificate_digests(q, view_seed, a, b):
+    g, cert = _certified(q)
+    perm = np.random.default_rng(view_seed).permutation(g.n)
+    view = graphs.BipartiteView(parent=g, left=perm[:a], right=perm[a:a + b])
+    violators = [matching.hall_violator(view, side) for side in ("left", "right")]
+    d = cert.d * (a + b) / g.n
+    certificates = [graphs.certify_bipartite_expander(view, d, gamma, scale * d ** 0.5)
+                    for gamma, scale in BIPARTITE_WINDOWS]
+    assert (_sha256(matching.max_matching(view).to_json()),
+            _sha256(repr([None if s is None else sorted(s) for s in violators])),
+            _sha256(repr(certificates))) == PAIRS[q, view_seed, a, b]
+
+
+@pytest.mark.parametrize("q, label, seed", sorted(EXPERIMENTS))
+def test_subgraph_experiment_digests(q, label, seed):
+    g, cert = _certified(q)
+    if label == "induced-subgraph":
+        exp = sampling.induced_subgraph_experiment(
+            g, cert, 0.5, trials=3, seed=seed, gamma_target=0.1)
+    else:
+        exp = sampling.bipartite_induced_experiment(
+            g, cert, 0.25, 0.25, trials=3, seed=seed, gamma_target=0.1)
+    trials = [(r.s2.hex(), r.degrees_ok) for r in exp.per_trial]
+    assert _sha256(repr(trials)) == EXPERIMENTS[q, label, seed]

@@ -2,12 +2,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlab import graphs, linalg, mixing
+from expanderlab import graphs, linalg, matching, mixing
 from expanderlab.errors import (BadResidueClass, NotPrime, ParityViolation,
                                 UnknownName)
 
@@ -198,14 +199,14 @@ def _parent_window_violation(g, left, right, d, n, gamma):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
        st.data())
-def test_induced_pair_matches_parent_graph(n, p, seed, data):
+def test_bipartite_view_matches_parent_graph(n, p, seed, data):
     rng = np.random.default_rng(seed)
     g = graphs.Graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
     a = data.draw(st.integers(0, n))
     b = data.draw(st.integers(0, n - a))
     perm = rng.permutation(n)
     left, right = perm[:a], perm[a:a + b]     # unsorted, any sizes, maybe empty
-    pair = graphs.InducedPair(g, left, right)
+    pair = graphs.BipartiteView(g, left, right)
     halves = (left[:(a + 1) // 2], right[:b // 2])
     for side, other in ((left, right), (right, left), halves, halves[::-1]):
         assert pair.degrees(side, other).tolist() == \
@@ -226,6 +227,28 @@ def test_induced_pair_matches_parent_graph(n, p, seed, data):
     dense = g.adjacency_dense()[np.ix_(members, members)]
     s2 = np.sort(np.abs(np.linalg.eigvalsh(dense)))[-2] if a + b >= 2 else 0.0
     assert abs(pair.s2(1e-8, seed=0) - s2) < 1e-8
+
+    on_right = set(right.tolist())
+    adj = pair.cross_adjacency()
+    assert list(adj) == sorted(left.tolist())
+    assert adj == {u: [v for v in g.neighbors(u).tolist() if v in on_right]
+                   for u in left.tolist()}
+
+    cross = nx.Graph()
+    cross.add_nodes_from(perm[:a + b].tolist())
+    cross.add_edges_from((u, v) for u in left.tolist() for v in right.tolist()
+                         if g.has_edge(u, v))
+    m = matching.max_matching(pair)
+    assert matching.verify_matching(m, g, left, right)
+    assert 2 * m.size == len(nx.bipartite.maximum_matching(cross, left.tolist()))
+    for side, own, other in (("left", left, right), ("right", right, left)):
+        violator = matching.hall_violator(pair, side)
+        if m.size == len(own):
+            assert violator is None
+        else:
+            assert violator is not None and violator <= set(own.tolist())
+            reached = set(np.concatenate([g.neighbors(u) for u in violator]).tolist())
+            assert len(reached & set(other.tolist())) < len(violator)
 
 
 def _audit_ordered_count(g, s, t):
