@@ -1,14 +1,17 @@
 """Print one digest line per Hamilton-pipeline run, for before/after diffs.
 
-Each line holds q, the config as compact JSON, the outcome and the
-SHA-256 of the trace JSON plus the cycle line (as `expanderlab hamilton`
-prints them). The runs are the criterion-9 table (Paley q in {401, 1009,
-2029}, config seeds 0-9) and Paley 401 configs that fail on each
-partition and repartition check, on the perfect-matching gamma cap and
-on the lambda/d gate. Then one line per spectral certificate holds q,
-the CLI seed and `float.hex` of `certify_expander`'s lambda_hat and
-residual, for Paley q in {13, 101, 401, 1009, 2029} at the certificate
-seeds `expanderlab --seed 0` and `--seed 11` use. Below the cycle, on
+Each line holds q, the config as compact JSON, the outcome, the SHA-256
+of the trace JSON plus the cycle line (as `expanderlab hamilton` prints
+them) and, in its own column, the SHA-256 of the outcome, the cycle line
+and the ordered (phase, check) of the trace's failed records, which a
+change of the trace's shape alone leaves as it is. The runs are the
+criterion-9 table (Paley q in {401, 1009, 2029}, config seeds 0-9) and
+Paley 401 configs that fail on each partition and repartition check, on
+the perfect-matching gamma cap and on the lambda/d gate. Then one line
+per spectral certificate holds q, the CLI seed and `float.hex` of
+`certify_expander`'s lambda_hat and residual, for Paley q in {13, 101,
+401, 1009, 2029} at the certificate seeds `expanderlab --seed 0` and
+`--seed 11` use. Below the cycle, on
 seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
 pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
@@ -55,13 +58,17 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_digest(g, cfg_data: dict) -> tuple:
-    """(outcome, SHA-256 of trace JSON plus cycle line) of one pipeline run."""
+def run_digests(g, cfg_data: dict) -> tuple:
+    """(outcome, trace digest, cycle digest) of one pipeline run: the
+    SHA-256 of the trace JSON plus cycle line, and of repr((outcome, cycle
+    line or None, [(phase, check) of each failed record, in order]))."""
     result = hamilton.hamilton_pipeline(g, hamilton.PipelineConfig(**cfg_data))
-    text = result.trace.to_json() + "\n"
-    if result.cycle is not None:
-        text += result.cycle.to_line() + "\n"
-    return result.trace.outcome, sha256(text)
+    line = None if result.cycle is None else result.cycle.to_line()
+    text = result.trace.to_json() + "\n" + ("" if line is None else line + "\n")
+    failed = [(c["phase"], c["check"]) for c in result.trace.data["checks"]
+              if not c["holds"]]
+    return (result.trace.outcome, sha256(text),
+            sha256(repr((result.trace.outcome, line, failed))))
 
 
 def certificate_bits(g, cli_seed: int) -> tuple:
@@ -114,9 +121,8 @@ def main():
     paley = {}
     for q, cfg_data in runs:
         g = paley.setdefault(q, graphs.gen_paley(q))
-        outcome, digest = run_digest(g, cfg_data)
         print(q, json.dumps(cfg_data, sort_keys=True, separators=(",", ":")),
-              outcome, digest)
+              *run_digests(g, cfg_data))
     for q in (13, 101, 401, 1009, 2029):
         g = paley.get(q) or graphs.gen_paley(q)
         for cli_seed in (0, 11):

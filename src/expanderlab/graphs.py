@@ -248,11 +248,6 @@ class BipartiteView:
                 return int(np.asarray(side)[bad[0]]), int(deg[bad[0]]), lo, hi
         return None
 
-    def window_message(self, d: float, n: int, gamma: float, sides=None):
-        """The first window violation as trace text, or None."""
-        bad = self.window_violation(d, n, gamma, sides=sides)
-        return bad and f"deg({bad[0]})={bad[1]} outside [{bad[2]:.3f}, {bad[3]:.3f}]"
-
     def observed_gamma(self, d: float, n: int) -> float:
         """Largest relative deviation of a cross degree between L and R
         from its target d * |other| / n."""
@@ -395,11 +390,12 @@ def check_certificate(g: Graph, cert: SpectralCertificate, tol: float = 1e-6) ->
 
 def degree_window_violation(g: Graph, vertices, targets, lo: float, hi: float):
     """First of `vertices`, in their given order, whose degree into
-    `targets` leaves [lo, hi], as (vertex, degree); None if none does."""
+    `targets` leaves [lo, hi], as (vertex, degree, lo, hi) like
+    `BipartiteView.window_violation`; None if none does."""
     vs = np.asarray(vertices, dtype=np.int64)
     deg = g.cross_degree(vs, targets)
     bad = np.flatnonzero((deg < lo) | (deg > hi))
-    return (int(vs[bad[0]]), int(deg[bad[0]])) if bad.size else None
+    return (int(vs[bad[0]]), int(deg[bad[0]]), lo, hi) if bad.size else None
 
 
 def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,

@@ -6,8 +6,9 @@ the middle region into blocks of exactly k vertices (the size of X and
 Y), a path cover that chains one perfect matching per consecutive pair
 X -> B_1 -> ... -> B_{t-2} -> Y, and cycle closing through the
 connector. Vertex sets travel between phases as sorted int arrays.
-Every phase verifies concrete properties of the sampled sets and logs
-them into a schema-versioned trace; failures name the violated check
+Every phase checks the degree windows (P1, P5, Q3-Q5) and induced s2
+caps (P2, Q4) of the sets it samples, and the trace (schema 2) records
+only checks that ran and could fail; failures name the violated check
 and never produce an unverified cycle. Each sampled pair (P5, a Q4/Q5
 block pair, a path-cover link) and P2's set S, as the pair (S, {}), is
 one `graphs.BipartiteView`, which reads the subgraph the pair induces
@@ -36,7 +37,7 @@ from .graphs import (BipartiteView, Graph, certify_expander,
                      degree_window_violation)
 from .rng import derive_seed, generator
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Desk-profile tolerances. Blocks of size ~sqrt(n) have cross-degree
 # fluctuations of several standard deviations relative to tiny means,
@@ -47,7 +48,6 @@ CONSTANT_DEFAULTS = {
     "lambda_ratio_cap": 0.2,    # certification gate and matching s2 caps
     "p2_scale": 1.2,            # s2(G[X u Y u R1]) <= p2_scale * lambda
     "pm_gamma_cap": 1.2,        # cross-degree tolerance for perfect matchings
-    "q1_overlap_cap": 0.0,      # allowed reserve overlap per block, as k fraction
     "q_pair_sample": 40,        # block pairs checked when t > 12
 }
 
@@ -103,6 +103,9 @@ class PipelineConfig:
         for key in self.constant_overrides:
             if key not in CONSTANT_DEFAULTS:
                 raise ConfigError(f"unknown constant override {key!r}")
+        sample = self.constant("q_pair_sample")
+        if not _is_number(sample, numbers.Integral) or sample < 1:
+            raise ConfigError(f"q_pair_sample={sample!r} is not a positive integer")
 
     def gamma(self, key: str) -> float:
         return self.gamma_caps.get(key, GAMMA_DEFAULTS[key])
@@ -129,7 +132,6 @@ class SizePlan:
     k: int
     t: int              # total block count, middle blocks are 2..t-1
     reserve_size: int
-    k5: int             # max(1, k // 5); recorded in the trace, read by no phase
 
 
 def plan_sizes(n: int, cfg: PipelineConfig) -> SizePlan:
@@ -151,7 +153,7 @@ def plan_sizes(n: int, cfg: PipelineConfig) -> SizePlan:
         raise ConfigError(
             f"reserve of {reserve} cannot be consumed by {k} closing paths "
             f"of length <= {cfg.l_max}")
-    return SizePlan(k=k, t=t, reserve_size=reserve, k5=max(1, k // 5))
+    return SizePlan(k=k, t=t, reserve_size=reserve)
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,6 @@ class PipelineTrace:
             "config": cfg.to_dict(),
             "plan": None,
             "checks": [],
-            "m_sizes": None,
             "n_sizes": None,
             "connector": None,
             "outcome": "incomplete",
@@ -223,6 +224,19 @@ class _Rejected(Exception):
     """A sampled set failed one check: args are (check, detail)."""
 
 
+def _window(check: str, where: str, bad) -> None:
+    """Reject on a window violation (vertex, degree, lo, hi); None passes."""
+    if bad is not None:
+        v, deg, lo, hi = bad
+        raise _Rejected(check, f"{where}deg({v})={deg} outside [{lo:.3f}, {hi:.3f}]")
+
+
+def _s2_cap(check: str, where: str, s2: float, cap: float) -> None:
+    """Reject when an induced subgraph's s2 exceeds its cap."""
+    if s2 > cap:
+        raise _Rejected(check, f"{where}s2={s2:.4f} > {cap:.4f}")
+
+
 def _retry(phase: str, retries: int, trace: PipelineTrace, attempt):
     """Return attempt(retry) for the first retry it does not reject; each
     rejection is logged as a failed check of `phase`."""
@@ -241,10 +255,10 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
 
     P1: every degree into the reserve R is proportional within the P1
     gamma cap. P2: s2 of the induced graph on X u Y u R stays under
-    p2_scale * lambda. P5: (X, Y) is a bipartite expander. P3/P4 of the
-    underlying claim quantify over exponentially many subset families
-    and are replaced by direct checks on the concrete sets sampled in
-    the later phases.
+    p2_scale * lambda. P5: (X, Y) is a bipartite expander. The claim's
+    P3/P4 quantify over exponentially many subset families; nothing
+    checks them here, because Q3-Q5 and the path cover's perfect
+    matchings check the concrete sets those families stand for.
     """
     plan = plan_sizes(g.n, cfg)
     trace.data["plan"] = asdict(plan)
@@ -258,44 +272,35 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
         perm = generator(cfg.seed, "partition", retry).permutation(n)
         parts = Parts(*(np.sort(part) for part in
                         np.split(perm, [k, 2 * k, 2 * k + r])))
-        bad = degree_window_violation(g, range(n), parts.reserve,
-                                      (1 - 2 * g1) * target, (1 + 2 * g1) * target)
-        if bad is not None:
-            raise _Rejected("P1", f"deg({bad[0]}, R1)={bad[1]} outside "
-                                  f"(1±{2 * g1:.2f})*{target:.3f}")
+        _window("P1", "into R: ", degree_window_violation(
+            g, range(n), parts.reserve, (1 - 2 * g1) * target, (1 + 2 * g1) * target))
         seed2 = derive_seed(cfg.seed, "partition-p2", retry) % (2 ** 31)
         s2 = BipartiteView(g, perm[:2 * k + r], ()).s2(1e-8, seed2)
-        if s2 > cap:
-            raise _Rejected("P2", f"s2={s2:.4f} > {cap:.4f}")
-        bad = BipartiteView(g, parts.x, parts.y).window_message(d, n, g5)
-        if bad is not None:
-            raise _Rejected("P5", bad)
+        _s2_cap("P2", "", s2, cap)
+        _window("P5", "", BipartiteView(g, parts.x, parts.y).window_violation(d, n, g5))
         return parts, s2
 
     parts, s2 = _retry("partition", cfg.max_partition_retries, trace, attempt)
     trace.check("partition", "P1", True, f"window ±{2 * g1:.2f} around {target:.3f}")
     trace.check("partition", "P2", True, f"s2={s2:.4f} <= {cap:.4f}")
-    trace.check("partition", "P3", True, "deferred to repartition checks")
-    trace.check("partition", "P4", True, "deferred to repartition checks")
     trace.check("partition", "P5", True, f"cross-degree gamma cap {g5}")
     return parts
 
 
-def repartition_phase(g: Graph, cert, parts: Parts, connector,
-                      cfg: PipelineConfig, trace: PipelineTrace) -> np.ndarray:
+def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
+                      trace: PipelineTrace) -> np.ndarray:
     """Split the middle region into t - 2 blocks of k vertices with
     verified properties; returns them as a (t - 2) x k array of sorted rows.
 
-    Q1: block overlap with the connector reserve under the configured
-    cap (zero here, since the reserve is disjoint by construction).
-    Q2: half sizes exact. Q3: degrees into block halves within the Q3
-    window. Q4/Q5: block pairs and half pairs are bipartite expanders;
-    all pairs when t <= 12, a seeded sample above.
+    The blocks and the reserve are disjoint parts of one permutation, and
+    every block splits into halves of (k + 1) // 2 and k // 2 vertices,
+    so neither needs a check. Q3: degrees into the first halves within
+    the Q3 window. Q4/Q5: block pairs and first-half pairs are bipartite
+    expanders; all pairs when t <= 12, a seeded sample above.
     """
     plan = plan_sizes(g.n, cfg)
     n, d = g.n, cert.d
     k, t, half = plan.k, plan.t, (plan.k + 1) // 2
-    overlap_cap = cfg.constant("q1_overlap_cap") * k
     vertices = np.sort(np.concatenate([parts.x, parts.y, parts.middle]))
     g3, g4, g5 = cfg.gamma("Q3"), cfg.gamma("Q4"), cfg.gamma("Q5")
     cap = cfg.constant("lambda_ratio_cap") * d
@@ -306,40 +311,25 @@ def repartition_phase(g: Graph, cert, parts: Parts, connector,
         rng = generator(cfg.seed, "repartition", retry)
         blocks = parts.middle[rng.permutation(len(parts.middle))].reshape(t - 2, k)
         blocks.sort(axis=1)
-
-        overlap = np.isin(blocks, connector.reserved).sum(axis=1)
-        q1_bad = np.flatnonzero(overlap > overlap_cap).tolist()
-        if q1_bad:
-            raise _Rejected("Q1", f"blocks {q1_bad} overlap the reserve")
         for i, h1 in enumerate(blocks[:, :half]):
-            bad = degree_window_violation(g, vertices, h1, lo, hi)
-            if bad is not None:
-                raise _Rejected("Q3", f"deg({bad[0]}, half of block {i})="
-                                      f"{bad[1]} outside [{lo:.3f}, {hi:.3f}]")
+            _window("Q3", f"half of block {i}: ",
+                    degree_window_violation(g, vertices, h1, lo, hi))
 
         pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
         if t > 12:
-            sample = min(len(pairs), int(cfg.constant("q_pair_sample")))
+            sample = min(len(pairs), cfg.constant("q_pair_sample"))
             idx = rng.choice(len(pairs), size=sample, replace=False)
             pairs = [pairs[int(i)] for i in sorted(idx)]
         for i, j in pairs:
             pair = BipartiteView(g, blocks[i], blocks[j])
-            bad = pair.window_message(d, n, g4)
-            if bad is not None:
-                raise _Rejected("Q4", f"pair ({i},{j}): {bad}")
+            _window("Q4", f"pair ({i},{j}): ", pair.window_violation(d, n, g4))
             seed4 = derive_seed(cfg.seed, f"q4-{retry}-{i}-{j}") % (2 ** 31)
-            s2 = pair.s2(1e-8, seed4)
-            if s2 > cap:
-                raise _Rejected("Q4", f"pair ({i},{j}): s2={s2:.3f} > {cap:.3f}")
-            bad = pair.window_message(d, n, g5,
-                                      sides=(blocks[i, :half], blocks[j, :half]))
-            if bad is not None:
-                raise _Rejected("Q5", f"half pair ({i},{j}): {bad}")
+            _s2_cap("Q4", f"pair ({i},{j}): ", pair.s2(1e-8, seed4), cap)
+            _window("Q5", f"half pair ({i},{j}): ", pair.window_violation(
+                d, n, g5, sides=(blocks[i, :half], blocks[j, :half])))
         return blocks, len(pairs)
 
     blocks, checked = _retry("repartition", cfg.max_repartition_retries, trace, attempt)
-    trace.check("repartition", "Q1", True, f"reserve overlap cap {overlap_cap}")
-    trace.check("repartition", "Q2", True, f"halves of sizes {half}, {k // 2}")
     trace.check("repartition", "Q3", True, f"gamma cap {g3}")
     trace.check("repartition", "Q4", True, f"{checked} pairs, s2 cap {cap:.3f}")
     trace.check("repartition", "Q5", True, f"gamma cap {g5}")
@@ -372,14 +362,9 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
         edges = np.array(pm.edges)        # sorted by left vertex
         columns.append(edges[np.searchsorted(edges[:, 0], columns[-1]), 1])
     paths = np.column_stack(columns)
-    # Every side has k vertices, so no block needs a surplus matching
-    # M_i; the schema-v1 trace keeps their sizes as zeros.
-    m_sizes = [0] * (len(chain) - 2)
-    trace.data["m_sizes"] = m_sizes
     trace.data["n_sizes"] = n_sizes
     trace.check("path_cover", "sizes", True,
-                f"n_i={[len(u) for u in chain[:-1]]}, |M_i|={m_sizes}, "
-                f"|N_i|={n_sizes}")
+                f"n_i={[len(u) for u in chain[:-1]]}, |N_i|={n_sizes}")
     trace.check("path_cover", "coverage", True,
                 f"{len(paths)} disjoint paths over {np.unique(paths).size} vertices")
     return extend.PathSystem(paths=tuple(map(tuple, paths.tolist())))
@@ -461,7 +446,7 @@ def hamilton_pipeline(g: Graph, cfg: PipelineConfig | None = None
             seed=derive_seed(cfg.seed, "connector") % (2 ** 31),
             consume_all=True, min_reserve_ratio=cfg.min_reserve_ratio)
         phase = "repartition"
-        blocks = repartition_phase(g, cert, parts, connector, cfg, trace)
+        blocks = repartition_phase(g, cert, parts, cfg, trace)
         phase = "path_cover"
         paths = path_cover_phase(g, cert, parts, blocks, cfg, trace)
         phase = "close"

@@ -234,15 +234,14 @@ def _subgraph_trials(label: str, trials: int, seed: int, sigma, gamma,
 
 def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
                                 sigma: float, trials: int = 200,
-                                seed: int = 0, gamma_target: float = 0.05,
-                                constant_c: float = 1.0
+                                seed: int = 0, gamma_target: float = 0.05
                                 ) -> SubgraphExperiment:
     """Spot-check that uniform sigma*n-subsets induce (sigma*n, (1±2gamma)sigma*d, 6 sigma lambda)-graphs.
 
     gamma defaults to the certificate's gamma_hat; for exactly regular
     inputs (gamma_hat = 0) the window would be a single point, so
     `gamma_target` is substituted. Hypothesis satisfaction (sigma*d >=
-    C gamma^-2 ln n and sigma*lambda >= C sqrt(sigma*d ln n)) is
+    C gamma^-2 ln n and sigma*lambda >= C sqrt(sigma*d ln n), C = 1) is
     reported separately from the conclusion.
     """
     if cert.n != g.n:
@@ -258,8 +257,8 @@ def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
     hi = (1 + 2 * gamma) * sigma * d
     lam_bound = 6 * sigma * lam
     log_n = math.log(n)
-    hyp = (sigma * d >= constant_c * gamma ** -2 * log_n
-           and sigma * lam >= constant_c * math.sqrt(sigma * d * log_n))
+    hyp = (sigma * d >= gamma ** -2 * log_n
+           and sigma * lam >= math.sqrt(sigma * d * log_n))
 
     def draw(rng):
         view = BipartiteView(g, rng.permutation(n)[:m], ())

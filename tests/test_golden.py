@@ -5,17 +5,20 @@ prints them) for Paley 401 at config seeds 0-2, for Paley 1009 and 2029
 at config seed 0, for Paley 401 runs that fail on each partition and
 repartition check (their trace details name the failed check, the retry
 and the offending value), and of the graph file `write_graph` writes for
-Paley 401; and the exact bits of the spectral certificates of Paley 1009
-and 2029 at the CLI's certificate seeds. Below the cycle: the maximum
-matching, Hall violators and bipartite certificates of seeded vertex
-pairs of Paley 401 and 1009, and the trials of both subgraph
-experiments. Neighbour order feeds
+Paley 401. Apart from the trace, the SHA-256 of each of those 13 runs'
+outcome, cycle line and ordered (phase, check) of its failed records,
+which a change of the trace's shape alone leaves as they are. The exact
+bits of the spectral certificates of Paley 1009 and 2029 at the CLI's
+certificate seeds. Below the cycle: the maximum matching, Hall violators
+and bipartite certificates of seeded vertex pairs of Paley 401 and 1009,
+and the trials of both subgraph experiments. Neighbour order feeds
 Hopcroft-Karp and the connector's shuffles, so a change of tie-breaking
 anywhere in the pipeline changes these digests. `scripts/golden_digests.py`
 prints the same digests for the larger criterion-9 table.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -24,50 +27,88 @@ from expanderlab import graphs, hamilton, matching, sampling
 from expanderlab.rng import derive_seed
 
 PIPELINE_401 = {
-    0: "f85d4b4d3fdf8de78055e5136911a8617e8b8b8735595373ac19b0c3a1a7b5d6",
-    1: "ef4ba9015a0b02b3cb128fa2f01ea332ab2d38a1281ffe80b1e6dad737e3c8c3",
-    2: "d8f26f5c8118d5097746ef3ac0d6a59be84dd7a6935a9c41b0a928eb6918659a",
+    0: "bbbd405827e77ca4ebf7e2099ff461103e0f46e9d1ccaf5f82a783cc01a180db",
+    1: "0eb38211c4126bb09575cf8a8744bef6bead827c117174b8e6ef5ac33f5de06d",
+    2: "f195dc8b730f3aa0a79024f3949bc217434e55ba54f2b03a367562b097ff049a",
 }
-# (config, outcome, digest) of one run failing on each check named by its id.
-FAILURES_401 = [
-    pytest.param({"seed": 0, "gamma_caps": {"P1": 0.02}},
-                 "failed:partition:PartitionRetriesExhausted",
-                 "d4bdffe7859546111a803be3388d27518a95f507975d1daa7d994f8f2e1d8720",
-                 id="P1"),
-    pytest.param({"seed": 0, "gamma_caps": {"P5": 0.05}},
-                 "failed:partition:PartitionRetriesExhausted",
-                 "33d481f40a2ec6da7e14f63ce37a1b69dad282e0a1faeb106390ec74f2e5dcb3",
-                 id="P5"),
-    pytest.param({"seed": 0, "gamma_caps": {"Q3": 0.1}},
-                 "failed:repartition:PartitionRetriesExhausted",
-                 "2265b58ccf0cba3c3facbc94042941961385a4c1e331e2eb9bb71dd591b80841",
-                 id="Q3"),
-    pytest.param({"seed": 0, "gamma_caps": {"Q4": 0.1}},
-                 "failed:repartition:PartitionRetriesExhausted",
-                 "1fd8611e52bc91b28eb6dabeff0b4eac086e95d3c487a6120d3da2e287797a62",
-                 id="Q4"),
-    pytest.param({"seed": 0, "gamma_caps": {"Q5": 0.1}},
-                 "failed:repartition:PartitionRetriesExhausted",
-                 "3f50a5a93080569f9f16a0febfcecb8a7382d2c2796c17850ec1c25d339289ee",
-                 id="Q5"),
-    pytest.param({"seed": 1, "constant_overrides": {"p2_scale": 0.5}},
-                 "failed:partition:PartitionRetriesExhausted",
-                 "7bc1e22e62bdf67ec493bebd7d6bb0bef0c56a7df0e29c7bdd50b8033339f99e",
-                 id="P2"),
-    pytest.param({"seed": 1, "constant_overrides": {"pm_gamma_cap": 0.05}},
-                 "failed:path_cover:PreconditionViolated",
-                 "4dadf82853975b1ec77bacf6c2319b8e2ad87982835940ff0d602e48f02042ef",
-                 id="pm_gamma_cap"),
-    pytest.param({"seed": 0, "constant_overrides": {"lambda_ratio_cap": 0.03}},
-                 "failed:certification:PreconditionViolated",
-                 "a585e7bda6a50c61c98f785c388bc85ed3e3640e0e562add2a72dddba3ceaa76",
-                 id="lambda_ratio_cap"),
-]
+# Config of one Paley 401 run failing on each check named by its key.
+FAILURE_CONFIGS = {
+    "P1": {"seed": 0, "gamma_caps": {"P1": 0.02}},
+    "P5": {"seed": 0, "gamma_caps": {"P5": 0.05}},
+    "Q3": {"seed": 0, "gamma_caps": {"Q3": 0.1}},
+    "Q4": {"seed": 0, "gamma_caps": {"Q4": 0.1}},
+    "Q5": {"seed": 0, "gamma_caps": {"Q5": 0.1}},
+    "P2": {"seed": 1, "constant_overrides": {"p2_scale": 0.5}},
+    "pm_gamma_cap": {"seed": 1, "constant_overrides": {"pm_gamma_cap": 0.05}},
+    "lambda_ratio_cap": {"seed": 0, "constant_overrides": {"lambda_ratio_cap": 0.03}},
+}
+# (outcome, trace digest) of each run of FAILURE_CONFIGS.
+FAILURES_401 = {
+    "P1": (
+        "failed:partition:PartitionRetriesExhausted",
+        "cec6caa73308b9f4fee65c055907aa90524703041333b90829ed29b2d1dcccb6"),
+    "P5": (
+        "failed:partition:PartitionRetriesExhausted",
+        "cf946760dac4112b3d70c90e364a3e59c51592f8f4ad3d4810fe9b7f349d4d37"),
+    "Q3": (
+        "failed:repartition:PartitionRetriesExhausted",
+        "24abee1bd0529fa7183f9bf6e04db9b134764039a3c4935dede1e5abc946e035"),
+    "Q4": (
+        "failed:repartition:PartitionRetriesExhausted",
+        "3116dfb9cc11a3fc0e70e72f624c1512dd9ed48da062e781c112b63952f5ee99"),
+    "Q5": (
+        "failed:repartition:PartitionRetriesExhausted",
+        "8bab90ad080f53db315ec4b6e62c8e9d7432b5d33b0ac4b58f0afa80107ba059"),
+    "P2": (
+        "failed:partition:PartitionRetriesExhausted",
+        "6dae5c18b9bb37bc5141212a57a5beeb6fd5fb7c15f99f4cedc4d1c376001fba"),
+    "pm_gamma_cap": (
+        "failed:path_cover:PreconditionViolated",
+        "db7b06e7111b17ecbcc5f8e2406a18bda793af575c0f12b55a3de3dc1806a468"),
+    "lambda_ratio_cap": (
+        "failed:certification:PreconditionViolated",
+        "8fdd743e5ae1c2e9e1e1b6e528e5c70c5a83043f5be9ae3f59556d1d878bd0d6"),
+}
 # Seed-0 runs on the larger criterion-9 graphs, as scripts/golden_digests.py
 # prints them.
 PIPELINE_SEED0 = {
-    1009: "be2b8992c3f323dfbcb5c4bafbc42fc0438a47608a2d86a0b71a74ae34f5b3c4",
-    2029: "c28f32b819035f81e110bfcdf0865c20fbbb175befce855c0c1280269c2a135b",
+    1009: "129974a4b2effc8a97a8a89c773523a0bd92fcda9914f168c0337148b4588950",
+    2029: "6ddb0dead4b59f95fa265d0faedd4eb8c0ee3ed7fab9fcc4bc854911065f07d7",
+}
+# The 13 runs above by name, as (q, config).
+RUNS = {**{f"401-seed{s}": (401, {"seed": s}) for s in PIPELINE_401},
+        **{f"{q}-seed0": (q, {"seed": 0}) for q in PIPELINE_SEED0},
+        **{name: (401, cfg) for name, cfg in FAILURE_CONFIGS.items()}}
+# SHA-256 of repr((outcome, cycle line or None, [(phase, check) of each
+# failed record, in order])) of each run of RUNS, as
+# scripts/golden_digests.py prints them. The trace's shape does not enter.
+CYCLES = {
+    "401-seed0":
+        "65c2f847394dba7f4d99b3ed288cfcdc00aa61db3c57e7fdd3ebed3d68e14154",
+    "401-seed1":
+        "58fcb4b656be160f63a8a682ce7c4fe48ed35fb860f3becdc29bce5c467bf067",
+    "401-seed2":
+        "44db3479b0b1b693c7fd471bd52515e45c0dd63deed90bca5f5d8800eb198621",
+    "1009-seed0":
+        "6672540d5dc5512af8bcee9fcc633ffc6cefe0a02444630cf7deed8f9e47de69",
+    "2029-seed0":
+        "be93879c222e107cad719bf519878b96af5a7508d996057970f274cc4a66ec52",
+    "P1":
+        "a15cbc18132d3fac1c61e366a23aa0ad354937398b40f30d41e2b6450f10d32e",
+    "P5":
+        "f24711653de347975520c8f1df3efd499f1f1f7a177c5149ca167439c9c8fdca",
+    "Q3":
+        "84163e36d1f9583774fb6b1bf87c2370650b674abbd86db241ab57acf64e1884",
+    "Q4":
+        "ea771972e165a3e9428f2d452eb79d0243779c554c0087b5bf87caf5cccf5b68",
+    "Q5":
+        "b149e08beebca8e51d25f9ce410b55824c52552dd843aa8631bf10e7baa50ef3",
+    "P2":
+        "2fa5d3db5cc6510f0554edcd7e3358ea393e25af899116218f9df9d810620516",
+    "pm_gamma_cap":
+        "88606959230952a2b0613595e248e12bed3a403a978326d37d474d27d413dfac",
+    "lambda_ratio_cap":
+        "c94fa765c14ee2239dd6a4afba0ed182433298192651a0dde0717b40a5742838",
 }
 # float.hex of certify_expander's (lambda_hat, residual) at the certificate
 # seed of `expanderlab --seed <cli seed>`, as scripts/golden_digests.py
@@ -114,29 +155,49 @@ def paley401():
     return graphs.gen_paley(401)
 
 
-def _digest(g, cfg):
+@pytest.fixture(scope="module")
+def run(paley401):
+    """(outcome, trace digest, cycle digest) of a pipeline run on Paley q,
+    each run made once per module."""
+    done = {}
+
+    def run(q, cfg_data):
+        key = q, json.dumps(cfg_data, sort_keys=True)
+        if key not in done:
+            g = paley401 if q == 401 else graphs.gen_paley(q)
+            done[key] = _digests(g, hamilton.PipelineConfig(**cfg_data))
+        return done[key]
+    return run
+
+
+def _digests(g, cfg):
     result = hamilton.hamilton_pipeline(g, cfg)
-    text = result.trace.to_json() + "\n"
-    if result.cycle is not None:
-        text += result.cycle.to_line() + "\n"
-    return result.trace.outcome, hashlib.sha256(text.encode()).hexdigest()
+    line = None if result.cycle is None else result.cycle.to_line()
+    text = result.trace.to_json() + "\n" + ("" if line is None else line + "\n")
+    failed = [(c["phase"], c["check"]) for c in result.trace.data["checks"]
+              if not c["holds"]]
+    return (result.trace.outcome, _sha256(text),
+            _sha256(repr((result.trace.outcome, line, failed))))
 
 
 @pytest.mark.parametrize("seed", sorted(PIPELINE_401))
-def test_pipeline_trace_and_cycle_digest(paley401, seed):
-    outcome, digest = _digest(paley401, hamilton.PipelineConfig(seed=seed))
-    assert (outcome, digest) == ("success", PIPELINE_401[seed])
+def test_pipeline_trace_and_cycle_digest(run, seed):
+    assert run(401, {"seed": seed})[:2] == ("success", PIPELINE_401[seed])
 
 
 @pytest.mark.parametrize("q", sorted(PIPELINE_SEED0))
-def test_larger_pipeline_trace_and_cycle_digest(q):
-    outcome, digest = _digest(graphs.gen_paley(q), hamilton.PipelineConfig(seed=0))
-    assert (outcome, digest) == ("success", PIPELINE_SEED0[q])
+def test_larger_pipeline_trace_and_cycle_digest(run, q):
+    assert run(q, {"seed": 0})[:2] == ("success", PIPELINE_SEED0[q])
 
 
-@pytest.mark.parametrize("cfg_data, outcome, digest", FAILURES_401)
-def test_failed_run_trace_digest(paley401, cfg_data, outcome, digest):
-    assert _digest(paley401, hamilton.PipelineConfig(**cfg_data)) == (outcome, digest)
+@pytest.mark.parametrize("name", sorted(FAILURES_401))
+def test_failed_run_trace_digest(run, name):
+    assert run(401, FAILURE_CONFIGS[name])[:2] == FAILURES_401[name]
+
+
+@pytest.mark.parametrize("name", sorted(CYCLES))
+def test_outcome_cycle_and_failed_checks_digest(run, name):
+    assert run(*RUNS[name])[2] == CYCLES[name]
 
 
 def test_graph_file_digest(paley401, tmp_path):

@@ -217,7 +217,7 @@ def test_bipartite_view_matches_parent_graph(n, p, seed, data):
     for sides in ((left, right), halves):
         miss = pair.window_violation(d, n, gamma, sides=sides)
         want = _parent_window_violation(g, *sides, d, n, gamma)
-        assert (None if miss is None else tuple(miss[:2])) == want
+        assert miss == want
     if a and b:
         assert pair.observed_gamma(d, n) == max(
             np.abs(g.cross_degree(side, other) - d * len(other) / n).max()

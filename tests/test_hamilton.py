@@ -22,7 +22,9 @@ def test_config_validation():
 @pytest.mark.parametrize("fields", [
     {"gamma_caps": {"Q4": -0.1}}, {"l_max": 0}, {"max_partition_retries": 0},
     {"max_repartition_retries": 0}, {"min_reserve_ratio": 0.0},
-    {"min_reserve_ratio": -1.0}])
+    {"min_reserve_ratio": -1.0}, {"constant_overrides": {"q_pair_sample": -1}},
+    {"constant_overrides": {"q_pair_sample": 0}},
+    {"constant_overrides": {"q_pair_sample": 0.5}}])
 def test_config_range_checks(fields):
     with pytest.raises(ConfigError):
         hamilton.PipelineConfig(**fields)
@@ -48,8 +50,9 @@ def test_config_roundtrip_and_unknown_keys():
     assert back == cfg
     with pytest.raises(ConfigError):
         hamilton.PipelineConfig.from_dict({"seed": 1, "extra": 2})
-    with pytest.raises(ConfigError, match="theta_scale"):
-        hamilton.PipelineConfig(constant_overrides={"theta_scale": 1.0})
+    for dead in ("theta_scale", "q1_overlap_cap"):
+        with pytest.raises(ConfigError, match=dead):
+            hamilton.PipelineConfig(constant_overrides={dead: 1.0})
 
 
 def test_config_gamma_and_constant_lookup():
@@ -66,7 +69,6 @@ def test_plan_sizes_partition_exactly():
         assert plan.t * plan.k + plan.reserve_size == n
         assert plan.reserve_size >= cfg.min_reserve_ratio * plan.k
         assert plan.reserve_size <= plan.k * (cfg.l_max - 1)
-        assert 1 <= plan.k5 <= plan.k
 
 
 def test_plan_sizes_rejects_tiny_graphs():
@@ -111,7 +113,6 @@ def test_path_cover_chains_perfect_matchings_over_equal_blocks():
     blocks = np.arange(8, 16).reshape(2, 4)[::-1]
     trace = hamilton.PipelineTrace(g.n, cfg)
     system = hamilton.path_cover_phase(g, cert, parts, blocks, cfg, trace)
-    assert trace.data["m_sizes"] == [0, 0]
     assert trace.data["n_sizes"] == [4, 4, 4]
     assert [p[0] for p in system.paths] == [0, 1, 2, 3]
     covered = []
