@@ -11,7 +11,9 @@ the perfect-matching gamma cap and on the lambda/d gate. Then one line
 per spectral certificate holds q, the CLI seed and `float.hex` of
 `certify_expander`'s lambda_hat and residual, for Paley q in {13, 101,
 401, 1009, 2029} at the certificate seeds `expanderlab --seed 0` and
-`--seed 11` use. Below the cycle, on
+`--seed 11` use. One line holds the SHA-256 of the edges of
+`greedy_matching_avoiding` on criterion 7's 100 seeded draws on Paley
+101. Below the cycle, on
 seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
 pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
@@ -29,8 +31,8 @@ import json
 
 import numpy as np
 
-from expanderlab import graphs, hamilton, matching, sampling
-from expanderlab.rng import derive_seed
+from expanderlab import graphs, hamilton, matching, mixing, sampling
+from expanderlab.rng import derive_seed, generator
 
 FAILURE_CONFIGS = [
     {"seed": 0, "gamma_caps": {"P1": 0.02}},
@@ -76,6 +78,23 @@ def certificate_bits(g, cli_seed: int) -> tuple:
     `expanderlab --seed cli_seed certify` computes."""
     cert = graphs.certify_expander(g, seed=derive_seed(cli_seed, "certify") % 2 ** 31)
     return cert.lambda_hat.hex(), cert.residual.hex()
+
+
+def greedy_digest(g, cert) -> str:
+    """SHA-256 of the edges of `greedy_matching_avoiding` on the 100
+    seeded draws of (V1, V2, S1, S2) that acceptance criterion 7 makes."""
+    theta = mixing.one_edge_threshold(cert)
+    rng = generator(0, "acceptance-greedy")
+    edges = []
+    for _ in range(100):
+        perm = rng.permutation(g.n)
+        a, b = int(rng.integers(30, 46)), int(rng.integers(30, 46))
+        v1, v2 = perm[:a], perm[a:a + b]
+        k1 = int(rng.integers(0, max(1, int(a - theta - 1))))
+        k2 = int(rng.integers(0, max(1, int(b - theta - 1))))
+        m = matching.greedy_matching_avoiding(g, cert, v1, v2, v1[:k1], v2[:k2])
+        edges.append(m.to_json())
+    return sha256("\n".join(edges))
 
 
 def view_digests(g, cert, view_seed: int, a: int, b: int) -> tuple:
@@ -127,6 +146,8 @@ def main():
         g = paley.get(q) or graphs.gen_paley(q)
         for cli_seed in (0, 11):
             print(q, f"certify --seed {cli_seed}", *certificate_bits(g, cli_seed))
+    p101 = graphs.gen_paley(101)
+    print(101, "greedy", greedy_digest(p101, graphs.certify_expander(p101, seed=0)))
     for q in (401, 1009):
         below_the_cycle(q, paley[q])
 

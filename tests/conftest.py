@@ -1,6 +1,13 @@
+import os
+
 import pytest
 
-from expanderlab import graphs
+# One BLAS thread, set before anything imports numpy: the golden digests
+# pin float.hex of s2 values that the dense LAPACK path computes, and
+# their last bits depend on OpenBLAS's thread count.
+os.environ["OMP_NUM_THREADS"] = os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from expanderlab import graphs  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ which a change of the trace's shape alone leaves as they are. The exact
 bits of the spectral certificates of Paley 1009 and 2029 at the CLI's
 certificate seeds. Below the cycle: the maximum matching, Hall violators
 and bipartite certificates of seeded vertex pairs of Paley 401 and 1009,
-and the trials of both subgraph experiments. Neighbour order feeds
+the greedy matchings of acceptance criterion 7's draws on Paley 101, and
+the trials of both subgraph experiments. Neighbour order feeds
 Hopcroft-Karp and the connector's shuffles, so a change of tie-breaking
 anywhere in the pipeline changes these digests. `scripts/golden_digests.py`
 prints the same digests for the larger criterion-9 table.
@@ -23,8 +24,8 @@ import json
 import numpy as np
 import pytest
 
-from expanderlab import graphs, hamilton, matching, sampling
-from expanderlab.rng import derive_seed
+from expanderlab import graphs, hamilton, matching, mixing, sampling
+from expanderlab.rng import derive_seed, generator
 
 PIPELINE_401 = {
     0: "bbbd405827e77ca4ebf7e2099ff461103e0f46e9d1ccaf5f82a783cc01a180db",
@@ -137,6 +138,9 @@ PAIRS = {
         "bf83f71455fa80612aba66e4a3c02e7c72dd80c28592c35d3f00b09d4686fed0",
         "f5ad01439c8ea759c06b0dff554ba4fbc6a8e2ad5069bc899d50e1bb57005965"),
 }
+# SHA-256 of the edges of greedy_matching_avoiding on acceptance criterion
+# 7's 100 seeded draws on Paley 101, as scripts/golden_digests.py prints it.
+GREEDY_101 = "e86731835e4680f3823e2126bb2e4bf43615cc42022fb73446391897cf89fa20"
 BIPARTITE_WINDOWS = [(0.3, 1.0), (2.0, 1.0), (2.0, 3.0)]   # (gamma, lambda / sqrt(d'))
 # SHA-256 of the trials' (float.hex s2, degrees_ok) of three-trial
 # experiments at gamma_target 0.1, as scripts/golden_digests.py prints them.
@@ -234,6 +238,22 @@ def test_pair_matching_and_certificate_digests(q, view_seed, a, b):
     assert (_sha256(matching.max_matching(view).to_json()),
             _sha256(repr([None if s is None else sorted(s) for s in violators])),
             _sha256(repr(certificates))) == PAIRS[q, view_seed, a, b]
+
+
+def test_greedy_matching_digest(paley101, cert101):
+    theta = mixing.one_edge_threshold(cert101)
+    rng = generator(0, "acceptance-greedy")
+    edges = []
+    for _ in range(100):
+        perm = rng.permutation(101)
+        a, b = int(rng.integers(30, 46)), int(rng.integers(30, 46))
+        v1, v2 = perm[:a], perm[a:a + b]
+        k1 = int(rng.integers(0, max(1, int(a - theta - 1))))
+        k2 = int(rng.integers(0, max(1, int(b - theta - 1))))
+        m = matching.greedy_matching_avoiding(paley101, cert101, v1, v2,
+                                              v1[:k1], v2[:k2])
+        edges.append(m.to_json())
+    assert _sha256("\n".join(edges)) == GREEDY_101
 
 
 @pytest.mark.parametrize("q, label, seed", sorted(EXPERIMENTS))
