@@ -2,7 +2,7 @@
 
 Certificates for (n, (1±gamma)d, lambda)-graphs, mixing-lemma audits,
 random-subset sampling experiments, expander matching lemmas, an
-extendability/connector toolkit, and a constructive, verifiable
+port connector, and a constructive, verifiable
 Hamilton-cycle pipeline on desk-scale expanders.
 """
 

@@ -117,14 +117,6 @@ class NoEdgeFound(TheoremFalsified):
     """Greedy matching found no edge although the joinedness bound promises one."""
 
 
-class TooLarge(ExpanderLabError):
-    """Input beyond the exhaustive-enumeration bounds."""
-
-
-class DegreeCap(ExpanderLabError):
-    """Subgraph max degree exceeds the extendability parameter D."""
-
-
 class ReserveTooSmall(ExpanderLabError):
     """Connector reserve too small relative to the number of port pairs."""
 

@@ -1,64 +1,23 @@
-"""Extendability checks and the port connector.
+"""The port connector.
 
-The extendability predicate bounds how much room small vertex sets
-have outside a partial subgraph; the connector realizes the behavioral
-contract of a reserved subgraph: given equal-size port sets X and Y
-and a reserve of spare vertices, it routes vertex-disjoint paths for
-any pairing of the ports chosen after construction. A consume-all
-mode routes paths whose interiors exactly partition the reserve,
-which is what the cycle-closing step needs.
+The connector realizes the behavioral contract of a reserved subgraph:
+given equal-size port sets X and Y and a reserve of spare vertices, it
+routes vertex-disjoint paths for any pairing of the ports chosen after
+construction. A consume-all mode routes paths whose interiors exactly
+partition the reserve, which is what the cycle-closing step needs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import (BadParameter, ConnectFailed, DegreeCap,
-                     PreconditionViolated, ReserveTooSmall, TooLarge,
-                     UnbalancedSides)
+from .errors import (BadParameter, ConnectFailed, PreconditionViolated,
+                     ReserveTooSmall, UnbalancedSides)
 from .graphs import Graph, vertex_array
 from .rng import generator
 
-EXACT_VERTEX_CAP = 24    # exhaustive check bound on n
-EXACT_SET_CAP = 6        # exhaustive check bound on 2m
 TEARDOWN_CAP = 50        # total path teardowns per connect_pairs call
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    """A subgraph given by its vertex set and edge list; may be edgeless."""
-
-    vertices: tuple
-    edges: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
-        vset = set(self.vertices)
-        for u, v in self.edges:
-            if u not in vset or v not in vset:
-                raise BadParameter(f"edge ({u},{v}) leaves the vertex set")
-        object.__setattr__(self, "edges",
-                           tuple(sorted((min(u, v), max(u, v))
-                                        for u, v in self.edges)))
-
-    @staticmethod
-    def edgeless(vertices) -> "Subgraph":
-        return Subgraph(vertices=tuple(vertices))
-
-    def degree(self, u) -> int:
-        return sum(1 for e in self.edges if u in e)
-
-    def max_degree(self) -> int:
-        return max((self.degree(u) for u in self.vertices), default=0)
-
-
-@dataclass(frozen=True)
-class ExtendabilityVerdict:
-    holds: bool
-    witness: frozenset | None
-    method: str      # "exact", "sufficient", or "sampled"
 
 
 @dataclass(frozen=True)
@@ -73,92 +32,6 @@ class PathSystem:
         for p in self.paths:
             out.update(p[1:-1])
         return frozenset(out)
-
-
-def _defines_violation(g: Graph, s: Subgraph, d_par: int, u_set) -> bool:
-    """True when U violates the extendability inequality."""
-    vs = set(s.vertices)
-    closed = set(u_set)
-    for u in u_set:
-        closed.update(g.neighbors(u).tolist())
-    lhs = len(closed - vs)
-    rhs = (d_par - 1) * len(u_set) - sum(s.degree(u) - 1
-                                         for u in u_set if u in vs)
-    return lhs < rhs
-
-
-def _sufficient_holds(g: Graph, s: Subgraph, d_par: int, u_set) -> bool:
-    """The stronger, sufficient condition |N(U) \\ V(S)| >= D|U|."""
-    vs = set(s.vertices)
-    nbrs = set()
-    for u in u_set:
-        nbrs.update(g.neighbors(u).tolist())
-    return len(nbrs - vs) >= d_par * len(u_set)
-
-
-def _check_params(g: Graph, s: Subgraph, d_par: int):
-    if d_par < 3:
-        raise BadParameter(f"D={d_par} must be at least 3")
-    if not set(s.vertices) <= set(range(g.n)):
-        raise BadParameter("subgraph vertices outside the host graph")
-    if s.max_degree() > d_par:
-        raise DegreeCap(f"max degree of S is {s.max_degree()} > D={d_par}")
-
-
-def is_extendable_exact(g: Graph, s: Subgraph, d_par: int,
-                        m: int) -> ExtendabilityVerdict:
-    """Exhaustive extendability check over every U with 1 <= |U| <= 2m."""
-    _check_params(g, s, d_par)
-    if g.n > EXACT_VERTEX_CAP or 2 * m > EXACT_SET_CAP:
-        raise TooLarge(
-            f"exhaustive check limited to n <= {EXACT_VERTEX_CAP}, "
-            f"2m <= {EXACT_SET_CAP}; got n={g.n}, 2m={2 * m}")
-    for size in range(1, 2 * m + 1):
-        for u_set in itertools.combinations(range(g.n), size):
-            if _defines_violation(g, s, d_par, u_set):
-                return ExtendabilityVerdict(holds=False,
-                                            witness=frozenset(u_set),
-                                            method="exact")
-    return ExtendabilityVerdict(holds=True, witness=None, method="exact")
-
-
-def extendable_sufficient(g: Graph, s: Subgraph, d_par: int, m: int,
-                          budget: int = 10_000,
-                          seed: int = 0) -> ExtendabilityVerdict:
-    """Sufficient-condition check: exhaustive for |U| <= 2, sampled above.
-
-    A set failing the sufficient condition is only reported as a
-    witness when it also violates the extendability inequality itself;
-    otherwise the run continues but can no longer certify, and the
-    verdict method degrades from "sufficient" to "sampled".
-    """
-    _check_params(g, s, d_par)
-    certified = True
-    small = itertools.chain(
-        itertools.combinations(range(g.n), 1),
-        itertools.combinations(range(g.n), 2) if 2 * m >= 2 else ())
-    for u_set in small:
-        if not _sufficient_holds(g, s, d_par, u_set):
-            if _defines_violation(g, s, d_par, u_set):
-                return ExtendabilityVerdict(holds=False,
-                                            witness=frozenset(u_set),
-                                            method="exact")
-            certified = False
-    sampled = 2 * m > 2
-    if sampled:
-        rng = generator(seed, "extend-sufficient")
-        sizes = list(range(3, 2 * m + 1))
-        for _ in range(budget):
-            size = int(rng.choice(sizes))
-            u_set = tuple(rng.choice(g.n, size=size, replace=False))
-            if not _sufficient_holds(g, s, d_par, u_set):
-                if _defines_violation(g, s, d_par, u_set):
-                    return ExtendabilityVerdict(holds=False,
-                                                witness=frozenset(u_set),
-                                                method="sampled")
-                certified = False
-    method = "sampled" if (sampled or not certified) else "sufficient"
-    return ExtendabilityVerdict(holds=True, witness=None, method=method)
 
 
 class Connector:

@@ -7,9 +7,10 @@ order. Induced subgraphs, degrees into a vertex set and edge lookups
 are row, column and element indexing on a scipy CSR view of the same
 two arrays. A vertex pair (L, R) is one `BipartiteView`: it reads
 G[L u R] once and gives the pair's degree windows, observed gamma, s2
-(that of G[S] is the pair (S, {})) and cross adjacency from that
-subgraph. `adjacency_sparse()` wraps the arrays in a float64 scipy
-matrix for the spectral kernel, which is told it is symmetric, and
+(that of G[S] is the pair (S, {})) and the CSR cross block A[L, R],
+which every matching routine reads, from that subgraph.
+`adjacency_sparse()` wraps the arrays in a float64 scipy matrix for
+the spectral kernel, which is told it is symmetric, and
 `adjacency_dense()` materializes it up to DENSIFY_CAP vertices. Graph
 files move whole arrays through `read_graph` and `write_graph`.
 """
@@ -202,7 +203,7 @@ class BipartiteView:
     tuple. G[L u R] is read once, through `Graph.induced`, into `sub`,
     whose vertex i is parent vertex names[i]. Degrees between subsets of
     L u R are the same there as in the parent, so the pair's windows,
-    gamma, s2 and cross adjacency come from `sub`; vertices are named by
+    gamma, s2 and cross block come from `sub`; vertices are named by
     the parent throughout."""
 
     parent: Graph
@@ -266,13 +267,10 @@ class BipartiteView:
                                             tol=tol, seed=seed,
                                             symmetric=True).values[1]
 
-    def cross_adjacency(self) -> dict:
-        """Left vertex -> increasing list of its right neighbours, read off
-        the sub-graph's block A[L, R]."""
-        block = self.sub._csr[self._rows(self.left)][:, self._rows(self.right)]
-        kept = np.asarray(self.right, dtype=np.int64)[block.indices].tolist()
-        return {u: kept[block.indptr[i]:block.indptr[i + 1]]
-                for i, u in enumerate(self.left)}
+    def cross_block(self) -> sp.csr_array:
+        """The sub-graph's CSR block A[L, R]: row i is left[i], column j is
+        right[j], and each row's columns increase."""
+        return self.sub._csr[self._rows(self.left)][:, self._rows(self.right)]
 
 
 @dataclass(frozen=True)

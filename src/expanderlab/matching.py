@@ -1,18 +1,21 @@
 """Bipartite matchings: maximum matching, Hall violators, and the two
 expander matching lemmas (perfect matching in a balanced bipartite
-expander; greedy matching avoiding prescribed sets). All of them walk
-the cross adjacency of a `graphs.BipartiteView`, which is read off the
-subgraph the pair induces, never off the parent graph's rows.
+expander; greedy matching avoiding prescribed sets). All of them read
+the CSR cross block A[L, R] of a `graphs.BipartiteView`, taken from the
+subgraph the pair induces, never from the parent graph's rows. Maximum
+matchings are scipy's Hopcroft-Karp (`maximum_bipartite_matching`);
+a Hall violator is Koenig's set of the rows that alternating paths
+reach from the unmatched ones, the same for every maximum matching.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import mixing
 from .errors import (CertificateMismatch, MatchingFloorMissed, NoEdgeFound,
@@ -57,96 +60,50 @@ def verify_matching(m: Matching, g: Graph, left=None, right=None) -> bool:
     return bool(g.has_edge(*np.reshape(m.edges, (-1, 2)).T).all())
 
 
-class _HopcroftKarp:
-    """Shortest-augmenting-path phases; deterministic under sorted adjacency."""
-
-    def __init__(self, left, adjacency):
-        self.left = list(left)                   # sorted left vertices
-        self.adj = adjacency                     # left vertex -> sorted right list
-        self.match_left = {u: None for u in self.left}
-        self.match_right = {}
-        self.dist = {}
-
-    def _bfs(self) -> bool:
-        queue = deque()
-        for u in self.left:
-            if self.match_left[u] is None:
-                self.dist[u] = 0
-                queue.append(u)
-            else:
-                self.dist[u] = math.inf
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                w = self.match_right.get(v)
-                if w is None:
-                    found = True
-                elif self.dist[w] is math.inf:
-                    self.dist[w] = self.dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def _dfs(self, u) -> bool:
-        for v in self.adj[u]:
-            w = self.match_right.get(v)
-            if w is None or (self.dist[w] == self.dist[u] + 1 and self._dfs(w)):
-                self.match_left[u] = v
-                self.match_right[v] = u
-                return True
-        self.dist[u] = math.inf
-        return False
-
-    def solve(self):
-        while self._bfs():
-            for u in self.left:
-                if self.match_left[u] is None:
-                    self._dfs(u)
-        return self.match_left
-
-
 def max_matching(view: BipartiteView) -> Matching:
     """Maximum-cardinality matching of the view's cross edges."""
-    adj = view.cross_adjacency()
-    hk = _HopcroftKarp(view.left, adj)
-    match = hk.solve()
-    return Matching.from_edges((u, v) for u, v in match.items() if v is not None)
+    partner = maximum_bipartite_matching(view.cross_block(), perm_type="column")
+    return Matching.from_edges((view.left[i], view.right[partner[i]])
+                               for i in np.flatnonzero(partner >= 0))
 
 
 def hall_violator(view: BipartiteView, side: str = "left"):
     """A set S on `side` with |N(S)| < |S|, or None if that side is saturated."""
-    if side == "right":
-        view = BipartiteView(parent=view.parent, left=view.right,
-                             right=view.left)
-    elif side != "left":
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _koenig_violator(view, max_matching(view))
+    block, own = view.cross_block(), view.left
+    if side == "right":
+        block, own = block.T.tocsr(), view.right
+    return _koenig_violator(
+        block, maximum_bipartite_matching(block, perm_type="column"), own)
 
 
-def _koenig_violator(view: BipartiteView, m: Matching):
-    """Hall violator on the left side from a maximum matching m of the view,
-    or None if m saturates the left side.
+def _koenig_violator(block, partner: np.ndarray, own):
+    """Hall violator among the rows of `block`, named by `own`, from a
+    maximum matching that pairs row i with column partner[i] (-1 when
+    row i is unmatched); None if every row is matched.
 
-    Koenig's construction: the left vertices reachable by alternating
-    paths from the unmatched ones. Every reached right vertex is matched
-    back into that set, so |N(S)| = |S| - #unmatched < |S|.
+    Koenig's construction: the rows reachable by alternating paths from
+    the unmatched ones. Every reached column is matched back into that
+    set (else the matching would not be maximum), so |N(S)| = |S| -
+    #unmatched < |S|. By Dulmage-Mendelsohn the set is the same for
+    every maximum matching.
     """
-    free = [u for u in view.left if u not in m.left_cover]
-    if not free:
+    reached = partner < 0
+    if not reached.any():
         return None
-    adj = view.cross_adjacency()
-    partner = {v: u for u, v in m.edges}
-    reach_left, reach_right = set(free), set()
-    queue = deque(free)
-    while queue:
-        for v in adj[queue.popleft()]:
-            if v not in reach_right:
-                reach_right.add(v)
-                w = partner.get(v)
-                if w is not None and w not in reach_left:
-                    reach_left.add(w)
-                    queue.append(w)
-    return frozenset(reach_left)
+    matched = np.flatnonzero(~reached)
+    row_of = np.full(block.shape[1], -1)
+    row_of[partner[matched]] = matched
+    seen = np.zeros(block.shape[1], dtype=bool)
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        cols = np.unique(block[frontier].indices)
+        cols = cols[~seen[cols]]
+        seen[cols] = True
+        frontier = row_of[cols]     # a matched row is reached only here
+        reached[frontier] = True
+    return frozenset(np.asarray(own)[reached].tolist())
 
 
 def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
@@ -169,7 +126,12 @@ def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
     m = max_matching(view)
     if m.size == len(view.left):
         return m
-    raise PerfectMatchingFailed(violator=_koenig_violator(view, m))
+    edges = np.reshape(m.edges, (-1, 2))
+    partner = np.full(len(view.left), -1)
+    rows = np.searchsorted(view.left, edges[:, 0])
+    partner[rows] = np.searchsorted(view.right, edges[:, 1])
+    raise PerfectMatchingFailed(
+        violator=_koenig_violator(view.cross_block(), partner, view.left))
 
 
 def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,
@@ -195,13 +157,15 @@ def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,
     view = BipartiteView(parent=g, left=v1 - s1, right=v2 - s2)
     # The lexicographically smallest edge between the residual sides is
     # taken each step. A left vertex without a free neighbour never gets
-    # one later, so one pass over the left side takes the same edges.
-    edges, taken = [], set()
-    for u, nbrs in view.cross_adjacency().items():
-        v = next((v for v in nbrs if v not in taken), None)
-        if v is not None:
-            edges.append((u, v))
-            taken.add(v)
+    # one later, so one pass over the block's rows takes the same edges.
+    block = view.cross_block()
+    edges, taken = [], np.zeros(len(view.right), dtype=bool)
+    for i, u in enumerate(view.left):
+        row = block.indices[block.indptr[i]:block.indptr[i + 1]]
+        free = row[~taken[row]]
+        if free.size:
+            edges.append((u, view.right[free[0]]))
+            taken[free[0]] = True
     unmatched = len(view.left) - len(edges)
     free = len(view.right) - len(edges)
     if unmatched > theta and free > theta:

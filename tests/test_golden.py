@@ -12,10 +12,11 @@ bits of the spectral certificates of Paley 1009 and 2029 at the CLI's
 certificate seeds. Below the cycle: the maximum matching, Hall violators
 and bipartite certificates of seeded vertex pairs of Paley 401 and 1009,
 the greedy matchings of acceptance criterion 7's draws on Paley 101, and
-the trials of both subgraph experiments. Neighbour order feeds
-Hopcroft-Karp and the connector's shuffles, so a change of tie-breaking
-anywhere in the pipeline changes these digests. `scripts/golden_digests.py`
-prints the same digests for the larger criterion-9 table.
+the trials of both subgraph experiments. Neighbour order feeds scipy's
+Hopcroft-Karp (`maximum_bipartite_matching`), the greedy matching and
+the connector's shuffles, so a change of tie-breaking anywhere in the
+pipeline changes these digests. `scripts/golden_digests.py` prints the
+same digests for the larger criterion-9 table.
 """
 
 import hashlib
@@ -28,9 +29,9 @@ from expanderlab import graphs, hamilton, matching, mixing, sampling
 from expanderlab.rng import derive_seed, generator
 
 PIPELINE_401 = {
-    0: "bbbd405827e77ca4ebf7e2099ff461103e0f46e9d1ccaf5f82a783cc01a180db",
-    1: "0eb38211c4126bb09575cf8a8744bef6bead827c117174b8e6ef5ac33f5de06d",
-    2: "f195dc8b730f3aa0a79024f3949bc217434e55ba54f2b03a367562b097ff049a",
+    0: "c4b41d3244621562c2e83769c1712a0697bcf1060d3db763e4afd9496aac4075",
+    1: "4de422ded130aa4b87bff4ff6d117013720f7bab534c90d6447cf68d7d57be40",
+    2: "4fdf95e5852bd867b21959f1cd764b297c87014ddb92354470d96e35a402d77d",
 }
 # Config of one Paley 401 run failing on each check named by its key.
 FAILURE_CONFIGS = {
@@ -73,8 +74,8 @@ FAILURES_401 = {
 # Seed-0 runs on the larger criterion-9 graphs, as scripts/golden_digests.py
 # prints them.
 PIPELINE_SEED0 = {
-    1009: "129974a4b2effc8a97a8a89c773523a0bd92fcda9914f168c0337148b4588950",
-    2029: "6ddb0dead4b59f95fa265d0faedd4eb8c0ee3ed7fab9fcc4bc854911065f07d7",
+    1009: "1ef81b78b5d275b42ffce863b5b78739bd7203cd9ee6ef41b9f089233daccc02",
+    2029: "2762c76fb83c79ced41675314ab097b83e1500332fe828846df0194930c9bcc5",
 }
 # The 13 runs above by name, as (q, config).
 RUNS = {**{f"401-seed{s}": (401, {"seed": s}) for s in PIPELINE_401},
@@ -85,15 +86,15 @@ RUNS = {**{f"401-seed{s}": (401, {"seed": s}) for s in PIPELINE_401},
 # scripts/golden_digests.py prints them. The trace's shape does not enter.
 CYCLES = {
     "401-seed0":
-        "65c2f847394dba7f4d99b3ed288cfcdc00aa61db3c57e7fdd3ebed3d68e14154",
+        "886927e9b02c05534ff6e8f9aba41e6178ccfbed3431b9ac1ca69b338cbb1884",
     "401-seed1":
-        "58fcb4b656be160f63a8a682ce7c4fe48ed35fb860f3becdc29bce5c467bf067",
+        "4b6e22594e4daabb83ecd477eb904f9c630dbb4e36326e1c1d3cae32fc0531cc",
     "401-seed2":
-        "44db3479b0b1b693c7fd471bd52515e45c0dd63deed90bca5f5d8800eb198621",
+        "3842b85ca6f1643f673f21005ad248ad93b939a2ba940324e4ad8f59b8db65a8",
     "1009-seed0":
-        "6672540d5dc5512af8bcee9fcc633ffc6cefe0a02444630cf7deed8f9e47de69",
+        "55409f5cc812d3c899bfaec738688d2c9308ec0925d8ed0115ac6ee6f8bd7207",
     "2029-seed0":
-        "be93879c222e107cad719bf519878b96af5a7508d996057970f274cc4a66ec52",
+        "968f0e6a01013a2eafbe1bba026aff5dedb5fe3e40a765ba72767b98fd19413b",
     "P1":
         "a15cbc18132d3fac1c61e366a23aa0ad354937398b40f30d41e2b6450f10d32e",
     "P5":

@@ -106,9 +106,8 @@ def test_bipartite_view_validation(paley13):
             graphs.BipartiteView(parent=paley13, left=(0, 1), right=(3, outside))
     view = graphs.BipartiteView(parent=paley13, left=(1, 0), right=(4, 3))
     assert (view.left, view.right) == ((0, 1), (3, 4))
-    adj = view.cross_adjacency()
-    assert set(adj) == {0, 1}
-    assert all(v in (3, 4) for right in adj.values() for v in right)
+    rows, cols = np.meshgrid([0, 1], [3, 4], indexing="ij")
+    assert np.array_equal(view.cross_block().toarray(), paley13.has_edge(rows, cols))
 
 
 def test_adjacency_dense_matches_sparse(paley13):
@@ -228,11 +227,10 @@ def test_bipartite_view_matches_parent_graph(n, p, seed, data):
     s2 = np.sort(np.abs(np.linalg.eigvalsh(dense)))[-2] if a + b >= 2 else 0.0
     assert abs(pair.s2(1e-8, seed=0) - s2) < 1e-8
 
-    on_right = set(right.tolist())
-    adj = pair.cross_adjacency()
-    assert list(adj) == sorted(left.tolist())
-    assert adj == {u: [v for v in g.neighbors(u).tolist() if v in on_right]
-                   for u in left.tolist()}
+    block = pair.cross_block()
+    rows, cols = np.meshgrid(sorted(left), sorted(right), indexing="ij")
+    assert block.has_sorted_indices
+    assert np.array_equal(block.toarray(), g.has_edge(rows, cols))
 
     cross = nx.Graph()
     cross.add_nodes_from(perm[:a + b].tolist())

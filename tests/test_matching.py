@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,49 @@ def test_hall_violator_none_when_perfect():
     assert matching.hall_violator(view) is None
 
 
+def _networkx_koenig_set(g, own, other):
+    """Vertices of `own` that alternating paths reach from the ones that
+    networkx's Hopcroft-Karp leaves unmatched in the cross edges of
+    (own, other); None if it matches all of `own`."""
+    cross = nx.Graph()
+    cross.add_nodes_from(own + other)
+    cross.add_edges_from((u, v) for u in own for v in other if g.has_edge(u, v))
+    mate = nx.bipartite.hopcroft_karp_matching(cross, top_nodes=own)
+    reached = {u for u in own if u not in mate}
+    if not reached:
+        return None
+    queue = list(reached)
+    while queue:
+        for v in cross[queue.pop()]:
+            if mate[v] not in reached:      # v is matched: mate is maximum
+                reached.add(mate[v])
+                queue.append(mate[v])
+    return frozenset(reached)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_hall_violator_is_the_koenig_set_of_any_maximum_matching(n, p, seed, data):
+    rng = np.random.default_rng(seed)
+    g = graphs.Graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.integers(0, n - a))
+    perm = rng.permutation(n).tolist()
+    left, right = sorted(perm[:a]), sorted(perm[a:a + b])   # either may be empty
+    view = graphs.BipartiteView(parent=g, left=left, right=right)
+    for side, own, other in (("left", left, right), ("right", right, left)):
+        assert matching.hall_violator(view, side) == _networkx_koenig_set(g, own, other)
+    if a == b:
+        want = _networkx_koenig_set(g, left, right)
+        try:
+            m = matching.perfect_matching_expander(view, d=1.0, gamma=0.0, lam=0.0)
+        except PerfectMatchingFailed as exc:
+            assert want is not None and exc.violator == want
+        else:
+            assert want is None and m.size == a
+
+
 def test_perfect_matching_expander_on_paley(paley1009, cert1009):
     rng = generator(0, "pm-test")
     perm = rng.permutation(1009)
@@ -128,6 +172,31 @@ def test_greedy_matching_floor_paley(paley101, cert101):
         assert m.size >= floor
         assert not (m.left_cover & set(int(x) for x in s1))
         assert not (m.right_cover & set(int(x) for x in s2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(12, 50), st.integers(12, 50),
+       st.data())
+def test_greedy_matching_takes_the_smallest_edge_each_step(paley101, cert101,
+                                                           seed, a, b, data):
+    perm = np.random.default_rng(seed).permutation(101)
+    v1, v2 = perm[:a], perm[a:a + b]
+    s1 = v1[:data.draw(st.integers(0, a - 12))]
+    s2 = v2[:data.draw(st.integers(0, b - 12))]
+    m = matching.greedy_matching_avoiding(paley101, cert101, v1, v2, s1, s2)
+    adj = paley101.adjacency_dense() > 0
+    left, right = sorted(set(v1) - set(s1)), sorted(set(v2) - set(s2))
+    want = []
+    while (hits := np.argwhere(adj[np.ix_(left, right)])).size:
+        i, j = hits[0]                  # row-major: the smallest edge
+        want.append((int(left.pop(i)), int(right.pop(j))))
+    assert list(m.edges) == want
+
+
+def test_hall_violator_rejects_an_unknown_side(paley13):
+    view = graphs.BipartiteView(parent=paley13, left=(0, 1), right=(2, 3))
+    with pytest.raises(ValueError, match="side must be"):
+        matching.hall_violator(view, side="middle")
 
 
 def test_greedy_matching_preconditions(paley101, cert101):
