@@ -1,8 +1,8 @@
 """Spectral-expander laboratory.
 
 Certificates for (n, (1±gamma)d, lambda)-graphs, mixing-lemma audits,
-random-subset sampling experiments, expander matching lemmas, an
-port connector, and a constructive, verifiable
+random-subset sampling experiments, expander matching lemmas, a port
+connector, and a constructive, verifiable
 Hamilton-cycle pipeline on desk-scale expanders.
 """
 
