@@ -2,10 +2,14 @@
 expander matching lemmas (perfect matching in a balanced bipartite
 expander; greedy matching avoiding prescribed sets). All of them read
 the CSR cross block A[L, R] of a `graphs.BipartiteView`, taken from the
-subgraph the pair induces, never from the parent graph's rows. Maximum
-matchings are scipy's Hopcroft-Karp (`maximum_bipartite_matching`);
-a Hall violator is Koenig's set of the rows that alternating paths
-reach from the unmatched ones, the same for every maximum matching.
+subgraph the pair induces, never from the parent graph's rows.
+
+Maximum matchings are scipy's Hopcroft-Karp, reached as
+`sp.csgraph.maximum_bipartite_matching` so that scipy loads
+`scipy.sparse.csgraph` on first use and workloads without a matching
+never import it. A Hall violator is Koenig's set of the rows that
+alternating paths reach from the unmatched ones, the same for every
+maximum matching.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import maximum_bipartite_matching
+import scipy.sparse as sp
 
 from . import mixing
 from .errors import (CertificateMismatch, MatchingFloorMissed, NoEdgeFound,
@@ -62,7 +66,8 @@ def verify_matching(m: Matching, g: Graph, left=None, right=None) -> bool:
 
 def max_matching(view: BipartiteView) -> Matching:
     """Maximum-cardinality matching of the view's cross edges."""
-    partner = maximum_bipartite_matching(view.cross_block(), perm_type="column")
+    partner = sp.csgraph.maximum_bipartite_matching(view.cross_block(),
+                                                    perm_type="column")
     return Matching.from_edges((view.left[i], view.right[partner[i]])
                                for i in np.flatnonzero(partner >= 0))
 
@@ -74,8 +79,8 @@ def hall_violator(view: BipartiteView, side: str = "left"):
     block, own = view.cross_block(), view.left
     if side == "right":
         block, own = block.T.tocsr(), view.right
-    return _koenig_violator(
-        block, maximum_bipartite_matching(block, perm_type="column"), own)
+    partner = sp.csgraph.maximum_bipartite_matching(block, perm_type="column")
+    return _koenig_violator(block, partner, own)
 
 
 def _koenig_violator(block, partner: np.ndarray, own):
