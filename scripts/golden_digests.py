@@ -13,7 +13,9 @@ per spectral certificate holds q, the CLI seed and `float.hex` of
 401, 1009, 2029} at the certificate seeds `expanderlab --seed 0` and
 `--seed 11` use. One line holds the SHA-256 of the edges of
 `greedy_matching_avoiding` on criterion 7's 100 seeded draws on Paley
-101. Below the cycle, on
+101, and one the SHA-256 of the closing paths, or the ConnectFailed
+message, of `connect_pairs` on 200 seeded draws on Paley 101 that reach
+every exit of the connector. Below the cycle, on
 seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
 pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
@@ -31,7 +33,8 @@ import json
 
 import numpy as np
 
-from expanderlab import graphs, hamilton, matching, mixing, sampling
+from expanderlab import extend, graphs, hamilton, matching, mixing, sampling
+from expanderlab.errors import ConnectFailed
 from expanderlab.rng import derive_seed, generator
 
 FAILURE_CONFIGS = [
@@ -97,6 +100,28 @@ def greedy_digest(g, cert) -> str:
     return sha256("\n".join(edges))
 
 
+def connector_digest(g) -> str:
+    """SHA-256 of the closing paths, or the ConnectFailed message, of
+    `connect_pairs` on 200 seeded draws of up to 7 port pairs, a reserve
+    that fits the length budget and l_max in 2..4."""
+    outputs = []
+    for draw in range(200):
+        rng = generator(0, "connector-draw", draw)
+        k, l_max = int(rng.integers(1, 8)), int(rng.integers(2, 5))
+        r = int(rng.integers(k, k * (l_max - 1) + 1))
+        perm = rng.permutation(g.n)
+        x, y, reserve = perm[:k], perm[k:2 * k], perm[2 * k:2 * k + r]
+        pairs = list(zip(x.tolist(), rng.permutation(y).tolist()))
+        conn = extend.build_connector(g, x, y, reserve, l_max,
+                                      seed=int(rng.integers(2 ** 31)),
+                                      min_reserve_ratio=1.0)
+        try:
+            outputs.append(json.dumps(conn.connect_pairs(pairs)))
+        except ConnectFailed as exc:
+            outputs.append(str(exc))
+    return sha256("\n".join(outputs))
+
+
 def view_digests(g, cert, view_seed: int, a: int, b: int) -> tuple:
     """SHA-256 of the maximum matching, the (left, right) Hall violators
     and the bipartite certificates of one seeded pair."""
@@ -148,6 +173,7 @@ def main():
             print(q, f"certify --seed {cli_seed}", *certificate_bits(g, cli_seed))
     p101 = graphs.gen_paley(101)
     print(101, "greedy", greedy_digest(p101, graphs.certify_expander(p101, seed=0)))
+    print(101, "connector", connector_digest(p101))
     for q in (401, 1009):
         below_the_cycle(q, paley[q])
 

@@ -19,10 +19,10 @@ import time
 from pathlib import Path
 
 from . import graphs, hamilton, linalg, matching, mixing, sampling
-from .errors import (BadParameter, ConnectFailed, CoverageGap,
-                     ExpanderLabError, NoConvergence,
-                     PartitionRetriesExhausted, PerfectMatchingFailed,
-                     RetryExhausted, SchemaMismatch, TheoremFalsified)
+from .errors import (BadParameter, ConnectFailed, ExpanderLabError,
+                     NoConvergence, PartitionRetriesExhausted,
+                     PerfectMatchingFailed, RetryExhausted, SchemaMismatch,
+                     TheoremFalsified)
 from .rng import derive_seed, generator
 
 ARTIFACT_VERSION = 1
@@ -34,7 +34,7 @@ EXIT_VERIFICATION = 4
 
 _PHASE_ERRORS = (TheoremFalsified, NoConvergence, RetryExhausted,
                  PartitionRetriesExhausted, ConnectFailed,
-                 PerfectMatchingFailed, CoverageGap)
+                 PerfectMatchingFailed)
 
 
 def _digest(path: Path) -> str:

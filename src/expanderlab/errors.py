@@ -158,14 +158,5 @@ class PerfectMatchingFailed(ExpanderLabError):
         super().__init__(f"no perfect matching; Hall violator: {violator}")
 
 
-class CoverageGap(ExpanderLabError):
-    """Some vertex was left uncovered when closing the cycle."""
-
-    def __init__(self, vertices):
-        self.vertices = sorted(vertices)
-        super().__init__(f"uncovered vertices: {self.vertices[:10]}"
-                         + ("..." if len(self.vertices) > 10 else ""))
-
-
 class SchemaMismatch(ExpanderLabError):
     """Experiment outputs missing or with inconsistent schema versions."""

@@ -3,14 +3,12 @@
 The connector realizes the behavioral contract of a reserved subgraph:
 given equal-size port sets X and Y and a reserve of spare vertices, it
 routes vertex-disjoint paths for any pairing of the ports chosen after
-construction. A consume-all mode routes paths whose interiors exactly
-partition the reserve, which is what the cycle-closing step needs.
+construction, and their interiors exactly partition the reserve, which
+is what the cycle-closing step needs. A path is a tuple of int
+vertices, and a path system a tuple of paths.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 from .errors import (BadParameter, ConnectFailed, PreconditionViolated,
                      ReserveTooSmall, UnbalancedSides)
@@ -20,50 +18,33 @@ from .rng import generator
 TEARDOWN_CAP = 50        # total path teardowns per connect_pairs call
 
 
-@dataclass(frozen=True)
-class PathSystem:
-    paths: tuple     # vertex sequences, each from one port to another
-
-    def to_json(self) -> str:
-        return json.dumps([[int(v) for v in p] for p in self.paths])
-
-    def interior_vertices(self) -> frozenset:
-        out = set()
-        for p in self.paths:
-            out.update(p[1:-1])
-        return frozenset(out)
-
-
 class Connector:
-    """Routes vertex-disjoint port-to-port paths through a reserve.
+    """Routes vertex-disjoint port-to-port paths that consume a reserve.
 
-    Plain mode finds shortest paths of length <= budget with interiors
-    in the unused reserve; consume-all mode targets exact interior
-    sizes so that the reserve is partitioned by the returned paths.
-    Both modes tear down the most recently routed path and re-route it
-    when stuck, up to a global teardown cap.
+    Each pair first gets a shortest path of length <= budget with its
+    interior in the unused reserve; when a pair cannot be routed, the
+    most recently routed path is torn down and re-routed, up to a global
+    teardown cap. The reserve vertices left over are then spliced into
+    the routed paths.
     """
 
     def __init__(self, g: Graph, left_ports, right_ports, reserved,
-                 budget: int, seed: int = 0, consume_all: bool = False):
+                 budget: int, seed: int = 0):
         self.g = g
         self.left_ports = tuple(vertex_array(left_ports).tolist())
         self.right_ports = tuple(vertex_array(right_ports).tolist())
         self.reserved = tuple(vertex_array(reserved).tolist())
         self.budget = budget
         self.seed = seed
-        self.consume_all = consume_all
         self._ports = set(self.left_ports) | set(self.right_ports)
 
-    def connect_pairs(self, pairing) -> PathSystem:
-        """Vertex-disjoint paths, one per (u, v) pair of the pairing.
+    def connect_pairs(self, pairs) -> tuple:
+        """Vertex-disjoint paths whose interiors partition the reserve,
+        path i running from pairs[i][0] to pairs[i][1].
 
-        `pairing` is a mapping or list of pairs; every endpoint must be
-        a distinct port. In consume-all mode the path interiors exactly
-        partition the reserve.
+        Every endpoint of the (u, v) pairs must be a distinct port.
         """
-        pairs = list(pairing.items()) if hasattr(pairing, "items") \
-            else [tuple(p) for p in pairing]
+        pairs = [tuple(p) for p in pairs]
         endpoints = [v for p in pairs for v in p]
         if len(set(endpoints)) != len(endpoints):
             raise PreconditionViolated("distinct_endpoints",
@@ -73,11 +54,9 @@ class Connector:
                 raise PreconditionViolated("ports_only",
                                            f"{v} is not a connector port")
         pool = set(self.reserved)
-        if self.consume_all and pairs:
-            per_path = len(pool) / len(pairs)
-            if per_path > self.budget - 1:
-                raise ConnectFailed(pairs[0], len(pool),
-                                    "reserve too large for the length budget")
+        if pairs and len(pool) / len(pairs) > self.budget - 1:
+            raise ConnectFailed(pairs[0], len(pool),
+                                "reserve too large for the length budget")
         routed = []           # parallel to pairs[:len(routed)]
         teardowns = 0
         attempt = [0] * len(pairs)
@@ -99,10 +78,8 @@ class Connector:
             pool.update(prev[1:-1])
             teardowns += 1
             i -= 1
-        if self.consume_all:
-            self._absorb(routed, pool)
-        return PathSystem(paths=tuple(tuple(int(x) for x in p)
-                                      for p in routed))
+        self._absorb(routed, pool)
+        return tuple(tuple(int(x) for x in p) for p in routed)
 
     def _absorb(self, routed, pool):
         """Splice every leftover reserve vertex into some routed path.
@@ -166,7 +143,6 @@ class Connector:
 
 
 def build_connector(g: Graph, x, y, reserve, l_max: int, seed: int = 0,
-                    consume_all: bool = False,
                     min_reserve_ratio: float = 2.0) -> Connector:
     """Validated connector over disjoint port sets X, Y and a reserve."""
     xs, ys, rs = set(x), set(y), set(reserve)
@@ -181,20 +157,19 @@ def build_connector(g: Graph, x, y, reserve, l_max: int, seed: int = 0,
             f"{min_reserve_ratio * len(xs)}")
     if l_max < 1:
         raise BadParameter(f"l_max={l_max} must be at least 1")
-    return Connector(g, xs, ys, rs, budget=l_max, seed=seed,
-                     consume_all=consume_all)
+    return Connector(g, xs, ys, rs, budget=l_max, seed=seed)
 
 
-def verify_path_system(g: Graph, system: PathSystem, pairs=None,
-                       reserve=None, l_max: int | None = None) -> bool:
-    """Independent check of a path system against the host graph.
+def verify_path_system(g: Graph, paths, pairs=None, reserve=None,
+                       l_max: int | None = None) -> bool:
+    """Independent check of a sequence of paths against the host graph.
 
     Verifies edge existence, pairwise vertex-disjointness, and (when
     supplied) endpoint pairing, interior containment in the reserve,
     and the length budget.
     """
     seen = set()
-    for p in system.paths:
+    for p in paths:
         if len(p) < 2 or len(set(p)) != len(p):
             return False
         if seen & set(p):
@@ -205,12 +180,11 @@ def verify_path_system(g: Graph, system: PathSystem, pairs=None,
         if l_max is not None and len(p) - 1 > l_max:
             return False
     if pairs is not None:
-        want = {frozenset(p) for p in
-                (pairs.items() if hasattr(pairs, "items") else pairs)}
-        got = {frozenset((p[0], p[-1])) for p in system.paths}
+        want = {frozenset(p) for p in pairs}
+        got = {frozenset((p[0], p[-1])) for p in paths}
         if want != got:
             return False
     if reserve is not None:
-        if not system.interior_vertices() <= set(reserve):
+        if not {v for p in paths for v in p[1:-1]} <= set(reserve):
             return False
     return True

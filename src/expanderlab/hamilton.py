@@ -5,7 +5,9 @@ middle region, connector construction over the reserve, repartition of
 the middle region into blocks of exactly k vertices (the size of X and
 Y), a path cover that chains one perfect matching per consecutive pair
 X -> B_1 -> ... -> B_{t-2} -> Y, and cycle closing through the
-connector. Vertex sets travel between phases as sorted int arrays.
+connector. Vertex sets travel between phases as sorted int arrays, the
+cover paths as the rows of one k x t array, and the closing paths as
+int tuples, path i closing the gap after cover path i.
 Every phase checks the degree windows (P1, P5, Q3-Q5) and induced s2
 caps (P2, Q4) of the sets it samples, and the trace (schema 2) records
 only checks that ran and could fail; failures name the violated check
@@ -31,8 +33,7 @@ import numpy as np
 
 from . import extend, matching
 from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
-                     CoverageGap, PartitionRetriesExhausted,
-                     PreconditionViolated)
+                     PartitionRetriesExhausted, PreconditionViolated)
 from .graphs import (BipartiteView, Graph, certify_expander,
                      degree_window_violation)
 from .rng import derive_seed, generator
@@ -337,15 +338,16 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
 
 
 def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
-                     trace: PipelineTrace) -> extend.PathSystem:
+                     trace: PipelineTrace) -> np.ndarray:
     """Thread k vertex-disjoint paths from X to Y through the middle blocks.
 
     The blocks, ordered by smallest vertex, form the chain X -> B_1 ->
     ... -> B_{t-2} -> Y. A perfect matching between each consecutive
-    pair extends a k x t array of paths, one row per vertex of X in
-    increasing order, by one column, so every path starts in X, ends in
-    Y and the paths cover X, Y and every block exactly. Sides of unequal
-    size stop at `matching.perfect_matching_expander` (UnbalancedSides).
+    pair extends the returned k x t array of paths, one row per vertex
+    of X in increasing order, by one column, so every path starts in X,
+    ends in Y and the paths cover X, Y and every block exactly. Sides of
+    unequal size stop at `matching.perfect_matching_expander`
+    (UnbalancedSides).
     """
     n, d = g.n, cert.d
     chain = [parts.x, *sorted(blocks, key=min), parts.y]
@@ -367,41 +369,32 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
                 f"n_i={[len(u) for u in chain[:-1]]}, |N_i|={n_sizes}")
     trace.check("path_cover", "coverage", True,
                 f"{len(paths)} disjoint paths over {np.unique(paths).size} vertices")
-    return extend.PathSystem(paths=tuple(map(tuple, paths.tolist())))
+    return paths
 
 
-def close_cycle(paths: extend.PathSystem, connector,
-                trace: PipelineTrace) -> HamiltonCycle:
+def close_cycle(paths, connector, trace: PipelineTrace) -> HamiltonCycle:
     """Splice the cover paths into one cycle through the connector reserve.
 
     Path i ends at b_i in Y and path i+1 starts at a_{i+1} in X; the
-    connector routes the pairing b_i -> a_{i+1} (cyclically). Any
-    reserve vertex left unused would leave the cycle non-spanning and
-    is reported as a coverage gap.
+    connector's closing path i runs from b_i to a_{i+1} (cyclically)
+    through the reserve, and the closing paths together consume it.
     """
-    cover = list(paths.paths)
+    cover = np.asarray(paths).tolist()
     pairing = [(cover[i][-1], cover[(i + 1) % len(cover)][0])
                for i in range(len(cover))]
     closing = connector.connect_pairs(pairing)
-    leftover = set(connector.reserved) - closing.interior_vertices()
-    if leftover:
-        raise CoverageGap(sorted(leftover))
-    by_ends = {(p[0], p[-1]): p for p in closing.paths}
     order = []
-    for i, p in enumerate(cover):
-        order.extend(p)
-        b, a = pairing[i]
-        link = by_ends.get((b, a))
-        if link is None:
-            if (a, b) not in by_ends:
-                raise ConnectFailed((b, a), 0, "the connector returned no "
-                                    "path for this pair")
-            link = by_ends[(a, b)][::-1]
+    for i, pair in enumerate(pairing):
+        link = closing[i] if i < len(closing) else None
+        if link is None or (link[0], link[-1]) != pair:
+            raise ConnectFailed(pair, 0, "the connector returned no "
+                                "path for this pair")
+        order.extend(cover[i])
         order.extend(link[1:-1])
     trace.data["connector"] = {
         "pairs": len(pairing),
         "reserve": len(connector.reserved),
-        "closing_lengths": [len(p) - 1 for p in closing.paths],
+        "closing_lengths": [len(p) - 1 for p in closing],
     }
     return HamiltonCycle(order=tuple(int(v) for v in order))
 
@@ -444,7 +437,7 @@ def hamilton_pipeline(g: Graph, cfg: PipelineConfig | None = None
         connector = extend.build_connector(
             g, parts.x, parts.y, parts.reserve, l_max=cfg.l_max,
             seed=derive_seed(cfg.seed, "connector") % (2 ** 31),
-            consume_all=True, min_reserve_ratio=cfg.min_reserve_ratio)
+            min_reserve_ratio=cfg.min_reserve_ratio)
         phase = "repartition"
         blocks = repartition_phase(g, cert, parts, cfg, trace)
         phase = "path_cover"

@@ -31,31 +31,31 @@ from .graphs import BipartiteView, Graph, SpectralCertificate
 @dataclass(frozen=True)
 class Matching:
     edges: tuple              # sorted (u, v) pairs, u on the left side
-    left_cover: frozenset
-    right_cover: frozenset
 
     @property
     def size(self) -> int:
         return len(self.edges)
+
+    @property
+    def left_cover(self) -> frozenset:
+        return frozenset(u for u, _ in self.edges)
+
+    @property
+    def right_cover(self) -> frozenset:
+        return frozenset(v for _, v in self.edges)
 
     def to_json(self) -> str:
         return json.dumps([[int(u), int(v)] for u, v in self.edges])
 
     @staticmethod
     def from_edges(edges) -> "Matching":
-        pairs = tuple(sorted((int(u), int(v)) for u, v in edges))
-        return Matching(edges=pairs,
-                        left_cover=frozenset(u for u, _ in pairs),
-                        right_cover=frozenset(v for _, v in pairs))
+        return Matching(edges=tuple(sorted((int(u), int(v)) for u, v in edges)))
 
 
 def verify_matching(m: Matching, g: Graph, left=None, right=None) -> bool:
-    """Independent check: edges exist in g, vertex-disjoint, covers consistent."""
-    lefts = [u for u, _ in m.edges]
-    rights = [v for _, v in m.edges]
-    if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
-        return False
-    if frozenset(lefts) != m.left_cover or frozenset(rights) != m.right_cover:
+    """Independent check: edges exist in g, are vertex-disjoint and lie
+    between `left` and `right` when those are given."""
+    if len(m.left_cover) != m.size or len(m.right_cover) != m.size:
         return False
     if left is not None and not m.left_cover <= set(left):
         return False
@@ -112,8 +112,8 @@ def _koenig_violator(block, partner: np.ndarray, own):
 
 
 def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
-                              lam: float, gamma_cap: float = 1.0 / 6.0,
-                              ratio_cap: float = 1.0 / 200.0) -> Matching:
+                              lam: float, *, gamma_cap: float,
+                              ratio_cap: float) -> Matching:
     """Perfect matching in a balanced certified bipartite expander.
 
     Under the verified preconditions the matching must exist; a miss is

@@ -1,9 +1,11 @@
-"""Random subset models and Monte Carlo norm experiments.
+"""Monte Carlo norm and spectral experiments on random subsets.
 
-Two subset models (independent Bernoulli and uniform fixed size) feed
-the random-submatrix norm experiments and the induced-subgraph spectral
-experiments, whose trials each read the degree windows and s2 of one
-`graphs.BipartiteView`, (S, {}) or (X, Y), off the subgraph it induces.
+Each experiment draws its own subsets per seeded trial: the
+random-submatrix norm experiments take independent Bernoulli rows and
+columns or a uniform fixed-size principal set, and the induced-subgraph
+spectral experiments take uniform vertex sets, each trial reading the
+degree windows and s2 of one `graphs.BipartiteView`, (S, {}) or (X, Y),
+off the subgraph it induces.
 Hypergeometric Chernoff bounds come with an exact-tail oracle so the
 inequalities can be tested against ground truth at small sizes.
 """
@@ -22,15 +24,6 @@ from .graphs import BipartiteView, Graph, SpectralCertificate
 from .rng import derive_seed, generator
 
 BATCHES = 10              # batch-means groups for standard errors
-
-
-@dataclass(frozen=True)
-class SubsetSample:
-    model: str                 # "bernoulli" or "uniform"
-    param: float               # sigma or m
-    universe: int
-    members: tuple
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -79,26 +72,6 @@ class SubgraphExperiment:
                 "success_fraction": self.success_fraction,
                 "floor": floor,
                 "pass": self.success_fraction >= floor}
-
-
-def sample_subset(n: int, model: str, param, seed: int) -> SubsetSample:
-    """Draw a random subset of [0, n) in the given model, deterministically per seed."""
-    rng = generator(seed, f"subset-{model}")
-    if model == "bernoulli":
-        sigma = float(param)
-        if not 0 < sigma < 1:
-            raise BadParameter(f"sigma={sigma} outside (0,1)")
-        members = np.flatnonzero(rng.random(n) < sigma)
-    elif model == "uniform":
-        m = int(param)
-        if not 1 <= m <= n:
-            raise BadParameter(f"m={m} outside [1, {n}]")
-        members = rng.permutation(n)[:m]
-    else:
-        raise BadParameter(f"unknown subset model {model!r}")
-    return SubsetSample(model=model, param=float(param), universe=n,
-                        members=tuple(sorted(int(v) for v in members)),
-                        seed=seed)
 
 
 def hypergeometric_tail(big_n: int, k: int, n: int, a: float,

@@ -1,17 +1,9 @@
-import json
-
 import pytest
 
 from expanderlab import extend
 from expanderlab.errors import (BadParameter, ConnectFailed,
                                 PreconditionViolated, ReserveTooSmall,
                                 UnbalancedSides)
-
-
-def test_path_system_json_and_interiors():
-    ps = extend.PathSystem(paths=((0, 5, 6, 1), (2, 7, 3)))
-    assert ps.interior_vertices() == {5, 6, 7}
-    assert json.loads(ps.to_json()) == [[0, 5, 6, 1], [2, 7, 3]]
 
 
 def test_build_connector_validation(paley101):
@@ -28,25 +20,25 @@ def test_build_connector_validation(paley101):
 
 def test_connector_routes_disjoint_paths(paley101):
     x, y = [0, 1, 2], [3, 4, 5]
-    reserve = list(range(50, 90))
+    reserve = list(range(50, 70))      # 20 of the 3 * 7 interior slots
     conn = extend.build_connector(paley101, x, y, reserve, l_max=8, seed=2)
     pairs = list(zip(x, y))
-    system = conn.connect_pairs(pairs)
-    assert len(system.paths) == 3
-    assert extend.verify_path_system(paley101, system, pairs=pairs,
+    paths = conn.connect_pairs(pairs)
+    assert len(paths) == 3
+    assert extend.verify_path_system(paley101, paths, pairs=pairs,
                                      reserve=reserve, l_max=8)
 
 
 def test_connector_consume_all_partitions_reserve(paley101):
     x, y = [0, 1, 2, 3, 4], [5, 6, 7, 8, 9]
     reserve = list(range(40, 60))
-    conn = extend.build_connector(paley101, x, y, reserve, l_max=12,
-                                  seed=0, consume_all=True)
+    conn = extend.build_connector(paley101, x, y, reserve, l_max=12, seed=0)
     pairs = list(zip(x, y))
-    system = conn.connect_pairs(pairs)
-    assert extend.verify_path_system(paley101, system, pairs=pairs,
+    paths = conn.connect_pairs(pairs)
+    assert extend.verify_path_system(paley101, paths, pairs=pairs,
                                      reserve=reserve, l_max=12)
-    assert system.interior_vertices() == set(reserve)
+    assert [(p[0], p[-1]) for p in paths] == pairs
+    assert sorted(v for p in paths for v in p[1:-1]) == reserve
 
 
 def test_connector_rejects_bad_pairing(paley101):
@@ -62,25 +54,60 @@ def test_connector_rejects_bad_pairing(paley101):
 
 def test_connector_consume_all_impossible_budget(paley101):
     # 40 reserve vertices over 1 path cannot fit a length budget of 8
-    conn = extend.build_connector(paley101, [0], [1], range(40, 80),
-                                  l_max=8, consume_all=True)
+    conn = extend.build_connector(paley101, [0], [1], range(40, 80), l_max=8)
     with pytest.raises(ConnectFailed):
         conn.connect_pairs([(0, 1)])
 
 
 def test_verify_path_system_rejects_tampering(paley101):
     x, y = [0, 1], [2, 3]
-    reserve = list(range(50, 70))
+    reserve = list(range(50, 60))      # 10 of the 2 * 7 interior slots
     conn = extend.build_connector(paley101, x, y, reserve, l_max=8, seed=1)
     pairs = list(zip(x, y))
-    system = conn.connect_pairs(pairs)
-    assert extend.verify_path_system(paley101, system, pairs=pairs)
+    paths = conn.connect_pairs(pairs)
+    assert extend.verify_path_system(paley101, paths, pairs=pairs)
     # swapped pairing no longer matches
-    assert not extend.verify_path_system(paley101, system,
+    assert not extend.verify_path_system(paley101, paths,
                                          pairs=[(0, 3), (1, 2)])
     # a path through a non-edge fails
-    broken = extend.PathSystem(paths=((0, 6, 2),)) \
-        if not paley101.has_edge(0, 6) else extend.PathSystem(paths=((0, 0, 2),))
+    broken = ((0, 6, 2),) if not paley101.has_edge(0, 6) else ((0, 0, 2),)
     assert not extend.verify_path_system(paley101, broken)
     # interiors escaping the reserve fail
-    assert not extend.verify_path_system(paley101, system, reserve=[99])
+    assert not extend.verify_path_system(paley101, paths, reserve=[99])
+
+
+def test_connector_tears_down_and_reroutes(paley101, monkeypatch):
+    # The last pair, (70, 63), finds no route at first; the path of
+    # (60, 7) is torn down and re-routed, and then (70, 63) is routed
+    routes = []
+    route = extend.Connector._route_shortest
+
+    def recorded(self, *args):
+        routes.append(route(self, *args))
+        return routes[-1]
+    monkeypatch.setattr(extend.Connector, "_route_shortest", recorded)
+    x, y = [38, 56, 60, 70, 75, 78, 94], [7, 43, 63, 82, 87, 88, 90]
+    reserve = [3, 18, 20, 23, 39, 48, 55, 79, 97]
+    pairs = [(38, 82), (78, 88), (75, 87), (56, 43), (94, 90), (60, 7), (70, 63)]
+    conn = extend.build_connector(paley101, x, y, reserve, l_max=3, seed=10,
+                                  min_reserve_ratio=1.0)
+    paths = conn.connect_pairs(pairs)
+    assert routes.count(None) == 1 and len(routes) == len(pairs) + 2
+    assert extend.verify_path_system(paley101, paths, pairs=pairs,
+                                     reserve=reserve, l_max=3)
+    assert sorted(v for p in paths for v in p[1:-1]) == reserve
+
+
+def test_connector_gives_up_at_the_teardown_cap(paley101):
+    conn = extend.build_connector(paley101, [21, 71], [4, 78], [29, 86],
+                                  l_max=2, min_reserve_ratio=1.0)
+    with pytest.raises(ConnectFailed,
+                       match=f"after {extend.TEARDOWN_CAP} teardowns"):
+        conn.connect_pairs([(21, 4), (71, 78)])
+
+
+def test_connector_fails_without_a_splice_point(paley101):
+    conn = extend.build_connector(paley101, [45, 89], [19, 75],
+                                  [22, 33, 34, 60, 70, 93], l_max=4)
+    with pytest.raises(ConnectFailed, match=r"no splice point .* \[22, 60, 93\]"):
+        conn.connect_pairs([(45, 19), (89, 75)])

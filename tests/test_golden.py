@@ -11,8 +11,9 @@ which a change of the trace's shape alone leaves as they are. The exact
 bits of the spectral certificates of Paley 1009 and 2029 at the CLI's
 certificate seeds. Below the cycle: the maximum matching, Hall violators
 and bipartite certificates of seeded vertex pairs of Paley 401 and 1009,
-the greedy matchings of acceptance criterion 7's draws on Paley 101, and
-the trials of both subgraph experiments. Neighbour order feeds scipy's
+the greedy matchings of acceptance criterion 7's draws on Paley 101, the
+connector's paths or failures on seeded draws on Paley 101, and the
+trials of both subgraph experiments. Neighbour order feeds scipy's
 Hopcroft-Karp (`maximum_bipartite_matching`), the greedy matching and
 the connector's shuffles, so a change of tie-breaking anywhere in the
 pipeline changes these digests. `scripts/golden_digests.py` prints the
@@ -25,7 +26,8 @@ import json
 import numpy as np
 import pytest
 
-from expanderlab import graphs, hamilton, matching, mixing, sampling
+from expanderlab import extend, graphs, hamilton, matching, mixing, sampling
+from expanderlab.errors import ConnectFailed
 from expanderlab.rng import derive_seed, generator
 
 PIPELINE_401 = {
@@ -142,6 +144,12 @@ PAIRS = {
 # SHA-256 of the edges of greedy_matching_avoiding on acceptance criterion
 # 7's 100 seeded draws on Paley 101, as scripts/golden_digests.py prints it.
 GREEDY_101 = "e86731835e4680f3823e2126bb2e4bf43615cc42022fb73446391897cf89fa20"
+# SHA-256 of the closing paths, or the ConnectFailed message, of
+# connect_pairs on 200 seeded draws on Paley 101, as
+# scripts/golden_digests.py prints it. The draws reach every exit of the
+# connector: success, success after a teardown, the teardown cap and a
+# reserve vertex with no splice point.
+CONNECTOR_101 = "8a5c80046e4fe9e1984a2c22d9fad6928be4f83b3862ae94c1bc282b5b5b908a"
 BIPARTITE_WINDOWS = [(0.3, 1.0), (2.0, 1.0), (2.0, 3.0)]   # (gamma, lambda / sqrt(d'))
 # SHA-256 of the trials' (float.hex s2, degrees_ok) of three-trial
 # experiments at gamma_target 0.1, as scripts/golden_digests.py prints them.
@@ -255,6 +263,25 @@ def test_greedy_matching_digest(paley101, cert101):
                                               v1[:k1], v2[:k2])
         edges.append(m.to_json())
     assert _sha256("\n".join(edges)) == GREEDY_101
+
+
+def test_connector_digest(paley101):
+    outputs = []
+    for draw in range(200):
+        rng = generator(0, "connector-draw", draw)
+        k, l_max = int(rng.integers(1, 8)), int(rng.integers(2, 5))
+        r = int(rng.integers(k, k * (l_max - 1) + 1))
+        perm = rng.permutation(101)
+        x, y, reserve = perm[:k], perm[k:2 * k], perm[2 * k:2 * k + r]
+        pairs = list(zip(x.tolist(), rng.permutation(y).tolist()))
+        conn = extend.build_connector(paley101, x, y, reserve, l_max,
+                                      seed=int(rng.integers(2 ** 31)),
+                                      min_reserve_ratio=1.0)
+        try:
+            outputs.append(json.dumps(conn.connect_pairs(pairs)))
+        except ConnectFailed as exc:
+            outputs.append(str(exc))
+    assert _sha256("\n".join(outputs)) == CONNECTOR_101
 
 
 @pytest.mark.parametrize("q, label, seed", sorted(EXPERIMENTS))

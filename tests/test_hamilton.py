@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from expanderlab import extend, graphs, hamilton
+from expanderlab import graphs, hamilton
 from expanderlab.errors import (ConfigError, ConnectFailed, EmptyGraph,
                                 UnbalancedSides)
 
@@ -35,9 +35,9 @@ def test_close_cycle_names_a_pair_the_connector_left_out():
         reserved = ()
 
         def connect_pairs(self, pairing):
-            return extend.PathSystem(paths=())
+            return ()
 
-    paths = extend.PathSystem(paths=((0, 1), (2, 3)))
+    paths = ((0, 1), (2, 3))
     trace = hamilton.PipelineTrace(4, hamilton.PipelineConfig())
     with pytest.raises(ConnectFailed, match=r"pair \(1, 2\)"):
         hamilton.close_cycle(paths, Stub(), trace)
@@ -112,15 +112,14 @@ def test_path_cover_chains_perfect_matchings_over_equal_blocks():
     parts = _parts(range(0, 4), range(4, 8))
     blocks = np.arange(8, 16).reshape(2, 4)[::-1]
     trace = hamilton.PipelineTrace(g.n, cfg)
-    system = hamilton.path_cover_phase(g, cert, parts, blocks, cfg, trace)
+    paths = hamilton.path_cover_phase(g, cert, parts, blocks, cfg, trace)
     assert trace.data["n_sizes"] == [4, 4, 4]
-    assert [p[0] for p in system.paths] == [0, 1, 2, 3]
-    covered = []
-    for p in system.paths:
+    assert paths.shape == (4, 4)
+    assert paths[:, 0].tolist() == [0, 1, 2, 3]
+    for p in paths.tolist():
         assert p[-1] in range(4, 8)
         assert p[1] in range(8, 12) and p[2] in range(12, 16)
-        covered += p
-    assert sorted(covered) == list(range(16))
+    assert sorted(paths.ravel().tolist()) == list(range(16))
 
 
 def test_path_cover_uneven_blocks_raise_unbalanced_sides():

@@ -110,7 +110,8 @@ def test_hall_violator_is_the_koenig_set_of_any_maximum_matching(n, p, seed, dat
     if a == b:
         want = _networkx_koenig_set(g, left, right)
         try:
-            m = matching.perfect_matching_expander(view, d=1.0, gamma=0.0, lam=0.0)
+            m = matching.perfect_matching_expander(view, d=1.0, gamma=0.0, lam=0.0,
+                                                   gamma_cap=1 / 6, ratio_cap=1 / 200)
         except PerfectMatchingFailed as exc:
             assert want is not None and exc.violator == want
         else:
@@ -133,15 +134,16 @@ def test_perfect_matching_expander_on_paley(paley1009, cert1009):
 
 
 def test_perfect_matching_preconditions(paley13):
+    caps = {"gamma_cap": 1 / 6, "ratio_cap": 1 / 200}
     view = graphs.BipartiteView(parent=paley13, left=(0, 1), right=(2, 3, 4))
     with pytest.raises(UnbalancedSides):
-        matching.perfect_matching_expander(view, d=6, gamma=0.1, lam=0.01)
+        matching.perfect_matching_expander(view, d=6, gamma=0.1, lam=0.01, **caps)
     balanced = graphs.BipartiteView(parent=paley13, left=(0, 1), right=(2, 3))
     with pytest.raises(PreconditionViolated) as exc:
-        matching.perfect_matching_expander(balanced, d=6, gamma=0.5, lam=0.01)
+        matching.perfect_matching_expander(balanced, d=6, gamma=0.5, lam=0.01, **caps)
     assert exc.value.hypothesis == "gamma_cap"
     with pytest.raises(PreconditionViolated) as exc:
-        matching.perfect_matching_expander(balanced, d=6, gamma=0.1, lam=5.0)
+        matching.perfect_matching_expander(balanced, d=6, gamma=0.1, lam=5.0, **caps)
     assert exc.value.hypothesis == "lambda_cap"
 
 
@@ -149,7 +151,8 @@ def test_perfect_matching_failure_carries_violator():
     view = _view_from_edges(6, [(0, 3), (1, 3), (2, 3)],
                             left=[0, 1, 2], right=[3, 4, 5])
     with pytest.raises(PerfectMatchingFailed) as exc:
-        matching.perfect_matching_expander(view, d=1000, gamma=0.01, lam=0.1)
+        matching.perfect_matching_expander(view, d=1000, gamma=0.01, lam=0.1,
+                                           gamma_cap=1 / 6, ratio_cap=1 / 200)
     assert exc.value.violator
 
 

@@ -9,25 +9,6 @@ from expanderlab import graphs, sampling
 from expanderlab.errors import AsymmetricInput, BadParameter, BadRange
 
 
-def test_sample_subset_models_and_determinism():
-    bern = sampling.sample_subset(100, "bernoulli", 0.3, seed=7)
-    again = sampling.sample_subset(100, "bernoulli", 0.3, seed=7)
-    assert bern == again
-    assert all(0 <= v < 100 for v in bern.members)
-    unif = sampling.sample_subset(100, "uniform", 25, seed=7)
-    assert len(unif.members) == 25
-    assert len(set(unif.members)) == 25
-
-
-def test_sample_subset_bad_params():
-    with pytest.raises(BadParameter):
-        sampling.sample_subset(10, "bernoulli", 1.5, seed=0)
-    with pytest.raises(BadParameter):
-        sampling.sample_subset(10, "uniform", 0, seed=0)
-    with pytest.raises(BadParameter):
-        sampling.sample_subset(10, "gaussian", 0.5, seed=0)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 40), st.data())
 def test_exact_hypergeometric_below_chernoff(big_n, data):
