@@ -23,7 +23,7 @@ from .errors import (BadParameter, ConnectFailed, ExpanderLabError,
                      NoConvergence, PartitionRetriesExhausted,
                      PerfectMatchingFailed, RetryExhausted, SchemaMismatch,
                      TheoremFalsified)
-from .rng import derive_seed, generator
+from .rng import child_seed, generator
 
 ARTIFACT_VERSION = 1
 
@@ -87,7 +87,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = graphs.read_graph(args.graph)
-    cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
+    cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -103,7 +103,7 @@ def _cmd_eml(args) -> int:
     if args.samples < 1:
         raise BadParameter(f"--samples {args.samples} must be at least 1")
     g = graphs.read_graph(args.graph)
-    cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
+    cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
     rng = generator(args.seed, "eml-samples")
     rows = []
     violated = 0
@@ -133,7 +133,7 @@ def _cmd_eml(args) -> int:
 
 def _cmd_subsample(args) -> int:
     g = graphs.read_graph(args.graph)
-    cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
+    cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
     exp = sampling.induced_subgraph_experiment(
         g, cert, args.sigma, trials=args.trials, seed=args.seed,
         gamma_target=args.gamma_target)
@@ -176,15 +176,12 @@ def _cmd_match(args) -> int:
                                 right=_vertex_list(args.right))
     if args.mode == "max":
         m = matching.max_matching(view)
-    elif args.mode == "perfect":
-        cert = graphs.certify_expander(g, seed=derive_seed(args.seed, "certify") % 2**31)
-        seed = derive_seed(args.seed, "match-s2") % 2**31
+    else:   # argparse allows only "max" and "perfect"
+        cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
         m = matching.perfect_matching_expander(
             view, d=cert.d, gamma=args.gamma,
-            lam=view.s2(linalg.DEFAULT_TOL, seed),
+            lam=view.s2(child_seed(args.seed, "match-s2")),
             gamma_cap=args.gamma_cap, ratio_cap=args.ratio_cap)
-    else:
-        raise BadParameter(f"unknown match mode {args.mode!r}")
     _emit(m.to_json() + "\n", args.out)
     return EXIT_OK
 

@@ -28,15 +28,12 @@ class Connector:
     the routed paths.
     """
 
-    def __init__(self, g: Graph, left_ports, right_ports, reserved,
-                 budget: int, seed: int = 0):
+    def __init__(self, g: Graph, ports, reserved, budget: int, seed: int):
         self.g = g
-        self.left_ports = tuple(vertex_array(left_ports).tolist())
-        self.right_ports = tuple(vertex_array(right_ports).tolist())
         self.reserved = tuple(vertex_array(reserved).tolist())
         self.budget = budget
         self.seed = seed
-        self._ports = set(self.left_ports) | set(self.right_ports)
+        self._ports = set(vertex_array(ports).tolist())
 
     def connect_pairs(self, pairs) -> tuple:
         """Vertex-disjoint paths whose interiors partition the reserve,
@@ -157,7 +154,7 @@ def build_connector(g: Graph, x, y, reserve, l_max: int, seed: int = 0,
             f"{min_reserve_ratio * len(xs)}")
     if l_max < 1:
         raise BadParameter(f"l_max={l_max} must be at least 1")
-    return Connector(g, xs, ys, rs, budget=l_max, seed=seed)
+    return Connector(g, xs | ys, rs, budget=l_max, seed=seed)
 
 
 def verify_path_system(g: Graph, paths, pairs=None, reserve=None,
@@ -165,8 +162,9 @@ def verify_path_system(g: Graph, paths, pairs=None, reserve=None,
     """Independent check of a sequence of paths against the host graph.
 
     Verifies edge existence, pairwise vertex-disjointness, and (when
-    supplied) endpoint pairing, interior containment in the reserve,
-    and the length budget.
+    supplied) the pairing, path i running from pairs[i][0] to
+    pairs[i][1], interior containment in the reserve, and the length
+    budget.
     """
     seen = set()
     for p in paths:
@@ -180,9 +178,7 @@ def verify_path_system(g: Graph, paths, pairs=None, reserve=None,
         if l_max is not None and len(p) - 1 > l_max:
             return False
     if pairs is not None:
-        want = {frozenset(p) for p in pairs}
-        got = {frozenset((p[0], p[-1])) for p in paths}
-        if want != got:
+        if [(p[0], p[-1]) for p in paths] != [tuple(p) for p in pairs]:
             return False
     if reserve is not None:
         if not {v for p in paths for v in p[1:-1]} <= set(reserve):

@@ -32,6 +32,10 @@ from .errors import (BadResidueClass, EmptyGraph, EmptySide, IsolatedVertex,
 from .rng import generator
 
 DENSIFY_CAP = 4000
+# Residual tolerance of every graph spectrum (certificates and induced
+# s2), and the slack of the bipartite certificate's windows and s2 bound.
+SPECTRAL_TOL = 1e-8
+CERTIFICATE_TOL = 1e-6   # `check_certificate`'s slack on d and the degree window
 PAIRING_ATTEMPT_FACTOR = 100  # cap on stub-pair draws: 100 * n * d
 
 
@@ -148,15 +152,16 @@ class Graph:
         sub = self._csr[vs][:, vs]
         return Graph._from_csr(len(vs), sub.indptr, sub.indices), vs.tolist()
 
-    def cross_degree(self, v, targets):
-        """Number of neighbours in the vertex set `targets`: an int for one
-        vertex v, an int array for an array (or sequence) of vertices.
+    def cross_degree(self, vertices, targets) -> np.ndarray:
+        """Number of neighbours in the vertex set `targets` of each of
+        `vertices` (an array or sequence), as an int array.
 
         One bincount over the rows of `targets` gives every vertex's
-        degree into it (the adjacency is symmetric); v picks from that.
+        degree into it (the adjacency is symmetric); `vertices` picks
+        from that.
         """
         into = np.bincount(self._csr[vertex_array(targets)].indices, minlength=self.n)
-        return int(into[v]) if np.ndim(v) == 0 else into[np.asarray(v, dtype=np.int64)]
+        return into[np.asarray(vertices, dtype=np.int64)]
 
     def count_edges_between(self, s, t) -> int:
         """e(S,T): edges with one endpoint in S and the other in T (unordered)."""
@@ -166,9 +171,6 @@ class Graph:
         return (isinstance(other, Graph) and self.n == other.n
                 and np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.indices, other.indices))
-
-    def __hash__(self):
-        return hash((self.n, self.indices.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -259,12 +261,12 @@ class BipartiteView:
             worst = max(worst, float(deviation.max(initial=0.0)))
         return worst
 
-    def s2(self, tol: float, seed: int) -> float:
+    def s2(self, seed: int) -> float:
         """Second singular value of G[L u R] (0.0 below two vertices)."""
         if self.sub.n < 2:
             return 0.0
         return linalg.singular_values_array(self.sub.adjacency_sparse(), 2,
-                                            tol=tol, seed=seed,
+                                            tol=SPECTRAL_TOL, seed=seed,
                                             symmetric=True).values[1]
 
     def cross_block(self) -> sp.csr_array:
@@ -356,7 +358,7 @@ def gen_named(name: str, n: int | None = None) -> Graph:
     raise UnknownName(name)
 
 
-def certify_expander(g: Graph, tol: float = 1e-8, seed: int = 0) -> SpectralCertificate:
+def certify_expander(g: Graph, seed: int = 0) -> SpectralCertificate:
     """Measure (d, gamma_hat, lambda_hat) and wrap them in a certificate."""
     if g.n == 0:
         raise EmptyGraph("empty graph")
@@ -365,25 +367,26 @@ def certify_expander(g: Graph, tol: float = 1e-8, seed: int = 0) -> SpectralCert
         raise IsolatedVertex(f"vertex {int(np.argmin(degs))} is isolated")
     d = float(degs.mean())
     gamma_hat = float(np.abs(degs - d).max() / d)
-    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, tol=tol,
+    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, tol=SPECTRAL_TOL,
                                         seed=seed, symmetric=True)
     return SpectralCertificate(n=g.n, d=d, gamma_hat=gamma_hat,
                                lambda_hat=spec.values[1],
                                residual=max(spec.residuals), seed=seed)
 
 
-def check_certificate(g: Graph, cert: SpectralCertificate, tol: float = 1e-6) -> bool:
+def check_certificate(g: Graph, cert: SpectralCertificate) -> bool:
     """Re-check a certificate against the graph it claims to describe."""
     degs = g.degrees()
-    if g.n != cert.n or abs(float(degs.mean()) - cert.d) > tol:
+    if g.n != cert.n or abs(float(degs.mean()) - cert.d) > CERTIFICATE_TOL:
         return False
-    lo = (1 - cert.gamma_hat) * cert.d - tol
-    hi = (1 + cert.gamma_hat) * cert.d + tol
+    lo = (1 - cert.gamma_hat) * cert.d - CERTIFICATE_TOL
+    hi = (1 + cert.gamma_hat) * cert.d + CERTIFICATE_TOL
     if degs.min() < lo or degs.max() > hi:
         return False
     spec = linalg.singular_values_array(g.adjacency_sparse(), 2, seed=cert.seed,
                                         symmetric=True)
-    return abs(spec.values[1] - cert.lambda_hat) <= max(tol, 100 * cert.residual)
+    return abs(spec.values[1] - cert.lambda_hat) <= max(CERTIFICATE_TOL,
+                                                   100 * cert.residual)
 
 
 def degree_window_violation(g: Graph, vertices, targets, lo: float, hi: float):
@@ -397,7 +400,7 @@ def degree_window_violation(g: Graph, vertices, targets, lo: float, hi: float):
 
 
 def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
-                               lam: float, tol: float = 1e-8, seed: int = 0):
+                               lam: float, seed: int = 0):
     """Check the proportional cross-degree windows and the s2 bound.
 
     Cross-degrees of every vertex must be (1 +- gamma) * d * |other side| / n
@@ -407,13 +410,13 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
     if not view.left or not view.right:
         raise EmptySide("both sides must be nonempty")
     n = len(view.left) + len(view.right)
-    bad = view.window_violation(d, n, gamma, tol)
+    bad = view.window_violation(d, n, gamma, SPECTRAL_TOL)
     if bad is not None:
         v, deg, lo, hi = bad
         return BipartiteViolation(vertex=v, observed=float(deg), window=(lo, hi),
                                   reason="cross-degree outside window")
-    s2 = view.s2(max(tol, 1e-8), seed)
-    if s2 > lam + tol:
+    s2 = view.s2(seed)
+    if s2 > lam + SPECTRAL_TOL:
         return BipartiteViolation(vertex=-1, observed=s2, window=(0.0, lam),
                                   reason="s2 above bound")
     return BipartiteCertificate(n=n, d=d, gamma=gamma, lambda_bound=lam,

@@ -25,6 +25,7 @@ from .errors import EmptySubset, NoConvergence, NonFinite, NegativeEntry, ZeroLi
 from .rng import generator
 
 DEFAULT_TOL = 1e-9
+NORM_TOL = 1e-8     # kernel tolerance of `operator_norm` and `interlace_check`
 ZERO_SNAP = 1e-10
 DENSE_ORACLE_CAP = 64
 # Largest min(rows, cols) solved by LAPACK. With one BLAS thread, LAPACK
@@ -135,20 +136,21 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
                             tolerance=tol, left=u, right=v)
 
 
-def dense_singular_values(a, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
+def dense_singular_values(a) -> np.ndarray:
     """Brute-force oracle: full LAPACK SVD, for small matrices only."""
     a = _dense(a)
-    if max(a.shape) > cap:
-        raise ValueError(f"dense oracle capped at {cap}x{cap}, got {a.shape}")
+    if max(a.shape) > DENSE_ORACLE_CAP:
+        raise ValueError(f"dense oracle capped at {DENSE_ORACLE_CAP}x"
+                         f"{DENSE_ORACLE_CAP}, got {a.shape}")
     _check_finite(a)
     return np.linalg.svd(a, compute_uv=False)
 
 
-def operator_norm(a, tol: float = 1e-8, seed: int = 0) -> float:
+def operator_norm(a, seed: int = 0) -> float:
     """Largest singular value, from the kernel."""
     if min(a.shape) == 0:
         return 0.0
-    return singular_values_array(a, 1, tol=max(tol, 1e-12), seed=seed).values[0]
+    return singular_values_array(a, 1, tol=NORM_TOL, seed=seed).values[0]
 
 
 def norm_bundle_array(a, seed: int = 0) -> NormBundle:
@@ -180,8 +182,7 @@ def normalize_array(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bar, row_sums, col_sums
 
 
-def best_rank_one_residual(a, tol: float = DEFAULT_TOL,
-                           seed: int = 0) -> tuple[np.ndarray, float]:
+def best_rank_one_residual(a, seed: int = 0) -> tuple[np.ndarray, float]:
     """Top rank-one approximation B1 = s1 u1 v1^T and ||M - B1||.
 
     The residual equals s2(M) by the best low-rank approximation lemma;
@@ -190,15 +191,14 @@ def best_rank_one_residual(a, tol: float = DEFAULT_TOL,
     a = _dense(a)
     if min(a.shape) < 2:
         raise ValueError("need min(rows, cols) >= 2")
-    spec = singular_values_array(a, 1, tol=tol, seed=seed)
+    spec = singular_values_array(a, 1, seed=seed)
     b1 = spec.values[0] * np.outer(spec.left[:, 0], spec.right[:, 0])
     residual = operator_norm(a - b1, seed=seed)
     return b1, (0.0 if residual < ZERO_SNAP else float(residual))
 
 
-def interlace_check(a, row_subset, col_subset,
-                    tol: float = 1e-9, seed: int = 0) -> bool:
-    """True iff s_i(submatrix) <= s_i(M) + tol for all i."""
+def interlace_check(a, row_subset, col_subset, seed: int = 0) -> bool:
+    """True iff s_i(submatrix) <= s_i(M) + DEFAULT_TOL for all i."""
     rows = sorted(set(int(i) for i in row_subset))
     cols = sorted(set(int(j) for j in col_subset))
     if not rows or not cols:
@@ -206,9 +206,9 @@ def interlace_check(a, row_subset, col_subset,
     a = _dense(a)
     sub = a[np.ix_(rows, cols)]
     k = min(len(rows), len(cols))
-    s_sub = singular_values_array(sub, k, tol=max(tol, 1e-8), seed=seed).values
-    s_full = singular_values_array(a, k, tol=max(tol, 1e-8), seed=seed).values
-    return all(s_sub[i] <= s_full[i] + tol for i in range(k))
+    s_sub = singular_values_array(sub, k, tol=NORM_TOL, seed=seed).values
+    s_full = singular_values_array(a, k, tol=NORM_TOL, seed=seed).values
+    return all(s_sub[i] <= s_full[i] + DEFAULT_TOL for i in range(k))
 
 
 def read_matrix(path) -> np.ndarray:

@@ -73,27 +73,21 @@ def max_matching(view: BipartiteView) -> Matching:
 
 
 def hall_violator(view: BipartiteView, side: str = "left"):
-    """A set S on `side` with |N(S)| < |S|, or None if that side is saturated."""
+    """A set S on `side` with |N(S)| < |S|, or None if that side is saturated.
+
+    Koenig's construction: the vertices of `side` that alternating paths
+    reach from the ones a maximum matching leaves unmatched. Every
+    reached vertex of the other side is matched back into that set (else
+    the matching would not be maximum), so |N(S)| = |S| - #unmatched <
+    |S|. By Dulmage-Mendelsohn the set is the same for every maximum
+    matching.
+    """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     block, own = view.cross_block(), view.left
     if side == "right":
         block, own = block.T.tocsr(), view.right
     partner = sp.csgraph.maximum_bipartite_matching(block, perm_type="column")
-    return _koenig_violator(block, partner, own)
-
-
-def _koenig_violator(block, partner: np.ndarray, own):
-    """Hall violator among the rows of `block`, named by `own`, from a
-    maximum matching that pairs row i with column partner[i] (-1 when
-    row i is unmatched); None if every row is matched.
-
-    Koenig's construction: the rows reachable by alternating paths from
-    the unmatched ones. Every reached column is matched back into that
-    set (else the matching would not be maximum), so |N(S)| = |S| -
-    #unmatched < |S|. By Dulmage-Mendelsohn the set is the same for
-    every maximum matching.
-    """
     reached = partner < 0
     if not reached.any():
         return None
@@ -117,8 +111,8 @@ def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
     """Perfect matching in a balanced certified bipartite expander.
 
     Under the verified preconditions the matching must exist; a miss is
-    reported as a theorem falsification carrying the Hall violator,
-    taken from the same maximum matching.
+    reported as a theorem falsification carrying the Hall violator, which
+    is the same for every maximum matching.
     """
     if len(view.left) != len(view.right):
         raise UnbalancedSides(
@@ -131,12 +125,7 @@ def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
     m = max_matching(view)
     if m.size == len(view.left):
         return m
-    edges = np.reshape(m.edges, (-1, 2))
-    partner = np.full(len(view.left), -1)
-    rows = np.searchsorted(view.left, edges[:, 0])
-    partner[rows] = np.searchsorted(view.right, edges[:, 1])
-    raise PerfectMatchingFailed(
-        violator=_koenig_violator(view.cross_block(), partner, view.left))
+    raise PerfectMatchingFailed(violator=hall_violator(view))
 
 
 def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,

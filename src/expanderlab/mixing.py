@@ -21,6 +21,7 @@ from .graphs import Graph, SpectralCertificate, edge_counts, vertex_array
 from .rng import generator
 
 FRESH_S2_CAP = 4000  # side length up to which s2 is recomputed per audit
+AUDIT_SLACK = 1e-9   # round-off allowed past an audited bound
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ class JoinednessCertificate:
     trials_run: int
 
 
-def eml_matrix_audit(a: np.ndarray, s, t, tol: float = 1e-9,
-                     s2_bar: float | None = None, seed: int = 0) -> MixingAudit:
+def eml_matrix_audit(a: np.ndarray, s, t, s2_bar: float | None = None,
+                     seed: int = 0) -> MixingAudit:
     """Audit the mixing inequality for a nonnegative matrix.
 
     `s2_bar`, when supplied, must be the second singular value of the
@@ -106,11 +107,10 @@ def eml_matrix_audit(a: np.ndarray, s, t, tol: float = 1e-9,
     inner = a_sn * (1 - a_sn / total) * a_mt * (1 - a_mt / total)
     rhs = s2_bar * np.sqrt(max(inner, 0.0))
     return MixingAudit(lhs_deviation=lhs, rhs_bound=float(rhs),
-                       holds=lhs <= rhs + tol, main_term=main, s2_used=s2_bar)
+                       holds=lhs <= rhs + AUDIT_SLACK, main_term=main, s2_used=s2_bar)
 
 
-def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t,
-                    tol: float = 1e-9) -> GraphMixingAudit:
+def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t) -> GraphMixingAudit:
     """Audit the two-sided edge-count window for an almost regular expander."""
     if cert.n != g.n:
         raise CertificateMismatch(f"certificate n={cert.n} vs graph n={g.n}")
@@ -124,12 +124,12 @@ def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t,
     upper = (1 + gam) ** 2 * d * size_s * size_t / ((1 - gam) * n) + eps
 
     ordered, unordered, both = edge_counts(g, sset, tset)
+    lo, hi = lower - AUDIT_SLACK, upper + AUDIT_SLACK
     return GraphMixingAudit(
         ordered_count=float(ordered), unordered_count=unordered,
         lower=float(lower), upper=float(upper), epsilon=float(eps),
-        disjoint=not both.size,
-        holds=lower - tol <= ordered <= upper + tol,
-        unordered_holds=lower - tol <= unordered <= upper + tol)
+        disjoint=not both.size, holds=lo <= ordered <= hi,
+        unordered_holds=lo <= unordered <= hi)
 
 
 def regular_graph_bound(lam: float, n: int, size_s: int, size_t: int) -> float:

@@ -21,6 +21,11 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     return int.from_bytes(h.digest()[:8], "little") >> 1
 
 
+def child_seed(master_seed: int, label: str, index: int = 0) -> int:
+    """`derive_seed` reduced below 2**31, for kernels that take a 31-bit seed."""
+    return derive_seed(master_seed, label, index) % 2 ** 31
+
+
 def generator(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Philox generator seeded from a labeled derivation of the master seed."""
     return np.random.Generator(np.random.Philox(key=derive_seed(master_seed, label, index)))

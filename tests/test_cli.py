@@ -161,6 +161,24 @@ def test_match_subcommand(paley13_file, capsys):
     assert 1 <= len(edges) <= 3
 
 
+def test_match_perfect_reports_hall_violator(paley13_file, capsys):
+    # 0 and 2 are not adjacent in Paley 13, so {0} has no partner
+    assert run("match", "--graph", str(paley13_file), "--mode", "perfect",
+               "--left", "0", "--right", "2") == 3
+    assert capsys.readouterr().err == \
+        "phase failure: no perfect matching; Hall violator: frozenset({0})\n"
+
+
+def test_match_perfect_checks_the_s2_cap(paley13_file, capsys):
+    argv = ["match", "--graph", str(paley13_file), "--mode", "perfect",
+            "--left", "0,1,2", "--right", "3,4,5"]
+    # s2 of G[{0, ..., 5}] is 2.247, above the default cap 0.2 * d = 1.2
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: lambda_cap: lambda=2.24")
+    assert run(*argv, "--ratio-cap", "0.5") == 0
+    assert json.loads(capsys.readouterr().out) == [[0, 3], [1, 4], [2, 5]]
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("gen", "moebius", "10") == 2
     assert run("certify", str(tmp_path / "missing.txt")) == 2

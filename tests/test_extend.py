@@ -70,10 +70,33 @@ def test_verify_path_system_rejects_tampering(paley101):
     assert not extend.verify_path_system(paley101, paths,
                                          pairs=[(0, 3), (1, 2)])
     # a path through a non-edge fails
-    broken = ((0, 6, 2),) if not paley101.has_edge(0, 6) else ((0, 0, 2),)
-    assert not extend.verify_path_system(paley101, broken)
+    assert not paley101.has_edge(0, 2)
+    assert not extend.verify_path_system(paley101, ((0, 2),))
+    # a path repeating a vertex fails
+    assert not extend.verify_path_system(paley101, ((0, 1, 0),))
+    # two paths sharing a vertex fail, though each is a path of edges
+    assert extend.verify_path_system(paley101, ((0, 1),))
+    assert extend.verify_path_system(paley101, ((1, 2),))
+    assert not extend.verify_path_system(paley101, ((0, 1), (1, 2)))
+    # a path longer than the budget fails
+    longest = max(len(p) - 1 for p in paths)
+    assert extend.verify_path_system(paley101, paths, l_max=longest)
+    assert not extend.verify_path_system(paley101, paths, l_max=longest - 1)
     # interiors escaping the reserve fail
     assert not extend.verify_path_system(paley101, paths, reserve=[99])
+
+
+def test_verify_path_system_checks_ordered_ends(paley101):
+    # Path i must run from pairs[i][0] to pairs[i][1], as close_cycle reads it
+    x, y = [0, 1], [2, 3]
+    conn = extend.build_connector(paley101, x, y, range(50, 60), l_max=8, seed=1)
+    pairs = list(zip(x, y))
+    paths = conn.connect_pairs(pairs)
+    assert extend.verify_path_system(paley101, paths, pairs=pairs)
+    reversed_paths = tuple(p[::-1] for p in paths)
+    assert not extend.verify_path_system(paley101, reversed_paths, pairs=pairs)
+    assert not extend.verify_path_system(paley101, paths[::-1], pairs=pairs)
+    assert not extend.verify_path_system(paley101, paths[:1], pairs=pairs)
 
 
 def test_connector_tears_down_and_reroutes(paley101, monkeypatch):

@@ -94,8 +94,8 @@ def test_edge_counts_match_brute_force(petersen, data):
                  if u != v and petersen.has_edge(u, v)})
     assert petersen.count_edges_between(s, t) == brute
     v0 = next(iter(s))
-    assert petersen.cross_degree(v0, t) == sum(
-        1 for w in t if petersen.has_edge(v0, w))
+    assert petersen.cross_degree([v0], t).tolist() == [sum(
+        1 for w in t if petersen.has_edge(v0, w))]
 
 
 def test_bipartite_view_validation(paley13):
@@ -153,7 +153,6 @@ def test_csr_graph_matches_brute_force(edge_list, data):
     t = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     every = np.arange(n)
     assert g.cross_degree(every, t).tolist() == \
-        [g.cross_degree(v, t) for v in range(n)] == \
         [sum(frozenset((v, w)) in adj for w in t) for v in range(n)]
     assert g.cross_degree(every, []).tolist() == [0] * n
     assert g.cross_degree([], t).tolist() == []
@@ -225,7 +224,7 @@ def test_bipartite_view_matches_parent_graph(n, p, seed, data):
     members = np.sort(perm[:a + b])
     dense = g.adjacency_dense()[np.ix_(members, members)]
     s2 = np.sort(np.abs(np.linalg.eigvalsh(dense)))[-2] if a + b >= 2 else 0.0
-    assert abs(pair.s2(1e-8, seed=0) - s2) < 1e-8
+    assert abs(pair.s2(seed=0) - s2) < 1e-8
 
     block = pair.cross_block()
     rows, cols = np.meshgrid(sorted(left), sorted(right), indexing="ij")
