@@ -179,7 +179,7 @@ def _cmd_match(args) -> int:
     else:   # argparse allows only "max" and "perfect"
         cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
         m = matching.perfect_matching_expander(
-            view, d=cert.d, gamma=args.gamma,
+            view, d=cert.d, gamma=view.observed_gamma(cert.d, g.n),
             lam=view.s2(child_seed(args.seed, "match-s2")),
             gamma_cap=args.gamma_cap, ratio_cap=args.ratio_cap)
     _emit(m.to_json() + "\n", args.out)
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--mode", choices=["max", "perfect"], default="max")
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--gamma-cap", type=float, default=1.2)
     p.add_argument("--ratio-cap", type=float, default=0.2)
     p.set_defaults(func=_cmd_match)

@@ -253,12 +253,13 @@ class BipartiteView:
 
     def observed_gamma(self, d: float, n: int) -> float:
         """Largest relative deviation of a cross degree between L and R
-        from its target d * |other| / n."""
+        from its target d * |other| / n, over sides facing a non-empty side."""
         worst = 0.0
         for side, other in ((self.left, self.right), (self.right, self.left)):
-            target = d * len(other) / n
-            deviation = np.abs(self.degrees(side, other) - target) / target
-            worst = max(worst, float(deviation.max(initial=0.0)))
+            if other:
+                target = d * len(other) / n
+                deviation = np.abs(self.degrees(side, other) - target) / target
+                worst = max(worst, float(deviation.max(initial=0.0)))
         return worst
 
     def s2(self, seed: int) -> float:

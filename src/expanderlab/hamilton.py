@@ -8,13 +8,16 @@ X -> B_1 -> ... -> B_{t-2} -> Y, and cycle closing through the
 connector. Vertex sets travel between phases as sorted int arrays, the
 cover paths as the rows of one k x t array, and the closing paths as
 int tuples, path i closing the gap after cover path i.
-Every phase checks the degree windows (P1, P5, Q3-Q5) and induced s2
-caps (P2, Q4) of the sets it samples, and the trace (schema 2) records
-only checks that ran and could fail; failures name the violated check
-and never produce an unverified cycle. Each sampled pair (P5, a Q4/Q5
-block pair, a path-cover link) and P2's set S, as the pair (S, {}), is
-one `graphs.BipartiteView`, which reads the subgraph the pair induces
-once for its windows, s2 and perfect matching.
+Every phase checks the degree windows (P1, P5, Q3-Q5) of the sets it
+samples; P2 is the one induced s2 solved after certification. Singular
+values of a principal submatrix never exceed the matrix's (Thompson
+1972), so s2(G[S]) <= lambda_hat for every S, and the gate lambda_hat <=
+lambda_ratio_cap * d proves Q4's s2 cap and the matchings' lambda
+precondition. The trace (schema 2) records only checks that ran and
+could fail; failures name the violated check and never produce an
+unverified cycle. Each sampled pair (P5, a Q4/Q5 block pair, a
+path-cover link) and P2's set S, as the pair (S, {}), is one
+`graphs.BipartiteView`, which reads the subgraph it induces once.
 
 The asymptotic regime of the underlying theorem is unreachable at desk
 scale, so every threshold is a config knob with documented desk
@@ -49,7 +52,7 @@ SCHEMA_VERSION = 2
 # other check, and Q4's success record omits its gamma cap.
 GAMMA_DEFAULTS = {"P1": 0.3, "P5": 0.8, "Q3": 0.8, "Q4": 1.0, "Q5": 1.5}
 CONSTANT_DEFAULTS = {
-    "lambda_ratio_cap": 0.2,    # certification gate and matching s2 caps
+    "lambda_ratio_cap": 0.2,    # certification gate; bounds Q4 and matching s2
     "p2_scale": 1.2,            # s2(G[X u Y u R1]) <= p2_scale * lambda
     "pm_gamma_cap": 1.2,        # cross-degree tolerance for perfect matchings
     "q_pair_sample": 40,        # block pairs checked when t > 12
@@ -235,12 +238,6 @@ def _window(check: str, where: str, bad) -> None:
         raise _Rejected(check, f"{where}deg({v})={deg} outside [{lo:.3f}, {hi:.3f}]")
 
 
-def _s2_cap(check: str, where: str, s2: float, cap: float) -> None:
-    """Reject when an induced subgraph's s2 exceeds its cap."""
-    if s2 > cap:
-        raise _Rejected(check, f"{where}s2={s2:.4f} > {cap:.4f}")
-
-
 def _retry(phase: str, retries: int, trace: PipelineTrace, attempt):
     """Return attempt(retry) for the first retry it does not reject; each
     rejection is logged as a failed check of `phase`."""
@@ -280,7 +277,8 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
             g, range(n), parts.reserve, (1 - 2 * g1) * target, (1 + 2 * g1) * target))
         s2 = BipartiteView(g, perm[:2 * k + r], ()).s2(
             child_seed(cfg.seed, "partition-p2", retry))
-        _s2_cap("P2", "", s2, cap)
+        if s2 > cap:
+            raise _Rejected("P2", f"s2={s2:.4f} > {cap:.4f}")
         _window("P5", "", BipartiteView(g, parts.x, parts.y).window_violation(d, n, g5))
         return parts, s2
 
@@ -300,7 +298,9 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
     every block splits into halves of (k + 1) // 2 and k // 2 vertices,
     so neither needs a check. Q3: degrees into the first halves within
     the Q3 window. Q4/Q5: block pairs and first-half pairs are bipartite
-    expanders; all pairs when t <= 12, a seeded sample above.
+    expanders; all pairs when t <= 12, a seeded sample above. Q4's s2 cap
+    needs no solve: s2(G[B_i u B_j]) <= lambda_hat by interlacing, and
+    the certification gate admits only lambda_hat <= lambda_ratio_cap * d.
     """
     plan = plan_sizes(g.n, cfg)
     n, d = g.n, cert.d
@@ -327,8 +327,6 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
         for i, j in pairs:
             pair = BipartiteView(g, blocks[i], blocks[j])
             _window("Q4", f"pair ({i},{j}): ", pair.window_violation(d, n, g4))
-            s2 = pair.s2(child_seed(cfg.seed, f"q4-{retry}-{i}-{j}"))
-            _s2_cap("Q4", f"pair ({i},{j}): ", s2, cap)
             _window("Q5", f"half pair ({i},{j}): ", pair.window_violation(
                 d, n, g5, sides=(blocks[i, :half], blocks[j, :half])))
         return blocks, len(pairs)
@@ -350,18 +348,18 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
     of X in increasing order, by one column, so every path starts in X,
     ends in Y and the paths cover X, Y and every block exactly. Sides of
     unequal size stop at `matching.perfect_matching_expander`
-    (UnbalancedSides).
+    (UnbalancedSides). Each link's lambda is lambda_hat, a bound on its s2
+    by interlacing; the matching's lambda precondition is the comparison
+    the certification gate made, so it cannot reject here.
     """
-    n, d = g.n, cert.d
     chain = [parts.x, *sorted(blocks, key=min), parts.y]
     columns = [parts.x]
     n_sizes = []
-    for i, (left, right) in enumerate(zip(chain, chain[1:])):
+    for left, right in zip(chain, chain[1:]):
         view = BipartiteView(parent=g, left=left, right=right)
-        lam = view.s2(child_seed(cfg.seed, "path-cover-n", i))
         pm = matching.perfect_matching_expander(
-            view, d=d, gamma=view.observed_gamma(d, n), lam=lam,
-            gamma_cap=cfg.constant("pm_gamma_cap"),
+            view, d=cert.d, gamma=view.observed_gamma(cert.d, g.n),
+            lam=cert.lambda_hat, gamma_cap=cfg.constant("pm_gamma_cap"),
             ratio_cap=cfg.constant("lambda_ratio_cap"))
         n_sizes.append(pm.size)
         edges = np.array(pm.edges)        # sorted by left vertex
@@ -429,9 +427,10 @@ def hamilton_pipeline(g: Graph, cfg: PipelineConfig | None = None
         cert = certify_expander(g, seed=child_seed(cfg.seed, "certify"))
         ratio = cert.lambda_hat / cert.d
         cap = cfg.constant("lambda_ratio_cap")
-        trace.check("certification", "lambda_ratio", ratio <= cap,
+        certified = cert.lambda_hat <= cap * cert.d
+        trace.check("certification", "lambda_ratio", certified,
                     f"lambda/d = {ratio:.4f}, cap {cap}")
-        if ratio > cap:
+        if not certified:
             raise PreconditionViolated(
                 "lambda_ratio", f"lambda/d = {ratio:.4f} > {cap}")
         phase = "partition"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -177,6 +178,26 @@ def test_match_perfect_checks_the_s2_cap(paley13_file, capsys):
     assert capsys.readouterr().err.startswith("error: lambda_cap: lambda=2.24")
     assert run(*argv, "--ratio-cap", "0.5") == 0
     assert json.loads(capsys.readouterr().out) == [[0, 3], [1, 4], [2, 5]]
+
+
+def test_match_perfect_measures_the_pairs_gamma(paley13_file, capsys):
+    # 0 and 2 are not adjacent: both cross degrees are 0, so gamma is 1.0
+    assert run("match", "--graph", str(paley13_file), "--mode", "perfect",
+               "--left", "0", "--right", "2", "--gamma-cap", "0.5") == 2
+    assert capsys.readouterr().err == "error: gamma_cap: gamma=1.0 > 0.5\n"
+
+
+@pytest.mark.parametrize("left, right, sizes", [
+    ("", "2", "|V1|=0 != |V2|=1"), ("0", "", "|V1|=1 != |V2|=0"),
+    ("0,1", "2", "|V1|=2 != |V2|=1")])
+def test_match_perfect_unbalanced_sides_exit_2(paley13_file, capsys,
+                                               left, right, sizes):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("match", "--graph", str(paley13_file), "--mode", "perfect",
+                   "--left", left, "--right", right) == 2
+    assert capsys.readouterr().err == f"error: {sizes}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -253,3 +253,30 @@ def _audit_ordered_count(g, s, t):
     cert = graphs.SpectralCertificate(n=g.n, d=1.0, gamma_hat=0.0,
                                       lambda_hat=0.0, residual=0.0, seed=0)
     return mixing.eml_graph_audit(cert, g, s, t).ordered_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_induced_s2_at_most_graph_s2(n, p, seed, data):
+    # Interlacing (Thompson 1972): singular values of a principal
+    # submatrix never exceed the matrix's, so s2(G[L u R]) <= s2(G).
+    # The pipeline's certification gate bounds Q4 and the path cover's
+    # lambda by this inequality; the slack is absolute, as equality
+    # holds up to round-off.
+    rng = np.random.default_rng(seed)
+    g = graphs.Graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
+    lam = linalg.dense_singular_values(g.adjacency_dense())[1]
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.integers(0, n - a))
+    perm = rng.permutation(n)
+    pair = graphs.BipartiteView(g, perm[:a], perm[a:a + b])
+    assert pair.s2(seed=data.draw(st.integers(0, 2 ** 32 - 1))) <= lam + 1e-8
+
+
+def test_induced_s2_at_most_lambda_hat_paley_1009(paley1009, cert1009):
+    rng = np.random.default_rng(1009)
+    for size in rng.integers(2, 601, size=20):
+        members = rng.choice(paley1009.n, size=size, replace=False)
+        s2 = graphs.BipartiteView(paley1009, members, ()).s2(seed=int(size))
+        assert s2 <= cert1009.lambda_hat + 1e-8

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from expanderlab import graphs, hamilton
+from expanderlab import graphs, hamilton, linalg
 from expanderlab.errors import (ConfigError, ConnectFailed, EmptyGraph,
                                 UnbalancedSides)
 
@@ -148,6 +148,23 @@ def test_pipeline_success_and_trace(paley13):
                for c in data["checks"])
     # every recorded check on the success path holds
     assert all(c["holds"] for c in data["checks"])
+
+
+def test_pipeline_solves_the_certificate_and_p2_only(monkeypatch):
+    # Q4's s2 cap and the path cover's lambda follow from the
+    # certification gate by interlacing, so neither is solved
+    g, cfg = graphs.gen_paley(401), hamilton.PipelineConfig(seed=0)
+    sizes, solve = [], linalg.singular_values_array
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "singular_values_array", counted)
+    result = hamilton.hamilton_pipeline(g, cfg)
+    assert result.trace.outcome == "success"
+    plan = hamilton.plan_sizes(g.n, cfg)
+    assert sizes == [g.n, 2 * plan.k + plan.reserve_size]
 
 
 def test_pipeline_deterministic_trace():
