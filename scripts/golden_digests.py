@@ -1,4 +1,5 @@
-"""Print one digest line per Hamilton-pipeline run, for before/after diffs.
+"""Golden digests: one line per output that must not drift when the code
+is refactored.
 
 Each line holds q, the config as compact JSON, the outcome, the SHA-256
 of the trace JSON plus the cycle line (as `expanderlab hamilton` prints
@@ -20,22 +21,38 @@ seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
 pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
 under three windows; one line per subgraph experiment holds the SHA-256
-of its trials' `float.hex` s2 and degrees_ok. Two commits produce the
-same outputs when their printed lines are identical. From the root of
-each checkout (or with the package installed, without PYTHONPATH):
+of its trials' `float.hex` s2 and degrees_ok. The last line holds the
+SHA-256 of the graph file `write_graph` writes for Paley 401. Neighbour
+order feeds scipy's Hopcroft-Karp (`maximum_bipartite_matching`), the
+greedy matching and the connector's shuffles, so a change of
+tie-breaking anywhere in the pipeline changes these digests.
 
-    PYTHONPATH=src python3 scripts/golden_digests.py > after.txt
-    diff before.txt after.txt
+Two commits produce the same outputs when their printed lines are
+identical. `tests/golden_digests.txt` holds the committed output, and
+`tests/test_golden.py` checks every line of `lines()` against it. The
+script pins one BLAS thread itself (the last bits of the certificate
+and experiment s2 values depend on OpenBLAS's thread count), so it
+needs no environment variables. After a declared output change,
+re-pin from the root of the checkout (or with the package installed,
+without PYTHONPATH):
+
+    PYTHONPATH=src python3 scripts/golden_digests.py > tests/golden_digests.txt
 """
 
 import hashlib
 import json
+import os
 
-import numpy as np
+# One BLAS thread, set before anything imports numpy, as tests/conftest.py
+# does.
+os.environ["OMP_NUM_THREADS"] = os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from expanderlab import extend, graphs, hamilton, matching, mixing, sampling
-from expanderlab.errors import ConnectFailed
-from expanderlab.rng import derive_seed, generator
+import numpy as np  # noqa: E402
+
+from expanderlab import (extend, graphs, hamilton, matching,  # noqa: E402
+                         mixing, sampling)
+from expanderlab.errors import ConnectFailed  # noqa: E402
+from expanderlab.rng import child_seed, generator  # noqa: E402
 
 FAILURE_CONFIGS = [
     {"seed": 0, "gamma_caps": {"P1": 0.02}},
@@ -79,7 +96,7 @@ def run_digests(g, cfg_data: dict) -> tuple:
 def certificate_bits(g, cli_seed: int) -> tuple:
     """float.hex of (lambda_hat, residual) of the certificate that
     `expanderlab --seed cli_seed certify` computes."""
-    cert = graphs.certify_expander(g, seed=derive_seed(cli_seed, "certify") % 2 ** 31)
+    cert = graphs.certify_expander(g, seed=child_seed(cli_seed, "certify"))
     return cert.lambda_hat.hex(), cert.residual.hex()
 
 
@@ -145,37 +162,51 @@ def experiment_digest(experiment) -> str:
 def below_the_cycle(q: int, g):
     """Digest lines of the matching, bipartite-certificate and subgraph
     experiment layers on Paley q."""
-    cert = graphs.certify_expander(g, seed=derive_seed(0, "certify") % 2 ** 31)
+    cert = graphs.certify_expander(g, seed=child_seed(0, "certify"))
     for view_seed, a, b in VIEWS:
         m, hall, bip = view_digests(g, cert, view_seed, a, b)
-        print(q, f"view {view_seed} {a}+{b}", "matching", m, "hall", hall,
-              "bipartite", bip)
+        yield (q, f"view {view_seed} {a}+{b}", "matching", m, "hall", hall,
+               "bipartite", bip)
     for seed in EXPERIMENT_SEEDS:
         plain = sampling.induced_subgraph_experiment(
             g, cert, 0.5, trials=3, seed=seed, gamma_target=0.1)
         bipartite = sampling.bipartite_induced_experiment(
             g, cert, 0.25, 0.25, trials=3, seed=seed, gamma_target=0.1)
-        print(q, f"induced-subgraph seed {seed}", experiment_digest(plain))
-        print(q, f"bipartite-induced seed {seed}", experiment_digest(bipartite))
+        yield q, f"induced-subgraph seed {seed}", experiment_digest(plain)
+        yield q, f"bipartite-induced seed {seed}", experiment_digest(bipartite)
 
 
-def main():
+def lines():
+    """Each digest line, as printed."""
+    for fields in _fields():
+        yield " ".join(map(str, fields))
+
+
+def _fields():
+    """The fields of each digest line."""
     runs = [(q, {"seed": s}) for q in (401, 1009, 2029) for s in range(10)]
     runs += [(401, cfg) for cfg in FAILURE_CONFIGS]
     paley = {}
     for q, cfg_data in runs:
         g = paley.setdefault(q, graphs.gen_paley(q))
-        print(q, json.dumps(cfg_data, sort_keys=True, separators=(",", ":")),
-              *run_digests(g, cfg_data))
+        yield (q, json.dumps(cfg_data, sort_keys=True, separators=(",", ":")),
+               *run_digests(g, cfg_data))
     for q in (13, 101, 401, 1009, 2029):
         g = paley.get(q) or graphs.gen_paley(q)
         for cli_seed in (0, 11):
-            print(q, f"certify --seed {cli_seed}", *certificate_bits(g, cli_seed))
+            yield q, f"certify --seed {cli_seed}", *certificate_bits(g, cli_seed)
     p101 = graphs.gen_paley(101)
-    print(101, "greedy", greedy_digest(p101, graphs.certify_expander(p101, seed=0)))
-    print(101, "connector", connector_digest(p101))
+    yield 101, "greedy", greedy_digest(p101, graphs.certify_expander(p101, seed=0))
+    yield 101, "connector", connector_digest(p101)
     for q in (401, 1009):
-        below_the_cycle(q, paley[q])
+        yield from below_the_cycle(q, paley[q])
+    graph_file = graphs.graph_file_bytes(paley[401])
+    yield 401, "graph-file", hashlib.sha256(graph_file).hexdigest()
+
+
+def main():
+    for line in lines():
+        print(line)
 
 
 if __name__ == "__main__":

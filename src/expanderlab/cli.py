@@ -144,11 +144,10 @@ def _cmd_subsample(args) -> int:
         out = Path(args.out)
         csv_path = out.with_suffix(".trials.csv")
         with csv_path.open("w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["trial", "seed", "s2",
-                                               "degrees_ok", "success"],
-                               lineterminator="\n")
+            rows = exp.csv_rows()
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
             w.writeheader()
-            w.writerows(exp.csv_rows())
+            w.writerows(rows)
         out.write_text(json.dumps(summary, indent=2) + "\n")
     else:
         sys.stdout.write(json.dumps(summary, indent=2) + "\n")

@@ -22,6 +22,10 @@ from .rng import generator
 
 FRESH_S2_CAP = 4000  # side length up to which s2 is recomputed per audit
 AUDIT_SLACK = 1e-9   # round-off allowed past an audited bound
+# Hypotheses of the small-set expansion lemma, as in the paper.
+EXPANSION_SIZE_CAP = 4.0        # |X| <= EXPANSION_SIZE_CAP * lambda * n / d
+EXPANSION_MIN_DEGREE = 6.0      # deg(v,T) >= d / EXPANSION_MIN_DEGREE
+EXPANSION_GAMMA_CAP = 1.0 / 20.0
 
 
 @dataclass(frozen=True)
@@ -51,16 +55,6 @@ class GraphMixingAudit:
     disjoint: bool
     holds: bool               # window check on the ordered count
     unordered_holds: bool
-
-
-@dataclass(frozen=True)
-class ExpansionConstants:
-    """Knobs of the small-set expansion lemma; defaults match the paper."""
-
-    divisor: float = 700.0          # required |N(X,T)| >= d/(divisor*lambda) * |X|
-    size_cap_factor: float = 4.0    # |X| <= size_cap_factor * lambda * n / d
-    min_degree_divisor: float = 6.0  # deg(v,T) >= d / min_degree_divisor
-    gamma_cap: float = 1.0 / 20.0
 
 
 @dataclass(frozen=True)
@@ -146,38 +140,38 @@ def one_edge_threshold(cert: SpectralCertificate) -> float:
 
 
 def expansion_audit(cert: SpectralCertificate, g: Graph, s, t, x,
-                    constants: ExpansionConstants = ExpansionConstants()
-                    ) -> ExpansionAudit:
-    """Audit |N(X, T)| >= (d / (divisor * lambda)) |X| under the lemma's hypotheses."""
+                    divisor: float = 700.0) -> ExpansionAudit:
+    """Audit |N(X, T)| >= (d / (divisor * lambda)) |X| under the lemma's
+    hypotheses; the paper's divisor is 700."""
     if cert.n != g.n:
         raise CertificateMismatch("certificate does not match the graph")
     sset = set(int(v) for v in s)
     tset = set(int(v) for v in t)
     xset = set(int(v) for v in x)
     d, lam, gam, n = cert.d, cert.lambda_hat, cert.gamma_hat, cert.n
-    if gam > constants.gamma_cap:
+    if gam > EXPANSION_GAMMA_CAP:
         raise PreconditionViolated("gamma_cap",
-                                   f"gamma_hat={gam} > {constants.gamma_cap}")
-    if lam > d / constants.divisor:
+                                   f"gamma_hat={gam} > {EXPANSION_GAMMA_CAP}")
+    if lam > d / divisor:
         raise PreconditionViolated("lambda_cap",
-                                   f"lambda={lam} > d/{constants.divisor}={d / constants.divisor}")
+                                   f"lambda={lam} > d/{divisor}={d / divisor}")
     if not xset <= sset:
         raise PreconditionViolated("x_subset_of_s", "X must lie inside S")
-    if len(xset) > constants.size_cap_factor * lam * n / d:
+    if len(xset) > EXPANSION_SIZE_CAP * lam * n / d:
         raise PreconditionViolated(
             "x_size_cap",
-            f"|X|={len(xset)} > {constants.size_cap_factor}*lambda*n/d")
-    min_deg = d / constants.min_degree_divisor
+            f"|X|={len(xset)} > {EXPANSION_SIZE_CAP}*lambda*n/d")
+    min_deg = d / EXPANSION_MIN_DEGREE
     # The set's own iteration order picks which vertex the error names.
     svec = np.fromiter(sset, dtype=np.int64, count=len(sset))
     low = np.flatnonzero(g.cross_degree(svec, tset) < min_deg)
     if low.size:
         raise PreconditionViolated(
             "min_degree_into_t",
-            f"deg({svec[low[0]]},T) < d/{constants.min_degree_divisor}")
+            f"deg({svec[low[0]]},T) < d/{EXPANSION_MIN_DEGREE}")
     outside_x = np.fromiter(tset - xset, dtype=np.int64)
     actual = int(np.count_nonzero(g.cross_degree(outside_x, xset)))
-    required = d / (constants.divisor * lam) * len(xset)
+    required = d / (divisor * lam) * len(xset)
     return ExpansionAudit(required=float(required), actual=actual,
                           holds=actual >= required)
 

@@ -21,7 +21,7 @@ from . import linalg
 from .errors import (AsymmetricInput, BadParameter, BadRange,
                      CertificateMismatch)
 from .graphs import BipartiteView, Graph, SpectralCertificate
-from .rng import derive_seed, generator
+from .rng import child_seed, derive_seed, generator
 
 BATCHES = 10              # batch-means groups for standard errors
 
@@ -165,15 +165,14 @@ def submatrix_norm_experiment(b: np.ndarray, mode: str,
 
     norms = np.empty(trials)
     for t in range(trials):
-        trial_seed = derive_seed(seed, f"submatrix-{mode}", t)
         rng = generator(seed, f"submatrix-{mode}", t)
         if mode == "two_sided_bernoulli":
             rows = np.flatnonzero(rng.random(nrows) < sigma)
             cols = np.flatnonzero(rng.random(ncols) < sigma)
         else:
             rows = cols = rng.permutation(n)[:m]
-        norms[t] = linalg.operator_norm(arr[np.ix_(rows, cols)],
-                                        seed=trial_seed % (2**31))
+        norms[t] = linalg.operator_norm(
+            arr[np.ix_(rows, cols)], seed=child_seed(seed, f"submatrix-{mode}", t))
     lp, se = _batch_lp(norms, p)
     return MomentEstimate(p=p, trials=trials, empirical_lp=lp, std_error=se,
                           theoretical_bound=float(bound), seed=seed)

@@ -86,22 +86,18 @@ def test_one_edge_threshold(cert101):
 
 
 def test_expansion_audit_preconditions(paley1009, cert1009):
-    consts = mixing.ExpansionConstants(divisor=25)
     s = list(range(200))
     t = list(range(200, 1009))
     x = s[:5]
-    audit = mixing.expansion_audit(cert1009, paley1009, s, t, x,
-                                   constants=consts)
+    audit = mixing.expansion_audit(cert1009, paley1009, s, t, x, divisor=25)
     assert audit.holds and audit.actual >= audit.required
 
     with pytest.raises(PreconditionViolated) as exc:
-        mixing.expansion_audit(cert1009, paley1009, s, t, [500],
-                               constants=consts)
+        mixing.expansion_audit(cert1009, paley1009, s, t, [500], divisor=25)
     assert exc.value.hypothesis == "x_subset_of_s"
 
     with pytest.raises(PreconditionViolated) as exc:
-        mixing.expansion_audit(cert1009, paley1009, s, t, s,
-                               constants=consts)
+        mixing.expansion_audit(cert1009, paley1009, s, t, s, divisor=25)
     assert exc.value.hypothesis == "x_size_cap"
 
     with pytest.raises(PreconditionViolated) as exc:
