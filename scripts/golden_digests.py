@@ -54,16 +54,17 @@ from expanderlab import (extend, graphs, hamilton, matching,  # noqa: E402
 from expanderlab.errors import ConnectFailed  # noqa: E402
 from expanderlab.rng import child_seed, generator  # noqa: E402
 
-FAILURE_CONFIGS = [
-    {"seed": 0, "gamma_caps": {"P1": 0.02}},
-    {"seed": 0, "gamma_caps": {"P5": 0.05}},
-    {"seed": 0, "gamma_caps": {"Q3": 0.1}},
-    {"seed": 0, "gamma_caps": {"Q4": 0.1}},
-    {"seed": 0, "gamma_caps": {"Q5": 0.1}},
-    {"seed": 1, "constant_overrides": {"p2_scale": 0.5}},
-    {"seed": 1, "constant_overrides": {"pm_gamma_cap": 0.05}},
-    {"seed": 0, "constant_overrides": {"lambda_ratio_cap": 0.03}},
-]
+# Config of one Paley 401 run failing on each check named by its key.
+FAILURE_CONFIGS = {
+    "P1": {"seed": 0, "gamma_caps": {"P1": 0.02}},
+    "P5": {"seed": 0, "gamma_caps": {"P5": 0.05}},
+    "Q3": {"seed": 0, "gamma_caps": {"Q3": 0.1}},
+    "Q4": {"seed": 0, "gamma_caps": {"Q4": 0.1}},
+    "Q5": {"seed": 0, "gamma_caps": {"Q5": 0.1}},
+    "P2": {"seed": 1, "constant_overrides": {"p2_scale": 0.5}},
+    "pm_gamma_cap": {"seed": 1, "constant_overrides": {"pm_gamma_cap": 0.05}},
+    "lambda_ratio_cap": {"seed": 0, "constant_overrides": {"lambda_ratio_cap": 0.03}},
+}
 # (view seed, |L|, |R|) of the seeded vertex pairs: balanced, unbalanced
 # (the larger side has a Hall violator) and small enough for a
 # balanced pair to miss a perfect matching.
@@ -78,6 +79,11 @@ EXPERIMENT_SEEDS = (0, 1)
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def config_key(cfg_data: dict) -> str:
+    """The config as the compact JSON a run's line prints."""
+    return json.dumps(cfg_data, sort_keys=True, separators=(",", ":"))
 
 
 def run_digests(g, cfg_data: dict) -> tuple:
@@ -185,12 +191,11 @@ def lines():
 def _fields():
     """The fields of each digest line."""
     runs = [(q, {"seed": s}) for q in (401, 1009, 2029) for s in range(10)]
-    runs += [(401, cfg) for cfg in FAILURE_CONFIGS]
+    runs += [(401, cfg) for cfg in FAILURE_CONFIGS.values()]
     paley = {}
     for q, cfg_data in runs:
         g = paley.setdefault(q, graphs.gen_paley(q))
-        yield (q, json.dumps(cfg_data, sort_keys=True, separators=(",", ":")),
-               *run_digests(g, cfg_data))
+        yield q, config_key(cfg_data), *run_digests(g, cfg_data)
     for q in (13, 101, 401, 1009, 2029):
         g = paley.get(q) or graphs.gen_paley(q)
         for cli_seed in (0, 11):

@@ -2,7 +2,8 @@
 
 `scripts/golden_digests.py` is their one implementation; its docstring
 says what each line pins. `tests/golden_digests.txt` holds its committed
-output, and every line the script prints is checked against that file.
+output, and every line the script prints is checked against that file,
+as are the values of the pins this module held before that file.
 After a declared output change, re-pin with
 
     PYTHONPATH=src python3 scripts/golden_digests.py > tests/golden_digests.txt
@@ -39,6 +40,80 @@ def test_line_count(printed):
                          ids=[FIRST_VALUE.split(line, 1)[0] for line in GOLDEN])
 def test_line(printed, i):
     assert printed[i] == GOLDEN[i]
+
+
+# The pins the suite held before the committed file, each reading its own
+# values of one line, so that a drift names the digest that moved. A run's
+# line holds (outcome, trace digest, cycle digest) after its name.
+RUNS = {**{f"401-seed{s}": (401, {"seed": s}) for s in range(3)},
+        **{f"{q}-seed0": (q, {"seed": 0}) for q in (1009, 2029)},
+        **{name: (401, cfg) for name, cfg in golden_digests.FAILURE_CONFIGS.items()}}
+
+
+def _values(lines, name):
+    """The fields after the name of the line called `name`."""
+    [line] = [line for line in lines if line.startswith(name + " ")]
+    return line[len(name) + 1:].split(" ")
+
+
+def _run_values(lines, run):
+    q, cfg_data = RUNS[run]
+    return _values(lines, f"{q} {golden_digests.config_key(cfg_data)}")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pipeline_trace_and_cycle_digest(printed, seed):
+    run = f"401-seed{seed}"
+    assert _run_values(printed, run)[:2] == _run_values(GOLDEN, run)[:2]
+
+
+@pytest.mark.parametrize("q", (1009, 2029))
+def test_larger_pipeline_trace_and_cycle_digest(printed, q):
+    run = f"{q}-seed0"
+    assert _run_values(printed, run)[:2] == _run_values(GOLDEN, run)[:2]
+
+
+@pytest.mark.parametrize("name", sorted(golden_digests.FAILURE_CONFIGS))
+def test_failed_run_trace_digest(printed, name):
+    assert _run_values(printed, name)[:2] == _run_values(GOLDEN, name)[:2]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outcome_cycle_and_failed_checks_digest(printed, name):
+    assert _run_values(printed, name)[2] == _run_values(GOLDEN, name)[2]
+
+
+def test_graph_file_digest(printed):
+    assert _values(printed, "401 graph-file") == _values(GOLDEN, "401 graph-file")
+
+
+def test_greedy_matching_digest(printed):
+    assert _values(printed, "101 greedy") == _values(GOLDEN, "101 greedy")
+
+
+def test_connector_digest(printed):
+    assert _values(printed, "101 connector") == _values(GOLDEN, "101 connector")
+
+
+@pytest.mark.parametrize("q, cli_seed", [(1009, 0), (1009, 11), (2029, 0), (2029, 11)])
+def test_certificate_bits(printed, q, cli_seed):
+    name = f"{q} certify --seed {cli_seed}"
+    assert _values(printed, name) == _values(GOLDEN, name)
+
+
+@pytest.mark.parametrize("q, view_seed, a, b",
+                         [(401, 3, 6, 6), (1009, 1, 30, 18), (1009, 4, 4, 4)])
+def test_pair_matching_and_certificate_digests(printed, q, view_seed, a, b):
+    name = f"{q} view {view_seed} {a}+{b}"
+    assert _values(printed, name) == _values(GOLDEN, name)
+
+
+@pytest.mark.parametrize("q, label, seed", [(401, "induced-subgraph", 1),
+                                            (401, "bipartite-induced", 0),
+                                            (1009, "bipartite-induced", 0)])
+def test_subgraph_experiment_digests(printed, q, label, seed):
+    name = f"{q} {label} seed {seed}"
+    assert _values(printed, name) == _values(GOLDEN, name)
 
 
 def test_script_pins_one_blas_thread():
