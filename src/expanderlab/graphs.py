@@ -35,7 +35,6 @@ DENSIFY_CAP = 4000
 # Residual tolerance of every graph spectrum (certificates and induced
 # s2), and the slack of the bipartite certificate's windows and s2 bound.
 SPECTRAL_TOL = 1e-8
-CERTIFICATE_TOL = 1e-6   # `check_certificate`'s slack on d and the degree window
 PAIRING_ATTEMPT_FACTOR = 100  # cap on stub-pair draws: 100 * n * d
 
 
@@ -375,21 +374,6 @@ def certify_expander(g: Graph, seed: int = 0) -> SpectralCertificate:
                                residual=max(spec.residuals), seed=seed)
 
 
-def check_certificate(g: Graph, cert: SpectralCertificate) -> bool:
-    """Re-check a certificate against the graph it claims to describe."""
-    degs = g.degrees()
-    if g.n != cert.n or abs(float(degs.mean()) - cert.d) > CERTIFICATE_TOL:
-        return False
-    lo = (1 - cert.gamma_hat) * cert.d - CERTIFICATE_TOL
-    hi = (1 + cert.gamma_hat) * cert.d + CERTIFICATE_TOL
-    if degs.min() < lo or degs.max() > hi:
-        return False
-    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, seed=cert.seed,
-                                        symmetric=True)
-    return abs(spec.values[1] - cert.lambda_hat) <= max(CERTIFICATE_TOL,
-                                                   100 * cert.residual)
-
-
 def degree_window_violation(g: Graph, vertices, targets, lo: float, hi: float):
     """First of `vertices`, in their given order, whose degree into
     `targets` leaves [lo, hi], as (vertex, degree, lo, hi) like
@@ -435,15 +419,6 @@ def certificate_to_json(cert: SpectralCertificate) -> str:
         "residual": float(cert.residual),
         "seed": cert.seed,
     }, indent=2) + "\n"
-
-
-def certificate_from_json(text: str) -> SpectralCertificate:
-    obj = json.loads(text)
-    return SpectralCertificate(n=int(obj["n"]), d=float(obj["d"]),
-                               gamma_hat=float(obj["gamma_hat"]),
-                               lambda_hat=float(obj["lambda_hat"]),
-                               residual=float(obj["residual"]),
-                               seed=int(obj["seed"]))
 
 
 def read_graph(path) -> Graph:

@@ -1,31 +1,31 @@
 """Linear-algebra kernels on plain dense or sparse matrices.
 
-Singular values, matrix norms, line-sum normalization, best rank-one
-approximation, interlacing checks and matrix file I/O. Every spectrum in
-the package comes from one kernel, `singular_values_array`: LAPACK
-(`eigh` if symmetric, else `svd`) up to DENSE_CUTOFF, ARPACK above it on
-A if symmetric, else on [[0, A], [A^T, 0]], with a seeded start vector
-and a stopping tolerance derived from `tol`. Callers state symmetry (graph
-adjacencies are symmetric by construction); only dense input that states
-nothing is tested for it. The residuals ||A v - s u|| and, if A is not
-symmetric, ||A^T u - s v|| of the returned triples must stay within
-`tol`. `dense_singular_values` is the independent test oracle.
+Singular values, matrix norms, line-sum normalization and reading matrix
+files. Every spectrum in the package comes from one kernel,
+`singular_values_array`: LAPACK (`eigh` if symmetric, else `svd`) up to
+DENSE_CUTOFF, ARPACK above it on A if symmetric, else on
+[[0, A], [A^T, 0]], with a seeded start vector and a stopping tolerance
+derived from `tol`. Callers state symmetry (graph adjacencies are
+symmetric by construction); only dense input that states nothing is
+tested for it. The residuals ||A v - s u|| and, if A is not symmetric,
+||A^T u - s v|| of the computed triples must stay within `tol`.
+`dense_singular_values` is the independent test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EmptySubset, NoConvergence, NonFinite, NegativeEntry, ZeroLine
+from .errors import NoConvergence, NonFinite, NegativeEntry, ZeroLine
 from .rng import generator
 
 DEFAULT_TOL = 1e-9
-NORM_TOL = 1e-8     # kernel tolerance of `operator_norm` and `interlace_check`
+NORM_TOL = 1e-8     # kernel tolerance of `operator_norm`
 ZERO_SNAP = 1e-10
 DENSE_ORACLE_CAP = 64
 # Largest min(rows, cols) solved by LAPACK. With one BLAS thread, LAPACK
@@ -37,13 +37,11 @@ DENSE_CUTOFF = 600
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Top singular values, nonincreasing; column i of `left`/`right` is u_i/v_i."""
+    """Top singular values, nonincreasing, with the residual of each triple."""
 
     values: tuple
     residuals: tuple
     tolerance: float
-    left: np.ndarray = field(compare=False, repr=False)
-    right: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,8 @@ def _eigen_triples(w, x, k: int):
 def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
                           seed: int = 0, *, symmetric: bool | None = None
                           ) -> SingularSpectrum:
-    """Top-k singular triples of a dense or sparse matrix.
+    """Top-k singular values of a dense or sparse matrix, with the
+    residuals of their singular triples.
 
     `symmetric` states whether A = A^T and is trusted. Sparse input must
     state it; for dense input None means test it to 1e-14.
@@ -133,7 +132,7 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
             f"worst residual {residuals.max():.3e} above tolerance {tol:.3e}")
     return SingularSpectrum(values=tuple(float(s) for s in vals),
                             residuals=tuple(float(r) for r in residuals),
-                            tolerance=tol, left=u, right=v)
+                            tolerance=tol)
 
 
 def dense_singular_values(a) -> np.ndarray:
@@ -182,35 +181,6 @@ def normalize_array(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bar, row_sums, col_sums
 
 
-def best_rank_one_residual(a, seed: int = 0) -> tuple[np.ndarray, float]:
-    """Top rank-one approximation B1 = s1 u1 v1^T and ||M - B1||.
-
-    The residual equals s2(M) by the best low-rank approximation lemma;
-    it is measured directly on M - B1 rather than read off the spectrum.
-    """
-    a = _dense(a)
-    if min(a.shape) < 2:
-        raise ValueError("need min(rows, cols) >= 2")
-    spec = singular_values_array(a, 1, seed=seed)
-    b1 = spec.values[0] * np.outer(spec.left[:, 0], spec.right[:, 0])
-    residual = operator_norm(a - b1, seed=seed)
-    return b1, (0.0 if residual < ZERO_SNAP else float(residual))
-
-
-def interlace_check(a, row_subset, col_subset, seed: int = 0) -> bool:
-    """True iff s_i(submatrix) <= s_i(M) + DEFAULT_TOL for all i."""
-    rows = sorted(set(int(i) for i in row_subset))
-    cols = sorted(set(int(j) for j in col_subset))
-    if not rows or not cols:
-        raise EmptySubset("row and column subsets must be nonempty")
-    a = _dense(a)
-    sub = a[np.ix_(rows, cols)]
-    k = min(len(rows), len(cols))
-    s_sub = singular_values_array(sub, k, tol=NORM_TOL, seed=seed).values
-    s_full = singular_values_array(a, k, tol=NORM_TOL, seed=seed).values
-    return all(s_sub[i] <= s_full[i] + DEFAULT_TOL for i in range(k))
-
-
 def read_matrix(path) -> np.ndarray:
     """Matrix text format: first line "rows cols", then row-major reals."""
     with open(path, "r", encoding="ascii") as fh:
@@ -218,17 +188,12 @@ def read_matrix(path) -> np.ndarray:
     if len(tokens) < 2:
         raise ValueError("matrix file missing header")
     rows, cols = int(tokens[0]), int(tokens[1])
+    if rows < 1 or cols < 1:
+        raise ValueError(f"matrix header \"{rows} {cols}\": both dimensions "
+                         f"must be at least 1")
     vals = [float(t) for t in tokens[2:]]
     if len(vals) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(vals)}")
     a = np.array(vals).reshape(rows, cols)  # always 2-D
     _check_finite(a)
     return a
-
-
-def write_matrix(a, path) -> None:
-    a = _dense(a)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")

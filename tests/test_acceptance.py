@@ -329,7 +329,7 @@ def _write_artifacts(out_dir):
                      "--trials", "10", "--gamma-target", "0.3"]) == 0
     mat = out_dir / "b.txt"
     arr = graphs.gen_paley(61).adjacency_dense().astype(float)
-    linalg.write_matrix(arr, mat)
+    np.savetxt(mat, arr, header=f"{arr.shape[0]} {arr.shape[1]}", comments="")
     assert cli.main(["--seed", "11", "--out", str(out_dir / "mom.json"),
                      "submatrix", "--matrix", str(mat),
                      "--mode", "symmetric_uniform", "--m", "20",

@@ -155,6 +155,14 @@ def test_summarize_empty_directory(tmp_path):
     assert run("summarize", str(empty)) == 2
 
 
+def test_summarize_mixed_schema_versions(tmp_path, capsys):
+    for version in (1, 2):
+        (tmp_path / f"s{version}.json").write_text(json.dumps(
+            {"schema_version": version, "success_fraction": 1.0}))
+    assert run("summarize", str(tmp_path)) == 2
+    assert "mixed schema versions" in capsys.readouterr().err
+
+
 def test_match_subcommand(paley13_file, capsys):
     assert run("match", "--graph", str(paley13_file),
                "--left", "0,1,2", "--right", "3,4,5") == 0
@@ -224,6 +232,17 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, text, why):
     assert run("certify", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and why in err
+
+
+@pytest.mark.parametrize("text", ["0 5\n", "-2 -3\n1 2 3 4 5 6\n"],
+                         ids=["zero-rows", "negative"])
+def test_matrix_header_below_one_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run("submatrix", "--matrix", str(path),
+               "--mode", "two_sided_bernoulli", "--sigma", "0.5") == 2
+    header = text.splitlines()[0]
+    assert capsys.readouterr().err.startswith(f'error: matrix header "{header}"')
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -9,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import graphs, linalg, matching, mixing
-from expanderlab.errors import (BadResidueClass, NotPrime, ParityViolation,
-                                UnknownName)
+from expanderlab.errors import (BadResidueClass, EmptySide, IsolatedVertex,
+                                NotPrime, ParityViolation, UnknownName)
 
 
 def test_paley_13_shape(paley13):
@@ -55,17 +57,17 @@ def test_named_families(petersen):
         graphs.gen_named("hypercube", 8)
 
 
-def test_certificate_roundtrip(paley13, cert13):
+def test_certificate_roundtrip(cert13):
     assert cert13.n == 13 and cert13.d == 6 and cert13.gamma_hat == 0
     assert abs(cert13.lambda_hat - (1 + math.sqrt(13)) / 2) < 1e-6
-    assert graphs.check_certificate(paley13, cert13)
     text = graphs.certificate_to_json(cert13)
-    assert graphs.certificate_from_json(text) == cert13
+    assert json.loads(text) == dataclasses.asdict(cert13)
 
 
-def test_check_certificate_rejects_other_graph(cert13):
-    other = graphs.gen_named("cycle", 13)
-    assert not graphs.check_certificate(other, cert13)
+def test_certify_rejects_isolated_vertex():
+    g = graphs.Graph(4, [(0, 1), (1, 2)])
+    with pytest.raises(IsolatedVertex, match="vertex 3 is isolated"):
+        graphs.certify_expander(g)
 
 
 def test_graph_io_roundtrip(tmp_path, petersen):
@@ -108,6 +110,14 @@ def test_bipartite_view_validation(paley13):
     assert (view.left, view.right) == ((0, 1), (3, 4))
     rows, cols = np.meshgrid([0, 1], [3, 4], indexing="ij")
     assert np.array_equal(view.cross_block().toarray(), paley13.has_edge(rows, cols))
+
+
+@pytest.mark.parametrize("left, right", [((), (3, 4)), ((0, 1), ())],
+                         ids=["empty-left", "empty-right"])
+def test_certify_bipartite_rejects_empty_side(paley13, left, right):
+    view = graphs.BipartiteView(parent=paley13, left=left, right=right)
+    with pytest.raises(EmptySide):
+        graphs.certify_bipartite_expander(view, d=6.0, gamma=0.5, lam=1.2)
 
 
 def test_adjacency_dense_matches_sparse(paley13):

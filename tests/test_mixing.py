@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from expanderlab import graphs, mixing
-from expanderlab.errors import (DegenerateGamma, EmptySubset,
-                                PreconditionViolated)
+from expanderlab.errors import (CertificateMismatch, DegenerateGamma,
+                                EmptySubset)
 
 nonneg = st.floats(min_value=0, max_value=5, allow_nan=False,
                    allow_infinity=False, width=32)
@@ -70,10 +70,9 @@ def test_graph_audit_sweep_paley(paley101, cert101):
         assert audit.holds and audit.unordered_holds
 
 
-def test_regular_graph_bound_symmetry():
-    assert mixing.regular_graph_bound(2.0, 10, 3, 4) == \
-        mixing.regular_graph_bound(2.0, 10, 4, 3)
-    assert mixing.regular_graph_bound(2.0, 10, 10, 4) == 0
+def test_graph_audit_rejects_other_graphs_certificate(paley101, cert13):
+    with pytest.raises(CertificateMismatch, match="n=13 vs graph n=101"):
+        mixing.eml_graph_audit(cert13, paley101, [0], [1])
 
 
 def test_one_edge_threshold(cert101):
@@ -84,36 +83,3 @@ def test_one_edge_threshold(cert101):
     with pytest.raises(DegenerateGamma):
         mixing.one_edge_threshold(bad)
 
-
-def test_expansion_audit_preconditions(paley1009, cert1009):
-    s = list(range(200))
-    t = list(range(200, 1009))
-    x = s[:5]
-    audit = mixing.expansion_audit(cert1009, paley1009, s, t, x, divisor=25)
-    assert audit.holds and audit.actual >= audit.required
-
-    with pytest.raises(PreconditionViolated) as exc:
-        mixing.expansion_audit(cert1009, paley1009, s, t, [500], divisor=25)
-    assert exc.value.hypothesis == "x_subset_of_s"
-
-    with pytest.raises(PreconditionViolated) as exc:
-        mixing.expansion_audit(cert1009, paley1009, s, t, s, divisor=25)
-    assert exc.value.hypothesis == "x_size_cap"
-
-    with pytest.raises(PreconditionViolated) as exc:
-        mixing.expansion_audit(cert1009, paley1009, s, t, x)
-    assert exc.value.hypothesis == "lambda_cap"
-
-
-def test_joinedness_certify(paley101, cert101):
-    jc = mixing.joinedness_certify(cert101, paley101, trials=500, seed=0)
-    assert not jc.degenerate
-    assert jc.m == int(np.floor(mixing.one_edge_threshold(cert101))) + 1
-    assert jc.trials_run == 500
-
-
-def test_joinedness_degenerate_on_sparse_graph():
-    c12 = graphs.gen_named("cycle", 12)
-    cert = graphs.certify_expander(c12, seed=0)
-    jc = mixing.joinedness_certify(cert, c12, trials=10, seed=0)
-    assert jc.degenerate and jc.trials_run == 0
