@@ -141,6 +141,25 @@ def test_normalize_regular_graph_is_adjacency_over_d():
     assert np.allclose(bar, a / 6)
 
 
+def test_interlacing_random_submatrices():
+    # s_i(M[R, C]) <= s_i(M) for every i up to min(|R|, |C|): the inequality
+    # (Thompson 1972) the pipeline uses to bound s2 of every induced subgraph.
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        n = int(rng.integers(4, 20))
+        m = rng.normal(size=(n, n))
+        rows = np.sort(rng.permutation(n)[:int(rng.integers(1, n))])
+        cols = np.sort(rng.permutation(n)[:int(rng.integers(1, n))])
+        k = min(len(rows), len(cols))
+        s_sub = linalg.singular_values_array(m[np.ix_(rows, cols)], k,
+                                             tol=linalg.NORM_TOL,
+                                             seed=trial).values
+        s_full = linalg.singular_values_array(m, k, tol=linalg.NORM_TOL,
+                                              seed=trial).values
+        assert np.all(np.asarray(s_sub) <= np.asarray(s_full)
+                      + linalg.DEFAULT_TOL)
+
+
 def test_normalize_rejects_zero_line():
     a = np.ones((3, 3))
     a[1, :] = 0
