@@ -7,16 +7,16 @@ them) and, in its own column, the SHA-256 of the outcome, the cycle line
 and the ordered (phase, check) of the trace's failed records, which a
 change of the trace's shape alone leaves as it is. The runs are the
 criterion-9 table (Paley q in {401, 1009, 2029}, config seeds 0-9) and
-Paley 401 configs that fail on each partition and repartition check, on
-the perfect-matching gamma cap and on the lambda/d gate. Then one line
-per spectral certificate holds q, the CLI seed and `float.hex` of
-`certify_expander`'s lambda_hat and residual, for Paley q in {13, 101,
-401, 1009, 2029} at the certificate seeds `expanderlab --seed 0` and
-`--seed 11` use. One line holds the SHA-256 of the edges of
-`greedy_matching_avoiding` on criterion 7's 100 seeded draws on Paley
-101, and one the SHA-256 of the closing paths, or the ConnectFailed
-message, of `connect_pairs` on 200 seeded draws on Paley 101 that reach
-every exit of the connector. Below the cycle, on
+Paley 401 configs that fail on each partition and repartition check
+(P1, P5, Q3, Q4, Q5), on the perfect-matching gamma cap and on the
+lambda/d gate. Then one line per spectral certificate holds q, the CLI
+seed and `float.hex` of `certify_expander`'s lambda_hat and residual,
+for Paley q in {13, 101, 401, 1009, 2029} at the certificate seeds
+`expanderlab --seed 0` and `--seed 11` use. One line holds the SHA-256
+of the edges of `greedy_matching_avoiding` on criterion 7's 100 seeded
+draws on Paley 101, and one the SHA-256 of the closing paths, or the
+ConnectFailed message, of `connect_pairs` on 200 seeded draws on Paley
+101 that reach every exit of the connector. Below the cycle, on
 seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
 pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
@@ -61,7 +61,6 @@ FAILURE_CONFIGS = {
     "Q3": {"seed": 0, "gamma_caps": {"Q3": 0.1}},
     "Q4": {"seed": 0, "gamma_caps": {"Q4": 0.1}},
     "Q5": {"seed": 0, "gamma_caps": {"Q5": 0.1}},
-    "P2": {"seed": 1, "constant_overrides": {"p2_scale": 0.5}},
     "pm_gamma_cap": {"seed": 1, "constant_overrides": {"pm_gamma_cap": 0.05}},
     "lambda_ratio_cap": {"seed": 0, "constant_overrides": {"lambda_ratio_cap": 0.03}},
 }

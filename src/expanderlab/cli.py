@@ -95,7 +95,7 @@ def _cmd_certify(args) -> int:
         w.writerow([cert.n, cert.d, cert.gamma_hat, cert.lambda_hat])
         _emit(buf.getvalue(), args.out)
     else:
-        _emit(graphs.certificate_to_json(cert) + "\n", args.out)
+        _emit(graphs.certificate_to_json(cert), args.out)
     return EXIT_OK
 
 

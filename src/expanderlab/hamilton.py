@@ -9,15 +9,16 @@ connector. Vertex sets travel between phases as sorted int arrays, the
 cover paths as the rows of one k x t array, and the closing paths as
 int tuples, path i closing the gap after cover path i.
 Every phase checks the degree windows (P1, P5, Q3-Q5) of the sets it
-samples; P2 is the one induced s2 solved after certification. Singular
+samples; the certificate is the only spectrum a run solves. Singular
 values of a principal submatrix never exceed the matrix's (Thompson
-1972), so s2(G[S]) <= lambda_hat for every S, and the gate lambda_hat <=
+1972), so s2(G[S]) <= lambda_hat for every vertex set S: no induced s2
+cap at or above lambda_hat can fail, and the gate lambda_hat <=
 lambda_ratio_cap * d proves Q4's s2 cap and the matchings' lambda
 precondition. The trace (schema 2) records only checks that ran and
 could fail; failures name the violated check and never produce an
 unverified cycle. Each sampled pair (P5, a Q4/Q5 block pair, a
-path-cover link) and P2's set S, as the pair (S, {}), is one
-`graphs.BipartiteView`, which reads the subgraph it induces once.
+path-cover link) is one `graphs.BipartiteView`, which reads the
+subgraph it induces once.
 
 The asymptotic regime of the underlying theorem is unreachable at desk
 scale, so every threshold is a config knob with documented desk
@@ -49,11 +50,10 @@ SCHEMA_VERSION = 2
 # end of the Q3 window (1 +- 2 gamma) and of the Q4 and Q5 windows
 # (1 +- gamma) is at most 0, so only their upper ends can fail. The
 # trace does not say so: it writes `holds: true` for them as for any
-# other check, and Q4's success record omits its gamma cap.
+# other check, naming only the gamma cap.
 GAMMA_DEFAULTS = {"P1": 0.3, "P5": 0.8, "Q3": 0.8, "Q4": 1.0, "Q5": 1.5}
 CONSTANT_DEFAULTS = {
     "lambda_ratio_cap": 0.2,    # certification gate; bounds Q4 and matching s2
-    "p2_scale": 1.2,            # s2(G[X u Y u R1]) <= p2_scale * lambda
     "pm_gamma_cap": 1.2,        # cross-degree tolerance for perfect matchings
     "q_pair_sample": 40,        # block pairs checked when t > 12
 }
@@ -255,19 +255,19 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
     """Random split V = X u Y u R u M with verified properties.
 
     P1: every degree into the reserve R is proportional within the P1
-    gamma cap. P2: s2 of the induced graph on X u Y u R stays under
-    p2_scale * lambda. P5: (X, Y) is a bipartite expander. The claim's
-    P3/P4 quantify over exponentially many subset families; nothing
-    checks them here, because Q3-Q5 and the path cover's perfect
-    matchings check the concrete sets those families stand for.
+    gamma cap. P5: (X, Y) is a bipartite expander. The claim's P2, s2 of
+    the graph induced on X u Y u R is O(lambda), needs no solve: by
+    interlacing, s2(G[S]) <= lambda_hat for every S. Its P3/P4 quantify
+    over exponentially many subset families; nothing checks them here,
+    because Q3-Q5 and the path cover's perfect matchings check the
+    concrete sets those families stand for.
     """
     plan = plan_sizes(g.n, cfg)
     trace.data["plan"] = asdict(plan)
-    n, d, lam = g.n, cert.d, cert.lambda_hat
+    n, d = g.n, cert.d
     k, r = plan.k, plan.reserve_size
     target = d * r / n
     g1, g5 = cfg.gamma("P1"), cfg.gamma("P5")
-    cap = cfg.constant("p2_scale") * lam
 
     def attempt(retry):
         perm = generator(cfg.seed, "partition", retry).permutation(n)
@@ -275,16 +275,11 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
                         np.split(perm, [k, 2 * k, 2 * k + r])))
         _window("P1", "into R: ", degree_window_violation(
             g, range(n), parts.reserve, (1 - 2 * g1) * target, (1 + 2 * g1) * target))
-        s2 = BipartiteView(g, perm[:2 * k + r], ()).s2(
-            child_seed(cfg.seed, "partition-p2", retry))
-        if s2 > cap:
-            raise _Rejected("P2", f"s2={s2:.4f} > {cap:.4f}")
         _window("P5", "", BipartiteView(g, parts.x, parts.y).window_violation(d, n, g5))
-        return parts, s2
+        return parts
 
-    parts, s2 = _retry("partition", cfg.max_partition_retries, trace, attempt)
+    parts = _retry("partition", cfg.max_partition_retries, trace, attempt)
     trace.check("partition", "P1", True, f"window ±{2 * g1:.2f} around {target:.3f}")
-    trace.check("partition", "P2", True, f"s2={s2:.4f} <= {cap:.4f}")
     trace.check("partition", "P5", True, f"cross-degree gamma cap {g5}")
     return parts
 
@@ -307,7 +302,6 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
     k, t, half = plan.k, plan.t, (plan.k + 1) // 2
     vertices = np.sort(np.concatenate([parts.x, parts.y, parts.middle]))
     g3, g4, g5 = cfg.gamma("Q3"), cfg.gamma("Q4"), cfg.gamma("Q5")
-    cap = cfg.constant("lambda_ratio_cap") * d
     target = d * half / n
     lo, hi = max(0.0, (1 - 2 * g3) * target), (1 + 2 * g3) * target
 
@@ -333,7 +327,7 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
 
     blocks, checked = _retry("repartition", cfg.max_repartition_retries, trace, attempt)
     trace.check("repartition", "Q3", True, f"gamma cap {g3}")
-    trace.check("repartition", "Q4", True, f"{checked} pairs, s2 cap {cap:.3f}")
+    trace.check("repartition", "Q4", True, f"{checked} pairs, gamma cap {g4}")
     trace.check("repartition", "Q5", True, f"gamma cap {g5}")
     return blocks
 
@@ -364,13 +358,8 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
         n_sizes.append(pm.size)
         edges = np.array(pm.edges)        # sorted by left vertex
         columns.append(edges[np.searchsorted(edges[:, 0], columns[-1]), 1])
-    paths = np.column_stack(columns)
     trace.data["n_sizes"] = n_sizes
-    trace.check("path_cover", "sizes", True,
-                f"n_i={[len(u) for u in chain[:-1]]}, |N_i|={n_sizes}")
-    trace.check("path_cover", "coverage", True,
-                f"{len(paths)} disjoint paths over {np.unique(paths).size} vertices")
-    return paths
+    return np.column_stack(columns)
 
 
 def close_cycle(paths, connector, trace: PipelineTrace) -> HamiltonCycle:

@@ -187,10 +187,13 @@ def read_matrix(path) -> np.ndarray:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError("matrix file missing header")
-    rows, cols = int(tokens[0]), int(tokens[1])
+    header = f"matrix header \"{tokens[0]} {tokens[1]}\""
+    try:
+        rows, cols = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ValueError(f"{header}: both dimensions must be integers") from None
     if rows < 1 or cols < 1:
-        raise ValueError(f"matrix header \"{rows} {cols}\": both dimensions "
-                         f"must be at least 1")
+        raise ValueError(f"{header}: both dimensions must be at least 1")
     vals = [float(t) for t in tokens[2:]]
     if len(vals) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(vals)}")

@@ -44,7 +44,9 @@ def test_gen_is_reproducible(tmp_path):
 def test_certify_emits_numeric_json(paley13_file, tmp_path):
     out = tmp_path / "cert.json"
     assert run("--out", str(out), "certify", str(paley13_file)) == 0
-    cert = json.loads(out.read_text())
+    text = out.read_text()
+    assert text.endswith("}\n") and not text.endswith("}\n\n")
+    cert = json.loads(text)
     assert cert["n"] == 13 and cert["d"] == 6
     assert abs(cert["lambda_hat"] - 2.302775637731995) < 1e-6
 
@@ -234,8 +236,9 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, text, why):
     assert err.startswith("error: ") and why in err
 
 
-@pytest.mark.parametrize("text", ["0 5\n", "-2 -3\n1 2 3 4 5 6\n"],
-                         ids=["zero-rows", "negative"])
+@pytest.mark.parametrize("text", ["0 5\n", "-2 -3\n1 2 3 4 5 6\n",
+                                  "2.5 2\n1 2 3 4 5\n"],
+                         ids=["zero-rows", "negative", "non-integer"])
 def test_matrix_header_below_one_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -45,12 +45,12 @@ def test_close_cycle_names_a_pair_the_connector_left_out():
 
 def test_config_roundtrip_and_unknown_keys():
     cfg = hamilton.PipelineConfig(seed=5, gamma_caps={"P1": 0.25},
-                                  constant_overrides={"p2_scale": 1.5})
+                                  constant_overrides={"pm_gamma_cap": 1.5})
     back = hamilton.PipelineConfig.from_dict(cfg.to_dict())
     assert back == cfg
     with pytest.raises(ConfigError):
         hamilton.PipelineConfig.from_dict({"seed": 1, "extra": 2})
-    for dead in ("theta_scale", "q1_overlap_cap"):
+    for dead in ("theta_scale", "q1_overlap_cap", "p2_scale"):
         with pytest.raises(ConfigError, match=dead):
             hamilton.PipelineConfig(constant_overrides={dead: 1.0})
 
@@ -148,11 +148,16 @@ def test_pipeline_success_and_trace(paley13):
                for c in data["checks"])
     # every recorded check on the success path holds
     assert all(c["holds"] for c in data["checks"])
+    assert [(c["phase"], c["check"]) for c in data["checks"]] == [
+        ("certification", "lambda_ratio"), ("partition", "P1"),
+        ("partition", "P5"), ("repartition", "Q3"), ("repartition", "Q4"),
+        ("repartition", "Q5"), ("verification", "hamilton")]
 
 
-def test_pipeline_solves_the_certificate_and_p2_only(monkeypatch):
-    # Q4's s2 cap and the path cover's lambda follow from the
-    # certification gate by interlacing, so neither is solved
+def test_pipeline_solves_only_the_certificate(monkeypatch):
+    # by interlacing, P2 holds for every set, and the certification
+    # gate proves Q4's s2 cap and the path cover's lambda, so none is
+    # solved
     g, cfg = graphs.gen_paley(401), hamilton.PipelineConfig(seed=0)
     sizes, solve = [], linalg.singular_values_array
 
@@ -163,8 +168,7 @@ def test_pipeline_solves_the_certificate_and_p2_only(monkeypatch):
     monkeypatch.setattr(linalg, "singular_values_array", counted)
     result = hamilton.hamilton_pipeline(g, cfg)
     assert result.trace.outcome == "success"
-    plan = hamilton.plan_sizes(g.n, cfg)
-    assert sizes == [g.n, 2 * plan.k + plan.reserve_size]
+    assert sizes == [g.n]
 
 
 def test_pipeline_deterministic_trace():
