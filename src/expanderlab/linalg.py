@@ -2,10 +2,14 @@
 
 Singular values, matrix norms, line-sum normalization and reading matrix
 files. Every spectrum in the package comes from one kernel,
-`singular_values_array`: LAPACK (`eigh` if symmetric, else `svd`) up to
-DENSE_CUTOFF, ARPACK above it on A if symmetric, else on
-[[0, A], [A^T, 0]], with a seeded start vector and a stopping tolerance
-derived from `tol`. Callers state symmetry (graph adjacencies are
+`singular_values_array`: LAPACK up to DENSE_CUTOFF, ARPACK above it on A
+if symmetric, else on [[0, A], [A^T, 0]], with a seeded start vector and
+a stopping tolerance derived from `tol`. Dense symmetric input takes the
+k lowest and the k highest eigenpairs from one tridiagonal reduction
+(dsyevr's own steps, the same bits as two index-range `eigh` calls), or
+one full `eigh` once 2k reaches the dimension; other dense input takes
+`svd`. A nonzero LAPACK status raises `NoConvergence` naming the
+routine. Callers state symmetry (graph adjacencies are
 symmetric by construction); only dense input that states nothing is
 tested for it. The residuals ||A v - s u|| and, if A is not symmetric,
 ||A^T u - s v|| of the computed triples must stay within `tol`.
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -28,8 +33,9 @@ DEFAULT_TOL = 1e-9
 NORM_TOL = 1e-8     # kernel tolerance of `operator_norm`
 ZERO_SNAP = 1e-10
 DENSE_ORACLE_CAP = 64
-# Largest min(rows, cols) solved by LAPACK. With one BLAS thread, LAPACK
-# takes 25 ms on a 504-vertex induced subgraph of Paley 1009, where the
+# Largest min(rows, cols) solved by LAPACK. With one BLAS thread, the
+# one-reduction LAPACK route takes 11-15 ms on a 504-vertex induced
+# subgraph of Paley 1009 (two `evr` calls took 20-26 ms), where the
 # clustered top spectrum holds ARPACK for 0.7-1.2 s; on all of Paley 1009
 # ARPACK takes 30 ms and LAPACK 230 ms.
 DENSE_CUTOFF = 600
@@ -69,6 +75,69 @@ def _eigen_triples(w, x, k: int):
     return np.abs(w), x * np.where(w < 0, -1.0, 1.0), x
 
 
+def _lapack_status(routine: str, info: int) -> None:
+    if info:
+        raise NoConvergence(f"LAPACK {routine} returned info={info}")
+
+
+def _spectrum_ends(dense: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest, then the k highest eigenpairs of a symmetric matrix,
+    read from its lower triangle.
+
+    These are dsyevr's steps for an index range (scale, dsytrd, dstebz,
+    dstein, back-transform, sort), with one tridiagonal reduction shared
+    by both ends, so the bits equal those of two `sla.eigh(dense,
+    subset_by_index=..., driver="evr")` calls. dsyevr's back-transform
+    dormtr is dormqr on the reflectors below the subdiagonal. Each end
+    gets its own dormqr call with dsyevr's workspace: below about 130
+    rows that call runs unblocked, and its bits then depend on how many
+    columns it transforms.
+    """
+    m = dense.shape[0]
+    lwork = int(lapack.dsyevr_lwork(m, lower=1)[0])
+    # dsyevr scales a matrix whose largest |entry| lies outside [rmin, rmax]
+    # (its other candidate for rmax, sqrt(eps / tiny), is larger in double);
+    # for a symmetric matrix that of the whole equals that of its triangle.
+    tiny = np.finfo(float).tiny
+    rmin = np.sqrt(tiny / np.finfo(float).eps)
+    rmax = 1.0 / np.sqrt(np.sqrt(tiny))
+    anrm = max(dense.max(), -dense.min())
+    sigma = 1.0
+    if 0 < anrm < rmin:
+        sigma = rmin / anrm
+    elif anrm > rmax:
+        sigma = rmax / anrm
+    c, d, e, tau, info = lapack.dsytrd(dense * sigma if sigma != 1.0 else dense,
+                                       lower=1, lwork=lwork - 5 * m)
+    _lapack_status("dsytrd", info)
+    reflectors = np.asfortranarray(c[1:, :-1])   # one copy for both dormqr calls
+    ws, xs = [], []
+    for il, iu in ((1, k), (m - k + 1, m)):
+        found, w, iblock, isplit, info = lapack.dstebz(
+            d, e, 3, 0.0, 0.0, il, iu, 0.0, b"B")
+        _lapack_status("dstebz", info)
+        if found < k:
+            raise NoConvergence(f"LAPACK dstebz found {found} of the "
+                                f"eigenvalues {il} to {iu}")
+        w = w[:found]
+        z, info = lapack.dstein(d, e, w, iblock, isplit)
+        _lapack_status("dstein", info)
+        cq, _, info = lapack.dormqr(b"L", b"N", reflectors, tau, z[1:],
+                                    lwork - 2 * m)
+        _lapack_status("dormqr", info)
+        x = np.vstack([z[:1], cq])
+        w = w * (1.0 / sigma)
+        # dsyevr's selection sort: dstebz orders eigenvalues block by block
+        # when the tridiagonal matrix splits.
+        for j in range(found - 1):
+            i = j + 1 + int(np.argmin(w[j + 1:]))
+            if w[i] < w[j]:
+                w[[i, j]], x[:, [i, j]] = w[[j, i]], x[:, [j, i]]
+        ws.append(w)
+        xs.append(x)
+    return np.concatenate(ws), np.hstack(xs)
+
+
 def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
                           seed: int = 0, *, symmetric: bool | None = None
                           ) -> SingularSpectrum:
@@ -93,12 +162,10 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
     if min(m, n) <= DENSE_CUTOFF or 2 * k >= min(m, n):
         dense = _dense(a)
         if symmetric:
-            # The top k |eigenvalues| are among the k lowest and k highest; MRRR
-            # on those two ends beats a full eigh in time and n-by-n memory.
-            ends = [[0, k - 1], [m - k, m - 1]] if 2 * k < m else [[0, m - 1]]
-            pairs = [sla.eigh(dense, subset_by_index=r, driver="evr") for r in ends]
-            vals, u, v = _eigen_triples(np.concatenate([w for w, _ in pairs]),
-                                        np.hstack([x for _, x in pairs]), k)
+            # The top k |eigenvalues| are among the k lowest and k highest.
+            w, x = (_spectrum_ends(dense, k) if 2 * k < m
+                    else sla.eigh(dense, driver="evr"))
+            vals, u, v = _eigen_triples(w, x, k)
         else:
             u, vals, vt = np.linalg.svd(dense, full_matrices=False)
             u, vals, v = u[:, :k], vals[:k], vt[:k].T
@@ -194,7 +261,13 @@ def read_matrix(path) -> np.ndarray:
         raise ValueError(f"{header}: both dimensions must be integers") from None
     if rows < 1 or cols < 1:
         raise ValueError(f"{header}: both dimensions must be at least 1")
-    vals = [float(t) for t in tokens[2:]]
+    vals = []
+    for i, token in enumerate(tokens[2:], start=1):
+        try:
+            vals.append(float(token))
+        except ValueError:
+            raise ValueError(f"matrix entry {i} (\"{token}\") is not a number"
+                             ) from None
     if len(vals) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(vals)}")
     a = np.array(vals).reshape(rows, cols)  # always 2-D

@@ -134,12 +134,16 @@ def submatrix_norm_experiment(b: np.ndarray, mode: str,
     ||B^T||_{1->2}) + 8 q ||B||_inf. symmetric_uniform: J a uniform
     m-subset, P_J B P_J; bound 4 sigma*||B|| + 24 sqrt(q sigma)
     ||B||_{1->2} + 35 q ||B||_inf with sigma = m/n. q = max(p, 2 ln n).
+    An all-zero B raises BadParameter: the check would compare 0 with 0.
     """
     if p < 2:
         raise BadParameter(f"p={p} must be >= 2")
     if trials < 1:
         raise BadParameter(f"trials={trials} must be at least 1")
     arr = np.asarray(b, dtype=float)
+    if not arr.any():
+        raise BadParameter("B is all zero: every submatrix norm and the bound "
+                           "are 0, so the check would be vacuous")
     nrows, ncols = arr.shape
     n = max(nrows, ncols)
     q = max(p, 2 * math.log(n))

@@ -248,6 +248,15 @@ def test_matrix_header_below_one_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith(f'error: matrix header "{header}"')
 
 
+def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
+    path = tmp_path / "z.txt"
+    path.write_text("2 2\n0 0\n0 0\n")
+    assert run("submatrix", "--matrix", str(path), "--mode",
+               "symmetric_uniform", "--m", "1", "--trials", "5") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: B is all zero") and "vacuous" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "paley"],
     ["gen", "regular", "10"],

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from expanderlab import graphs, linalg
-from expanderlab.errors import NegativeEntry, NonFinite, ZeroLine
+from expanderlab.errors import NegativeEntry, NoConvergence, NonFinite, ZeroLine
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
                    allow_infinity=False, width=32)
@@ -84,6 +85,56 @@ def test_paths_agree_at_cutoff(n):
     spec = linalg.singular_values_array(a, 2, seed=0)
     s2 = np.sort(np.abs(np.linalg.eigvalsh(a)))[-2]
     assert abs(spec.values[1] - s2) < 1e-9
+
+
+def _symmetric(n, seed, scale=1.0):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return scale * (a + a.T)
+
+
+def _paley_induced(q, m):
+    members = np.sort(np.random.default_rng(q).permutation(q)[:m])
+    return graphs.gen_paley(q).induced(members)[0].adjacency_dense().astype(float)
+
+
+def _block_diagonal():
+    # Two blocks with overlapping spectra: the tridiagonal form splits and
+    # dstebz returns each end's eigenvalues block by block, unsorted.
+    a = _symmetric(20, 1)
+    return np.block([[a, np.zeros((20, 20))], [np.zeros((20, 20)), 0.9 * a]])
+
+
+_EVR_CASES = {
+    **{f"random-{n}": lambda n=n: _symmetric(n, n)
+       for n in (5, 9, 30, 64, 100, 130, 150, 333, 600)},
+    "paley401-induced-100": lambda: _paley_induced(401, 100),
+    "paley1009-induced-504": lambda: _paley_induced(1009, 504),
+    "split-tridiagonal": _block_diagonal,
+    "tiny-entries": lambda: _symmetric(20, 2, 1e-150),
+    "huge-entries": lambda: _symmetric(20, 2, 1e100),
+}
+
+
+@pytest.mark.parametrize("case", list(_EVR_CASES))
+def test_spectrum_ends_bits_equal_two_evr_calls(case):
+    # dormqr runs unblocked below about 130 rows and blocked above, and
+    # dsyevr scales entries beyond about 1e-146 and 8e76: every side counts.
+    a = _EVR_CASES[case]()
+    m = a.shape[0]
+    for k in (1, 2, 3):
+        w, x = linalg._spectrum_ends(a, k)
+        pairs = [sla.eigh(a, subset_by_index=r, driver="evr")
+                 for r in ([0, k - 1], [m - k, m - 1])]
+        assert np.array_equal(w, np.concatenate([p[0] for p in pairs]))
+        assert np.array_equal(x, np.hstack([p[1] for p in pairs]))
+
+
+def test_lapack_failure_raises_no_convergence(monkeypatch):
+    def failing_dstein(*args):
+        return np.zeros((30, 2)), 1
+    monkeypatch.setattr(linalg.lapack, "dstein", failing_dstein)
+    with pytest.raises(NoConvergence, match="dstein"):
+        linalg.singular_values_array(_symmetric(30, 0), 2, symmetric=True)
 
 
 def test_sparse_input_must_state_symmetry():
@@ -187,6 +238,13 @@ def test_read_matrix_entry_count_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 2\n1 2 3\n")
     with pytest.raises(ValueError):
+        linalg.read_matrix(path)
+
+
+def test_read_matrix_names_a_bad_entry(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2\n1 x\n3 4\n")
+    with pytest.raises(ValueError, match=r'^matrix entry 2 \("x"\) is not a number$'):
         linalg.read_matrix(path)
 
 
