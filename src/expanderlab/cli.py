@@ -23,7 +23,7 @@ from .errors import (BadParameter, ConnectFailed, ExpanderLabError,
                      NoConvergence, PartitionRetriesExhausted,
                      PerfectMatchingFailed, RetryExhausted, SchemaMismatch,
                      TheoremFalsified)
-from .rng import child_seed, generator
+from .rng import SEED_RANGE, child_seed, generator
 
 ARTIFACT_VERSION = 1
 
@@ -74,13 +74,11 @@ def _cmd_gen(args) -> int:
         raise BadParameter(f"gen {kind} needs {needed} size argument(s), "
                            f"got {len(args.params)}")
     if kind == "paley":
-        g = graphs.gen_paley(int(args.params[0]))
+        g = graphs.gen_paley(args.params[0])
     elif kind == "regular":
-        n, d = int(args.params[0]), int(args.params[1])
-        g = graphs.gen_random_regular(n, d, seed=args.seed)
+        g = graphs.gen_random_regular(*args.params[:2], seed=args.seed)
     else:
-        n = int(args.params[0]) if args.params else None
-        g = graphs.gen_named(kind, n)
+        g = graphs.gen_named(kind, args.params[0] if args.params else None)
     _emit(graphs.graph_file_bytes(g).decode("ascii"), args.out)
     return EXIT_OK
 
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("kind", choices=["paley", "regular", "complete", "cycle",
                                     "complete_bipartite", "petersen"])
-    p.add_argument("params", nargs="*", help="kind-specific sizes")
+    p.add_argument("params", nargs="*", type=int, help="kind-specific sizes")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("certify", help="spectral expander certificate")
@@ -321,6 +319,8 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION if exc.code else EXIT_OK
     started = time.time()
     try:
+        if args.seed not in SEED_RANGE:
+            raise BadParameter(f"--seed {args.seed} outside [-2**127, 2**127)")
         code = args.func(args)
     except _PHASE_ERRORS as exc:
         sys.stderr.write(f"phase failure: {exc}\n")

@@ -5,10 +5,10 @@ is stored as CSR: read-only int32 arrays `indptr` and `indices`, where
 the neighbours of v are indices[indptr[v]:indptr[v + 1]] in increasing
 order. Induced subgraphs, degrees into a vertex set and edge lookups
 are row, column and element indexing on a scipy CSR view of the same
-two arrays. A vertex pair (L, R) is one `BipartiteView`: it reads
-G[L u R] once and gives the pair's degree windows, observed gamma, s2
-(that of G[S] is the pair (S, {})) and the CSR cross block A[L, R],
-which every matching routine reads, from that subgraph.
+two arrays. A vertex pair (L, R) is one `BipartiteView`: its CSR cross
+block A[L, R], read once from the parent's rows, gives the pair's
+degree windows, observed gamma and every matching; only its s2 builds
+G[L u R]. Every degree window applies one rule, `degree_window_violation`.
 `adjacency_sparse()` wraps the arrays in a float64 scipy matrix for
 the spectral kernel, which is told it is symmetric, and
 `adjacency_dense()` materializes it up to DENSIFY_CAP vertices. Graph
@@ -66,14 +66,22 @@ def _first_invalid_edge(n: int, u: np.ndarray, v: np.ndarray):
     return i, f"duplicate edge {(int(lo[i]), int(hi[i]))}"
 
 
+def _check_size(n: int, entries: int) -> None:
+    """Reject `entries` adjacency entries (twice the edges) or n vertices
+    past int32 CSR; generators call it before they allocate."""
+    if entries >= 2 ** 31:
+        raise ValueError(f"{entries} adjacency entries overflow int32")
+    if not 0 <= n < 2 ** 31:
+        raise ValueError(f"n={n} outside the int32 vertex range")
+
+
 class Graph:
     """Simple undirected graph with 0-based vertices, stored as CSR."""
 
     __slots__ = ("n", "indptr", "indices", "_csr")
 
     def __init__(self, n: int, edges):
-        if not 0 <= n < 2 ** 31:
-            raise ValueError(f"n={n} outside the int32 vertex range")
+        _check_size(n, 0)
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                        dtype=np.int64)
         if e.size and (e.ndim != 2 or e.shape[1] != 2):
@@ -95,8 +103,7 @@ class Graph:
         return g
 
     def _set(self, n, indptr, indices) -> None:
-        if len(indices) >= 2 ** 31:
-            raise ValueError(f"{len(indices)} adjacency entries overflow int32")
+        _check_size(n, len(indices))
         self.n = n
         self.indptr = np.asarray(indptr, dtype=np.int32)
         self.indices = np.asarray(indices, dtype=np.int32)
@@ -137,6 +144,14 @@ class Graph:
     def adjacency_sparse(self) -> sp.csr_matrix:
         return sp.csr_matrix((np.ones(len(self.indices)), self.indices, self.indptr),
                              shape=(self.n, self.n))
+
+    def s2(self, seed: int) -> float:
+        """Second singular value of the adjacency (0.0 below two vertices)."""
+        if self.n < 2:
+            return 0.0
+        return linalg.singular_values_array(self.adjacency_sparse(), 2,
+                                            tol=SPECTRAL_TOL, seed=seed,
+                                            symmetric=True).values[1]
 
     def adjacency_dense(self) -> np.ndarray:
         if self.n > DENSIFY_CAP:
@@ -201,17 +216,15 @@ class SpectralCertificate:
 @dataclass(frozen=True)
 class BipartiteView:
     """Disjoint vertex sets (L, R) of a parent graph, each an increasing
-    tuple. G[L u R] is read once, through `Graph.induced`, into `sub`,
-    whose vertex i is parent vertex names[i]. Degrees between subsets of
-    L u R are the same there as in the parent, so the pair's windows,
-    gamma, s2 and cross block come from `sub`; vertices are named by
-    the parent throughout."""
+    tuple, and their CSR cross block A[L, R], read once from the parent's
+    rows: row i is left[i], column j is right[j], columns increase within
+    a row. Degrees, windows, gamma and matchings read the block; only
+    `s2` builds the induced subgraph G[L u R]."""
 
     parent: Graph
     left: tuple
     right: tuple
-    sub: Graph = field(init=False, repr=False, compare=False)
-    names: np.ndarray = field(init=False, repr=False, compare=False)
+    block: sp.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         left, right = vertex_array(self.left), vertex_array(self.right)
@@ -220,59 +233,42 @@ class BipartiteView:
             raise ValueError(f"a side has a vertex outside range({self.parent.n})")
         if np.intersect1d(left, right).size:
             raise ValueError("sides must be disjoint")
-        sub, names = self.parent.induced(both)
         object.__setattr__(self, "left", tuple(left.tolist()))
         object.__setattr__(self, "right", tuple(right.tolist()))
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "names", np.asarray(names, dtype=np.int64))
+        object.__setattr__(self, "block", self.parent._csr[left][:, right])
 
-    def _rows(self, vertices) -> np.ndarray:
-        """Sub-graph vertices of parent vertices of L u R."""
-        return np.searchsorted(self.names, np.asarray(vertices, dtype=np.int64))
+    def degrees(self) -> tuple:
+        """(deg(v, R) for v in L, deg(v, L) for v in R): row lengths, column counts."""
+        return (np.diff(self.block.indptr),
+                np.bincount(self.block.indices, minlength=len(self.right)))
 
-    def degrees(self, side, other) -> np.ndarray:
-        """deg(v, other) for each v of `side`, in the given order."""
-        return self.sub.cross_degree(self._rows(side), self._rows(other))
-
-    def window_violation(self, d: float, n: int, gamma: float,
-                         tol: float = 0.0, sides=None):
-        """First vertex of `sides` (default (L, R)), first side first, each
-        in its given order, whose degree into the other side leaves
-        (1 +- gamma) * d * |other| / n widened by tol, as (vertex, degree,
-        lo, hi) with the unwidened window; None if none does."""
-        left, right = sides if sides is not None else (self.left, self.right)
-        for side, other in ((left, right), (right, left)):
+    def window_violation(self, d: float, n: int, gamma: float, tol: float = 0.0):
+        """First vertex of L, then of R, whose degree into the other side
+        leaves (1 +- gamma) * d * |other| / n widened by tol, as (vertex,
+        degree, lo, hi) with the unwidened window; None if none does."""
+        sides = ((self.left, self.right), (self.right, self.left))
+        for (side, other), deg in zip(sides, self.degrees()):
             target = d * len(other) / n
-            lo, hi = (1 - gamma) * target, (1 + gamma) * target
-            deg = self.degrees(side, other)
-            bad = np.flatnonzero((deg < lo - tol) | (deg > hi + tol))
-            if bad.size:
-                return int(np.asarray(side)[bad[0]]), int(deg[bad[0]]), lo, hi
+            bad = degree_window_violation(side, deg, (1 - gamma) * target,
+                                          (1 + gamma) * target, tol)
+            if bad is not None:
+                return bad
         return None
 
     def observed_gamma(self, d: float, n: int) -> float:
         """Largest relative deviation of a cross degree between L and R
         from its target d * |other| / n, over sides facing a non-empty side."""
         worst = 0.0
-        for side, other in ((self.left, self.right), (self.right, self.left)):
+        for other, deg in zip((self.right, self.left), self.degrees()):
             if other:
                 target = d * len(other) / n
-                deviation = np.abs(self.degrees(side, other) - target) / target
+                deviation = np.abs(deg - target) / target
                 worst = max(worst, float(deviation.max(initial=0.0)))
         return worst
 
     def s2(self, seed: int) -> float:
-        """Second singular value of G[L u R] (0.0 below two vertices)."""
-        if self.sub.n < 2:
-            return 0.0
-        return linalg.singular_values_array(self.sub.adjacency_sparse(), 2,
-                                            tol=SPECTRAL_TOL, seed=seed,
-                                            symmetric=True).values[1]
-
-    def cross_block(self) -> sp.csr_array:
-        """The sub-graph's CSR block A[L, R]: row i is left[i], column j is
-        right[j], and each row's columns increase."""
-        return self.sub._csr[self._rows(self.left)][:, self._rows(self.right)]
+        """Second singular value of G[L u R], induced here on each call."""
+        return self.parent.induced(self.left + self.right)[0].s2(seed)
 
 
 @dataclass(frozen=True)
@@ -294,6 +290,8 @@ class BipartiteViolation:
 
 def gen_paley(q: int) -> Graph:
     """Paley graph on Z_q: a~b iff a-b is a nonzero quadratic residue."""
+    if q >= 2:
+        _check_size(q, q * (q - 1) // 2)
     if q < 2 or any(q % f == 0 for f in range(2, math.isqrt(q) + 1)):
         raise NotPrime(f"{q} is not prime")
     if q % 4 != 1:
@@ -316,6 +314,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
         raise ValueError(f"need d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise ParityViolation(f"n*d = {n * d} is odd")
+    _check_size(n, n * d)
     if d == 0:
         return Graph(n, [])
     rng = generator(seed, "pairing-model")
@@ -345,14 +344,17 @@ def gen_named(name: str, n: int | None = None) -> Graph:
     if n is None:
         raise UnknownName(f"graph '{name}' needs a size argument")
     if name == "complete":
+        _check_size(n, n * (n - 1))
         return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if name == "cycle":
         if n < 3:
             raise ValueError("cycle needs n >= 3")
+        _check_size(n, 2 * n)
         return Graph(n, [(i, (i + 1) % n) for i in range(n)])
     if name == "complete_bipartite":
         if n % 2 != 0:
             raise ValueError("complete_bipartite splits n into two equal sides")
+        _check_size(n, n * n // 2)
         h = n // 2
         return Graph(n, [(i, h + j) for i in range(h) for j in range(h)])
     raise UnknownName(name)
@@ -374,14 +376,13 @@ def certify_expander(g: Graph, seed: int = 0) -> SpectralCertificate:
                                residual=max(spec.residuals), seed=seed)
 
 
-def degree_window_violation(g: Graph, vertices, targets, lo: float, hi: float):
-    """First of `vertices`, in their given order, whose degree into
-    `targets` leaves [lo, hi], as (vertex, degree, lo, hi) like
-    `BipartiteView.window_violation`; None if none does."""
-    vs = np.asarray(vertices, dtype=np.int64)
-    deg = g.cross_degree(vs, targets)
-    bad = np.flatnonzero((deg < lo) | (deg > hi))
-    return (int(vs[bad[0]]), int(deg[bad[0]]), lo, hi) if bad.size else None
+def degree_window_violation(vertices, degrees, lo: float, hi: float,
+                            tol: float = 0.0):
+    """The first of `vertices`, in their given order, whose degree (that
+    of `degrees` at the same position) leaves [lo, hi] widened by tol, as
+    (vertex, degree, lo, hi); None if none does."""
+    bad = np.flatnonzero((degrees < lo - tol) | (degrees > hi + tol))
+    return (int(vertices[bad[0]]), int(degrees[bad[0]]), lo, hi) if bad.size else None
 
 
 def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,

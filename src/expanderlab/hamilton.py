@@ -16,9 +16,9 @@ cap at or above lambda_hat can fail, and the gate lambda_hat <=
 lambda_ratio_cap * d proves Q4's s2 cap and the matchings' lambda
 precondition. The trace (schema 2) records only checks that ran and
 could fail; failures name the violated check and never produce an
-unverified cycle. Each sampled pair (P5, a Q4/Q5 block pair, a
-path-cover link) is one `graphs.BipartiteView`, which reads the
-subgraph it induces once.
+unverified cycle. Each sampled pair (P5, a Q4 block pair, a Q5 half
+pair, a path-cover link) is one `graphs.BipartiteView`, its cross block
+read from the graph's rows; no phase builds an induced subgraph.
 
 The asymptotic regime of the underlying theorem is unreachable at desk
 scale, so every threshold is a config knob with documented desk
@@ -40,7 +40,7 @@ from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
                      PartitionRetriesExhausted, PreconditionViolated)
 from .graphs import (BipartiteView, Graph, certify_expander,
                      degree_window_violation)
-from .rng import child_seed, generator
+from .rng import SEED_RANGE, child_seed, generator
 
 SCHEMA_VERSION = 2
 
@@ -91,6 +91,8 @@ class PipelineConfig:
             if not isinstance(table, dict) or not all(
                     _is_number(v, numbers.Real) for v in table.values()):
                 raise ConfigError(f"{name}={table!r} is not a table of numbers")
+        if self.seed not in SEED_RANGE:
+            raise ConfigError(f"seed={self.seed} outside [-2**127, 2**127)")
         if not 0 < self.reserve_fraction < 0.5:
             raise ConfigError(
                 f"reserve_fraction={self.reserve_fraction} outside (0, 0.5)")
@@ -274,7 +276,8 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
         parts = Parts(*(np.sort(part) for part in
                         np.split(perm, [k, 2 * k, 2 * k + r])))
         _window("P1", "into R: ", degree_window_violation(
-            g, range(n), parts.reserve, (1 - 2 * g1) * target, (1 + 2 * g1) * target))
+            range(n), g.cross_degree(range(n), parts.reserve),
+            (1 - 2 * g1) * target, (1 + 2 * g1) * target))
         _window("P5", "", BipartiteView(g, parts.x, parts.y).window_violation(d, n, g5))
         return parts
 
@@ -310,8 +313,8 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
         blocks = parts.middle[rng.permutation(len(parts.middle))].reshape(t - 2, k)
         blocks.sort(axis=1)
         for i, h1 in enumerate(blocks[:, :half]):
-            _window("Q3", f"half of block {i}: ",
-                    degree_window_violation(g, vertices, h1, lo, hi))
+            _window("Q3", f"half of block {i}: ", degree_window_violation(
+                vertices, g.cross_degree(vertices, h1), lo, hi))
 
         pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
         if t > 12:
@@ -319,10 +322,10 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
             idx = rng.choice(len(pairs), size=sample, replace=False)
             pairs = [pairs[int(i)] for i in sorted(idx)]
         for i, j in pairs:
-            pair = BipartiteView(g, blocks[i], blocks[j])
-            _window("Q4", f"pair ({i},{j}): ", pair.window_violation(d, n, g4))
-            _window("Q5", f"half pair ({i},{j}): ", pair.window_violation(
-                d, n, g5, sides=(blocks[i, :half], blocks[j, :half])))
+            _window("Q4", f"pair ({i},{j}): ", BipartiteView(
+                g, blocks[i], blocks[j]).window_violation(d, n, g4))
+            _window("Q5", f"half pair ({i},{j}): ", BipartiteView(
+                g, blocks[i, :half], blocks[j, :half]).window_violation(d, n, g5))
         return blocks, len(pairs)
 
     blocks, checked = _retry("repartition", cfg.max_repartition_retries, trace, attempt)

@@ -1,8 +1,8 @@
 """Bipartite matchings: maximum matching, Hall violators, and the two
 expander matching lemmas (perfect matching in a balanced bipartite
 expander; greedy matching avoiding prescribed sets). All of them read
-the CSR cross block A[L, R] of a `graphs.BipartiteView`, taken from the
-subgraph the pair induces, never from the parent graph's rows.
+the CSR cross block A[L, R] of a `graphs.BipartiteView`, which the view
+reads once from the parent graph's rows.
 
 Maximum matchings are scipy's Hopcroft-Karp, reached as
 `sp.csgraph.maximum_bipartite_matching` so that scipy loads
@@ -66,8 +66,7 @@ def verify_matching(m: Matching, g: Graph, left=None, right=None) -> bool:
 
 def max_matching(view: BipartiteView) -> Matching:
     """Maximum-cardinality matching of the view's cross edges."""
-    partner = sp.csgraph.maximum_bipartite_matching(view.cross_block(),
-                                                    perm_type="column")
+    partner = sp.csgraph.maximum_bipartite_matching(view.block, perm_type="column")
     return Matching.from_edges((view.left[i], view.right[partner[i]])
                                for i in np.flatnonzero(partner >= 0))
 
@@ -84,7 +83,7 @@ def hall_violator(view: BipartiteView, side: str = "left"):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    block, own = view.cross_block(), view.left
+    block, own = view.block, view.left
     if side == "right":
         block, own = block.T.tocsr(), view.right
     partner = sp.csgraph.maximum_bipartite_matching(block, perm_type="column")
@@ -152,10 +151,8 @@ def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,
     # The lexicographically smallest edge between the residual sides is
     # taken each step. A left vertex without a free neighbour never gets
     # one later, so one pass over the block's rows takes the same edges.
-    block = view.cross_block()
     edges, taken = [], np.zeros(len(view.right), dtype=bool)
-    for i, u in enumerate(view.left):
-        row = block.indices[block.indptr[i]:block.indptr[i + 1]]
+    for u, row in zip(view.left, np.split(view.block.indices, view.block.indptr[1:-1])):
         free = row[~taken[row]]
         if free.size:
             edges.append((u, view.right[free[0]]))

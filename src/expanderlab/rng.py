@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+SEED_RANGE = range(-2 ** 127, 2 ** 127)    # the seeds 16 signed bytes hold
+
 
 def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     """Deterministic 63-bit child seed for (master_seed, label, index)."""

@@ -3,9 +3,9 @@
 Each experiment draws its own subsets per seeded trial: the
 random-submatrix norm experiments take independent Bernoulli rows and
 columns or a uniform fixed-size principal set, and the induced-subgraph
-spectral experiments take uniform vertex sets, each trial reading the
-degree windows and s2 of one `graphs.BipartiteView`, (S, {}) or (X, Y),
-off the subgraph it induces.
+spectral experiments take uniform vertex sets: a trial reads the
+degrees and s2 of G[S], built once, or the cross degrees of one
+`graphs.BipartiteView` (X, Y) and the s2 of G[X u Y].
 Hypergeometric Chernoff bounds come with an exact-tail oracle so the
 inequalities can be tested against ground truth at small sizes.
 """
@@ -20,7 +20,8 @@ import numpy as np
 from . import linalg
 from .errors import (AsymmetricInput, BadParameter, BadRange,
                      CertificateMismatch)
-from .graphs import BipartiteView, Graph, SpectralCertificate
+from .graphs import (BipartiteView, Graph, SpectralCertificate,
+                     degree_window_violation)
 from .rng import child_seed, derive_seed, generator
 
 BATCHES = 10              # batch-means groups for standard errors
@@ -182,23 +183,19 @@ def submatrix_norm_experiment(b: np.ndarray, mode: str,
                           theoretical_bound=float(bound), seed=seed)
 
 
-def _within(degrees: np.ndarray, lo: float, hi: float) -> bool:
-    return not ((degrees < lo) | (degrees > hi)).any()
-
-
 def _subgraph_trials(label: str, trials: int, seed: int, sigma, gamma,
                      lam_bound, hyp, draw) -> SubgraphExperiment:
-    """Seeded trials: draw(rng) gives the trial's vertex pair as one
-    `BipartiteView` and whether its degree windows hold; a trial
-    succeeds when they do and s2 of the subgraph the pair induces is at
-    most lam_bound."""
+    """Seeded trials: draw(rng) gives the trial's sample, a `Graph` G[S]
+    or a `BipartiteView` (X, Y), and whether its degree windows hold; a
+    trial succeeds when they do and the sample's s2 (that of the
+    subgraph it induces) is at most lam_bound."""
     if trials < 1:
         raise BadParameter(f"trials={trials} must be at least 1")
     records = []
     for t in range(trials):
         trial_seed = derive_seed(seed, label, t)
-        view, degrees_ok = draw(generator(seed, label, t))
-        s2 = view.s2(trial_seed % (2**31))
+        sample, degrees_ok = draw(generator(seed, label, t))
+        s2 = sample.s2(trial_seed % (2**31))
         records.append(TrialRecord(trial=t, seed=trial_seed, s2=s2,
                                    degrees_ok=degrees_ok,
                                    success=degrees_ok and s2 <= lam_bound))
@@ -237,8 +234,8 @@ def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
            and sigma * lam >= math.sqrt(sigma * d * log_n))
 
     def draw(rng):
-        view = BipartiteView(g, rng.permutation(n)[:m], ())
-        return view, _within(view.sub.degrees(), lo, hi)
+        sub, members = g.induced(rng.permutation(n)[:m])
+        return sub, degree_window_violation(members, sub.degrees(), lo, hi) is None
 
     return _subgraph_trials("induced-subgraph", trials, seed, sigma, gamma,
                             lam_bound, hyp, draw)
@@ -269,13 +266,12 @@ def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
 
     def draw(rng):
         perm = rng.permutation(n)
-        x, y = perm[:m1], perm[m1:m1 + m2]
-        view = BipartiteView(g, x, y)
-        degrees_ok = all(      # deg(v, Y) for v in X, then deg(v, X) for v in Y
-            _within(view.degrees(side, other), (1 - 2 * gamma) * share * d,
-                    (1 + 2 * gamma) * share * d)
-            for side, other, share in ((x, y, sigma2), (y, x, sigma1)))
-        return view, degrees_ok
+        view = BipartiteView(g, perm[:m1], perm[m1:m1 + m2])
+        return view, all(      # deg(v, Y) for v in X, then deg(v, X) for v in Y
+            degree_window_violation(side, deg, (1 - 2 * gamma) * share * d,
+                                    (1 + 2 * gamma) * share * d) is None
+            for side, deg, share in zip((view.left, view.right), view.degrees(),
+                                        (sigma2, sigma1)))
 
     return _subgraph_trials("bipartite-induced", trials, seed, sigma, gamma,
                             lam_bound, False, draw)

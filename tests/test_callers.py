@@ -8,6 +8,7 @@ except the names below, which exist for the tests.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,3 +62,14 @@ def test_every_public_name_has_a_caller_outside_tests():
         f"{sorted(q for n, q in unreached.items() if n not in TEST_ONLY)}; "
         f"allowed but reached or gone: "
         f"{sorted(set(TEST_ONLY) - set(unreached))}")
+
+
+def test_every_traced_layer_exists():
+    """bench/tracer.py wraps each (owner, attribute) of SPANNED and COUNTED
+    by name; one the package lost breaks `bench/run.py --trace 1`."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in tracer.SPANNED + tracer.COUNTED
+               if not hasattr(owner, attr)]
+    assert not missing, f"traced but gone: {missing}"

@@ -214,6 +214,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("gen", "moebius", "10") == 2
     assert run("certify", str(tmp_path / "missing.txt")) == 2
     assert run() == 2
+    capsys.readouterr()
+    assert run("gen", "paley", "x") == 2
+    assert "argument params: invalid int value: 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, why", [
@@ -271,11 +274,12 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
      "--sigma", "0.5"],
     ["--config", "{dir}", "hamilton", "{graph}"],
     ["--out", "{dir}", "certify", "{graph}"],
+    ["--seed", str(2 ** 127), "certify", "{graph}"],
 ], ids=["gen-paley-no-q", "gen-regular-no-d", "eml-no-samples",
         "subsample-no-trials", "subsample-negative-trials",
         "submatrix-no-trials", "match-vertex-out-of-range",
         "certify-directory", "submatrix-directory", "config-directory",
-        "out-directory"])
+        "out-directory", "seed-out-of-range"])
 def test_bad_arguments_exit_2(paley13_file, tmp_path, capsys, argv):
     matrix = tmp_path / "b.txt"
     matrix.write_text("2 2\n1 0\n0 1\n")

@@ -57,6 +57,36 @@ def test_named_families(petersen):
         graphs.gen_named("hypercube", 8)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: graphs.gen_paley(65537),              # 2,147,516,416 entries
+    lambda: graphs.gen_paley(2 ** 89 - 1),        # a prime, rejected before trial division
+    lambda: graphs.gen_named("complete", 46342),
+    lambda: graphs.gen_named("complete_bipartite", 65536),
+    lambda: graphs.gen_named("cycle", 2 ** 30),
+    lambda: graphs.gen_random_regular(2 ** 20, 2 ** 11, seed=0),
+], ids=["paley-65537", "paley-2^89-1", "complete", "complete-bipartite", "cycle",
+        "random-regular"])
+def test_generators_fail_fast_past_int32(make):
+    # Each would allocate gigabytes (or, for the prime, divide for hours)
+    # before Graph could reject it.
+    with pytest.raises(ValueError, match="adjacency entries overflow int32"):
+        make()
+
+
+def test_paley_65521_passes_the_size_check(monkeypatch):
+    check, seen = graphs._check_size, []
+
+    def stop(n, entries):
+        seen.append((n, entries))
+        raise LookupError       # before gen_paley allocates its 8 GB table
+
+    monkeypatch.setattr(graphs, "_check_size", stop)
+    with pytest.raises(LookupError):
+        graphs.gen_paley(65521)
+    assert seen == [(65521, 65521 * 65520 // 2)]
+    check(*seen[0])
+
+
 def test_certificate_roundtrip(cert13):
     assert cert13.n == 13 and cert13.d == 6 and cert13.gamma_hat == 0
     assert abs(cert13.lambda_hat - (1 + math.sqrt(13)) / 2) < 1e-6
@@ -109,7 +139,7 @@ def test_bipartite_view_validation(paley13):
     view = graphs.BipartiteView(parent=paley13, left=(1, 0), right=(4, 3))
     assert (view.left, view.right) == ((0, 1), (3, 4))
     rows, cols = np.meshgrid([0, 1], [3, 4], indexing="ij")
-    assert np.array_equal(view.cross_block().toarray(), paley13.has_edge(rows, cols))
+    assert np.array_equal(view.block.toarray(), paley13.has_edge(rows, cols))
 
 
 @pytest.mark.parametrize("left, right", [((), (3, 4)), ((0, 1), ())],
@@ -194,13 +224,13 @@ def test_csr_graph_matches_brute_force(edge_list, data):
 
 
 def _parent_window_violation(g, left, right, d, n, gamma):
-    """The pair window rule evaluated with parent-graph degrees."""
+    """The pair window rule, vertex by vertex, with parent-graph degrees."""
     for side, other in ((left, right), (right, left)):
         target = d * len(other) / n
-        bad = graphs.degree_window_violation(g, side, other, (1 - gamma) * target,
-                                             (1 + gamma) * target)
-        if bad is not None:
-            return bad
+        lo, hi = (1 - gamma) * target, (1 + gamma) * target
+        for v, deg in zip(side, g.cross_degree(side, other).tolist()):
+            if not lo <= deg <= hi:
+                return v, deg, lo, hi
     return None
 
 
@@ -215,17 +245,15 @@ def test_bipartite_view_matches_parent_graph(n, p, seed, data):
     perm = rng.permutation(n)
     left, right = perm[:a], perm[a:a + b]     # unsorted, any sizes, maybe empty
     pair = graphs.BipartiteView(g, left, right)
-    halves = (left[:(a + 1) // 2], right[:b // 2])
-    for side, other in ((left, right), (right, left), halves, halves[::-1]):
-        assert pair.degrees(side, other).tolist() == \
-            g.cross_degree(side, other).tolist()
-
+    half = graphs.BipartiteView(g, np.sort(left)[:(a + 1) // 2], np.sort(right)[:b // 2])
     d = data.draw(st.floats(0.5, n))
     gamma = data.draw(st.floats(0.0, 1.5))
-    for sides in ((left, right), halves):
-        miss = pair.window_violation(d, n, gamma, sides=sides)
-        want = _parent_window_violation(g, *sides, d, n, gamma)
-        assert miss == want
+    for view in (pair, half):
+        sides = (view.left, view.right)
+        for side, other, deg in zip(sides, sides[::-1], view.degrees()):
+            assert deg.tolist() == g.cross_degree(side, other).tolist()
+        assert view.window_violation(d, n, gamma) == \
+            _parent_window_violation(g, *sides, d, n, gamma)
     if a and b:
         assert pair.observed_gamma(d, n) == max(
             np.abs(g.cross_degree(side, other) - d * len(other) / n).max()
@@ -236,10 +264,17 @@ def test_bipartite_view_matches_parent_graph(n, p, seed, data):
     s2 = np.sort(np.abs(np.linalg.eigvalsh(dense)))[-2] if a + b >= 2 else 0.0
     assert abs(pair.s2(seed=0) - s2) < 1e-8
 
-    block = pair.cross_block()
+    block = pair.block
     rows, cols = np.meshgrid(sorted(left), sorted(right), indexing="ij")
     assert block.has_sorted_indices
     assert np.array_equal(block.toarray(), g.has_edge(rows, cols))
+    # The same bytes as the block read through G[L u R]: Hopcroft-Karp's
+    # input, and so every matching, does not depend on the route.
+    sub, names = g.induced(members)
+    induced = sub._csr[np.searchsorted(names, pair.left)][:, np.searchsorted(
+        names, pair.right)]
+    for name in ("indptr", "indices"):
+        assert getattr(block, name).tobytes() == getattr(induced, name).tobytes()
 
     cross = nx.Graph()
     cross.add_nodes_from(perm[:a + b].tolist())

@@ -24,7 +24,8 @@ def test_config_validation():
     {"max_repartition_retries": 0}, {"min_reserve_ratio": 0.0},
     {"min_reserve_ratio": -1.0}, {"constant_overrides": {"q_pair_sample": -1}},
     {"constant_overrides": {"q_pair_sample": 0}},
-    {"constant_overrides": {"q_pair_sample": 0.5}}])
+    {"constant_overrides": {"q_pair_sample": 0.5}}, {"seed": 2 ** 127},
+    {"seed": -2 ** 127 - 1}])
 def test_config_range_checks(fields):
     with pytest.raises(ConfigError):
         hamilton.PipelineConfig(**fields)
@@ -169,6 +170,21 @@ def test_pipeline_solves_only_the_certificate(monkeypatch):
     result = hamilton.hamilton_pipeline(g, cfg)
     assert result.trace.outcome == "success"
     assert sizes == [g.n]
+
+
+def test_pipeline_induces_no_subgraph(monkeypatch):
+    # every pair reads its cross block from the graph's rows
+    calls, induced = [], graphs.Graph.induced
+
+    def counted(self, vertices):
+        calls.append(len(vertices))
+        return induced(self, vertices)
+
+    monkeypatch.setattr(graphs.Graph, "induced", counted)
+    result = hamilton.hamilton_pipeline(graphs.gen_paley(401),
+                                        hamilton.PipelineConfig(seed=0))
+    assert result.trace.outcome == "success"
+    assert calls == []
 
 
 def test_pipeline_deterministic_trace():
