@@ -91,7 +91,7 @@ class PipelineConfig:
             if not isinstance(table, dict) or not all(
                     _is_number(v, numbers.Real) for v in table.values()):
                 raise ConfigError(f"{name}={table!r} is not a table of numbers")
-        if self.seed not in SEED_RANGE:
+        if int(self.seed) not in SEED_RANGE:    # range scans non-int types item by item
             raise ConfigError(f"seed={self.seed} outside [-2**127, 2**127)")
         if not 0 < self.reserve_fraction < 0.5:
             raise ConfigError(

@@ -31,6 +31,11 @@ def test_config_range_checks(fields):
         hamilton.PipelineConfig(**fields)
 
 
+@pytest.mark.parametrize("seed", [np.int64(3), 2 ** 127 - 1, -2 ** 127])
+def test_config_accepts_every_seed_in_range(seed):
+    assert hamilton.PipelineConfig(seed=seed).seed == seed
+
+
 def test_close_cycle_names_a_pair_the_connector_left_out():
     class Stub:
         reserved = ()
