@@ -16,7 +16,10 @@ for Paley q in {13, 101, 401, 1009, 2029} at the certificate seeds
 of the edges of `greedy_matching_avoiding` on criterion 7's 100 seeded
 draws on Paley 101, and one the SHA-256 of the closing paths, or the
 ConnectFailed message, of `connect_pairs` on 200 seeded draws on Paley
-101 that reach every exit of the connector. Below the cycle, on
+101 that reach every exit of the connector, and one the same digest on a
+seeded G(120, 0.3) with l_max up to 6, whose successful draws route
+paths of 3 and 4 edges and whose failed ones tear paths down (at Paley
+density every route has at most 2 edges). Below the cycle, on
 seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
 pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
@@ -122,14 +125,14 @@ def greedy_digest(g, cert) -> str:
     return sha256("\n".join(edges))
 
 
-def connector_digest(g) -> str:
+def connector_digest(g, top_l_max: int) -> str:
     """SHA-256 of the closing paths, or the ConnectFailed message, of
     `connect_pairs` on 200 seeded draws of up to 7 port pairs, a reserve
-    that fits the length budget and l_max in 2..4."""
+    that fits the length budget and l_max in 2..top_l_max."""
     outputs = []
     for draw in range(200):
         rng = generator(0, "connector-draw", draw)
-        k, l_max = int(rng.integers(1, 8)), int(rng.integers(2, 5))
+        k, l_max = int(rng.integers(1, 8)), int(rng.integers(2, top_l_max + 1))
         r = int(rng.integers(k, k * (l_max - 1) + 1))
         perm = rng.permutation(g.n)
         x, y, reserve = perm[:k], perm[k:2 * k], perm[2 * k:2 * k + r]
@@ -142,6 +145,14 @@ def connector_digest(g) -> str:
         except ConnectFailed as exc:
             outputs.append(str(exc))
     return sha256("\n".join(outputs))
+
+
+def gnp(n: int, p: float) -> graphs.Graph:
+    """The seeded Erdos-Renyi graph G(n, p): each of the n(n-1)/2 pairs
+    is an edge with probability p."""
+    u, v = np.triu_indices(n, 1)
+    keep = generator(0, "connector-gnp").random(len(u)) < p
+    return graphs.Graph(n, np.column_stack([u[keep], v[keep]]))
 
 
 def view_digests(g, cert, view_seed: int, a: int, b: int) -> tuple:
@@ -201,7 +212,8 @@ def _fields():
             yield q, f"certify --seed {cli_seed}", *certificate_bits(g, cli_seed)
     p101 = graphs.gen_paley(101)
     yield 101, "greedy", greedy_digest(p101, graphs.certify_expander(p101, seed=0))
-    yield 101, "connector", connector_digest(p101)
+    yield 101, "connector", connector_digest(p101, 4)
+    yield 120, "connector gnp-0.3", connector_digest(gnp(120, 0.3), 6)
     for q in (401, 1009):
         yield from below_the_cycle(q, paley[q])
     graph_file = graphs.graph_file_bytes(paley[401])
