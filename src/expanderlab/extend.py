@@ -5,10 +5,16 @@ given equal-size port sets X and Y and a reserve of spare vertices, it
 routes vertex-disjoint paths for any pairing of the ports chosen after
 construction, and their interiors exactly partition the reserve, which
 is what the cycle-closing step needs. A path is a tuple of int
-vertices, and a path system a tuple of paths.
+vertices, and a path system a tuple of paths. The reserve vertices no
+path uses yet are one boolean mask over V: the BFS routes through it,
+and each vertex it leaves over is spliced into the first slot (a, b
+with aw and wb edges) of the shortest path under the budget that has
+one, ties going to the lower path index.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import (BadParameter, ConnectFailed, PreconditionViolated,
                      ReserveTooSmall, UnbalancedSides)
@@ -21,11 +27,11 @@ TEARDOWN_CAP = 50        # total path teardowns per connect_pairs call
 class Connector:
     """Routes vertex-disjoint port-to-port paths that consume a reserve.
 
-    Each pair first gets a shortest path of length <= budget with its
-    interior in the unused reserve; when a pair cannot be routed, the
-    most recently routed path is torn down and re-routed, up to a global
-    teardown cap. The reserve vertices left over are then spliced into
-    the routed paths.
+    `free` marks the reserve vertices no path uses yet. Each pair first
+    gets a shortest path of length <= budget with its interior in
+    `free`; when a pair cannot be routed, the most recently routed path
+    is torn down and re-routed, up to a global teardown cap. The free
+    vertices left over are then spliced into the routed paths.
     """
 
     def __init__(self, g: Graph, ports, reserved, budget: int, seed: int):
@@ -50,10 +56,11 @@ class Connector:
             if v not in self._ports:
                 raise PreconditionViolated("ports_only",
                                            f"{v} is not a connector port")
-        pool = set(self.reserved)
-        if pairs and len(pool) / len(pairs) > self.budget - 1:
-            raise ConnectFailed(pairs[0], len(pool),
+        if pairs and len(self.reserved) / len(pairs) > self.budget - 1:
+            raise ConnectFailed(pairs[0], len(self.reserved),
                                 "reserve too large for the length budget")
+        free = np.zeros(self.g.n, dtype=bool)
+        free[list(self.reserved)] = True
         routed = []           # parallel to pairs[:len(routed)]
         teardowns = 0
         attempt = [0] * len(pairs)
@@ -62,79 +69,72 @@ class Connector:
             u, v = pairs[i]
             rng = generator(self.seed, f"connector-pair-{i}", attempt[i])
             attempt[i] += 1
-            path = self._route_shortest(u, v, pool, rng)
+            path = self._route_shortest(u, v, free, rng)
             if path is not None:
-                pool.difference_update(path[1:-1])
+                free[path[1:-1]] = False
                 routed.append(path)
                 i += 1
                 continue
             if i == 0 or teardowns >= TEARDOWN_CAP:
-                raise ConnectFailed((u, v), len(pool),
+                raise ConnectFailed((u, v), int(free.sum()),
                                     f"after {teardowns} teardowns")
-            prev = routed.pop()
-            pool.update(prev[1:-1])
+            free[routed.pop()[1:-1]] = True
             teardowns += 1
             i -= 1
-        self._absorb(routed, pool)
+        self._absorb(routed, free)
         return tuple(tuple(int(x) for x in p) for p in routed)
 
-    def _absorb(self, routed, pool):
-        """Splice every leftover reserve vertex into some routed path.
+    def _absorb(self, routed, free):
+        """Splice every free reserve vertex into some routed path.
 
-        A leftover w is inserted between consecutive path vertices a, b
-        whenever aw and wb are edges; among eligible slots the shortest
-        path is preferred, which keeps lengths balanced under the
-        budget. A full pass with no insertion means the reserve cannot
-        be consumed.
+        A leftover w may go between consecutive path vertices a, b when
+        aw and wb are edges. Each pass takes the free vertices in a
+        seeded order and inserts each w at its first slot in the first
+        path that has one, trying the paths shorter than the budget in
+        (length, index) order: the shortest path is preferred, which
+        keeps lengths balanced under the budget. A pass with no
+        insertion means the reserve cannot be consumed.
         """
         rng = generator(self.seed, "connector-absorb")
-        while pool:
-            candidates = sorted(pool)
-            rng.shuffle(candidates)
-            inserted = False
-            for w in candidates:
-                wn = set(self.g.neighbors(w).tolist())
-                best = None      # (path length, path index, position)
-                for pi, path in enumerate(routed):
-                    if len(path) - 1 >= self.budget:
-                        continue
-                    for pos in range(len(path) - 1):
-                        if path[pos] in wn and path[pos + 1] in wn:
-                            key = (len(path), pi, pos)
-                            if best is None or key < best:
-                                best = key
-                            break
-                if best is not None:
-                    _, pi, pos = best
-                    routed[pi] = routed[pi][:pos + 1] + [w] + routed[pi][pos + 1:]
-                    pool.remove(w)
-                    inserted = True
-            if not inserted:
-                raise ConnectFailed(None, len(pool),
+        near = np.zeros(self.g.n, dtype=bool)    # the neighbours of w
+        while free.any():
+            left = np.flatnonzero(free).tolist()
+            rng.shuffle(left)
+            for w in left:
+                nbrs = self.g.neighbors(w)
+                near[nbrs] = True
+                for path in sorted(routed, key=len):
+                    if len(path) > self.budget:
+                        break
+                    hits = near[path]
+                    slots = np.flatnonzero(hits[:-1] & hits[1:])
+                    if slots.size:
+                        path.insert(int(slots[0]) + 1, w)
+                        free[w] = False
+                        break
+                near[nbrs] = False
+            if free[left].all():
+                raise ConnectFailed(None, len(left),
                                     "no splice point for leftover reserve "
-                                    f"vertices {sorted(pool)[:10]}")
+                                    f"vertices {sorted(left)[:10]}")
 
-    def _route_shortest(self, u, v, pool, rng):
-        """Randomized-tie-break BFS from u to v through the pool."""
-        allowed = pool | {v}
-        parent = {u: None}
-        frontier = [u]
-        depth = 0
-        while frontier and depth < self.budget:
-            depth += 1
+    def _route_shortest(self, u, v, free, rng):
+        """Randomized-tie-break BFS from u to v through the free reserve;
+        `open_` marks the free vertices and v, less those already reached."""
+        open_ = free.copy()
+        open_[v] = True
+        frontier = [[u]]
+        while frontier and len(frontier[0]) <= self.budget:
             nxt = []
-            for w in frontier:
-                nbrs = [x for x in self.g.neighbors(w).tolist()
-                        if x in allowed and x not in parent]
+            for path in frontier:
+                nbrs = self.g.neighbors(path[-1])
+                nbrs = nbrs[open_[nbrs]].tolist()
+                open_[nbrs] = False
                 rng.shuffle(nbrs)
                 for x in nbrs:
-                    parent[x] = w
                     if x == v:
-                        path = [v]
-                        while path[-1] is not u:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    nxt.append(x)
+                        return path + [x]
+                    nxt.append(path + [x])
             frontier = nxt
         return None
 

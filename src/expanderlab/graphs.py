@@ -177,9 +177,18 @@ class Graph:
         into = np.bincount(self._csr[vertex_array(targets)].indices, minlength=self.n)
         return into[np.asarray(vertices, dtype=np.int64)]
 
-    def count_edges_between(self, s, t) -> int:
-        """e(S,T): edges with one endpoint in S and the other in T (unordered)."""
-        return edge_counts(self, vertex_array(s), vertex_array(t))[1]
+    def count_edges_between(self, s, t) -> tuple:
+        """(1_S^T A 1_T, e(S,T), S n T) of two vertex sets.
+
+        The ordered count 1_S^T A 1_T counts each edge inside S n T
+        twice; the unordered count e(S,T) counts it once. Each count is
+        `cross_degree`'s bincount, inlined so that each set is normalized once.
+        """
+        s, t = vertex_array(s), vertex_array(t)
+        both = np.intersect1d(s, t, assume_unique=True)
+        ordered, inside = (int(np.bincount(self._csr[b].indices, minlength=self.n)[a].sum())
+                           for a, b in ((s, t), (both, both)))
+        return ordered, ordered - inside // 2, both
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -188,17 +197,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-def edge_counts(g: Graph, s: np.ndarray, t: np.ndarray):
-    """(1_S^T A 1_T, e(S,T), S n T) for sorted distinct vertex arrays s, t.
-
-    The ordered count 1_S^T A 1_T counts each edge inside S n T twice;
-    the unordered count e(S,T) counts it once.
-    """
-    ordered = int(g.cross_degree(s, t).sum())
-    both = np.intersect1d(s, t, assume_unique=True)
-    return ordered, ordered - int(g.cross_degree(both, both).sum()) // 2, both
 
 
 @dataclass(frozen=True)

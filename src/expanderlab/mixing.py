@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificateMismatch, DegenerateGamma, EmptySubset
-from .graphs import Graph, SpectralCertificate, edge_counts, vertex_array
+from .graphs import Graph, SpectralCertificate, vertex_array
 
 FRESH_S2_CAP = 4000  # side length up to which s2 is recomputed per audit
 AUDIT_SLACK = 1e-9   # round-off allowed past an audited bound
@@ -95,7 +95,7 @@ def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t) -> GraphMixingAud
     lower = (1 - gam) ** 2 * d * size_s * size_t / ((1 + gam) * n) - eps
     upper = (1 + gam) ** 2 * d * size_s * size_t / ((1 - gam) * n) + eps
 
-    ordered, unordered, both = edge_counts(g, sset, tset)
+    ordered, unordered, both = g.count_edges_between(sset, tset)
     lo, hi = lower - AUDIT_SLACK, upper + AUDIT_SLACK
     return GraphMixingAudit(
         ordered_count=float(ordered), unordered_count=unordered,

@@ -228,6 +228,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ("3 2\n0 1\n2\n", "line 3: 1 integers where 2 belong"),
     ("3 2\n0 1\n1 2 0\n", "line 3: 3 integers where 2 belong"),
     ("3 2\n0 1\n1 x\n", "line 3: not a non-negative integer"),
+    ("3 2\n0 1\n1 1234567890123456789\n", "line 3: integer too large"),
     ("3 2\n0 1\n1 3\n", "line 3: edge (1,3) out of range"),
     ("3000000000 0\n", "line 1: n=3000000000 outside the int32 vertex range"),
 ])

@@ -124,7 +124,10 @@ def test_edge_counts_match_brute_force(petersen, data):
     t = data.draw(st.sets(st.integers(0, 9), min_size=1, max_size=6))
     brute = len({tuple(sorted((u, v))) for u in s for v in t
                  if u != v and petersen.has_edge(u, v)})
-    assert petersen.count_edges_between(s, t) == brute
+    ordered = sum(bool(petersen.has_edge(u, v)) for u in s for v in t)
+    counts = petersen.count_edges_between(s, t)
+    assert counts[:2] == (ordered, brute)
+    assert counts[2].tolist() == sorted(s & t)
     v0 = next(iter(s))
     assert petersen.cross_degree([v0], t).tolist() == [sum(
         1 for w in t if petersen.has_edge(v0, w))]
@@ -196,9 +199,10 @@ def test_csr_graph_matches_brute_force(edge_list, data):
         [sum(frozenset((v, w)) in adj for w in t) for v in range(n)]
     assert g.cross_degree(every, []).tolist() == [0] * n
     assert g.cross_degree([], t).tolist() == []
-    assert g.count_edges_between(s, t) == len(
-        {frozenset((u, v)) for u in s for v in t} & adj)
     ordered = sum(frozenset((u, v)) in adj for u in s for v in t)
+    counts = g.count_edges_between(s, t)
+    assert counts[:2] == (ordered, len({frozenset((u, v)) for u in s for v in t} & adj))
+    assert counts[2].tolist() == sorted(s & t)
     assert _audit_ordered_count(g, s, t) == ordered
 
     expected = f"{n} {len(pairs)}\n" + "".join(

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from expanderlab import graphs, linalg
+from expanderlab import graphs, hamilton, linalg
 from expanderlab.errors import NegativeEntry, NoConvergence, NonFinite, ZeroLine
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
@@ -135,6 +136,41 @@ def test_lapack_failure_raises_no_convergence(monkeypatch):
     monkeypatch.setattr(linalg.lapack, "dstein", failing_dstein)
     with pytest.raises(NoConvergence, match="dstein"):
         linalg.singular_values_array(_symmetric(30, 0), 2, symmetric=True)
+
+
+EIGSH = spla.eigsh
+
+
+def _perturbed_eigsh(*args, **kwargs):
+    """eigsh whose eigenvectors are off by 1e-3 in their first entry."""
+    w, x = EIGSH(*args, **kwargs)
+    x = x.copy()
+    x[0] += 1e-3
+    return w, x
+
+
+def _stalled_eigsh(operator, k, **kwargs):
+    """eigsh that stops as ARPACK does past its iteration limit."""
+    raise spla.ArpackNoConvergence(
+        "No convergence (300 iterations, 0/2 eigenvectors converged)",
+        np.zeros(0), np.zeros((operator.shape[0], 0)))
+
+
+@pytest.mark.parametrize("fake, message", [
+    (_perturbed_eigsh, "worst residual .* above tolerance"),
+    (_stalled_eigsh, "ARPACK error -1: No convergence")])
+def test_arpack_failures_raise_no_convergence(monkeypatch, fake, message):
+    # Sparse input above DENSE_CUTOFF takes ARPACK: a triple off its
+    # residual tolerance and an ARPACK stop both raise NoConvergence, and
+    # the pipeline reports that as a certification failure.
+    g = graphs.gen_paley(1009)
+    assert g.n > linalg.DENSE_CUTOFF
+    monkeypatch.setattr(spla, "eigsh", fake)
+    with pytest.raises(NoConvergence, match=message):
+        linalg.singular_values_array(g.adjacency_sparse(), 2, symmetric=True)
+    result = hamilton.hamilton_pipeline(g)
+    assert result.cycle is None
+    assert result.trace.outcome == "failed:certification:NoConvergence"
 
 
 def test_sparse_input_must_state_symmetry():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import graphs, linalg, matching, mixing
-from expanderlab.errors import (PerfectMatchingFailed, PreconditionViolated,
-                                UnbalancedSides)
+from expanderlab.errors import (CertificateMismatch, PerfectMatchingFailed,
+                                PreconditionViolated, UnbalancedSides)
 from expanderlab.rng import generator
 
 
@@ -55,6 +55,7 @@ def test_verify_matching_rejects_frauds(paley13):
     assert not matching.verify_matching(repeated, paley13, [0], [1, 3])
     outside = matching.Matching.from_edges([(0, 1)])
     assert not matching.verify_matching(outside, paley13, [2], [1])
+    assert not matching.verify_matching(outside, paley13, [0], [3])
 
 
 def test_hall_violator_is_genuine():
@@ -202,7 +203,7 @@ def test_hall_violator_rejects_an_unknown_side(paley13):
         matching.hall_violator(view, side="middle")
 
 
-def test_greedy_matching_preconditions(paley101, cert101):
+def test_greedy_matching_preconditions(paley13, paley101, cert101):
     with pytest.raises(PreconditionViolated) as exc:
         matching.greedy_matching_avoiding(paley101, cert101,
                                           [0, 1, 2], [2, 3, 4])
@@ -211,6 +212,14 @@ def test_greedy_matching_preconditions(paley101, cert101):
         matching.greedy_matching_avoiding(paley101, cert101,
                                           [0, 1], [2, 3], s1=[5])
     assert exc.value.hypothesis == "avoid_subset"
+    # theta is about 11.2 on Paley 101: 12 - 11.2 leaves no room for |S_1| = 1
+    assert 11 < mixing.one_edge_threshold(cert101) < 12
+    with pytest.raises(PreconditionViolated) as exc:
+        matching.greedy_matching_avoiding(paley101, cert101, range(12),
+                                          range(20, 40), s1=[0])
+    assert exc.value.hypothesis == "avoid_size"
+    with pytest.raises(CertificateMismatch):
+        matching.greedy_matching_avoiding(paley13, cert101, [0, 1], [2, 3])
 
 
 def test_matching_json_roundtrip():
