@@ -5,10 +5,10 @@ is stored as CSR: read-only int32 arrays `indptr` and `indices`, where
 the neighbours of v are indices[indptr[v]:indptr[v + 1]] in increasing
 order. Induced subgraphs, degrees into a vertex set and edge lookups
 are row, column and element indexing on a scipy CSR view of the same
-two arrays. A vertex pair (L, R) is one `BipartiteView`: its CSR cross
-block A[L, R], read once from the parent's rows, gives the pair's
-degree windows, observed gamma and every matching; only its s2 builds
-G[L u R]. Every degree window applies one rule, `degree_window_violation`.
+two arrays. A window check reads degree counts alone: the one rule is
+`degree_window_violation`, and `pair_window_violation` applies it to
+both sides of a pair. A `BipartiteView` (L, R) holds the CSR cross block
+A[L, R] that its matchings read; only its s2 builds G[L u R].
 `adjacency_sparse()` wraps the arrays in a float64 scipy matrix for
 the spectral kernel, which is told it is symmetric, and
 `adjacency_dense()` materializes it up to DENSIFY_CAP vertices. Graph
@@ -39,10 +39,13 @@ PAIRING_ATTEMPT_FACTOR = 100  # cap on stub-pair draws: 100 * n * d
 
 
 def vertex_array(vertices) -> np.ndarray:
-    """Sorted distinct vertices of any iterable, as an int64 array."""
+    """Sorted distinct vertices of any iterable, as an int64 array; a
+    sorted distinct 1-D int64 array is returned itself."""
     if not isinstance(vertices, np.ndarray):
         vertices = np.fromiter(vertices, dtype=np.int64)
-    return np.unique(vertices.astype(np.int64, copy=False))
+    vertices = vertices.astype(np.int64, copy=False)
+    done = vertices.ndim == 1 and (vertices[1:] > vertices[:-1]).all()
+    return vertices if done else np.unique(vertices)
 
 
 def _first_invalid_edge(n: int, u: np.ndarray, v: np.ndarray):
@@ -181,12 +184,11 @@ class Graph:
         """(1_S^T A 1_T, e(S,T), S n T) of two vertex sets.
 
         The ordered count 1_S^T A 1_T counts each edge inside S n T
-        twice; the unordered count e(S,T) counts it once. Each count is
-        `cross_degree`'s bincount, inlined so that each set is normalized once.
+        twice; the unordered count e(S,T) counts it once.
         """
         s, t = vertex_array(s), vertex_array(t)
         both = np.intersect1d(s, t, assume_unique=True)
-        ordered, inside = (int(np.bincount(self._csr[b].indices, minlength=self.n)[a].sum())
+        ordered, inside = (int(self.cross_degree(a, b).sum())
                            for a, b in ((s, t), (both, both)))
         return ordered, ordered - inside // 2, both
 
@@ -216,8 +218,8 @@ class BipartiteView:
     """Disjoint vertex sets (L, R) of a parent graph, each an increasing
     tuple, and their CSR cross block A[L, R], read once from the parent's
     rows: row i is left[i], column j is right[j], columns increase within
-    a row. Degrees, windows, gamma and matchings read the block; only
-    `s2` builds the induced subgraph G[L u R]."""
+    a row. Built where a matching or an s2 needs the block; degrees,
+    gamma and matchings read it, and only `s2` builds G[L u R]."""
 
     parent: Graph
     left: tuple
@@ -239,19 +241,6 @@ class BipartiteView:
         """(deg(v, R) for v in L, deg(v, L) for v in R): row lengths, column counts."""
         return (np.diff(self.block.indptr),
                 np.bincount(self.block.indices, minlength=len(self.right)))
-
-    def window_violation(self, d: float, n: int, gamma: float, tol: float = 0.0):
-        """First vertex of L, then of R, whose degree into the other side
-        leaves (1 +- gamma) * d * |other| / n widened by tol, as (vertex,
-        degree, lo, hi) with the unwidened window; None if none does."""
-        sides = ((self.left, self.right), (self.right, self.left))
-        for (side, other), deg in zip(sides, self.degrees()):
-            target = d * len(other) / n
-            bad = degree_window_violation(side, deg, (1 - gamma) * target,
-                                          (1 + gamma) * target, tol)
-            if bad is not None:
-                return bad
-        return None
 
     def observed_gamma(self, d: float, n: int) -> float:
         """Largest relative deviation of a cross degree between L and R
@@ -383,6 +372,18 @@ def degree_window_violation(vertices, degrees, lo: float, hi: float,
     return (int(vertices[bad[0]]), int(degrees[bad[0]]), lo, hi) if bad.size else None
 
 
+def pair_window_violation(sides, degrees, targets, gamma: float, tol: float = 0.0):
+    """The first vertex of sides[0], then of sides[1], whose degree (in
+    `degrees` at the same place) leaves (1 +- gamma) * its side's target
+    widened by tol, as (vertex, degree, lo, hi) unwidened; None if none does."""
+    for side, deg, target in zip(sides, degrees, targets):
+        bad = degree_window_violation(side, deg, (1 - gamma) * target,
+                                      (1 + gamma) * target, tol)
+        if bad is not None:
+            return bad
+    return None
+
+
 def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
                                lam: float, seed: int = 0):
     """Check the proportional cross-degree windows and the s2 bound.
@@ -394,7 +395,9 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
     if not view.left or not view.right:
         raise EmptySide("both sides must be nonempty")
     n = len(view.left) + len(view.right)
-    bad = view.window_violation(d, n, gamma, SPECTRAL_TOL)
+    bad = pair_window_violation((view.left, view.right), view.degrees(),
+                                (d * len(view.right) / n, d * len(view.left) / n),
+                                gamma, SPECTRAL_TOL)
     if bad is not None:
         v, deg, lo, hi = bad
         return BipartiteViolation(vertex=v, observed=float(deg), window=(lo, hi),

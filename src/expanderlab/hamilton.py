@@ -16,9 +16,9 @@ cap at or above lambda_hat can fail, and the gate lambda_hat <=
 lambda_ratio_cap * d proves Q4's s2 cap and the matchings' lambda
 precondition. The trace (schema 2) records only checks that ran and
 could fail; failures name the violated check and never produce an
-unverified cycle. Each sampled pair (P5, a Q4 block pair, a Q5 half
-pair, a path-cover link) is one `graphs.BipartiteView`, its cross block
-read from the graph's rows; no phase builds an induced subgraph.
+unverified cycle. Windows read degree counts (`Graph.cross_degree`);
+only a path-cover link, whose matching needs its cross block, is a
+`graphs.BipartiteView`, and no phase builds an induced subgraph.
 
 The asymptotic regime of the underlying theorem is unreachable at desk
 scale, so every threshold is a config knob with documented desk
@@ -39,7 +39,7 @@ from . import extend, matching
 from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
                      PartitionRetriesExhausted, PreconditionViolated)
 from .graphs import (BipartiteView, Graph, certify_expander,
-                     degree_window_violation)
+                     degree_window_violation, pair_window_violation)
 from .rng import SEED_RANGE, child_seed, generator
 
 SCHEMA_VERSION = 2
@@ -57,6 +57,7 @@ CONSTANT_DEFAULTS = {
     "pm_gamma_cap": 1.2,        # cross-degree tolerance for perfect matchings
     "q_pair_sample": 40,        # block pairs checked when t > 12
 }
+MAX_RETRIES = 1000    # upper end of both retry counts, far above the default 20
 
 
 def _is_number(value, kind) -> bool:
@@ -98,9 +99,12 @@ class PipelineConfig:
                 f"reserve_fraction={self.reserve_fraction} outside (0, 0.5)")
         if self.k is not None and self.k < 2:
             raise ConfigError(f"k={self.k} must be at least 2")
-        for name in ("l_max", "max_partition_retries", "max_repartition_retries"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name}={getattr(self, name)} must be at least 1")
+        if self.l_max < 1:
+            raise ConfigError(f"l_max={self.l_max} must be at least 1")
+        for name in ("max_partition_retries", "max_repartition_retries"):
+            if not 1 <= getattr(self, name) <= MAX_RETRIES:
+                raise ConfigError(
+                    f"{name}={getattr(self, name)} outside [1, MAX_RETRIES={MAX_RETRIES}]")
         if self.min_reserve_ratio <= 0:
             raise ConfigError(
                 f"min_reserve_ratio={self.min_reserve_ratio} must be positive")
@@ -268,7 +272,7 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
     trace.data["plan"] = asdict(plan)
     n, d = g.n, cert.d
     k, r = plan.k, plan.reserve_size
-    target = d * r / n
+    target, target_k = d * r / n, d * k / n
     g1, g5 = cfg.gamma("P1"), cfg.gamma("P5")
 
     def attempt(retry):
@@ -278,7 +282,9 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
         _window("P1", "into R: ", degree_window_violation(
             range(n), g.cross_degree(range(n), parts.reserve),
             (1 - 2 * g1) * target, (1 + 2 * g1) * target))
-        _window("P5", "", BipartiteView(g, parts.x, parts.y).window_violation(d, n, g5))
+        x, y = parts.x, parts.y
+        _window("P5", "", pair_window_violation(
+            (x, y), (g.cross_degree(x, y), g.cross_degree(y, x)), (target_k,) * 2, g5))
         return parts
 
     parts = _retry("partition", cfg.max_partition_retries, trace, attempt)
@@ -296,13 +302,14 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
     every block splits into halves of (k + 1) // 2 and k // 2 vertices,
     so neither needs a check. Q3: degrees into the first halves within
     the Q3 window. Q4/Q5: block pairs and first-half pairs are bipartite
-    expanders; all pairs when t <= 12, a seeded sample above. Q4's s2 cap
-    needs no solve: s2(G[B_i u B_j]) <= lambda_hat by interlacing, and
-    the certification gate admits only lambda_hat <= lambda_ratio_cap * d.
+    expanders (all pairs when t <= 12, a seeded sample above), read from
+    one table of degrees into block halves. Q4's s2 cap needs no solve:
+    s2(G[B_i u B_j]) <= lambda_hat <= lambda_ratio_cap * d (interlacing, gate).
     """
     plan = plan_sizes(g.n, cfg)
     n, d = g.n, cert.d
     k, t, half = plan.k, plan.t, (plan.k + 1) // 2
+    everyone = np.arange(n)
     vertices = np.sort(np.concatenate([parts.x, parts.y, parts.middle]))
     g3, g4, g5 = cfg.gamma("Q3"), cfg.gamma("Q4"), cfg.gamma("Q5")
     target = d * half / n
@@ -312,20 +319,24 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
         rng = generator(cfg.seed, "repartition", retry)
         blocks = parts.middle[rng.permutation(len(parts.middle))].reshape(t - 2, k)
         blocks.sort(axis=1)
-        for i, h1 in enumerate(blocks[:, :half]):
+        halves = np.empty((2, t - 2, n), dtype=int)    # [h, i, v]: deg(v, half h of B_i)
+        for i, block in enumerate(blocks):
+            halves[:, i] = [g.cross_degree(everyone, h) for h in np.split(block, [half])]
             _window("Q3", f"half of block {i}: ", degree_window_violation(
-                vertices, g.cross_degree(vertices, h1), lo, hi))
+                vertices, halves[0, i, vertices], lo, hi))
 
         pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
         if t > 12:
             sample = min(len(pairs), cfg.constant("q_pair_sample"))
             idx = rng.choice(len(pairs), size=sample, replace=False)
             pairs = [pairs[int(i)] for i in sorted(idx)]
+        windows = (("Q4", "pair", halves.sum(axis=0), blocks, d * k / n, g4),
+                   ("Q5", "half pair", halves[0], blocks[:, :half], target, g5))
         for i, j in pairs:
-            _window("Q4", f"pair ({i},{j}): ", BipartiteView(
-                g, blocks[i], blocks[j]).window_violation(d, n, g4))
-            _window("Q5", f"half pair ({i},{j}): ", BipartiteView(
-                g, blocks[i, :half], blocks[j, :half]).window_violation(d, n, g5))
+            for check, where, deg, rows, pair_target, gamma in windows:
+                _window(check, f"{where} ({i},{j}): ", pair_window_violation(
+                    (rows[i], rows[j]), (deg[j, rows[i]], deg[i, rows[j]]),
+                    (pair_target,) * 2, gamma))
         return blocks, len(pairs)
 
     blocks, checked = _retry("repartition", cfg.max_repartition_retries, trace, attempt)

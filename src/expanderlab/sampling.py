@@ -4,8 +4,8 @@ Each experiment draws its own subsets per seeded trial: the
 random-submatrix norm experiments take independent Bernoulli rows and
 columns or a uniform fixed-size principal set, and the induced-subgraph
 spectral experiments take uniform vertex sets: a trial reads the
-degrees and s2 of G[S], built once, or the cross degrees of one
-`graphs.BipartiteView` (X, Y) and the s2 of G[X u Y].
+degrees and s2 of G[S], or the cross degrees of (X, Y) and the s2 of
+G[X u Y], each induced subgraph built once.
 Hypergeometric Chernoff bounds come with an exact-tail oracle so the
 inequalities can be tested against ground truth at small sizes.
 """
@@ -20,8 +20,8 @@ import numpy as np
 from . import linalg
 from .errors import (AsymmetricInput, BadParameter, BadRange,
                      CertificateMismatch)
-from .graphs import (BipartiteView, Graph, SpectralCertificate,
-                     degree_window_violation)
+from .graphs import (Graph, SpectralCertificate, degree_window_violation,
+                     pair_window_violation)
 from .rng import child_seed, derive_seed, generator
 
 BATCHES = 10              # batch-means groups for standard errors
@@ -185,10 +185,9 @@ def submatrix_norm_experiment(b: np.ndarray, mode: str,
 
 def _subgraph_trials(label: str, trials: int, seed: int, sigma, gamma,
                      lam_bound, hyp, draw) -> SubgraphExperiment:
-    """Seeded trials: draw(rng) gives the trial's sample, a `Graph` G[S]
-    or a `BipartiteView` (X, Y), and whether its degree windows hold; a
-    trial succeeds when they do and the sample's s2 (that of the
-    subgraph it induces) is at most lam_bound."""
+    """Seeded trials: draw(rng) gives the trial's sample, an induced
+    subgraph, and whether its degree windows hold; a trial succeeds when
+    they do and the sample's s2 is at most lam_bound."""
     if trials < 1:
         raise BadParameter(f"trials={trials} must be at least 1")
     records = []
@@ -266,12 +265,10 @@ def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
 
     def draw(rng):
         perm = rng.permutation(n)
-        view = BipartiteView(g, perm[:m1], perm[m1:m1 + m2])
-        return view, all(      # deg(v, Y) for v in X, then deg(v, X) for v in Y
-            degree_window_violation(side, deg, (1 - 2 * gamma) * share * d,
-                                    (1 + 2 * gamma) * share * d) is None
-            for side, deg, share in zip((view.left, view.right), view.degrees(),
-                                        (sigma2, sigma1)))
+        x, y = perm[:m1], perm[m1:m1 + m2]
+        return g.induced(perm[:m1 + m2])[0], pair_window_violation(
+            (x, y), (g.cross_degree(x, y), g.cross_degree(y, x)),
+            (sigma2 * d, sigma1 * d), 2 * gamma) is None
 
     return _subgraph_trials("bipartite-induced", trials, seed, sigma, gamma,
                             lam_bound, False, draw)

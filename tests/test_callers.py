@@ -20,6 +20,7 @@ TEST_ONLY = {
     "verify_matching": "independent verifier of every matching a test builds",
     "verify_path_system": "independent verifier of every connector path system",
     "eml_matrix_audit": "acceptance criterion 3, the matrix mixing inequality",
+    "normalize_array": "acceptance criterion 3, the matrix whose s2 it passes",
     "hypergeometric_tail": "acceptance criterion 8, the window tail bound",
     "exact_hypergeometric_tail": "acceptance criterion 8, its exact oracle",
 }

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from expanderlab import graphs, linalg, matching, mixing
 from expanderlab.errors import (BadResidueClass, EmptySide, IsolatedVertex,
@@ -105,6 +106,28 @@ def test_graph_io_roundtrip(tmp_path, petersen):
     graphs.write_graph(petersen, path)
     back = graphs.read_graph(path)
     assert back == petersen
+
+
+vertex_lists = st.lists(st.integers(0, 50), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    vertex_lists, vertex_lists.map(sorted), vertex_lists.map(lambda v: sorted(set(v))),
+    arrays(np.int64, st.integers(0, 30), elements=st.integers(0, 50)),
+    arrays(np.int64, st.integers(0, 30), elements=st.integers(0, 50), unique=True).map(np.sort),
+    arrays(np.int32, st.integers(0, 30), elements=st.integers(0, 50), unique=True).map(np.sort),
+    arrays(np.int64, (), elements=st.integers(0, 50)),
+    arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(0, 5)),
+           elements=st.integers(0, 50))))
+def test_vertex_array_equals_unique(vertices):
+    # lists and arrays: sorted or not, repeated or distinct, empty, 0-d, 2-D
+    out = graphs.vertex_array(vertices)
+    assert out.dtype == np.int64 and out.ndim == 1
+    assert out.tolist() == np.unique(vertices).tolist()
+    if isinstance(vertices, np.ndarray) and vertices.dtype == np.int64 \
+            and vertices.shape == out.shape and np.array_equal(vertices, out):
+        assert out is vertices     # already sorted and distinct: no copy
 
 
 def test_induced_subgraph_mapping(paley13):
@@ -256,7 +279,8 @@ def test_bipartite_view_matches_parent_graph(n, p, seed, data):
         sides = (view.left, view.right)
         for side, other, deg in zip(sides, sides[::-1], view.degrees()):
             assert deg.tolist() == g.cross_degree(side, other).tolist()
-        assert view.window_violation(d, n, gamma) == \
+        targets = (d * len(view.right) / n, d * len(view.left) / n)
+        assert graphs.pair_window_violation(sides, view.degrees(), targets, gamma) == \
             _parent_window_violation(g, *sides, d, n, gamma)
     if a and b:
         assert pair.observed_gamma(d, n) == max(

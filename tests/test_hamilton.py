@@ -25,10 +25,18 @@ def test_config_validation():
     {"min_reserve_ratio": -1.0}, {"constant_overrides": {"q_pair_sample": -1}},
     {"constant_overrides": {"q_pair_sample": 0}},
     {"constant_overrides": {"q_pair_sample": 0.5}}, {"seed": 2 ** 127},
-    {"seed": -2 ** 127 - 1}])
+    {"seed": -2 ** 127 - 1}, {"max_partition_retries": hamilton.MAX_RETRIES + 1},
+    {"max_repartition_retries": hamilton.MAX_RETRIES + 1}])
 def test_config_range_checks(fields):
     with pytest.raises(ConfigError):
         hamilton.PipelineConfig(**fields)
+
+
+def test_retry_counts_end_at_the_named_bound():
+    assert hamilton.PipelineConfig(max_partition_retries=hamilton.MAX_RETRIES,
+                                   max_repartition_retries=hamilton.MAX_RETRIES)
+    with pytest.raises(ConfigError, match="MAX_RETRIES"):
+        hamilton.PipelineConfig(max_repartition_retries=hamilton.MAX_RETRIES + 1)
 
 
 @pytest.mark.parametrize("seed", [np.int64(3), 2 ** 127 - 1, -2 ** 127])
@@ -190,6 +198,22 @@ def test_pipeline_induces_no_subgraph(monkeypatch):
                                         hamilton.PipelineConfig(seed=0))
     assert result.trace.outcome == "success"
     assert calls == []
+
+
+def test_pipeline_builds_a_view_only_per_path_cover_link(monkeypatch):
+    # windows read degree counts; only a matching needs a cross block
+    built = []
+
+    class Counting(graphs.BipartiteView):
+        def __post_init__(self):
+            built.append((self.left, self.right))
+            super().__post_init__()
+
+    monkeypatch.setattr(hamilton, "BipartiteView", Counting)
+    g, cfg = graphs.gen_paley(401), hamilton.PipelineConfig(seed=0)
+    result = hamilton.hamilton_pipeline(g, cfg)
+    assert result.trace.outcome == "success"
+    assert len(built) == hamilton.plan_sizes(g.n, cfg).t - 1
 
 
 def test_pipeline_deterministic_trace():
