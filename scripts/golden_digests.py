@@ -19,7 +19,12 @@ ConnectFailed message, of `connect_pairs` on 200 seeded draws on Paley
 101 that reach every exit of the connector, and one the same digest on a
 seeded G(120, 0.3) with l_max up to 6, whose successful draws route
 paths of 3 and 4 edges and whose failed ones tear paths down (at Paley
-density every route has at most 2 edges). Below the cycle, on
+density every route has at most 2 edges). Two lines hold the SHA-256
+of `count_edges_between`'s (ordered, unordered, S n T) on 200 seeded
+pairs of vertex sets, disjoint, overlapping, or unsorted with repeats:
+on Paley 1009, dense enough that the count reads bit-packed rows, and on
+a seeded G(600, 0.01), too sparse for them, whose count reads the CSR
+rows. Below the cycle, on
 seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
 pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
@@ -155,6 +160,27 @@ def gnp(n: int, p: float) -> graphs.Graph:
     return graphs.Graph(n, np.column_stack([u[keep], v[keep]]))
 
 
+def audit_digest(g) -> str:
+    """SHA-256 of `count_edges_between`'s (ordered, unordered, S n T) on
+    200 seeded pairs with sizes in [1, n/2): in turn disjoint slices of
+    one permutation, independent draws that overlap, and draws with
+    repeats, each passed unsorted."""
+    rng = generator(0, "audit-counts")
+    counts = []
+    for i in range(200):
+        a, b = (int(x) for x in rng.integers(1, g.n // 2, size=2))
+        if i % 3 == 0:
+            perm = rng.permutation(g.n)
+            s, t = perm[:a], perm[a:a + b]
+        else:
+            replace = i % 3 == 2
+            s = rng.choice(g.n, a, replace=replace)
+            t = rng.choice(g.n, b, replace=replace)
+        ordered, unordered, both = g.count_edges_between(s, t)
+        counts.append((ordered, unordered, both.tolist()))
+    return sha256(repr(counts))
+
+
 def view_digests(g, cert, view_seed: int, a: int, b: int) -> tuple:
     """SHA-256 of the maximum matching, the (left, right) Hall violators
     and the bipartite certificates of one seeded pair."""
@@ -214,6 +240,8 @@ def _fields():
     yield 101, "greedy", greedy_digest(p101, graphs.certify_expander(p101, seed=0))
     yield 101, "connector", connector_digest(p101, 4)
     yield 120, "connector gnp-0.3", connector_digest(gnp(120, 0.3), 6)
+    yield 1009, "audit-counts", audit_digest(paley[1009])
+    yield 600, "audit-counts gnp-0.01", audit_digest(gnp(600, 0.01))
     for q in (401, 1009):
         yield from below_the_cycle(q, paley[q])
     graph_file = graphs.graph_file_bytes(paley[401])
