@@ -8,12 +8,12 @@ a stopping tolerance derived from `tol`. Dense symmetric input takes the
 k lowest and the k highest eigenpairs from one tridiagonal reduction
 (dsyevr's own steps, the same bits as two index-range `eigh` calls), or
 one full `eigh` once 2k reaches the dimension; other dense input takes
-`svd`. A nonzero LAPACK status raises `NoConvergence` naming the
-routine. Callers state symmetry (graph adjacencies are
-symmetric by construction); only dense input that states nothing is
-tested for it. The residuals ||A v - s u|| and, if A is not symmetric,
-||A^T u - s v|| of the computed triples must stay within `tol`.
-`dense_singular_values` is the independent test oracle.
+`svd`. A nonzero LAPACK status (dstebz's info=2 after its documented
+cure) raises `NoConvergence` naming the routine. Callers state symmetry
+(graph adjacencies are symmetric by construction); only dense input
+that states nothing is tested for it. The residuals ||A v - s u|| and,
+if A is not symmetric, ||A^T u - s v|| of the computed triples must
+stay within `tol`. `dense_singular_values` is the independent test oracle.
 """
 
 from __future__ import annotations
@@ -115,6 +115,10 @@ def _spectrum_ends(dense: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     for il, iu in ((1, k), (m - k + 1, m)):
         found, w, iblock, isplit, info = lapack.dstebz(
             d, e, 3, 0.0, 0.0, il, iu, 0.0, b"B")
+        if info == 2:   # dstebz's cure (K21 needs it): all, then pick il..iu
+            _, w, iblock, isplit, info = lapack.dstebz(d, e, 0, 0.0, 0.0, 0, 0, 0.0, b"E")
+            picked = il - 1 + np.argsort(iblock[il - 1:iu], kind="stable")  # by block
+            found, w, iblock = k, w[picked], np.resize(iblock[picked], m)
         _lapack_status("dstebz", info)
         if found < k:
             raise NoConvergence(f"LAPACK dstebz found {found} of the "

@@ -156,6 +156,52 @@ def test_edge_counts_match_brute_force(petersen, data):
         1 for w in t if petersen.has_edge(v0, w))]
 
 
+def _gnp(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return graphs.Graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([63, 64, 65, 127, 128, 129]), st.floats(0.0, 0.2),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["disjoint", "overlap", "single"]),
+       st.data())
+def test_count_edges_between_both_paths_match_brute_force(n, p, seed, kind, data):
+    # Up to p = 0.2 the draws fall on both sides of the bit-row size rule
+    # (mean degree 2 * ceil(n / 64)), at the word boundaries of n. The sets
+    # are unsorted lists with repeats.
+    g = _gnp(n, p, seed)
+    words = (n + 63) // 64
+    size = 1 if kind == "single" else n
+    s = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=size))
+    t = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=size))
+    if kind == "disjoint":
+        t = [v for v in t if v not in s]
+    a = g.adjacency_dense()
+    rows, cols = sorted(set(s)), sorted(set(t))
+    both = sorted(set(s) & set(t))
+    ordered = int(a[np.ix_(rows, cols)].sum())
+    inside = int(a[np.ix_(both, both)].sum())
+    counts = g.count_edges_between(s, t)
+    assert counts[:2] == (ordered, ordered - inside // 2)
+    assert counts[2].tolist() == both
+    assert (g._bits is not None) == (n * words * 8 <= 4 * 2 * g.edge_count)
+
+
+def test_bit_rows_follow_the_size_rule():
+    paley = graphs.gen_paley(101)
+    petersen, cycle = graphs.gen_named("petersen"), graphs.gen_named("cycle", 100)
+    for g in (paley, petersen, cycle):
+        g.count_edges_between([0, 1], [2, 3])
+    assert paley._bits.shape == (101, 2) and petersen._bits.shape == (10, 1)
+    assert cycle._bits is None
+    unpacked = np.unpackbits(paley._bits.view(np.uint8), axis=1, bitorder="little")
+    assert np.array_equal(unpacked[:, :101], paley.adjacency_dense())
+    assert not unpacked[:, 101:].any() and not paley._bits.flags.writeable
+    # Subgraphs and graphs that are never counted build no bit rows.
+    assert paley.induced(range(50))[0]._bits is None
+    assert graphs.gen_paley(101)._bits is None
+
+
 def test_bipartite_view_validation(paley13):
     with pytest.raises(ValueError):
         graphs.BipartiteView(parent=paley13, left=(0, 1), right=(1, 2))

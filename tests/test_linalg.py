@@ -130,6 +130,34 @@ def test_spectrum_ends_bits_equal_two_evr_calls(case):
         assert np.array_equal(x, np.hstack([p[1] for p in pairs]))
 
 
+def test_complete_graph_s2_is_one():
+    # K21's tridiagonal form makes dstebz return info=2 for the top two
+    # eigenvalues by index; the kernel then picks them from all of them.
+    for n in range(2, 41):
+        assert abs(graphs.gen_named("complete", n).s2(0) - 1.0) < 1e-8, n
+
+
+@pytest.mark.parametrize("case", ["random-30", "split-tridiagonal"])
+def test_spectrum_ends_after_dstebz_info_2(monkeypatch, case):
+    # Force dstebz's info=2 on every index range: the retry over the whole
+    # spectrum must pick the same eigenpairs, grouped by block for dstein.
+    dstebz = linalg.lapack.dstebz
+
+    def failing_index_range(d, e, range_, *args):
+        found, w, iblock, isplit, info = dstebz(d, e, range_, *args)
+        return (0, w, iblock, isplit, 2) if range_ == 3 else (found, w, iblock, isplit, info)
+
+    a = _EVR_CASES[case]()
+    m = a.shape[0]
+    monkeypatch.setattr(linalg.lapack, "dstebz", failing_index_range)
+    for k in (1, 2, 3):
+        w, x = linalg._spectrum_ends(a, k)
+        want = sla.eigvalsh(a)
+        assert np.allclose(w, np.concatenate([want[:k], want[m - k:]]), atol=1e-10)
+        assert np.allclose(a @ x, x * w, atol=1e-10)
+        assert np.allclose(x.T @ x, np.eye(2 * k), atol=1e-10)
+
+
 def test_lapack_failure_raises_no_convergence(monkeypatch):
     def failing_dstein(*args):
         return np.zeros((30, 2)), 1
