@@ -3,7 +3,8 @@
 One master seed per invocation; every subcommand derives labeled
 child seeds, so a single integer reproduces an entire experiment.
 Exit codes: 0 success, 2 precondition/usage failure, 3 phase or
-theorem failure, 4 verification failure.
+theorem failure, 4 verification failure. Each subcommand returns its
+exit code and the files it wrote, which the `--out` manifest lists.
 """
 
 from __future__ import annotations
@@ -56,18 +57,20 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed: int,
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _emit(text: str, out: str | None):
+def _emit(text: str, out: str | None) -> list:
+    """Write `text` to the file `out`, or to stdout; the files written."""
     if out:
         Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        return [out]
+    sys.stdout.write(text)
+    return []
 
 
 def _vertex_list(spec: str) -> list:
     return [int(tok) for tok in spec.replace(",", " ").split()]
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple:
     kind = args.kind
     needed = {"paley": 1, "regular": 2}.get(kind, 0)
     if len(args.params) < needed:
@@ -79,11 +82,10 @@ def _cmd_gen(args) -> int:
         g = graphs.gen_random_regular(*args.params[:2], seed=args.seed)
     else:
         g = graphs.gen_named(kind, args.params[0] if args.params else None)
-    _emit(graphs.graph_file_bytes(g).decode("ascii"), args.out)
-    return EXIT_OK
+    return EXIT_OK, _emit(graphs.graph_file_bytes(g).decode("ascii"), args.out)
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple:
     g = graphs.read_graph(args.graph)
     cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
     if args.format == "csv":
@@ -91,13 +93,11 @@ def _cmd_certify(args) -> int:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["n", "d", "gamma_hat", "lambda_hat"])
         w.writerow([cert.n, cert.d, cert.gamma_hat, cert.lambda_hat])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(graphs.certificate_to_json(cert), args.out)
-    return EXIT_OK
+        return EXIT_OK, _emit(buf.getvalue(), args.out)
+    return EXIT_OK, _emit(graphs.certificate_to_json(cert), args.out)
 
 
-def _cmd_eml(args) -> int:
+def _cmd_eml(args) -> tuple:
     if args.samples < 1:
         raise BadParameter(f"--samples {args.samples} must be at least 1")
     g = graphs.read_graph(args.graph)
@@ -122,14 +122,14 @@ def _cmd_eml(args) -> int:
         w = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
-        _emit(buf.getvalue(), args.out)
+        text = buf.getvalue()
     else:
-        _emit(json.dumps({"samples": args.samples, "violated": violated,
-                          "rows": rows}, indent=2) + "\n", args.out)
-    return EXIT_PHASE if violated else EXIT_OK
+        text = json.dumps({"samples": args.samples, "violated": violated,
+                           "rows": rows}, indent=2) + "\n"
+    return EXIT_PHASE if violated else EXIT_OK, _emit(text, args.out)
 
 
-def _cmd_subsample(args) -> int:
+def _cmd_subsample(args) -> tuple:
     g = graphs.read_graph(args.graph)
     cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
     exp = sampling.induced_subgraph_experiment(
@@ -138,21 +138,19 @@ def _cmd_subsample(args) -> int:
     floor = 1 - g.n ** (-1 / 6)
     summary = exp.summary(floor)
     summary["schema_version"] = ARTIFACT_VERSION
+    outputs = _emit(json.dumps(summary, indent=2) + "\n", args.out)
     if args.out:
-        out = Path(args.out)
-        csv_path = out.with_suffix(".trials.csv")
+        csv_path = Path(args.out).with_suffix(".trials.csv")
         with csv_path.open("w", newline="") as fh:
             rows = exp.csv_rows()
             w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
             w.writeheader()
             w.writerows(rows)
-        out.write_text(json.dumps(summary, indent=2) + "\n")
-    else:
-        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return EXIT_OK if summary["pass"] else EXIT_PHASE
+        outputs.append(csv_path)
+    return EXIT_OK if summary["pass"] else EXIT_PHASE, outputs
 
 
-def _cmd_submatrix(args) -> int:
+def _cmd_submatrix(args) -> tuple:
     m = linalg.read_matrix(args.matrix)
     est = sampling.submatrix_norm_experiment(
         m, args.mode, sigma=args.sigma, m=args.m, p=args.p,
@@ -163,11 +161,11 @@ def _cmd_submatrix(args) -> int:
                "std_error": est.std_error,
                "theoretical_bound": est.theoretical_bound,
                "holds": est.holds}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK if est.holds else EXIT_PHASE
+    return (EXIT_OK if est.holds else EXIT_PHASE,
+            _emit(json.dumps(payload, indent=2) + "\n", args.out))
 
 
-def _cmd_match(args) -> int:
+def _cmd_match(args) -> tuple:
     g = graphs.read_graph(args.graph)
     view = graphs.BipartiteView(parent=g, left=_vertex_list(args.left),
                                 right=_vertex_list(args.right))
@@ -179,44 +177,33 @@ def _cmd_match(args) -> int:
             view, d=cert.d, gamma=view.observed_gamma(cert.d, g.n),
             lam=view.s2(child_seed(args.seed, "match-s2")),
             gamma_cap=args.gamma_cap, ratio_cap=args.ratio_cap)
-    _emit(m.to_json() + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, _emit(m.to_json() + "\n", args.out)
 
 
-def _cmd_hamilton(args) -> int:
+def _cmd_hamilton(args) -> tuple:
     g = graphs.read_graph(args.graph)
     cfg_data = json.loads(Path(args.config).read_text()) if args.config else {}
     cfg = hamilton.PipelineConfig.from_dict(cfg_data)
     if "seed" not in cfg_data:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     result = hamilton.hamilton_pipeline(g, cfg)
-    trace_text = result.trace.to_json() + "\n"
-    outputs = []
-    if args.out:
-        out = Path(args.out)
-        out.write_text(trace_text)
-        outputs.append(out)
-        if result.cycle:
-            cycle_path = out.with_suffix(".cycle.txt")
-            cycle_path.write_text(result.cycle.to_line() + "\n")
-            outputs.append(cycle_path)
-    else:
-        sys.stdout.write(trace_text)
-        if result.cycle:
-            sys.stdout.write(result.cycle.to_line() + "\n")
-    return EXIT_OK if result.cycle else EXIT_PHASE
+    outputs = _emit(result.trace.to_json() + "\n", args.out)
+    if result.cycle:
+        cycle_out = Path(args.out).with_suffix(".cycle.txt") if args.out else None
+        outputs += _emit(result.cycle.to_line() + "\n", cycle_out)
+    return EXIT_OK if result.cycle else EXIT_PHASE, outputs
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     g = graphs.read_graph(args.graph)
     cycle = hamilton.HamiltonCycle.from_line(Path(args.cycle).read_text())
     verdict = hamilton.verify_hamilton_cycle(g, cycle)
     sys.stdout.write(json.dumps({"ok": verdict.ok,
                                  "reason": verdict.reason}) + "\n")
-    return EXIT_OK if verdict else EXIT_VERIFICATION
+    return EXIT_OK if verdict else EXIT_VERIFICATION, []
 
 
-def _cmd_summarize(args) -> int:
+def _cmd_summarize(args) -> tuple:
     files = sorted(Path(args.directory).glob("*.json"))
     records = []
     versions = {}
@@ -238,8 +225,7 @@ def _cmd_summarize(args) -> int:
     for _, data in records:
         w.writerow([data["params"]["sigma"], data["success_fraction"],
                     data["floor"], data["pass"]])
-    _emit(buf.getvalue(), args.out)
-    return EXIT_OK
+    return EXIT_OK, _emit(buf.getvalue(), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,14 +307,14 @@ def main(argv=None) -> int:
     try:
         if args.seed not in SEED_RANGE:
             raise BadParameter(f"--seed {args.seed} outside [-2**127, 2**127)")
-        code = args.func(args)
+        code, outputs = args.func(args)
     except _PHASE_ERRORS as exc:
         sys.stderr.write(f"phase failure: {exc}\n")
         return EXIT_PHASE
     except (ExpanderLabError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
-    if args.out and Path(args.out).exists():
+    if outputs:
         inputs = [p for p in (getattr(args, "graph", None),
                               getattr(args, "matrix", None),
                               getattr(args, "cycle", None),
@@ -337,7 +323,7 @@ def main(argv=None) -> int:
         cfg = {k: v for k, v in vars(args).items()
                if k != "func" and not callable(v)}
         _write_manifest(Path(args.out), args.command, cfg, args.seed,
-                        inputs, [args.out], started)
+                        inputs, outputs, started)
     return code
 
 

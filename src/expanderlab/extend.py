@@ -31,15 +31,17 @@ class Connector:
     gets a shortest path of length <= budget with its interior in
     `free`; when a pair cannot be routed, the most recently routed path
     is torn down and re-routed, up to a global teardown cap. The free
-    vertices left over are then spliced into the routed paths.
+    vertices left over are then spliced into the routed paths. `ports`
+    and `reserved` are int64 arrays of distinct vertices, as
+    `build_connector` checks them.
     """
 
     def __init__(self, g: Graph, ports, reserved, budget: int, seed: int):
         self.g = g
-        self.reserved = tuple(vertex_array(reserved).tolist())
+        self.reserved = reserved
         self.budget = budget
         self.seed = seed
-        self._ports = set(vertex_array(ports).tolist())
+        self._ports = set(ports.tolist())
 
     def connect_pairs(self, pairs) -> tuple:
         """Vertex-disjoint paths whose interiors partition the reserve,
@@ -60,7 +62,7 @@ class Connector:
             raise ConnectFailed(pairs[0], len(self.reserved),
                                 "reserve too large for the length budget")
         free = np.zeros(self.g.n, dtype=bool)
-        free[list(self.reserved)] = True
+        free[self.reserved] = True
         routed = []           # parallel to pairs[:len(routed)]
         teardowns = 0
         attempt = [0] * len(pairs)
@@ -142,10 +144,11 @@ class Connector:
 def build_connector(g: Graph, x, y, reserve, l_max: int, seed: int = 0,
                     min_reserve_ratio: float = 2.0) -> Connector:
     """Validated connector over disjoint port sets X, Y and a reserve."""
-    xs, ys, rs = set(x), set(y), set(reserve)
+    xs, ys, rs = (vertex_array(region, g.n) for region in (x, y, reserve))
     if len(xs) != len(ys):
         raise UnbalancedSides(f"|X|={len(xs)} != |Y|={len(ys)}")
-    if xs & ys or xs & rs or ys & rs:
+    ports = np.concatenate([xs, ys])
+    if np.intersect1d(xs, ys, assume_unique=True).size or np.isin(rs, ports).any():
         raise PreconditionViolated("disjoint_regions",
                                    "X, Y, reserve must be pairwise disjoint")
     if len(rs) < min_reserve_ratio * len(xs):
@@ -154,7 +157,7 @@ def build_connector(g: Graph, x, y, reserve, l_max: int, seed: int = 0,
             f"{min_reserve_ratio * len(xs)}")
     if l_max < 1:
         raise BadParameter(f"l_max={l_max} must be at least 1")
-    return Connector(g, xs | ys, rs, budget=l_max, seed=seed)
+    return Connector(g, ports, rs, budget=l_max, seed=seed)
 
 
 def verify_path_system(g: Graph, paths, pairs=None, reserve=None,

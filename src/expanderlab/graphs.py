@@ -3,11 +3,13 @@
 Graphs are simple, undirected and immutable after construction. A graph
 is stored as CSR: read-only int32 arrays `indptr` and `indices`, where
 the neighbours of v are indices[indptr[v]:indptr[v + 1]] in increasing
-order. Induced subgraphs and degrees into a vertex set are row and
-column indexing on a scipy CSR view of the same two arrays; an edge
-lookup is a binary search in the sorted row. Edge counts between vertex
-sets read bit-packed rows, built on a graph's first count if they take
-no more bytes than `indices`; sparser graphs count on the CSR. A window
+order. A vertex set passes one rule, `vertex_array(S, n)`: a vertex
+outside range(n) raises ValueError, and the set is read sorted off a
+mask over V. Induced subgraphs and degrees into a set are row and
+column indexing on a scipy CSR view of the same arrays; an edge lookup
+is a binary search in the sorted row. Edge counts between vertex sets
+read bit-packed rows, built on a graph's first count if they take no
+more bytes than `indices`; sparser graphs count on the CSR. A window
 check reads degree counts alone: the one rule is
 `degree_window_violation`, and `pair_window_violation` applies it to
 both sides of a pair. A `BipartiteView` (L, R) holds the CSR cross
@@ -41,14 +43,17 @@ SPECTRAL_TOL = 1e-8
 PAIRING_ATTEMPT_FACTOR = 100  # cap on stub-pair draws: 100 * n * d
 
 
-def vertex_array(vertices) -> np.ndarray:
-    """Sorted distinct vertices of any iterable, as an int64 array; a
-    sorted distinct 1-D int64 array is returned itself."""
+def vertex_array(vertices, n: int) -> np.ndarray:
+    """Sorted distinct int64 array of any iterable's vertices, read off a
+    mask over range(n); a vertex outside range(n) raises ValueError."""
     if not isinstance(vertices, np.ndarray):
         vertices = np.fromiter(vertices, dtype=np.int64)
     vertices = vertices.astype(np.int64, copy=False)
-    done = vertices.ndim == 1 and (vertices[1:] > vertices[:-1]).all()
-    return vertices if done else np.unique(vertices)
+    if (outside := (vertices < 0) | (vertices >= n)).any():
+        raise ValueError(f"vertex {vertices[outside][0]} outside range({n})")
+    mask = np.zeros(n, dtype=bool)
+    mask[vertices] = True
+    return np.flatnonzero(mask)
 
 
 def _first_invalid_edge(n: int, u: np.ndarray, v: np.ndarray):
@@ -177,7 +182,7 @@ class Graph:
 
     def induced(self, vertices) -> tuple["Graph", list]:
         """Induced subgraph plus the sorted vertex list mapping new->old."""
-        vs = vertex_array(vertices)
+        vs = vertex_array(vertices, self.n)
         sub = self._csr[vs][:, vs]
         return Graph._from_csr(len(vs), sub.indptr, sub.indices), vs.tolist()
 
@@ -189,7 +194,8 @@ class Graph:
         degree into it (the adjacency is symmetric); `vertices` picks
         from that.
         """
-        into = np.bincount(self._csr[vertex_array(targets)].indices, minlength=self.n)
+        targets = vertex_array(targets, self.n)
+        into = np.bincount(self._csr[targets].indices, minlength=self.n)
         return into[np.asarray(vertices, dtype=np.int64)]
 
     def count_edges_between(self, s, t) -> tuple:
@@ -201,15 +207,14 @@ class Graph:
         or a `cross_degree` sum, O(|T| d), where the rows would outgrow the
         CSR (1.25 GB against 64 MB at n = 10^5, d = 160).
         """
-        s, t = vertex_array(s), vertex_array(t)
+        s, t = vertex_array(s, self.n), vertex_array(t, self.n)
         both = np.intersect1d(s, t, assume_unique=True)
         if (bits := self._bit_rows()) is None:
             ordered, inside = (int(self.cross_degree(a, b).sum())
                                for a, b in ((s, t), (both, both)))
         else:
             masks = np.zeros((2, bits.shape[1] * 64), dtype=bool)
-            vertices = masks[:, :self.n]    # indexes like the CSR path: n and up raise
-            vertices[0, t] = vertices[1, both] = True
+            masks[0, t] = masks[1, both] = True
             masks = np.packbits(masks, axis=1, bitorder="little").view("<u8")
             ordered, inside = (int(np.bitwise_count(bits[a] & mask).sum())
                                for a, mask in zip((s, both), masks))
@@ -263,11 +268,9 @@ class BipartiteView:
     block: sp.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        left, right = vertex_array(self.left), vertex_array(self.right)
-        both = np.concatenate([left, right])
-        if both.size and (both.min() < 0 or both.max() >= self.parent.n):
-            raise ValueError(f"a side has a vertex outside range({self.parent.n})")
-        if np.intersect1d(left, right).size:
+        n = self.parent.n
+        left, right = vertex_array(self.left, n), vertex_array(self.right, n)
+        if np.intersect1d(left, right, assume_unique=True).size:
             raise ValueError("sides must be disjoint")
         object.__setattr__(self, "left", tuple(left.tolist()))
         object.__setattr__(self, "right", tuple(right.tolist()))

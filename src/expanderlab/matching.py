@@ -25,7 +25,7 @@ from . import mixing
 from .errors import (CertificateMismatch, MatchingFloorMissed, NoEdgeFound,
                      PerfectMatchingFailed, PreconditionViolated,
                      UnbalancedSides)
-from .graphs import BipartiteView, Graph, SpectralCertificate
+from .graphs import BipartiteView, Graph, SpectralCertificate, vertex_array
 
 
 @dataclass(frozen=True)
@@ -137,17 +137,17 @@ def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,
     """
     if cert.n != g.n:
         raise CertificateMismatch("certificate does not match the graph")
-    v1, v2 = set(int(x) for x in v1), set(int(x) for x in v2)
-    s1, s2 = set(int(x) for x in s1), set(int(x) for x in s2)
-    if v1 & v2:
+    v1, v2, s1, s2 = (vertex_array(region, g.n) for region in (v1, v2, s1, s2))
+    if np.intersect1d(v1, v2, assume_unique=True).size:
         raise PreconditionViolated("disjoint_sides", "V1 and V2 must be disjoint")
-    if not (s1 <= v1 and s2 <= v2):
+    if not (np.isin(s1, v1).all() and np.isin(s2, v2).all()):
         raise PreconditionViolated("avoid_subset", "S_i must lie inside V_i")
     theta = mixing.one_edge_threshold(cert)
     if len(s1) > len(v1) - theta or len(s2) > len(v2) - theta:
         raise PreconditionViolated(
             "avoid_size", f"|S_i| must be <= |V_i| - theta (theta={theta})")
-    view = BipartiteView(parent=g, left=v1 - s1, right=v2 - s2)
+    view = BipartiteView(parent=g, left=np.setdiff1d(v1, s1, assume_unique=True),
+                         right=np.setdiff1d(v2, s2, assume_unique=True))
     # The lexicographically smallest edge between the residual sides is
     # taken each step. A left vertex without a free neighbour never gets
     # one later, so one pass over the block's rows takes the same edges.

@@ -54,10 +54,10 @@ def eml_matrix_audit(a: np.ndarray, s, t, s2_bar: float) -> MixingAudit:
     `s2_bar` is the second singular value of the normalized matrix of
     `a`, solved once by the caller for every (S, T) pair it audits.
     """
-    rows, cols = vertex_array(s), vertex_array(t)
+    arr = np.asarray(a, dtype=float)
+    rows, cols = vertex_array(s, arr.shape[0]), vertex_array(t, arr.shape[1])
     if not rows.size or not cols.size:
         raise EmptySubset("S and T must be nonempty")
-    arr = np.asarray(a, dtype=float)
     total = float(arr.sum())
     a_st = float(arr[np.ix_(rows, cols)].sum())
     a_sn = float(arr[rows, :].sum())
@@ -74,7 +74,7 @@ def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t) -> GraphMixingAud
     """Audit the two-sided edge-count window for an almost regular expander."""
     if cert.n != g.n:
         raise CertificateMismatch(f"certificate n={cert.n} vs graph n={g.n}")
-    sset, tset = vertex_array(s), vertex_array(t)
+    sset, tset = vertex_array(s, g.n), vertex_array(t, g.n)
     if not sset.size or not tset.size:
         raise EmptySubset("S and T must be nonempty")
     gam, d, lam, n = cert.gamma_hat, cert.d, cert.lambda_hat, cert.n

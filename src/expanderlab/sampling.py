@@ -194,7 +194,7 @@ def _subgraph_trials(label: str, trials: int, seed: int, sigma, gamma,
     for t in range(trials):
         trial_seed = derive_seed(seed, label, t)
         sample, degrees_ok = draw(generator(seed, label, t))
-        s2 = sample.s2(trial_seed % (2**31))
+        s2 = sample.s2(child_seed(seed, label, t))
         records.append(TrialRecord(trial=t, seed=trial_seed, s2=s2,
                                    degrees_ok=degrees_ok,
                                    success=degrees_ok and s2 <= lam_bound))

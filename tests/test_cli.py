@@ -75,6 +75,8 @@ def test_hamilton_verify_roundtrip(paley401_file, tmp_path):
     assert trace["outcome"] == "success"
     cycle_file = out.with_suffix(".cycle.txt")
     assert cycle_file.exists()
+    manifest = json.loads((tmp_path / "trace.json.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out), str(cycle_file)]
     assert run("verify", str(paley401_file), str(cycle_file)) == 0
     # corrupt the cycle: verification exit code 4
     toks = cycle_file.read_text().split()
@@ -143,7 +145,9 @@ def test_subsample_and_summarize(paley401_file, tmp_path):
                    "--sigma", sigma, "--trials", "5",
                    "--gamma-target", "0.3")
         assert code == 0
-        assert (sweep / f"s{i}.trials.csv").exists()
+        manifest = json.loads((sweep / f"s{i}.json.manifest.json").read_text())
+        assert manifest["outputs"] == [str(sweep / f"s{i}.json"),
+                                       str(sweep / f"s{i}.trials.csv")]
     out = tmp_path / "table.csv"
     assert run("--out", str(out), "summarize", str(sweep)) == 0
     rows = out.read_text().strip().splitlines()
@@ -270,6 +274,7 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
     ["submatrix", "--matrix", "{matrix}", "--mode", "two_sided_bernoulli",
      "--sigma", "0.5", "--trials", "0"],
     ["match", "--graph", "{graph}", "--left", "0,1", "--right", "500"],
+    ["match", "--graph", "{graph}", "--left", "0,-1", "--right", "5"],
     ["certify", "{dir}"],
     ["submatrix", "--matrix", "{dir}", "--mode", "two_sided_bernoulli",
      "--sigma", "0.5"],
@@ -278,7 +283,7 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
     ["--seed", str(2 ** 127), "certify", "{graph}"],
 ], ids=["gen-paley-no-q", "gen-regular-no-d", "eml-no-samples",
         "subsample-no-trials", "subsample-negative-trials",
-        "submatrix-no-trials", "match-vertex-out-of-range",
+        "submatrix-no-trials", "match-vertex-out-of-range", "match-negative-vertex",
         "certify-directory", "submatrix-directory", "config-directory",
         "out-directory", "seed-out-of-range"])
 def test_bad_arguments_exit_2(paley13_file, tmp_path, capsys, argv):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from expanderlab import graphs, linalg, matching, mixing
+from expanderlab import extend, graphs, linalg, matching, mixing
 from expanderlab.errors import (BadResidueClass, EmptySide, IsolatedVertex,
                                 NotPrime, ParityViolation, UnknownName)
 
@@ -108,26 +108,72 @@ def test_graph_io_roundtrip(tmp_path, petersen):
     assert back == petersen
 
 
-vertex_lists = st.lists(st.integers(0, 50), max_size=30)
+vertex_ints = st.integers(-3, 50)
+vertex_lists = st.lists(vertex_ints, max_size=30)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.one_of(
     vertex_lists, vertex_lists.map(sorted), vertex_lists.map(lambda v: sorted(set(v))),
-    arrays(np.int64, st.integers(0, 30), elements=st.integers(0, 50)),
-    arrays(np.int64, st.integers(0, 30), elements=st.integers(0, 50), unique=True).map(np.sort),
-    arrays(np.int32, st.integers(0, 30), elements=st.integers(0, 50), unique=True).map(np.sort),
-    arrays(np.int64, (), elements=st.integers(0, 50)),
+    arrays(np.int64, st.integers(0, 30), elements=vertex_ints),
+    arrays(np.int64, st.integers(0, 30), elements=vertex_ints, unique=True).map(np.sort),
+    arrays(np.int32, st.integers(0, 30), elements=vertex_ints, unique=True).map(np.sort),
+    arrays(np.int64, (), elements=vertex_ints),
     arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(0, 5)),
-           elements=st.integers(0, 50))))
-def test_vertex_array_equals_unique(vertices):
-    # lists and arrays: sorted or not, repeated or distinct, empty, 0-d, 2-D
-    out = graphs.vertex_array(vertices)
+           elements=vertex_ints)))
+def test_vertex_array_equals_unique(n, vertices):
+    # lists and arrays: sorted or not, repeated or distinct, empty, 0-d,
+    # 2-D; a vertex outside range(n) is named, the first in row-major order
+    flat = np.asarray(vertices, dtype=np.int64).ravel()
+    outside = flat[(flat < 0) | (flat >= n)]
+    if outside.size:
+        with pytest.raises(ValueError,
+                           match=rf"^vertex {outside[0]} outside range\({n}\)$"):
+            graphs.vertex_array(vertices, n)
+        return
+    out = graphs.vertex_array(vertices, n)
     assert out.dtype == np.int64 and out.ndim == 1
     assert out.tolist() == np.unique(vertices).tolist()
-    if isinstance(vertices, np.ndarray) and vertices.dtype == np.int64 \
-            and vertices.shape == out.shape and np.array_equal(vertices, out):
-        assert out is vertices     # already sorted and distinct: no copy
+
+
+# name: (n, call(g, cert, v)) of each library entry that takes a vertex
+# set, the call putting vertex v into one of its sets; g is Paley 101
+RECT, CYCLE100 = np.ones((3, 5)), graphs.gen_named("cycle", 100)
+VERTEX_SET_ENTRIES = {
+    "induced": (101, lambda g, c, v: g.induced([0, v])),
+    "cross_degree-targets": (101, lambda g, c, v: g.cross_degree([0], [1, v])),
+    "count_edges_between-bits-s": (
+        101, lambda g, c, v: g.count_edges_between([v, 0], [2])),
+    "count_edges_between-bits-t": (
+        101, lambda g, c, v: g.count_edges_between([0], [2, v])),
+    "count_edges_between-csr-s": (
+        100, lambda g, c, v: CYCLE100.count_edges_between([v], [2])),
+    "count_edges_between-csr-t": (
+        100, lambda g, c, v: CYCLE100.count_edges_between([0], [v])),
+    "BipartiteView": (101, lambda g, c, v: graphs.BipartiteView(g, (0, 1), (2, v))),
+    "eml_graph_audit": (
+        101, lambda g, c, v: mixing.eml_graph_audit(c, g, [v, 0], [3, 4])),
+    "eml_matrix_audit-rows": (
+        3, lambda g, c, v: mixing.eml_matrix_audit(RECT, [0, v], [1], 0.5)),
+    "eml_matrix_audit-cols": (
+        5, lambda g, c, v: mixing.eml_matrix_audit(RECT, [0], [1, v], 0.5)),
+    "build_connector-port": (101, lambda g, c, v: extend.build_connector(
+        g, [v], [0], range(10, 20), l_max=8)),
+    "build_connector-reserve": (101, lambda g, c, v: extend.build_connector(
+        g, [1], [0], [*range(10, 20), v], l_max=8)),
+    "greedy_matching_avoiding": (101, lambda g, c, v: matching.greedy_matching_avoiding(
+        g, c, range(20), [*range(30, 50), v])),
+}
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["minus-1", "n"])
+@pytest.mark.parametrize("entry", list(VERTEX_SET_ENTRIES))
+def test_vertex_set_entries_refuse_a_vertex_outside_range(paley101, cert101,
+                                                          entry, below):
+    n, call = VERTEX_SET_ENTRIES[entry]
+    v = -1 if below else n
+    with pytest.raises(ValueError, match=rf"^vertex {v} outside range\({n}\)$"):
+        call(paley101, cert101, v)
 
 
 def test_induced_subgraph_mapping(paley13):
