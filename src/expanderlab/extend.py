@@ -41,7 +41,7 @@ class Connector:
         self.reserved = reserved
         self.budget = budget
         self.seed = seed
-        self._ports = set(ports.tolist())
+        self.ports = ports
 
     def connect_pairs(self, pairs) -> tuple:
         """Vertex-disjoint paths whose interiors partition the reserve,
@@ -54,8 +54,8 @@ class Connector:
         if len(set(endpoints)) != len(endpoints):
             raise PreconditionViolated("distinct_endpoints",
                                        "pairing reuses a port")
-        for v in endpoints:
-            if v not in self._ports:
+        for v, is_port in zip(endpoints, np.isin(endpoints, self.ports)):
+            if not is_port:
                 raise PreconditionViolated("ports_only",
                                            f"{v} is not a connector port")
         if pairs and len(self.reserved) / len(pairs) > self.budget - 1:

@@ -194,7 +194,10 @@ class Graph:
         degree into it (the adjacency is symmetric); `vertices` picks
         from that.
         """
-        targets = vertex_array(targets, self.n)
+        return self._cross_degree(vertices, vertex_array(targets, self.n))
+
+    def _cross_degree(self, vertices, targets: np.ndarray) -> np.ndarray:
+        """`cross_degree` into `targets` that already passed `vertex_array`."""
         into = np.bincount(self._csr[targets].indices, minlength=self.n)
         return into[np.asarray(vertices, dtype=np.int64)]
 
@@ -207,10 +210,13 @@ class Graph:
         or a `cross_degree` sum, O(|T| d), where the rows would outgrow the
         CSR (1.25 GB against 64 MB at n = 10^5, d = 160).
         """
-        s, t = vertex_array(s, self.n), vertex_array(t, self.n)
+        return self._count_edges(vertex_array(s, self.n), vertex_array(t, self.n))
+
+    def _count_edges(self, s: np.ndarray, t: np.ndarray) -> tuple:
+        """`count_edges_between` of sets that already passed `vertex_array`."""
         both = np.intersect1d(s, t, assume_unique=True)
         if (bits := self._bit_rows()) is None:
-            ordered, inside = (int(self.cross_degree(a, b).sum())
+            ordered, inside = (int(self._cross_degree(a, b).sum())
                                for a, b in ((s, t), (both, both)))
         else:
             masks = np.zeros((2, bits.shape[1] * 64), dtype=bool)

@@ -83,7 +83,7 @@ def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t) -> GraphMixingAud
     lower = (1 - gam) ** 2 * d * size_s * size_t / ((1 + gam) * n) - eps
     upper = (1 + gam) ** 2 * d * size_s * size_t / ((1 - gam) * n) + eps
 
-    ordered, unordered, both = g.count_edges_between(sset, tset)
+    ordered, unordered, both = g._count_edges(sset, tset)
     lo, hi = lower - AUDIT_SLACK, upper + AUDIT_SLACK
     return GraphMixingAudit(
         ordered_count=float(ordered), unordered_count=unordered,

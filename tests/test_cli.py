@@ -145,6 +145,7 @@ def test_subsample_and_summarize(paley401_file, tmp_path):
                    "--sigma", sigma, "--trials", "5",
                    "--gamma-target", "0.3")
         assert code == 0
+        assert (sweep / f"s{i}.trials.csv").exists()
         manifest = json.loads((sweep / f"s{i}.json.manifest.json").read_text())
         assert manifest["outputs"] == [str(sweep / f"s{i}.json"),
                                        str(sweep / f"s{i}.trials.csv")]

@@ -108,32 +108,38 @@ def test_graph_io_roundtrip(tmp_path, petersen):
     assert back == petersen
 
 
-vertex_ints = st.integers(-3, 50)
-vertex_lists = st.lists(vertex_ints, max_size=30)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 64), st.one_of(
+vertex_lists = st.lists(st.integers(0, 50), max_size=30)
+vertex_sets = st.one_of(
     vertex_lists, vertex_lists.map(sorted), vertex_lists.map(lambda v: sorted(set(v))),
-    arrays(np.int64, st.integers(0, 30), elements=vertex_ints),
-    arrays(np.int64, st.integers(0, 30), elements=vertex_ints, unique=True).map(np.sort),
-    arrays(np.int32, st.integers(0, 30), elements=vertex_ints, unique=True).map(np.sort),
-    arrays(np.int64, (), elements=vertex_ints),
+    arrays(np.int64, st.integers(0, 30), elements=st.integers(0, 50)),
+    arrays(np.int64, st.integers(0, 30), elements=st.integers(0, 50), unique=True).map(np.sort),
+    arrays(np.int32, st.integers(0, 30), elements=st.integers(0, 50), unique=True).map(np.sort),
+    arrays(np.int64, (), elements=st.integers(0, 50)),
     arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(0, 5)),
-           elements=vertex_ints)))
-def test_vertex_array_equals_unique(n, vertices):
-    # lists and arrays: sorted or not, repeated or distinct, empty, 0-d,
-    # 2-D; a vertex outside range(n) is named, the first in row-major order
-    flat = np.asarray(vertices, dtype=np.int64).ravel()
-    outside = flat[(flat < 0) | (flat >= n)]
-    if outside.size:
-        with pytest.raises(ValueError,
-                           match=rf"^vertex {outside[0]} outside range\({n}\)$"):
-            graphs.vertex_array(vertices, n)
-        return
+           elements=st.integers(0, 50)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_sets, st.integers(51, 64))
+def test_vertex_array_equals_unique(vertices, n):
+    # lists and arrays: sorted or not, repeated or distinct, empty, 0-d, 2-D
     out = graphs.vertex_array(vertices, n)
     assert out.dtype == np.int64 and out.ndim == 1
     assert out.tolist() == np.unique(vertices).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_sets.filter(np.size), st.data())
+def test_vertex_array_names_the_first_vertex_outside_range(vertices, data):
+    # one entry is set outside range(n); entries above n - 1 may be others
+    n = data.draw(st.integers(1, 64))
+    arr = np.array(vertices)
+    flat = arr.reshape(-1)
+    flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(
+        st.one_of(st.integers(-3, -1), st.integers(n, n + 3)))
+    outside = flat[(flat < 0) | (flat >= n)]
+    with pytest.raises(ValueError, match=rf"^vertex {outside[0]} outside range\({n}\)$"):
+        graphs.vertex_array(arr if isinstance(vertices, np.ndarray) else flat.tolist(), n)
 
 
 # name: (n, call(g, cert, v)) of each library entry that takes a vertex
