@@ -46,14 +46,20 @@ PAIRING_ATTEMPT_FACTOR = 100  # cap on stub-pair draws: 100 * n * d
 def vertex_array(vertices, n: int) -> np.ndarray:
     """Sorted distinct int64 array of any iterable's vertices, read off a
     mask over range(n); a vertex outside range(n) raises ValueError."""
+    mask = np.zeros(n, dtype=bool)
+    mask[_in_range(vertices, n)] = True
+    return np.flatnonzero(mask)
+
+
+def _in_range(vertices, n: int) -> np.ndarray:
+    """Any iterable's vertices as an int64 array, in their order and
+    with their repeats; a vertex outside range(n) raises ValueError."""
     if not isinstance(vertices, np.ndarray):
         vertices = np.fromiter(vertices, dtype=np.int64)
     vertices = vertices.astype(np.int64, copy=False)
     if (outside := (vertices < 0) | (vertices >= n)).any():
         raise ValueError(f"vertex {vertices[outside][0]} outside range({n})")
-    mask = np.zeros(n, dtype=bool)
-    mask[vertices] = True
-    return np.flatnonzero(mask)
+    return vertices
 
 
 def _first_invalid_edge(n: int, u: np.ndarray, v: np.ndarray):
@@ -129,12 +135,16 @@ class Graph:
         return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+        return len(self.neighbors(v))
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
     def neighbors(self, v: int) -> np.ndarray:
+        """The sorted neighbours of v; a vertex outside range(n) raises
+        ValueError, as in `vertex_array`."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside range({self.n})")
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def has_edge(self, u, v):
@@ -188,18 +198,22 @@ class Graph:
 
     def cross_degree(self, vertices, targets) -> np.ndarray:
         """Number of neighbours in the vertex set `targets` of each of
-        `vertices` (an array or sequence), as an int array.
+        `vertices` (an array or sequence, in its order and with its
+        repeats), as an int array. A vertex of either outside range(n)
+        raises ValueError.
 
         One bincount over the rows of `targets` gives every vertex's
         degree into it (the adjacency is symmetric); `vertices` picks
         from that.
         """
-        return self._cross_degree(vertices, vertex_array(targets, self.n))
+        return self._cross_degree(_in_range(vertices, self.n),
+                                  vertex_array(targets, self.n))
 
     def _cross_degree(self, vertices, targets: np.ndarray) -> np.ndarray:
-        """`cross_degree` into `targets` that already passed `vertex_array`."""
+        """`cross_degree` of int64 `vertices` inside range(n) into
+        `targets` that already passed `vertex_array`."""
         into = np.bincount(self._csr[targets].indices, minlength=self.n)
-        return into[np.asarray(vertices, dtype=np.int64)]
+        return into[vertices]
 
     def count_edges_between(self, s, t) -> tuple:
         """(1_S^T A 1_T, e(S,T), S n T) of two vertex sets.

@@ -2,18 +2,21 @@
 
 Singular values, matrix norms, line-sum normalization and reading matrix
 files. Every spectrum in the package comes from one kernel,
-`singular_values_array`: LAPACK up to DENSE_CUTOFF, ARPACK above it on A
-if symmetric, else on [[0, A], [A^T, 0]], with a seeded start vector and
-a stopping tolerance derived from `tol`. Dense symmetric input takes the
-k lowest and the k highest eigenpairs from one tridiagonal reduction
-(dsyevr's own steps, the same bits as two index-range `eigh` calls), or
-one full `eigh` once 2k reaches the dimension; other dense input takes
-`svd`. A nonzero LAPACK status (dstebz's info=2 after its documented
-cure) raises `NoConvergence` naming the routine. Callers state symmetry
-(graph adjacencies are symmetric by construction); only dense input
-that states nothing is tested for it. The residuals ||A v - s u|| and,
-if A is not symmetric, ||A^T u - s v|| of the computed triples must
-stay within `tol`. `dense_singular_values` is the independent test oracle.
+`singular_values_array`: LAPACK up to DENSE_CUTOFF, and above it one
+block Lanczos routine on A if symmetric, else on [[0, A], [A^T, 0]],
+with a seeded start block, one product with A per vector, and a stop at
+the first block whose k wanted Ritz pairs meet `tol`. Dense symmetric
+input takes the k lowest and the k highest eigenpairs from one
+tridiagonal reduction (dsyevr's own steps, the same bits as two
+index-range `eigh` calls), or one full `eigh` once 2k reaches the
+dimension; other dense input takes `svd`. A nonzero LAPACK status
+(dstebz's info=2 after its documented cure) raises `NoConvergence`
+naming the routine, as does a Krylov run that would pass PRODUCT_CAP.
+Callers state symmetry (graph adjacencies are symmetric by
+construction); only dense input that states nothing is tested for it.
+The residuals ||A v - s u|| and, if A is not symmetric, ||A^T u - s v||
+of the computed triples must stay within `tol`. `dense_singular_values`
+is the independent test oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NoConvergence, NonFinite, NegativeEntry, ZeroLine
 from .rng import generator
@@ -34,11 +36,17 @@ NORM_TOL = 1e-8     # kernel tolerance of `operator_norm`
 ZERO_SNAP = 1e-10
 DENSE_ORACLE_CAP = 64
 # Largest min(rows, cols) solved by LAPACK. With one BLAS thread, the
-# one-reduction LAPACK route takes 11-15 ms on a 504-vertex induced
-# subgraph of Paley 1009 (two `evr` calls took 20-26 ms), where the
-# clustered top spectrum holds ARPACK for 0.7-1.2 s; on all of Paley 1009
-# ARPACK takes 30 ms and LAPACK 230 ms.
+# one-reduction LAPACK route takes 17-21 ms on a 504-vertex induced
+# subgraph of Paley 1009, where the clustered top spectrum holds the
+# Krylov kernel for 0.28 s; on all of Paley 1009 the Krylov kernel takes
+# 5 ms and LAPACK 105 ms.
 DENSE_CUTOFF = 600
+# The Krylov kernel restarts a basis that would outgrow BASIS_CAP vectors
+# (6k for k above 10), and raises NoConvergence rather than pass
+# PRODUCT_CAP products (each one vector times A); the hardest graph
+# measured, a union of 80 permutations of Z_20000, takes about 600.
+BASIS_CAP = 60
+PRODUCT_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -142,6 +150,108 @@ def _spectrum_ends(dense: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ws), np.hstack(xs)
 
 
+def _orthonormalize(rows: np.ndarray, q: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """Orthonormalize `rows` against the basis q[:m], then each against
+    the rows kept before it, storing the kept rows in q from row m on.
+    Returns (c, kept): c[:, j] = q[:m] @ rows[j], summed over the two
+    passes against the basis, and the number of rows kept.
+
+    A projection that cancels more than 1 - 1/sqrt(2) of a row's norm
+    leaves the row short of orthogonal (the DGKS test ARPACK uses), so
+    the basis pass runs twice and an in-block pass that cancels is
+    repeated against the whole span. A row whose last pass still cancels
+    that much, or whose norm falls within dim * eps of the norm it came
+    with (the rank tolerance of numpy's `matrix_rank`), is numerically
+    in the span and dropped.
+    """
+    basis = q[:m]
+    floor = q.shape[1] * np.finfo(float).eps * np.linalg.norm(rows, axis=1)
+    c = np.zeros((m, len(rows)))
+    norms = []
+    for _ in range(2):
+        s = basis @ rows.T
+        rows = rows - s.T @ basis
+        c += s
+        norms.append(np.linalg.norm(rows, axis=1))
+    kept = 0
+    for r, first, second, least in zip(rows, *norms, floor):
+        if second > first / np.sqrt(2.0):
+            block = q[m:m + kept]
+            r = r - (block @ r) @ block
+            first, second = second, np.linalg.norm(r)
+            if second <= first / np.sqrt(2.0):
+                span = q[:m + kept]
+                r = r - (span @ r) @ span
+                first, second = second, np.linalg.norm(r)
+        if second > max(first / np.sqrt(2.0), least):
+            q[m + kept] = r / second
+            kept += 1
+    return c, kept
+
+
+def _block_lanczos(product, dim: int, k: int, tol: float, seed: int, *,
+                   absolute: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The k eigenpairs (w, x) of largest |w| (`absolute`) or largest w of
+    the symmetric operator `product` on R^dim, each with ||A x - w x||
+    within tol / 2.
+
+    Block Lanczos with block size k (Golub & Underwood 1977) and full
+    reorthogonalization: the basis rows Q and W = A Q are kept, the
+    Gram-Schmidt coefficients of each new block's products are its
+    columns of H = Q^T A Q, and each Ritz residual ||W y - w Q y|| is
+    computed explicitly after every block. A basis that closes before
+    converging takes fresh seeded random rows; one that would outgrow
+    BASIS_CAP restarts thick from its best Ritz vectors (Wu & Simon
+    2000); PRODUCT_CAP products raise NoConvergence. Deterministic for a
+    fixed seed: every random row comes from one Philox stream.
+    """
+    cap = max(BASIS_CAP, 6 * k)     # a restart keeps cap // 2; a cycle adds 3 blocks or more
+    rng = generator(seed, "lanczos-start", dim)
+    q, w = np.empty((k, dim)), np.empty((k, dim))   # grown as they are used
+    h = np.zeros((cap, cap))
+    _, b = _orthonormalize(rng.standard_normal((k, dim)), q, 0)
+    m = products = 0    # rows of Q with products, then b pending rows
+    worst = np.inf
+    while True:
+        if b == 0:
+            _, b = _orthonormalize(rng.standard_normal((k, dim)), q, m)
+            if b == 0:
+                raise NoConvergence(f"Krylov basis spans all {dim} dimensions "
+                                    f"with worst Ritz residual {worst:.3e}")
+        if m + b > cap:
+            keep = cap // 2
+            q[:keep], q[keep:keep + b] = y[:, :keep].T @ q[:m], q[m:m + b]
+            w[:keep] = y[:, :keep].T @ w[:m]
+            h[:keep, :keep] = np.diag(theta[:keep])
+            m = keep
+        if products + b > PRODUCT_CAP:
+            raise NoConvergence(f"Krylov kernel stopped at {products} products "
+                                f"with worst Ritz residual {worst:.3e} above "
+                                f"{tol / 2:.3e}")
+        if len(q) < m + b + k:
+            size = min(max(2 * len(q), m + b + k), cap + k)
+            q, w = (np.concatenate([rows, np.empty((size - len(rows), dim))])
+                    for rows in (q, w))
+        for i in range(m, m + b):
+            w[i] = product(q[i])
+        products += b
+        c, pending = _orthonormalize(w[m:m + b], q, m + b)
+        h[:m + b, m:m + b] = c
+        h[m:m + b, :m + b] = c.T
+        m, b = m + b, pending
+        theta, y = np.linalg.eigh(h[:m, :m])
+        order = np.argsort(-np.abs(theta) if absolute else -theta, kind="stable")
+        theta, y = theta[order], y[:, order]
+        if m >= k:
+            x = y[:, :k].T @ q[:m]
+            worst = np.linalg.norm(y[:, :k].T @ w[:m] - theta[:k, None] * x,
+                                   axis=1).max()
+            # tol / 2: the final check's residual for [[0, A], [A^T, 0]]
+            # is up to sqrt(2) times this one.
+            if worst <= tol / 2:
+                return theta[:k], x.T
+
+
 def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
                           seed: int = 0, *, symmetric: bool | None = None
                           ) -> SingularSpectrum:
@@ -150,8 +260,9 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
 
     `symmetric` states whether A = A^T and is trusted. Sparse input must
     state it; for dense input None means test it to 1e-14.
-    Deterministic for a fixed seed: the Lanczos start vector is drawn
-    from a Philox stream derived from `seed`.
+    Deterministic for a fixed seed: above DENSE_CUTOFF every random
+    vector of the Krylov kernel is drawn from a Philox stream derived
+    from `seed`.
     """
     _check_finite(a)
     m, n = a.shape
@@ -174,29 +285,23 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
             u, vals, vt = np.linalg.svd(dense, full_matrices=False)
             u, vals, v = u[:, :k], vals[:k], vt[:k].T
     else:
-        dim = n if symmetric else m + n
-        v0 = generator(seed, "lanczos-start", dim).standard_normal(dim)
-        # ARPACK stops at Ritz residuals below arpack_tol * |theta| with
-        # |theta| <= ||A||_F; 2 covers the sqrt(2) rescaling of u and v below.
-        scale = spla.norm(a) if sp.issparse(a) else np.linalg.norm(a)
-        arpack_tol = tol / max(2.0 * scale, 1.0)
         if symmetric:
-            operator, which = a, "LM"
-        else:
-            operator, which = spla.LinearOperator(
-                (dim, dim), dtype=float,
-                matvec=lambda x: np.concatenate([a @ x[m:], a.T @ x[:m]])), "LA"
-        try:
-            w, x = spla.eigsh(operator, k=k, which=which, v0=v0, tol=arpack_tol)
-        except spla.ArpackNoConvergence as exc:
-            raise NoConvergence(str(exc)) from exc
+            w, x = _block_lanczos(lambda y: a @ y, n, k, tol, seed, absolute=True)
+        else:   # [[0, A], [A^T, 0]] has the eigenvalues +-s_i, and zeros
+            at = a.T
+            w, x = _block_lanczos(
+                lambda y: np.concatenate([a @ y[m:], at @ y[:m]]), m + n, k,
+                tol, seed, absolute=False)
         vals, u, v = _eigen_triples(w, x, k)
         if not symmetric:
             # v = [u; v] / sqrt(2) for the eigenvalue s of [[0, A], [A^T, 0]].
             u, v = np.sqrt(2.0) * v[:m], np.sqrt(2.0) * v[m:]
-    residuals = np.linalg.norm(a @ v - u * vals, axis=0)
+    # One product per column, as the Krylov kernel makes them.
+    residuals = np.array([np.linalg.norm(a @ v[:, j] - u[:, j] * vals[j])
+                          for j in range(k)])
     if not symmetric:   # for symmetric A, ||A^T u - s v|| is the same number
-        residuals = np.maximum(residuals, np.linalg.norm(a.T @ u - v * vals, axis=0))
+        residuals = np.maximum(residuals, [np.linalg.norm(a.T @ u[:, j] - v[:, j] * vals[j])
+                                           for j in range(k)])
     vals = np.where(vals < ZERO_SNAP, 0.0, vals)
     if residuals.max() > tol:
         raise NoConvergence(

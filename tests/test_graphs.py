@@ -143,10 +143,14 @@ def test_vertex_array_names_the_first_vertex_outside_range(vertices, data):
 
 
 # name: (n, call(g, cert, v)) of each library entry that takes a vertex
-# set, the call putting vertex v into one of its sets; g is Paley 101
+# or a vertex set, the call passing vertex v or putting it into one of its
+# sets; g is Paley 101
 RECT, CYCLE100 = np.ones((3, 5)), graphs.gen_named("cycle", 100)
 VERTEX_SET_ENTRIES = {
+    "degree": (101, lambda g, c, v: g.degree(v)),
+    "neighbors": (101, lambda g, c, v: g.neighbors(v)),
     "induced": (101, lambda g, c, v: g.induced([0, v])),
+    "cross_degree-vertices": (101, lambda g, c, v: g.cross_degree([v, 100], range(50))),
     "cross_degree-targets": (101, lambda g, c, v: g.cross_degree([0], [1, v])),
     "count_edges_between-bits-s": (
         101, lambda g, c, v: g.count_edges_between([v, 0], [2])),
@@ -320,6 +324,9 @@ def test_csr_graph_matches_brute_force(edge_list, data):
         [sum(frozenset((v, w)) in adj for w in t) for v in range(n)]
     assert g.cross_degree(every, []).tolist() == [0] * n
     assert g.cross_degree([], t).tolist() == []
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))  # any order, repeats
+    assert g.cross_degree(picks, t).tolist() == \
+        [sum(frozenset((v, w)) in adj for w in t) for v in picks]
     ordered = sum(frozenset((u, v)) in adj for u in s for v in t)
     counts = g.count_edges_between(s, t)
     assert counts[:2] == (ordered, len({frozenset((u, v)) for u in s for v in t} & adj))

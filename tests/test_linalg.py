@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -76,6 +75,15 @@ def test_non_symmetric_above_cutoff():
     assert min(a.shape) > linalg.DENSE_CUTOFF
     spec = linalg.singular_values_array(a, 2, seed=0)
     assert np.allclose(spec.values, np.linalg.svd(a, compute_uv=False)[:2],
+                       atol=1e-8, rtol=0)
+
+
+def test_large_k_above_cutoff():
+    # Blocks of 25 vectors: a basis capped at BASIS_CAP = 60 would leave
+    # no room to grow between thick restarts.
+    a = np.random.default_rng(6).normal(size=(700, 650))
+    spec = linalg.singular_values_array(a, 25, seed=0)
+    assert np.allclose(spec.values, np.linalg.svd(a, compute_uv=False)[:25],
                        atol=1e-8, rtol=0)
 
 
@@ -166,39 +174,97 @@ def test_lapack_failure_raises_no_convergence(monkeypatch):
         linalg.singular_values_array(_symmetric(30, 0), 2, symmetric=True)
 
 
-EIGSH = spla.eigsh
+def _cap_products(monkeypatch):
+    """A product cap below the 5 products that Paley 1009 needs."""
+    monkeypatch.setattr(linalg, "PRODUCT_CAP", 4)
 
 
-def _perturbed_eigsh(*args, **kwargs):
-    """eigsh whose eigenvectors are off by 1e-3 in their first entry."""
-    w, x = EIGSH(*args, **kwargs)
-    x = x.copy()
-    x[0] += 1e-3
-    return w, x
+def _perturb_vectors(monkeypatch):
+    """Krylov eigenvectors off by 1e-3 in their first entry."""
+    kernel = linalg._block_lanczos
+
+    def perturbed(*args, **kwargs):
+        w, x = kernel(*args, **kwargs)
+        x = x.copy()
+        x[0] += 1e-3
+        return w, x
+    monkeypatch.setattr(linalg, "_block_lanczos", perturbed)
 
 
-def _stalled_eigsh(operator, k, **kwargs):
-    """eigsh that stops as ARPACK does past its iteration limit."""
-    raise spla.ArpackNoConvergence(
-        "No convergence (300 iterations, 0/2 eigenvectors converged)",
-        np.zeros(0), np.zeros((operator.shape[0], 0)))
-
-
-@pytest.mark.parametrize("fake, message", [
-    (_perturbed_eigsh, "worst residual .* above tolerance"),
-    (_stalled_eigsh, "ARPACK error -1: No convergence")])
-def test_arpack_failures_raise_no_convergence(monkeypatch, fake, message):
-    # Sparse input above DENSE_CUTOFF takes ARPACK: a triple off its
-    # residual tolerance and an ARPACK stop both raise NoConvergence, and
-    # the pipeline reports that as a certification failure.
+@pytest.mark.parametrize("fault, message", [
+    (_cap_products, "stopped at 4 products"),
+    (_perturb_vectors, "worst residual .* above tolerance")],
+    ids=["product-cap", "perturbed-vector"])
+def test_krylov_failures_raise_no_convergence(monkeypatch, fault, message):
+    # Sparse input above DENSE_CUTOFF takes the Krylov kernel: its product
+    # cap and a triple off its residual tolerance both raise NoConvergence,
+    # and the pipeline reports that as a certification failure.
     g = graphs.gen_paley(1009)
     assert g.n > linalg.DENSE_CUTOFF
-    monkeypatch.setattr(spla, "eigsh", fake)
+    fault(monkeypatch)
     with pytest.raises(NoConvergence, match=message):
         linalg.singular_values_array(g.adjacency_sparse(), 2, symmetric=True)
     result = hamilton.hamilton_pipeline(g)
     assert result.cycle is None
     assert result.trace.outcome == "failed:certification:NoConvergence"
+
+
+def test_closed_basis_takes_fresh_rows(monkeypatch):
+    # Paley 1009's Krylov space closes after 5 products. No Ritz pair can
+    # meet a tolerance of 1e-30, so the kernel draws fresh rows and goes
+    # on to the product cap instead of stopping (or looping) at 5.
+    monkeypatch.setattr(linalg, "PRODUCT_CAP", 12)
+    a = graphs.gen_paley(1009).adjacency_sparse()
+    with pytest.raises(NoConvergence, match="stopped at 11 products"):
+        linalg.singular_values_array(a, 2, tol=1e-30, symmetric=True)
+
+
+class _CountingCSR(sp.csr_matrix):
+    """A CSR matrix that counts its products, one per vector multiplied."""
+
+    products = 0
+
+    def _matmul_vector(self, other):
+        self.products += 1
+        return super()._matmul_vector(other)
+
+    def _matmul_multivector(self, other):
+        self.products += other.shape[1]
+        return super()._matmul_multivector(other)
+
+
+@pytest.mark.parametrize("q", [1009, 2029])
+def test_paley_certificate_takes_few_products(monkeypatch, q):
+    # A Paley spectrum has three distinct values, so a block of two closes
+    # its Krylov space after 2 + 2 + 1 products; the residual check adds 2.
+    g = graphs.gen_paley(q)
+    a = _CountingCSR(g.adjacency_sparse())
+    monkeypatch.setattr(graphs.Graph, "adjacency_sparse", lambda self: a)
+    cert = graphs.certify_expander(g, seed=0)
+    assert abs(cert.lambda_hat - (1 + math.sqrt(q)) / 2) < 1e-8
+    assert a.products <= 8
+
+
+def _disjoint_union(g, copies):
+    edges = g.edges()
+    return graphs.Graph(g.n * copies, np.vstack([edges + i * g.n for i in range(copies)]))
+
+
+def test_two_paley_1009_copies_give_lambda_d():
+    # The top eigenvalue d = 504 has multiplicity 2: a block of two finds
+    # both copies, so the certificate fails the gate as it should.
+    g = _disjoint_union(graphs.gen_paley(1009), 2)
+    for seed in range(3):
+        assert abs(graphs.certify_expander(g, seed=seed).lambda_hat - 504) < 1e-8
+    outcome = hamilton.hamilton_pipeline(g).trace.outcome
+    assert outcome == "failed:certification:PreconditionViolated"
+
+
+def test_three_paley_401_copies_give_top_values_d_d():
+    g = _disjoint_union(graphs.gen_paley(401), 3)
+    assert g.n > linalg.DENSE_CUTOFF
+    spec = linalg.singular_values_array(g.adjacency_sparse(), 2, symmetric=True)
+    assert np.allclose(spec.values, (200, 200), atol=1e-8, rtol=0)
 
 
 def test_sparse_input_must_state_symmetry():
