@@ -146,10 +146,6 @@ class PartitionRetriesExhausted(ExpanderLabError):
         super().__init__(f"property {property_id} failed after {retries} retries")
 
 
-class MatchingFloorMissed(TheoremFalsified):
-    """Greedy matching came out below the guaranteed floor."""
-
-
 class PerfectMatchingFailed(ExpanderLabError):
     """Perfect matching absent; carries the Hall violator if one was found."""
 

@@ -12,8 +12,8 @@ read bit-packed rows, built on a graph's first count if they take no
 more bytes than `indices`; sparser graphs count on the CSR. A window
 check reads degree counts alone: the one rule is
 `degree_window_violation`, and `pair_window_violation` applies it to
-both sides of a pair. A `BipartiteView` (L, R) holds the CSR cross
-block A[L, R] that its matchings read; only its s2 builds G[L u R].
+both sides of a pair. A `BipartiteView` keeps read-only sides (L, R) and
+the CSR cross block A[L, R] its matchings read; only its s2 builds G[L u R].
 `adjacency_sparse()` wraps the arrays in a float64 scipy matrix for
 the spectral kernel, which is told it is symmetric, and
 `adjacency_dense()` materializes it up to DENSIFY_CAP vertices. Graph
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,15 @@ def _in_range(vertices, n: int) -> np.ndarray:
     if (outside := (vertices < 0) | (vertices >= n)).any():
         raise ValueError(f"vertex {vertices[outside][0]} outside range({n})")
     return vertices
+
+
+def edge_array(edges) -> np.ndarray:
+    """(m, 2) int64 array of any iterable of (u, v) pairs; else ValueError."""
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                   dtype=np.int64)
+    if e.size and (e.ndim != 2 or e.shape[1] != 2):
+        raise ValueError("edges must be (u, v) pairs")
+    return e.reshape(-1, 2)
 
 
 def _first_invalid_edge(n: int, u: np.ndarray, v: np.ndarray):
@@ -99,11 +108,7 @@ class Graph:
 
     def __init__(self, n: int, edges):
         _check_size(n, 0)
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                       dtype=np.int64)
-        if e.size and (e.ndim != 2 or e.shape[1] != 2):
-            raise ValueError("edges must be (u, v) pairs")
-        u, v = e.reshape(-1, 2).T
+        u, v = edge_array(edges).T
         bad = _first_invalid_edge(n, u, v)
         if bad is not None:
             raise ValueError(bad[1])
@@ -190,11 +195,11 @@ class Graph:
         a[np.repeat(np.arange(self.n), self.degrees()), self.indices] = 1.0
         return a
 
-    def induced(self, vertices) -> tuple["Graph", list]:
-        """Induced subgraph plus the sorted vertex list mapping new->old."""
+    def induced(self, vertices) -> tuple["Graph", np.ndarray]:
+        """Induced subgraph and its members (new -> old), `vertex_array(vertices)`."""
         vs = vertex_array(vertices, self.n)
         sub = self._csr[vs][:, vs]
-        return Graph._from_csr(len(vs), sub.indptr, sub.indices), vs.tolist()
+        return Graph._from_csr(len(vs), sub.indptr, sub.indices), vs
 
     def cross_degree(self, vertices, targets) -> np.ndarray:
         """Number of neighbours in the vertex set `targets` of each of
@@ -274,27 +279,23 @@ class SpectralCertificate:
     seed: int
 
 
-@dataclass(frozen=True)
 class BipartiteView:
-    """Disjoint vertex sets (L, R) of a parent graph, each an increasing
-    tuple, and their CSR cross block A[L, R], read once from the parent's
-    rows: row i is left[i], column j is right[j], columns increase within
-    a row. Built where a matching or an s2 needs the block; degrees,
+    """Disjoint vertex sets (L, R) of a parent graph, each a read-only
+    `vertex_array`, and their CSR cross block A[L, R], read once from the
+    parent's rows: row i is left[i], column j is right[j], columns increase
+    within a row. Built where a matching or an s2 needs the block; degrees,
     gamma and matchings read it, and only `s2` builds G[L u R]."""
 
-    parent: Graph
-    left: tuple
-    right: tuple
-    block: sp.csr_array = field(init=False, repr=False, compare=False)
+    __slots__ = ("parent", "left", "right", "block")
 
-    def __post_init__(self):
-        n = self.parent.n
-        left, right = vertex_array(self.left, n), vertex_array(self.right, n)
-        if np.intersect1d(left, right, assume_unique=True).size:
+    def __init__(self, parent: Graph, left, right):
+        self.parent = parent
+        self.left, self.right = vertex_array(left, parent.n), vertex_array(right, parent.n)
+        if np.intersect1d(self.left, self.right, assume_unique=True).size:
             raise ValueError("sides must be disjoint")
-        object.__setattr__(self, "left", tuple(left.tolist()))
-        object.__setattr__(self, "right", tuple(right.tolist()))
-        object.__setattr__(self, "block", self.parent._csr[left][:, right])
+        self.left.setflags(write=False)
+        self.right.setflags(write=False)
+        self.block = parent._csr[self.left][:, self.right]
 
     def degrees(self) -> tuple:
         """(deg(v, R) for v in L, deg(v, L) for v in R): row lengths, column counts."""
@@ -306,15 +307,15 @@ class BipartiteView:
         from its target d * |other| / n, over sides facing a non-empty side."""
         worst = 0.0
         for other, deg in zip((self.right, self.left), self.degrees()):
-            if other:
-                target = d * len(other) / n
+            if other.size:
+                target = d * other.size / n
                 deviation = np.abs(deg - target) / target
                 worst = max(worst, float(deviation.max(initial=0.0)))
         return worst
 
     def s2(self, seed: int) -> float:
         """Second singular value of G[L u R], induced here on each call."""
-        return self.parent.induced(self.left + self.right)[0].s2(seed)
+        return self.parent.induced(np.concatenate([self.left, self.right]))[0].s2(seed)
 
 
 @dataclass(frozen=True)
@@ -451,7 +452,7 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
     with n the size of the union; s2 of the induced subgraph on the union
     must be at most lam. Returns the certificate, or the first violation.
     """
-    if not view.left or not view.right:
+    if not view.left.size or not view.right.size:
         raise EmptySide("both sides must be nonempty")
     n = len(view.left) + len(view.right)
     bad = pair_window_violation((view.left, view.right), view.degrees(),

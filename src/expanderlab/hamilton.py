@@ -370,8 +370,7 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
             lam=cert.lambda_hat, gamma_cap=cfg.constant("pm_gamma_cap"),
             ratio_cap=cfg.constant("lambda_ratio_cap"))
         n_sizes.append(pm.size)
-        edges = np.array(pm.edges)        # sorted by left vertex
-        columns.append(edges[np.searchsorted(edges[:, 0], columns[-1]), 1])
+        columns.append(pm.edges[np.searchsorted(pm.edges[:, 0], columns[-1]), 1])
     trace.data["n_sizes"] = n_sizes
     return np.column_stack(columns)
 

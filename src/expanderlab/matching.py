@@ -9,66 +9,69 @@ Maximum matchings are scipy's Hopcroft-Karp, reached as
 `scipy.sparse.csgraph` on first use and workloads without a matching
 never import it. A Hall violator is Koenig's set of the rows that
 alternating paths reach from the unmatched ones, the same for every
-maximum matching.
+maximum matching. A matching is a read-only (size, 2) int64 array of
+its edges (u, v), u on the left side, sorted by (u, v).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import mixing
-from .errors import (CertificateMismatch, MatchingFloorMissed, NoEdgeFound,
-                     PerfectMatchingFailed, PreconditionViolated,
-                     UnbalancedSides)
-from .graphs import BipartiteView, Graph, SpectralCertificate, vertex_array
+from .errors import (CertificateMismatch, NoEdgeFound, PerfectMatchingFailed,
+                     PreconditionViolated, UnbalancedSides)
+from .graphs import (BipartiteView, Graph, SpectralCertificate, edge_array,
+                     vertex_array)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matching:
-    edges: tuple              # sorted (u, v) pairs, u on the left side
+    edges: np.ndarray    # read-only (size, 2) int64 (u, v), u on the left, sorted
 
     @property
     def size(self) -> int:
         return len(self.edges)
 
-    @property
-    def left_cover(self) -> frozenset:
-        return frozenset(u for u, _ in self.edges)
-
-    @property
-    def right_cover(self) -> frozenset:
-        return frozenset(v for _, v in self.edges)
-
     def to_json(self) -> str:
-        return json.dumps([[int(u), int(v)] for u, v in self.edges])
+        return json.dumps(self.edges.tolist())
 
     @staticmethod
     def from_edges(edges) -> "Matching":
-        return Matching(edges=tuple(sorted((int(u), int(v)) for u, v in edges)))
+        """The matching of an array or any iterable of (u, v) pairs."""
+        e = edge_array(edges)
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        e.setflags(write=False)
+        return Matching(edges=e)
+
+
+def _matching_of(view: BipartiteView, partner: np.ndarray) -> Matching:
+    """Matching of each block row i with partner[i] >= 0 to column partner[i]."""
+    rows = np.flatnonzero(partner >= 0)
+    return Matching.from_edges(np.column_stack([view.left[rows],
+                                                view.right[partner[rows]]]))
 
 
 def verify_matching(m: Matching, g: Graph, left=None, right=None) -> bool:
     """Independent check: edges exist in g, are vertex-disjoint and lie
     between `left` and `right` when those are given."""
-    if len(m.left_cover) != m.size or len(m.right_cover) != m.size:
+    lefts, rights = map(set, m.edges.T.tolist())
+    if len(lefts) != m.size or len(rights) != m.size:
         return False
-    if left is not None and not m.left_cover <= set(left):
+    if left is not None and not lefts <= set(left):
         return False
-    if right is not None and not m.right_cover <= set(right):
+    if right is not None and not rights <= set(right):
         return False
-    return bool(g.has_edge(*np.reshape(m.edges, (-1, 2)).T).all())
+    return bool(g.has_edge(*m.edges.T).all())
 
 
 def max_matching(view: BipartiteView) -> Matching:
     """Maximum-cardinality matching of the view's cross edges."""
-    partner = sp.csgraph.maximum_bipartite_matching(view.block, perm_type="column")
-    return Matching.from_edges((view.left[i], view.right[partner[i]])
-                               for i in np.flatnonzero(partner >= 0))
+    return _matching_of(view, sp.csgraph.maximum_bipartite_matching(
+        view.block, perm_type="column"))
 
 
 def hall_violator(view: BipartiteView, side: str = "left"):
@@ -101,7 +104,7 @@ def hall_violator(view: BipartiteView, side: str = "left"):
         seen[cols] = True
         frontier = row_of[cols]     # a matched row is reached only here
         reached[frontier] = True
-    return frozenset(np.asarray(own)[reached].tolist())
+    return frozenset(own[reached].tolist())
 
 
 def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
@@ -133,7 +136,10 @@ def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,
 
     While both residual sides exceed theta, the certificate guarantees
     an edge between them; the lexicographically smallest is taken. The
-    result must reach size >= min(|V1|-|S1|-theta, |V2|-|S2|-theta).
+    size >= min(|V1|-|S1|-theta, |V2|-|S2|-theta) needs no check: unless
+    NoEdgeFound is raised, a side, say V1\\S1, has |V1\\S1| - size <= theta
+    unmatched, so the integer size is >= ceil(|V1\\S1| - theta), and
+    rounding cannot break this: floating-point subtraction is monotone.
     """
     if cert.n != g.n:
         raise CertificateMismatch("certificate does not match the graph")
@@ -151,21 +157,16 @@ def greedy_matching_avoiding(g: Graph, cert: SpectralCertificate,
     # The lexicographically smallest edge between the residual sides is
     # taken each step. A left vertex without a free neighbour never gets
     # one later, so one pass over the block's rows takes the same edges.
-    edges, taken = [], np.zeros(len(view.right), dtype=bool)
-    for u, row in zip(view.left, np.split(view.block.indices, view.block.indptr[1:-1])):
+    partner, taken = np.full(len(view.left), -1), np.zeros(len(view.right), dtype=bool)
+    for i, row in enumerate(np.split(view.block.indices, view.block.indptr[1:-1])):
         free = row[~taken[row]]
         if free.size:
-            edges.append((u, view.right[free[0]]))
+            partner[i] = free[0]
             taken[free[0]] = True
-    unmatched = len(view.left) - len(edges)
-    free = len(view.right) - len(edges)
+    m = _matching_of(view, partner)
+    unmatched, free = len(view.left) - m.size, len(view.right) - m.size
     if unmatched > theta and free > theta:
         raise NoEdgeFound(
             f"no edge between residual sides of sizes {unmatched}, "
             f"{free} > theta={theta}; the certificate must be invalid")
-    floor = max(0, math.ceil(min(len(v1) - len(s1) - theta,
-                                 len(v2) - len(s2) - theta)))
-    if len(edges) < floor:
-        raise MatchingFloorMissed(
-            f"greedy matching of size {len(edges)} below floor {floor}")
-    return Matching.from_edges(edges)
+    return m

@@ -9,6 +9,7 @@ a false result is evidence of a bug or of a wrong spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t) -> GraphMixingAud
         raise EmptySubset("S and T must be nonempty")
     gam, d, lam, n = cert.gamma_hat, cert.d, cert.lambda_hat, cert.n
     size_s, size_t = len(sset), len(tset)
-    eps = (1 + gam) / (1 - gam) * lam * np.sqrt(size_s * size_t)
+    eps = (1 + gam) / (1 - gam) * lam * math.sqrt(size_s * size_t)
     lower = (1 - gam) ** 2 * d * size_s * size_t / ((1 + gam) * n) - eps
     upper = (1 + gam) ** 2 * d * size_s * size_t / ((1 - gam) * n) + eps
 
@@ -87,7 +88,7 @@ def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t) -> GraphMixingAud
     lo, hi = lower - AUDIT_SLACK, upper + AUDIT_SLACK
     return GraphMixingAudit(
         ordered_count=float(ordered), unordered_count=unordered,
-        lower=float(lower), upper=float(upper), epsilon=float(eps),
+        lower=lower, upper=upper, epsilon=eps,
         disjoint=not both.size, holds=lo <= ordered <= hi,
         unordered_holds=lo <= unordered <= hi)
 

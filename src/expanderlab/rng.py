@@ -24,7 +24,8 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
 
 
 def child_seed(master_seed: int, label: str, index: int = 0) -> int:
-    """`derive_seed` reduced below 2**31, for kernels that take a 31-bit seed."""
+    """`derive_seed` reduced below 2**31. No kernel needs the reduction; it
+    stays so that every pinned seed and output stays the same."""
     return derive_seed(master_seed, label, index) % 2 ** 31
 
 

@@ -67,6 +67,30 @@ def test_eml_sweep(paley13_file, tmp_path):
     assert all(r.endswith("True") for r in rows[1:])
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["certify", "{graph}"], 0),
+    (["eml", "--graph", "{graph}", "--samples", "20"], 0),
+    (["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "3",
+      "--gamma-target", "0.3"], 3),
+    (["submatrix", "--matrix", "{matrix}", "--mode", "symmetric_uniform",
+      "--m", "2", "--trials", "5"], 0),
+    (["match", "--graph", "{graph}", "--left", "0,1,2", "--right", "3,4,5"], 0),
+    (["match", "--graph", "{graph}", "--mode", "perfect", "--left", "0,1,2",
+      "--right", "3,4,5", "--ratio-cap", "0.5"], 0),
+    (["hamilton", "{graph}"], 3),
+], ids=["certify", "eml", "subsample", "submatrix", "match-max", "match-perfect",
+        "hamilton"])
+def test_default_format_artifacts_are_json(paley13_file, tmp_path, argv, code):
+    # A numpy scalar in an artifact makes json.dumps raise, which exits 1.
+    matrix, out = tmp_path / "b.txt", tmp_path / "out.json"
+    matrix.write_text("3 3\n2 1 0\n1 2 1\n0 1 2\n")
+    argv = [a.format(graph=paley13_file, matrix=matrix) for a in argv]
+    assert run("--out", str(out), *argv) == code
+    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+    assert manifest["outputs"][0] == str(out)
+    json.loads(out.read_text())
+
+
 def test_hamilton_verify_roundtrip(paley401_file, tmp_path):
     out = tmp_path / "trace.json"
     assert run("--seed", "7", "--out", str(out),
@@ -154,6 +178,16 @@ def test_subsample_and_summarize(paley401_file, tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "sigma,success_fraction,floor,pass"
     assert len(rows) == 3
+
+
+def test_summarize_skips_json_that_is_not_a_summary(tmp_path, capsys):
+    (tmp_path / "cert.json").write_text(json.dumps({"n": 13, "d": 6.0}))
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"schema_version": 1, "success_fraction": 1.0, "floor": 0.5,
+         "pass": True, "params": {"sigma": 0.5}}))
+    assert run("summarize", str(tmp_path)) == 0
+    assert capsys.readouterr().out == \
+        "sigma,success_fraction,floor,pass\n0.5,1.0,0.5,True\n"
 
 
 def test_summarize_empty_directory(tmp_path):

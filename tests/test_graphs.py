@@ -13,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from expanderlab import extend, graphs, linalg, matching, mixing
 from expanderlab.errors import (BadResidueClass, EmptySide, IsolatedVertex,
-                                NotPrime, ParityViolation, UnknownName)
+                                NotPrime, ParityViolation, RetryExhausted,
+                                UnknownName)
 
 
 def test_paley_13_shape(paley13):
@@ -39,6 +40,7 @@ def test_random_regular_is_regular():
     g = graphs.gen_random_regular(30, 4, seed=3)
     assert all(g.degree(v) == 4 for v in range(30))
     assert g.edge_count == 30 * 4 // 2
+    assert graphs.gen_random_regular(6, 0, seed=0) == graphs.Graph(6, [])
 
 
 def test_random_regular_parity():
@@ -56,6 +58,23 @@ def test_named_families(petersen):
     assert kb.n == 8 and kb.edge_count == 16
     with pytest.raises(UnknownName):
         graphs.gen_named("hypercube", 8)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: graphs.Graph(3, [(0, 1, 2)]), ValueError, r"edges must be \(u, v\) pairs"),
+    (lambda: graphs.Graph(4001, []).adjacency_dense(), ValueError, "densify cap is 4000"),
+    (lambda: graphs.gen_random_regular(5, 5, seed=0), ValueError, "need d < n"),
+    # whole-pairing rejection: a simple 8-regular pairing on 200 vertices is rare
+    (lambda: graphs.gen_random_regular(200, 8, seed=0), RetryExhausted,
+     "after 160000 stub draws"),
+    (lambda: graphs.gen_named("cycle"), UnknownName, "needs a size argument"),
+    (lambda: graphs.gen_named("cycle", 2), ValueError, "n >= 3"),
+    (lambda: graphs.gen_named("complete_bipartite", 7), ValueError, "two equal sides"),
+], ids=["edge-triple", "densify-cap", "regular-d-at-n", "regular-retries",
+        "named-no-size", "cycle-2", "complete-bipartite-odd"])
+def test_graph_inputs_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize("make", [
@@ -265,7 +284,9 @@ def test_bipartite_view_validation(paley13):
         with pytest.raises(ValueError, match="outside range"):
             graphs.BipartiteView(parent=paley13, left=(0, 1), right=(3, outside))
     view = graphs.BipartiteView(parent=paley13, left=(1, 0), right=(4, 3))
-    assert (view.left, view.right) == ((0, 1), (3, 4))
+    assert (view.left.tolist(), view.right.tolist()) == ([0, 1], [3, 4])
+    for side in (view.left, view.right):
+        assert side.dtype == np.int64 and not side.flags.writeable
     rows, cols = np.meshgrid([0, 1], [3, 4], indexing="ij")
     assert np.array_equal(view.block.toarray(), paley13.has_edge(rows, cols))
 
@@ -312,7 +333,7 @@ def test_csr_graph_matches_brute_force(edge_list, data):
 
     subset = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
     sub, mapping = g.induced(subset)
-    assert mapping == sorted(set(subset))
+    assert mapping.dtype == np.int64 and mapping.tolist() == sorted(set(subset))
     assert all(sub.has_edge(i, j) == g.has_edge(u, v)
                for i, u in enumerate(mapping) for j, v in enumerate(mapping))
     assert g.induced([])[0] == graphs.Graph(0, [])

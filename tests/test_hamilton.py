@@ -105,6 +105,9 @@ def test_verify_cycle_reasons(k4):
     repeated = hamilton.verify_hamilton_cycle(
         k4, hamilton.HamiltonCycle((0, 1, 2, 2)))
     assert not repeated and "repeated" in repeated.reason
+    outside = hamilton.verify_hamilton_cycle(
+        k4, hamilton.HamiltonCycle((0, 1, 2, 4)))
+    assert not outside and outside.reason == "not a permutation of V"
     c4 = graphs.gen_named("cycle", 4)
     chord = hamilton.verify_hamilton_cycle(
         c4, hamilton.HamiltonCycle((0, 2, 1, 3)))
@@ -205,15 +208,27 @@ def test_pipeline_builds_a_view_only_per_path_cover_link(monkeypatch):
     built = []
 
     class Counting(graphs.BipartiteView):
-        def __post_init__(self):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             built.append((self.left, self.right))
-            super().__post_init__()
 
     monkeypatch.setattr(hamilton, "BipartiteView", Counting)
     g, cfg = graphs.gen_paley(401), hamilton.PipelineConfig(seed=0)
     result = hamilton.hamilton_pipeline(g, cfg)
     assert result.trace.outcome == "success"
     assert len(built) == hamilton.plan_sizes(g.n, cfg).t - 1
+
+
+def test_pipeline_reports_a_cycle_the_verifier_rejects(monkeypatch):
+    g = graphs.gen_paley(401)
+    monkeypatch.setattr(hamilton, "close_cycle", lambda paths, connector, trace:
+                        hamilton.HamiltonCycle((0,) * g.n))
+    result = hamilton.hamilton_pipeline(g, hamilton.PipelineConfig(seed=0))
+    assert result.cycle is None
+    assert result.trace.outcome == "failed:verification"
+    assert result.trace.data["checks"][-1] == {
+        "phase": "verification", "check": "hamilton", "holds": False,
+        "detail": "repeated vertex"}
 
 
 def test_pipeline_deterministic_trace():

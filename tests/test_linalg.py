@@ -295,6 +295,21 @@ def test_asymmetric_dense_unstated_takes_svd_route():
                        atol=1e-9, rtol=0)
 
 
+@pytest.mark.parametrize("k, tol, match", [
+    (0, 1e-8, r"^k=0 out of range for a 3x4 matrix$"),
+    (4, 1e-8, r"^k=4 out of range for a 3x4 matrix$"),
+    (2, 0.0, r"^tol must be positive$"),
+], ids=["k-0", "k-above-min-shape", "tol-0"])
+def test_singular_values_reject_bad_k_and_tol(k, tol, match):
+    with pytest.raises(ValueError, match=match):
+        linalg.singular_values_array(np.ones((3, 4)), k, tol=tol)
+
+
+def test_dense_oracle_refuses_large_input():
+    with pytest.raises(ValueError, match="dense oracle capped at 64x64"):
+        linalg.dense_singular_values(np.ones((linalg.DENSE_ORACLE_CAP + 1, 1)))
+
+
 def test_non_finite_rejected():
     a = np.ones((3, 3))
     a[1, 1] = np.nan
@@ -344,8 +359,12 @@ def test_interlacing_random_submatrices():
 def test_normalize_rejects_zero_line():
     a = np.ones((3, 3))
     a[1, :] = 0
-    with pytest.raises(ZeroLine):
+    with pytest.raises(ZeroLine, match="^row 1 sums to zero$"):
         linalg.normalize_array(a)
+    b = np.ones((3, 3))
+    b[:, 2] = 0
+    with pytest.raises(ZeroLine, match="^column 2 sums to zero$"):
+        linalg.normalize_array(b)
 
 
 def test_normalize_rejects_negative_entry():
@@ -369,6 +388,9 @@ def test_read_matrix_entry_count_mismatch(tmp_path):
     path.write_text("2 2\n1 2 3\n")
     with pytest.raises(ValueError):
         linalg.read_matrix(path)
+    path.write_text("2\n")
+    with pytest.raises(ValueError, match="^matrix file missing header$"):
+        linalg.read_matrix(path)
 
 
 def test_read_matrix_names_a_bad_entry(tmp_path):
@@ -382,3 +404,4 @@ def test_operator_norm_matches_dense():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(20, 20))
     assert abs(linalg.operator_norm(a) - np.linalg.norm(a, 2)) < 1e-7
+    assert linalg.operator_norm(np.zeros((0, 3))) == 0.0

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import graphs, linalg, matching, mixing
-from expanderlab.errors import (CertificateMismatch, PerfectMatchingFailed,
-                                PreconditionViolated, UnbalancedSides)
+from expanderlab.errors import (CertificateMismatch, NoEdgeFound,
+                                PerfectMatchingFailed, PreconditionViolated,
+                                UnbalancedSides)
 from expanderlab.rng import generator
 
 
@@ -174,8 +175,8 @@ def test_greedy_matching_floor_paley(paley101, cert101):
                                               s1, s2)
         floor = min(35, 35) - theta
         assert m.size >= floor
-        assert not (m.left_cover & set(int(x) for x in s1))
-        assert not (m.right_cover & set(int(x) for x in s2))
+        assert not (set(m.edges[:, 0].tolist()) & set(int(x) for x in s1))
+        assert not (set(m.edges[:, 1].tolist()) & set(int(x) for x in s2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,8 +194,8 @@ def test_greedy_matching_takes_the_smallest_edge_each_step(paley101, cert101,
     want = []
     while (hits := np.argwhere(adj[np.ix_(left, right)])).size:
         i, j = hits[0]                  # row-major: the smallest edge
-        want.append((int(left.pop(i)), int(right.pop(j))))
-    assert list(m.edges) == want
+        want.append([int(left.pop(i)), int(right.pop(j))])
+    assert m.edges.tolist() == want
 
 
 def test_hall_violator_rejects_an_unknown_side(paley13):
@@ -222,8 +223,20 @@ def test_greedy_matching_preconditions(paley13, paley101, cert101):
         matching.greedy_matching_avoiding(paley13, cert101, [0, 1], [2, 3])
 
 
+def test_greedy_matching_with_a_false_certificate_raises_no_edge_found():
+    # lambda-hat = 0.01 claims theta = 0.75 on C_150, but no edge joins
+    # 0..9 and 50..59, so both residual sides stay at 10
+    c150 = graphs.gen_named("cycle", 150)
+    cert = graphs.SpectralCertificate(n=150, d=2.0, gamma_hat=0.0,
+                                      lambda_hat=0.01, residual=0.0, seed=0)
+    assert mixing.one_edge_threshold(cert) == 0.75
+    with pytest.raises(NoEdgeFound, match="sizes 10, 10 > theta=0.75"):
+        matching.greedy_matching_avoiding(c150, cert, range(10), range(50, 60))
+
+
 def test_matching_json_roundtrip():
     m = matching.Matching.from_edges([(3, 9), (1, 7)])
-    assert m.edges == ((1, 7), (3, 9))
+    assert m.edges.tolist() == [[1, 7], [3, 9]]
+    assert m.edges.dtype == np.int64 and not m.edges.flags.writeable
     import json
     assert json.loads(m.to_json()) == [[1, 7], [3, 9]]

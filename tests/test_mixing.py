@@ -50,6 +50,9 @@ def test_graph_audit_counts_and_window(petersen):
     assert not audit.disjoint
     assert audit.ordered_count == audit.unordered_count + 1
     assert audit.holds
+    # Python scalars, which json.dumps takes (a numpy bool it refuses)
+    assert type(audit.holds) is bool and type(audit.unordered_holds) is bool
+    assert all(type(x) is float for x in (audit.lower, audit.upper, audit.epsilon))
     disjoint = mixing.eml_graph_audit(cert, petersen, [0, 1], [5, 6])
     assert disjoint.disjoint
     assert disjoint.ordered_count == disjoint.unordered_count
@@ -68,6 +71,11 @@ def test_graph_audit_sweep_paley(paley101, cert101):
 def test_graph_audit_rejects_other_graphs_certificate(paley101, cert13):
     with pytest.raises(CertificateMismatch, match="n=13 vs graph n=101"):
         mixing.eml_graph_audit(cert13, paley101, [0], [1])
+
+
+def test_graph_audit_empty_subset(paley101, cert101):
+    with pytest.raises(EmptySubset):
+        mixing.eml_graph_audit(cert101, paley101, [], [1])
 
 
 def test_one_edge_threshold(cert101):

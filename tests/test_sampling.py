@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import graphs, sampling
-from expanderlab.errors import AsymmetricInput, BadParameter, BadRange
+from expanderlab.errors import (AsymmetricInput, BadParameter, BadRange,
+                                CertificateMismatch)
 
 
 @settings(max_examples=50, deadline=None)
@@ -28,6 +29,10 @@ def test_hypergeometric_tail_validation():
         sampling.hypergeometric_tail(10, 5, 3, -0.1, "lower")
     with pytest.raises(BadRange):
         sampling.hypergeometric_tail(10, 5, 3, 1.6, "upper")
+    with pytest.raises(BadRange, match="side must be 'lower' or 'upper'"):
+        sampling.hypergeometric_tail(10, 5, 3, 0.5, "middle")
+    with pytest.raises(BadRange, match="need 0 <= K <= N"):
+        sampling.exact_hypergeometric_tail(10, 12, 3, 0.5, "lower")
 
 
 def test_exact_hypergeometric_pmf_total():
@@ -60,6 +65,10 @@ def test_submatrix_experiment_validation():
     with pytest.raises(AsymmetricInput):
         sampling.submatrix_norm_experiment(skew, "symmetric_uniform",
                                            m=2, trials=5)
+    with pytest.raises(BadParameter, match="needs 1 <= m <= n, got 6"):
+        sampling.submatrix_norm_experiment(b, "symmetric_uniform", m=6, trials=5)
+    with pytest.raises(BadParameter, match="unknown mode 'diagonal'"):
+        sampling.submatrix_norm_experiment(b, "diagonal", trials=5)
 
 
 def test_submatrix_experiment_deterministic():
@@ -97,6 +106,27 @@ def test_induced_subgraph_experiment_deterministic(paley101, cert101):
                                              trials=5, seed=3,
                                              gamma_target=0.3)
     assert a == b
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda g, c13, c: sampling.induced_subgraph_experiment(g, c13, 0.5),
+     CertificateMismatch, "does not match"),
+    (lambda g, c13, c: sampling.induced_subgraph_experiment(g, c, 0.004),
+     BadParameter, "< 1"),
+    (lambda g, c13, c: sampling.induced_subgraph_experiment(g, c, 1.5),
+     BadParameter, "> n"),
+    (lambda g, c13, c: sampling.bipartite_induced_experiment(g, c13, 0.3, 0.3),
+     CertificateMismatch, "does not match"),
+    (lambda g, c13, c: sampling.bipartite_induced_experiment(g, c, 0.3, 0.004),
+     BadParameter, "at least 1"),
+    (lambda g, c13, c: sampling.bipartite_induced_experiment(g, c, 0.6, 0.5),
+     BadParameter, "> 1"),
+], ids=["induced-certificate", "induced-empty", "induced-above-n",
+        "bipartite-certificate", "bipartite-empty-side", "bipartite-above-n"])
+def test_subgraph_experiments_reject_bad_inputs(paley101, cert13, cert101,
+                                                call, error, match):
+    with pytest.raises(error, match=match):
+        call(paley101, cert13, cert101)
 
 
 def test_bipartite_induced_experiment(paley101, cert101):
