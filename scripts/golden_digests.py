@@ -29,8 +29,9 @@ seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
 pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
 under three windows; one line per subgraph experiment holds the SHA-256
-of its trials' `float.hex` s2 and degrees_ok. The last line holds the
-SHA-256 of the graph file `write_graph` writes for Paley 401. Neighbour
+of its trials' `float.hex` s2 and degrees_ok. The last two lines hold the
+SHA-256 of the graph file `write_graph` writes for Paley 401 and 2029
+(the larger one spans several of the writer's and reader's chunks). Neighbour
 order feeds scipy's Hopcroft-Karp (`maximum_bipartite_matching`), the
 greedy matching and the connector's shuffles, so a change of
 tie-breaking anywhere in the pipeline changes these digests.
@@ -244,8 +245,9 @@ def _fields():
     yield 600, "audit-counts gnp-0.01", audit_digest(gnp(600, 0.01))
     for q in (401, 1009):
         yield from below_the_cycle(q, paley[q])
-    graph_file = graphs.graph_file_bytes(paley[401])
-    yield 401, "graph-file", hashlib.sha256(graph_file).hexdigest()
+    for q in (401, 2029):
+        graph_file = graphs.graph_file_bytes(paley[q])
+        yield q, "graph-file", hashlib.sha256(graph_file).hexdigest()
 
 
 def main():

@@ -82,7 +82,10 @@ def _cmd_gen(args) -> tuple:
         g = graphs.gen_random_regular(*args.params[:2], seed=args.seed)
     else:
         g = graphs.gen_named(kind, args.params[0] if args.params else None)
-    return EXIT_OK, _emit(graphs.graph_file_bytes(g).decode("ascii"), args.out)
+    if args.out:
+        graphs.write_graph(g, args.out)
+        return EXIT_OK, [args.out]
+    return EXIT_OK, _emit(graphs.graph_file_bytes(g).decode("ascii"), None)
 
 
 def _cmd_certify(args) -> tuple:

@@ -16,8 +16,10 @@ both sides of a pair. A `BipartiteView` keeps read-only sides (L, R) and
 the CSR cross block A[L, R] its matchings read; only its s2 builds G[L u R].
 `adjacency_sparse()` wraps the arrays in a float64 scipy matrix for
 the spectral kernel, which is told it is symmetric, and
-`adjacency_dense()` materializes it up to DENSIFY_CAP vertices. Graph
-files move whole arrays through `read_graph` and `write_graph`.
+`adjacency_dense()` materializes it up to DENSIFY_CAP vertices. The
+constructor sorts the edge keys lo * n + hi once (not at all if they
+increase already) and adds the upper triangle to its transpose. Graph
+files move in chunks of about CHUNK lines, each in whole-array passes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +42,10 @@ DENSIFY_CAP = 4000
 # s2), and the slack of the bipartite certificate's windows and s2 bound.
 SPECTRAL_TOL = 1e-8
 PAIRING_ATTEMPT_FACTOR = 100  # cap on stub-pair draws: 100 * n * d
+# Lines of a graph file per chunk: `write_graph` renders about this many
+# edge lines at a time, `read_graph` reads 16 bytes a line, then to a line end.
+CHUNK = 1 << 16
+_DIGITS_AND_BLANKS = b"0123456789 \t\r\n"     # the bytes a graph file may hold
 
 
 def vertex_array(vertices, n: int) -> np.ndarray:
@@ -108,14 +113,21 @@ class Graph:
 
     def __init__(self, n: int, edges):
         _check_size(n, 0)
-        u, v = edge_array(edges).T
-        bad = _first_invalid_edge(n, u, v)
-        if bad is not None:
-            raise ValueError(bad[1])
-        keys = np.concatenate([u * n + v, v * n + u])   # row * n + column
-        keys.sort()
-        self._set(int(n), np.searchsorted(keys, np.arange(n + 1) * n),
-                  np.remainder(keys, max(n, 1), out=keys))
+        e = edge_array(edges)
+        u, v = e.T
+        key = np.minimum(u, v)      # lo * n + hi; wraps harmlessly outside range(n)
+        key *= n
+        key += np.maximum(u, v)
+        if not (key[1:] > key[:-1]).all():  # a file `write_graph` wrote is sorted
+            key.sort()
+        if e.size and (e.min() < 0 or e.max() >= n or (u == v).any()
+                       or (key[1:] == key[:-1]).any()):
+            raise ValueError(_first_invalid_edge(n, u, v)[1])
+        indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32)
+        key = np.remainder(key, max(n, 1), out=key).astype(np.int32)   # now hi
+        upper = sp.csr_array((np.ones(len(key), dtype=np.int8), key, indptr), shape=(n, n))
+        full = upper + upper.T      # scipy transposes in linear time
+        self._set(int(n), full.indptr, full.indices)
 
     @classmethod
     def _from_csr(cls, n: int, indptr, indices) -> "Graph":
@@ -293,9 +305,10 @@ class BipartiteView:
         self.left, self.right = vertex_array(left, parent.n), vertex_array(right, parent.n)
         if np.intersect1d(self.left, self.right, assume_unique=True).size:
             raise ValueError("sides must be disjoint")
-        self.left.setflags(write=False)
-        self.right.setflags(write=False)
         self.block = parent._csr[self.left][:, self.right]
+        for array in (self.left, self.right, self.block.indptr, self.block.indices,
+                      self.block.data):
+            array.setflags(write=False)
 
     def degrees(self) -> tuple:
         """(deg(v, R) for v in L, deg(v, L) for v in R): row lengths, column counts."""
@@ -486,13 +499,24 @@ def certificate_to_json(cert: SpectralCertificate) -> str:
 def read_graph(path) -> Graph:
     """Graph file format: "n m" header, then m lines "u v" with u < v.
 
-    The file is parsed as whole arrays. A missing or malformed header, a
-    token that is not a non-negative integer, an edge line without
-    exactly two tokens, fewer or more than m edge lines, and an edge the
-    `Graph` constructor rejects all raise MalformedGraphFile naming the
-    line.
+    The header is read first, then chunks of about CHUNK whole lines in
+    whole-array passes; nothing is sized from m. A malformed header or
+    line (not two non-negative integers of at most 18 digits), fewer or
+    more than m edge lines, and an edge the `Graph` constructor rejects
+    raise MalformedGraphFile naming the line: the first faulty line in
+    file order, and an edge only once every line has the right shape.
     """
-    n, edges = _parse_graph_file(path)
+    with open(path, "rb") as f:
+        n, m = _chunk_values(path, f.readline(), 1, 0, f).tolist()
+        parts, line = [np.empty(0, dtype=np.int64)], 2
+        while chunk := f.read(16 * CHUNK) + f.readline():
+            parts.append(_chunk_values(path, chunk, line, m, f))
+            line += chunk.count(b"\n")
+    edges = np.concatenate(parts).reshape(-1, 2)
+    del parts
+    if len(edges) < m:
+        raise MalformedGraphFile(f"{path}: line {len(edges) + 2}: "
+                                 f"the file ends after {len(edges)} of {m} edges")
     try:
         return Graph(n, edges)
     except ValueError as exc:
@@ -501,47 +525,60 @@ def read_graph(path) -> Graph:
         raise MalformedGraphFile(f"{path}: line {line}: {why}") from None
 
 
-def _parse_graph_file(path):
-    """(n, (m, 2) edge array) of a graph file whose lines have the right shape."""
-    text = Path(path).read_bytes()
-    data = np.frombuffer(text, dtype=np.uint8)
-    line_ends = np.flatnonzero(data == ord("\n"))
+def _chunk_values(path, chunk: bytes, first: int, m: int, rest) -> np.ndarray:
+    """The integers of a chunk of whole lines, from line `first`, of a
+    graph file whose header says m edges: only digits and blanks, tokens
+    of at most 18 digits, two on each of lines 1 to m + 1, none after. A
+    chunk that fails is read again line by line to name its first faulty
+    line; a blank edge line followed by blanks alone, in the chunk and in
+    the file `rest`, ends the edges there."""
+    chunk += b"" if chunk.endswith(b"\n") else b"\n"
+    data = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.concatenate([[-1], np.flatnonzero(data == ord("\n"))])   # line i ends at ends[i + 1]
+    k = min(max(m + 2 - first, 0), len(ends) - 1)   # lines that hold two integers
+    digit = np.concatenate([[False], data >= ord("0"), [False]])   # once no junk
+    starts, stops = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T
+    if (not chunk.translate(None, _DIGITS_AND_BLANKS) and len(starts) == 2 * k
+            and (starts[::2] > ends[:k]).all() and (starts[1::2] < ends[1:k + 1]).all()
+            and (stops - starts).max(initial=0) <= 18):
+        return np.fromstring(chunk, dtype=np.int64, sep=" ")[:2 * k]  # a blank chunk reads as [0]
+    lines = chunk.split(b"\n")
+    for i, text in enumerate(lines[:-1], first):
+        tokens, want = text.split(), 2 if i <= m + 1 else 0
+        if text.translate(None, _DIGITS_AND_BLANKS):
+            why = "not a non-negative integer"
+        elif max(map(len, tokens), default=0) > 18:
+            why = "integer too large"
+        elif len(tokens) == want:
+            continue
+        elif (tokens or i == 1 or b"".join(lines[i - first + 1:]).strip(b" \t\r")
+              or any(c.strip(b" \t\r\n") for c in iter(lambda: rest.read(16 * CHUNK), b""))):
+            why = f"{len(tokens)} integers where {want} belong"
+        else:   # only blanks follow: the edges end before line i
+            return np.fromstring(b"\n".join(lines[:i - first]), np.int64, sep=" ")
+        raise MalformedGraphFile(f"{path}: line {i}: {why}")
 
-    def fail(line, why):
-        raise MalformedGraphFile(f"{path}: line {line}: {why}")
 
-    allowed = np.zeros(256, dtype=bool)
-    allowed[list(b"0123456789 \t\r\n")] = True
-    junk = ~allowed[data]
-    if junk.any():
-        fail(np.searchsorted(line_ends, np.argmax(junk)) + 1,
-             "not a non-negative integer")
-    digit = np.concatenate([[False], (data >= ord("0")) & (data <= ord("9")), [False]])
-    starts = np.flatnonzero(digit[1:] & ~digit[:-1])
-    length = np.flatnonzero(digit[:-1] & ~digit[1:]) - starts
-    if length.size and length.max() > 18:
-        fail(np.searchsorted(line_ends, starts[np.argmax(length)]) + 1,
-             "integer too large")
-    values = np.fromstring(text, dtype=np.int64, sep=" ")   # digits and blanks only
-    m = int(values[1]) if len(values) > 1 else 0
-    # Integers per line: two on the header and on each of the m edge
-    # lines, none after them.
-    per_line = np.bincount(np.searchsorted(line_ends, starts), minlength=1)
-    want = np.zeros(len(per_line), dtype=np.int64)
-    want[:m + 1] = 2
-    wrong = np.flatnonzero(per_line != want)
-    if wrong.size:
-        fail(wrong[0] + 1, f"{per_line[wrong[0]]} integers where {want[wrong[0]]} belong")
-    if m >= len(per_line):
-        fail(len(per_line) + 1, f"the file ends after {len(per_line) - 1} of {m} edges")
-    return int(values[0]), values[2:].reshape(-1, 2)
+def _file_chunks(g: Graph):
+    """The graph file: "n m", then one line "u v" per edge, u < v, in
+    increasing order. Edge lines come about CHUNK at a time, gathered from
+    a table of the decimals of 0..n-1 ended by " " (row u) or "\\n" (row
+    n + v), each NUL-padded to one width, and the NULs dropped."""
+    yield f"{g.n} {g.edge_count}\n".encode("ascii")
+    table = np.char.add(np.arange(g.n).astype(f"S{len(str(g.n))}"), [[b" "], [b"\n"]])
+    table, deg = table.view(np.uint8).reshape(2 * g.n, table.itemsize), g.degrees()
+    step = max(1, 2 * CHUNK // max(1, int(deg.max(initial=0))))
+    for a in range(0, g.n, step):
+        rows = np.repeat(np.arange(a, min(a + step, g.n)), deg[a:a + step])
+        pairs = np.column_stack([rows, g.indices[g.indptr[a]:g.indptr[a] + len(rows)]])
+        lines = np.take(table, pairs[rows < pairs[:, 1]] + [0, g.n], axis=0)
+        yield lines[lines != 0].tobytes()
 
 
 def graph_file_bytes(g: Graph) -> bytes:
-    """The graph file: "n m", then one line "u v" per edge, u < v, in increasing order."""
-    return (f"{g.n} {g.edge_count}\n" + "%d %d\n" * g.edge_count
-            % tuple(g.edges().ravel().tolist())).encode("ascii")
+    return b"".join(_file_chunks(g))
 
 
 def write_graph(g: Graph, path) -> None:
-    Path(path).write_bytes(graph_file_bytes(g))
+    with open(path, "wb") as f:
+        f.writelines(_file_chunks(g))

@@ -68,7 +68,7 @@ def eml_matrix_audit(a: np.ndarray, s, t, s2_bar: float) -> MixingAudit:
     inner = a_sn * (1 - a_sn / total) * a_mt * (1 - a_mt / total)
     rhs = s2_bar * np.sqrt(max(inner, 0.0))
     return MixingAudit(lhs_deviation=lhs, rhs_bound=float(rhs),
-                       holds=lhs <= rhs + AUDIT_SLACK, main_term=main, s2_used=s2_bar)
+                       holds=bool(lhs <= rhs + AUDIT_SLACK), main_term=main, s2_used=s2_bar)
 
 
 def eml_graph_audit(cert: SpectralCertificate, g: Graph, s, t) -> GraphMixingAudit:

@@ -34,6 +34,19 @@ def test_gen_writes_graph_and_manifest(paley13_file):
     assert manifest["outputs"] == [str(paley13_file)]
 
 
+def test_gen_writes_through_write_graph(tmp_path, monkeypatch, capsys):
+    written = []
+    write = graphs.write_graph
+    monkeypatch.setattr(graphs, "write_graph",
+                        lambda g, path: written.append(path) or write(g, path))
+    path = tmp_path / "g.txt"
+    assert run("--out", str(path), "gen", "paley", "13") == 0
+    file = graphs.graph_file_bytes(graphs.gen_paley(13))
+    assert written == [str(path)] and path.read_bytes() == file
+    assert run("gen", "paley", "13") == 0
+    assert capsys.readouterr().out == file.decode("ascii") and len(written) == 1
+
+
 def test_gen_is_reproducible(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run("--seed", "4", "--out", str(a), "gen", "regular", "20", "4") == 0
@@ -270,6 +283,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ("3 2\n0 1\n1 1234567890123456789\n", "line 3: integer too large"),
     ("3 2\n0 1\n1 3\n", "line 3: edge (1,3) out of range"),
     ("3000000000 0\n", "line 1: n=3000000000 outside the int32 vertex range"),
+    ("3 1\n0 3000000000\n", "line 2: edge (0,3000000000) out of range"),
+    # Of several faults in the lines' shape the first line is named: a
+    # junk byte or a longer token further down does not win.
+    ("3 2\n0 1 2\nx\n", "line 2: 3 integers where 2 belong"),
+    ("3 2\n0\n1 1234567890123456789\n", "line 2: 1 integers where 2 belong"),
+    ("3 2\n\n1 2\n1 x\n", "line 2: 0 integers where 2 belong"),
+    ("3 2\n0 1\n\n \n", "line 3: the file ends after 1 of 2 edges"),
 ])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, why):
     path = tmp_path / "bad.txt"

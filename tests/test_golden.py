@@ -84,7 +84,9 @@ def test_outcome_cycle_and_failed_checks_digest(printed, name):
 
 
 def test_graph_file_digest(printed):
-    assert _values(printed, "401 graph-file") == _values(GOLDEN, "401 graph-file")
+    # Paley 2029's file spans several of the writer's and reader's chunks.
+    for name in ("401 graph-file", "2029 graph-file"):
+        assert _values(printed, name) == _values(GOLDEN, name)
 
 
 def test_greedy_matching_digest(printed):

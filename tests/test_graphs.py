@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,8 +16,8 @@ from hypothesis.extra.numpy import arrays
 
 from expanderlab import extend, graphs, linalg, matching, mixing
 from expanderlab.errors import (BadResidueClass, EmptySide, IsolatedVertex,
-                                NotPrime, ParityViolation, RetryExhausted,
-                                UnknownName)
+                                MalformedGraphFile, NotPrime, ParityViolation,
+                                RetryExhausted, UnknownName)
 
 
 def test_paley_13_shape(paley13):
@@ -125,6 +128,68 @@ def test_graph_io_roundtrip(tmp_path, petersen):
     graphs.write_graph(petersen, path)
     back = graphs.read_graph(path)
     assert back == petersen
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_graph_file_across_chunk_boundaries(monkeypatch, tmp_path, paley101, chunk):
+    # Chunks of a line or three put every line next to a chunk boundary:
+    # the bytes, the graph read back and the line a fault names stay
+    # those of one chunk.
+    whole = graphs.graph_file_bytes(paley101)
+    lines = whole.splitlines(keepends=True)
+    monkeypatch.setattr(graphs, "CHUNK", chunk)
+    path = tmp_path / "g.txt"
+    assert graphs.graph_file_bytes(paley101) == whole
+    graphs.write_graph(paley101, path)
+    assert path.read_bytes() == whole
+    assert graphs.read_graph(path) == paley101
+    path.write_bytes(whole + b"\n \n\t\r\n")     # blank lines after the edges
+    assert graphs.read_graph(path) == paley101
+    path.write_bytes(b"".join(lines[:9] + [lines[10], lines[9]] + lines[11:]))
+    assert graphs.read_graph(path) == paley101      # unsorted edges
+    for text, why in [
+            (lines[:500] + [b"7 x\n"] + lines[501:], "line 501: not a non-negative"),
+            (lines[:-1] + [b"\n", b" \n"] * 40, "line 2526: the file ends after 2524 of"),
+            (lines[:-1] + [b"\n"] * 40 + [b"x\n"], "line 2526: 0 integers where 2 belong"),
+            (lines + [b"\n"] * 40 + [b"1 2\n"], "line 2567: 2 integers where 0 belong"),
+            (lines[:10] + [lines[9]] + lines[11:], "line 11: duplicate edge")]:
+        path.write_bytes(b"".join(text))
+        with pytest.raises(MalformedGraphFile, match=why):
+            graphs.read_graph(path)
+
+
+def test_hostile_edge_count_sizes_nothing(tmp_path):
+    # A header claiming two billion edges over one edge line: under a
+    # 1 GB address space, where an array of m rows cannot be made, the
+    # reader still reaches the truncation.
+    path = tmp_path / "hostile.txt"
+    path.write_text("3 2000000000\n0 1\n")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import numpy as np\n"
+            "from expanderlab import graphs\n"
+            "try:\n    np.empty((2000000000, 2), dtype=np.int32)\n"
+            "except MemoryError:\n    print('no room for m rows')\n"
+            "try:\n    graphs.read_graph(sys.argv[1])\n"
+            "except graphs.MalformedGraphFile as exc:\n    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code, str(path)], check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == [
+        "no room for m rows",
+        f"{path}: line 3: the file ends after 1 of 2000000000 edges"]
+
+
+@pytest.mark.parametrize("edges, why", [
+    ([(2, 3), (0, 1), (3, 2), (1, 1)], r"duplicate edge \(2, 3\)"),
+    ([(2, 3), (1, 1), (3, 2)], "self-loop at 1"),
+    ([(3, 2), (0, 4), (1, 1)], r"edge \(0,4\) out of range"),
+    ([(1, 0), (0, 2), (0, 1)], r"duplicate edge \(0, 1\)"),
+    ([(0, 1), (0, 2), (1, 3), (1, 2), (0, 2)], r"duplicate edge \(0, 2\)")])
+def test_constructor_names_first_invalid_edge_in_input_order(edges, why):
+    with pytest.raises(ValueError, match=why):
+        graphs.Graph(4, edges)
 
 
 vertex_lists = st.lists(st.integers(0, 50), max_size=30)
@@ -289,6 +354,9 @@ def test_bipartite_view_validation(paley13):
         assert side.dtype == np.int64 and not side.flags.writeable
     rows, cols = np.meshgrid([0, 1], [3, 4], indexing="ij")
     assert np.array_equal(view.block.toarray(), paley13.has_edge(rows, cols))
+    for array in (view.block.indptr, view.block.indices, view.block.data):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("left, right", [((), (3, 4)), ((0, 1), ())],

@@ -174,6 +174,27 @@ def test_lapack_failure_raises_no_convergence(monkeypatch):
         linalg.singular_values_array(_symmetric(30, 0), 2, symmetric=True)
 
 
+def test_dstebz_short_of_k_raises_no_convergence(monkeypatch):
+    # dstebz reporting success with fewer eigenvalues than the index
+    # range asks for must not pass as a spectrum.
+    dstebz = linalg.lapack.dstebz
+
+    def one_short(d, e, range_, *args):
+        found, *rest = dstebz(d, e, range_, *args)
+        return (found - 1, *rest) if range_ == 3 else (found, *rest)
+    monkeypatch.setattr(linalg.lapack, "dstebz", one_short)
+    with pytest.raises(NoConvergence, match="dstebz found 1 of the eigenvalues 1 to 2"):
+        linalg._spectrum_ends(_symmetric(30, 0), 2)
+
+
+def test_krylov_basis_spanning_every_dimension_raises():
+    # On R^6 the basis closes after 6 products; a tolerance no residual
+    # meets leaves no fresh direction to draw.
+    a = _symmetric(6, 0)
+    with pytest.raises(NoConvergence, match="spans all 6 dimensions"):
+        linalg._block_lanczos(lambda y: a @ y, 6, 2, 1e-300, 0, absolute=True)
+
+
 def _cap_products(monkeypatch):
     """A product cap below the 5 products that Paley 1009 needs."""
     monkeypatch.setattr(linalg, "PRODUCT_CAP", 4)

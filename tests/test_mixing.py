@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,17 @@ def test_matrix_audit_complete_graph_tight():
     assert abs(audit.s2_used - 1 / 3) < 1e-8
     assert audit.holds
     assert abs(audit.lhs_deviation - audit.rhs_bound) < 1e-8
+
+
+def test_matrix_audit_holds_is_a_json_bool():
+    # The dense oracle's s2 is a numpy float; the audit still holds a
+    # plain bool, which an artifact's json.dumps takes.
+    a = np.ones((4, 4)) - np.eye(4)
+    s2_bar = _s2_bar(a)
+    assert isinstance(s2_bar, np.floating)
+    audit = mixing.eml_matrix_audit(a, [0, 1], [2, 3], s2_bar)
+    assert type(audit.holds) is bool
+    assert json.loads(json.dumps(dataclasses.asdict(audit)))["holds"] is True
 
 
 def test_matrix_audit_empty_subset():
