@@ -3,13 +3,13 @@
 Graphs are simple, undirected and immutable after construction. A graph
 is stored as CSR: read-only int32 arrays `indptr` and `indices`, where
 the neighbours of v are indices[indptr[v]:indptr[v + 1]] in increasing
-order. A vertex set passes one rule, `vertex_array(S, n)`: a vertex
-outside range(n) raises ValueError, and the set is read sorted off a
-mask over V. Induced subgraphs and degrees into a set are row and
-column indexing on a scipy CSR view of the same arrays; an edge lookup
-is a binary search in the sorted row. Edge counts between vertex sets
-read bit-packed rows, built on a graph's first count if they take no
-more bytes than `indices`; sparser graphs count on the CSR. A window
+order. A vertex set passes one rule, `vertex_array(S, n)`: an entry that
+is a bool or not an integer, or a vertex outside range(n), raises
+ValueError, and the set is read sorted off a mask over V. An edge lookup
+is a binary search in the sorted row. Bit-packed rows, built on first use
+if no larger than `indices`, give edge counts and, where n x n bools fit
+in `indices`, a set's rows for degrees into it, induced subgraphs and
+cross blocks; sparser graphs use a scipy CSR view of the arrays. A window
 check reads degree counts alone: the one rule is
 `degree_window_violation`, and `pair_window_violation` applies it to
 both sides of a pair. A `BipartiteView` keeps read-only sides (L, R) and
@@ -45,6 +45,7 @@ PAIRING_ATTEMPT_FACTOR = 100  # cap on stub-pair draws: 100 * n * d
 # Lines of a graph file per chunk: `write_graph` renders about this many
 # edge lines at a time, `read_graph` reads 16 bytes a line, then to a line end.
 CHUNK = 1 << 16
+ROW_PIECE = 1024    # adjacency rows `_bit_rows` packs, and `_rows` unpacks, at a time
 _DIGITS_AND_BLANKS = b"0123456789 \t\r\n"     # the bytes a graph file may hold
 
 
@@ -57,10 +58,17 @@ def vertex_array(vertices, n: int) -> np.ndarray:
 
 
 def _in_range(vertices, n: int) -> np.ndarray:
-    """Any iterable's vertices as an int64 array, in their order and
-    with their repeats; a vertex outside range(n) raises ValueError."""
-    if not isinstance(vertices, np.ndarray):
-        vertices = np.fromiter(vertices, dtype=np.int64)
+    """Any iterable's vertices as an int64 array, in their order and with their
+    repeats; the first bool or non-integer, else vertex outside range(n), raises ValueError."""
+    if isinstance(vertices, range):
+        vertices = np.arange(vertices.start, vertices.stop, vertices.step)
+    elif not isinstance(vertices, np.ndarray):
+        ints = {*map(type, vertices := list(vertices))} <= {int}
+        vertices = np.fromiter(vertices, np.int64) if ints else np.array(vertices, object)
+    if vertices.dtype.kind not in "iu":     # bools, floats, entries of several types
+        for v in vertices.flat:
+            if type(v) is bool or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"vertex {v} is not an integer")
     vertices = vertices.astype(np.int64, copy=False)
     if (outside := (vertices < 0) | (vertices >= n)).any():
         raise ValueError(f"vertex {vertices[outside][0]} outside range({n})")
@@ -209,8 +217,7 @@ class Graph:
 
     def induced(self, vertices) -> tuple["Graph", np.ndarray]:
         """Induced subgraph and its members (new -> old), `vertex_array(vertices)`."""
-        vs = vertex_array(vertices, self.n)
-        sub = self._csr[vs][:, vs]
+        sub = self._block(vs := vertex_array(vertices, self.n), vs)
         return Graph._from_csr(len(vs), sub.indptr, sub.indices), vs
 
     def cross_degree(self, vertices, targets) -> np.ndarray:
@@ -219,9 +226,9 @@ class Graph:
         repeats), as an int array. A vertex of either outside range(n)
         raises ValueError.
 
-        One bincount over the rows of `targets` gives every vertex's
-        degree into it (the adjacency is symmetric); `vertices` picks
-        from that.
+        The rows of `targets` give every vertex's degree into it (the
+        adjacency is symmetric), as column sums of unpacked bit rows or a
+        bincount of CSR columns; `vertices` picks from that.
         """
         return self._cross_degree(_in_range(vertices, self.n),
                                   vertex_array(targets, self.n))
@@ -229,8 +236,23 @@ class Graph:
     def _cross_degree(self, vertices, targets: np.ndarray) -> np.ndarray:
         """`cross_degree` of int64 `vertices` inside range(n) into
         `targets` that already passed `vertex_array`."""
-        into = np.bincount(self._csr[targets].indices, minlength=self.n)
-        return into[vertices]
+        if (pieces := self._rows(targets)) is None:
+            return np.bincount(self._csr[targets].indices, minlength=self.n)[vertices]
+        return sum((rows.sum(axis=0, dtype=np.int32) for rows in pieces),
+                   np.zeros(self.n, dtype=np.intp))[vertices]
+
+    def _block(self, left: np.ndarray, right: np.ndarray) -> sp.csr_array:
+        """A[left, right] of two vertex arrays, the bytes scipy indexing gives."""
+        if (pieces := self._rows(left)) is None:
+            return self._csr[left][:, right]
+        counts, columns = [[0]], [np.zeros(0, dtype=np.int32)]
+        for rows in (piece[:, right] for piece in pieces):
+            counts.append(rows.sum(axis=1, dtype=np.int32))
+            flat = np.flatnonzero(rows)     # of bools: 2-D nonzero is far slower
+            columns.append(np.remainder(flat, max(len(right), 1), out=flat).astype(np.int32))
+        indptr = np.cumsum(np.concatenate(counts), dtype=np.int32)
+        return sp.csr_array((np.ones(indptr[-1], dtype=np.int8), np.concatenate(columns), indptr),
+                            shape=(len(left), len(right)))
 
     def count_edges_between(self, s, t) -> tuple:
         """(1_S^T A 1_T, e(S,T), S n T) of two vertex sets.
@@ -238,8 +260,8 @@ class Graph:
         The ordered count 1_S^T A 1_T counts each edge inside S n T
         twice; the unordered count e(S,T) counts it once. Each is exact:
         sum_{v in S} popcount(row_v & mask_T) on the bit rows, O(|S| n / 64),
-        or a `cross_degree` sum, O(|T| d), where the rows would outgrow the
-        CSR (1.25 GB against 64 MB at n = 10^5, d = 160).
+        or, where the rows would outgrow the CSR (1.25 GB against 64 MB at
+        n = 10^5, d = 160), a `cross_degree` sum on the CSR, O(|T| d).
         """
         return self._count_edges(vertex_array(s, self.n), vertex_array(t, self.n))
 
@@ -259,16 +281,24 @@ class Graph:
 
     def _bit_rows(self):
         """Read-only uint64 rows, bit v & 63 of word v >> 6 of row u set iff
-        u ~ v, packed 1024 CSR rows at a time; None if larger than `indices`."""
+        u ~ v, packed ROW_PIECE rows at a time on first use; None if over `indices`."""
         words = (self.n + 63) // 64
         if self._bits is None and self.n * words * 8 <= self.indices.nbytes:
             bits = np.zeros((self.n, words * 8), dtype=np.uint8)
-            for lo in range(0, self.n, 1024):
-                bits[lo:lo + 1024, :(self.n + 7) // 8] = np.packbits(
-                    self._csr[lo:lo + 1024].toarray(), axis=1, bitorder="little")
+            for lo in range(0, self.n, ROW_PIECE):
+                bits[lo:lo + ROW_PIECE, :(self.n + 7) // 8] = np.packbits(
+                    self._csr[lo:lo + ROW_PIECE].toarray(), axis=1, bitorder="little")
             self._bits = bits.view("<u8")
             self._bits.setflags(write=False)
         return self._bits
+
+    def _rows(self, vertices: np.ndarray):
+        """The rows of `vertices` as (k, n) bools unpacked ROW_PIECE at a time; None
+        unless n x n bools fit in `indices` (mean degree >= n / 4) and bit rows exist."""
+        if self.n * self.n <= self.indices.nbytes and (bits := self._bit_rows()) is not None:
+            return (np.unpackbits(bits.view(np.uint8)[vertices[lo:lo + ROW_PIECE]], axis=1,
+                                  count=self.n, bitorder="little").view(bool)
+                    for lo in range(0, len(vertices), ROW_PIECE))
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -293,8 +323,8 @@ class SpectralCertificate:
 
 class BipartiteView:
     """Disjoint vertex sets (L, R) of a parent graph, each a read-only
-    `vertex_array`, and their CSR cross block A[L, R], read once from the
-    parent's rows: row i is left[i], column j is right[j], columns increase
+    `vertex_array`, and their CSR cross block A[L, R], read once by
+    `Graph._block`: row i is left[i], column j is right[j], columns increase
     within a row. Built where a matching or an s2 needs the block; degrees,
     gamma and matchings read it, and only `s2` builds G[L u R]."""
 
@@ -305,7 +335,7 @@ class BipartiteView:
         self.left, self.right = vertex_array(left, parent.n), vertex_array(right, parent.n)
         if np.intersect1d(self.left, self.right, assume_unique=True).size:
             raise ValueError("sides must be disjoint")
-        self.block = parent._csr[self.left][:, self.right]
+        self.block = parent._block(self.left, self.right)
         for array in (self.left, self.right, self.block.indptr, self.block.indices,
                       self.block.data):
             array.setflags(write=False)

@@ -270,7 +270,7 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
     """
     plan = plan_sizes(g.n, cfg)
     trace.data["plan"] = asdict(plan)
-    n, d = g.n, cert.d
+    n, d, everyone = g.n, cert.d, np.arange(g.n)
     k, r = plan.k, plan.reserve_size
     target, target_k = d * r / n, d * k / n
     g1, g5 = cfg.gamma("P1"), cfg.gamma("P5")
@@ -280,7 +280,7 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
         parts = Parts(*(np.sort(part) for part in
                         np.split(perm, [k, 2 * k, 2 * k + r])))
         _window("P1", "into R: ", degree_window_violation(
-            range(n), g.cross_degree(range(n), parts.reserve),
+            everyone, g.cross_degree(everyone, parts.reserve),
             (1 - 2 * g1) * target, (1 + 2 * g1) * target))
         x, y = parts.x, parts.y
         _window("P5", "", pair_window_violation(
@@ -360,7 +360,7 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
     by interlacing; the matching's lambda precondition is the comparison
     the certification gate made, so it cannot reject here.
     """
-    chain = [parts.x, *sorted(blocks, key=min), parts.y]
+    chain = [parts.x, *sorted(blocks, key=lambda block: block[0]), parts.y]  # rows sorted
     columns = [parts.x]
     n_sizes = []
     for left, right in zip(chain, chain[1:]):

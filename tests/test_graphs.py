@@ -270,6 +270,32 @@ def test_vertex_set_entries_refuse_a_vertex_outside_range(paley101, cert101,
         call(paley101, cert101, v)
 
 
+@pytest.mark.parametrize("kind", [True, 1.7], ids=["bool", "float"])
+@pytest.mark.parametrize("entry", [e for e in VERTEX_SET_ENTRIES
+                                   if e not in ("degree", "neighbors")])
+def test_vertex_set_entries_refuse_a_bool_or_non_integer(paley101, cert101, entry, kind):
+    # the entry puts the bool or float into a set beside integers
+    with pytest.raises(ValueError, match=rf"^vertex {kind} is not an integer$"):
+        VERTEX_SET_ENTRIES[entry][1](paley101, cert101, kind)
+
+
+@pytest.mark.parametrize("vertices, named", [
+    (np.array([True, False, True]), "True"), ([1.7, 2.2], "1.7"), ([3, True], "True"),
+    ((2, np.float64(2.0)), "2.0"), (np.array([1.0, 2.5]), "1.0"), ("12", "1"),
+    (np.array([4, 1.5], dtype=object), "1.5"), ([np.int64(3), np.True_], "True")])
+def test_vertex_array_refuses_bools_and_non_integers(vertices, named):
+    with pytest.raises(ValueError, match=rf"^vertex {named} is not an integer$"):
+        graphs.vertex_array(vertices, 13)
+
+
+@pytest.mark.parametrize("vertices", [
+    [3, 1, 3], (3, 1), {1, 3}, range(3, 0, -2), iter([1, 3]), [np.int64(3), 1],
+    np.array([3, 1], dtype=object), np.array([3, 1], dtype=np.uint8)])
+def test_vertex_array_reads_integers_of_any_container(vertices):
+    assert graphs.vertex_array(vertices, 13).tolist() == [1, 3]
+    assert graphs.vertex_array([], 13).tolist() == []
+
+
 def test_induced_subgraph_mapping(paley13):
     verts = [2, 5, 7, 11]
     sub, mapping = paley13.induced(verts)
@@ -337,9 +363,99 @@ def test_bit_rows_follow_the_size_rule():
     unpacked = np.unpackbits(paley._bits.view(np.uint8), axis=1, bitorder="little")
     assert np.array_equal(unpacked[:, :101], paley.adjacency_dense())
     assert not unpacked[:, 101:].any() and not paley._bits.flags.writeable
-    # Subgraphs and graphs that are never counted build no bit rows.
+    # Subgraphs and graphs that are never read build no bit rows.
     assert paley.induced(range(50))[0]._bits is None
     assert graphs.gen_paley(101)._bits is None
+
+
+def _unpacks(g):
+    # the rule for reading a vertex set's rows off unpacked bit rows: n x n
+    # bools and the padded bit rows each take no more bytes than `indices`
+    return max(g.n * g.n, g.n * ((g.n + 63) // 64) * 8) <= g.indices.nbytes
+
+
+def _route_spy(mp):
+    """Record, for each read of a vertex set's rows, whether it unpacked."""
+    routes, rows = [], graphs.Graph._rows
+
+    def spy(self, vertices):
+        pieces = rows(self, vertices)
+        routes.append(pieces is not None)
+        return pieces
+    mp.setattr(graphs.Graph, "_rows", spy)
+    return routes
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([5, 7, 63, 64, 65, 127, 128, 129, 300]), st.floats(0.0, 0.6),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_set_reads_match_scipy_indexing_on_both_routes(n, p, seed, data):
+    # Up to p = 0.6 the draws fall on both sides of the rule (mean degree
+    # n / 4); n = 5 also has graphs whose padded bit rows fail it alone.
+    g = _gnp(n, p, seed)
+    csr = g._csr
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))  # any order, repeats
+    drawn = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    sizes = data.draw(st.tuples(st.integers(0, n), st.integers(0, n)))
+    with pytest.MonkeyPatch.context() as mp:
+        routes = _route_spy(mp)
+        for targets in ([], [data.draw(st.integers(0, n - 1))], range(n), drawn):
+            ts = np.unique(np.array(targets, dtype=np.int64))
+            into = csr[np.array(picks, dtype=np.int64)][:, ts].sum(axis=1)
+            assert g.cross_degree(picks, targets).tolist() == into.tolist()
+
+        members = np.unique(np.array(drawn, dtype=np.int64))
+        sub, got = g.induced(drawn)
+        want = csr[members][:, members]
+        assert got.tolist() == members.tolist() and sub._csr.data.dtype == np.int8
+        assert (sub.indptr.tobytes(), sub.indices.tobytes()) == \
+            (want.indptr.tobytes(), want.indices.tobytes())
+
+        perm = np.random.default_rng(seed).permutation(n)
+        left, right = perm[:sizes[0]], perm[sizes[0]:sizes[0] + sizes[1]]
+        block = graphs.BipartiteView(g, left, right).block
+        want = csr[np.sort(left)][:, np.sort(right)]
+        assert [a.dtype for a in (block.indptr, block.indices, block.data)] == \
+            [np.int32, np.int32, np.int8]
+        assert (block.indptr.tobytes(), block.indices.tobytes(), block.shape) == \
+            (want.indptr.tobytes(), want.indices.tobytes(), want.shape)
+        assert block.has_sorted_indices and want.has_sorted_indices
+        assert not any(a.flags.writeable for a in (block.indptr, block.indices, block.data))
+    assert set(routes) == {_unpacks(g)}
+
+
+@pytest.mark.parametrize("piece", [1, 3])
+def test_set_reads_are_the_same_in_any_piece(monkeypatch, piece):
+    def reads(g):
+        rng = np.random.default_rng(1)
+        s, t = np.split(rng.permutation(g.n), [g.n // 2])
+        sub = g.induced(s)[0]
+        block = graphs.BipartiteView(g, s[:40], t[:31]).block
+        return (g.cross_degree(rng.integers(0, g.n, 60), t).tolist(), g._bits.tobytes(),
+                sub.indptr.tobytes(), sub.indices.tobytes(),
+                block.indptr.tobytes(), block.indices.tobytes())
+
+    makers = (lambda: graphs.gen_paley(101), lambda: _gnp(130, 0.5, 2))
+    want = [reads(make()) for make in makers]
+    monkeypatch.setattr(graphs, "ROW_PIECE", piece)
+    assert [reads(make()) for make in makers] == want
+
+
+@pytest.mark.parametrize("make", [lambda: graphs.gen_named("cycle", 100),
+                                  lambda: _gnp(2000, 0.1, 3),
+                                  lambda: graphs.Graph(4, [(0, 1), (1, 2)])],
+                         ids=["cycle-100", "gnp-2000-0.1", "path-4"])
+def test_graphs_below_the_rule_never_unpack(monkeypatch, make):
+    # path 4: n x n bools fit in `indices`, its padded bit rows do not
+    g = make()
+    assert not _unpacks(g)
+    monkeypatch.setattr(np, "unpackbits", lambda *a, **k: pytest.fail("unpacked"))
+    s, t = np.arange(0, g.n, 2), np.arange(1, g.n, 2)
+    assert g.cross_degree(s, t).tolist() == g._csr[s][:, t].sum(axis=1).tolist()
+    assert g.induced(s)[0].indices.tobytes() == g._csr[s][:, s].indices.tobytes()
+    assert graphs.BipartiteView(g, s, t).block.indices.tobytes() == \
+        g._csr[s][:, t].indices.tobytes()
+    assert g._bits is None
 
 
 def test_bipartite_view_validation(paley13):
