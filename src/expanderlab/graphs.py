@@ -5,7 +5,9 @@ is stored as CSR: read-only int32 arrays `indptr` and `indices`, where
 the neighbours of v are indices[indptr[v]:indptr[v + 1]] in increasing
 order. A vertex set passes one rule, `vertex_array(S, n)`: an entry that
 is a bool or not an integer, or a vertex outside range(n), raises
-ValueError, and the set is read sorted off a mask over V. An edge lookup
+ValueError, and the set is read sorted off a mask over V; a single
+vertex keeps the same type rule (`has_edge` answers False for an integer
+outside range(n)). An edge lookup
 is a binary search in the sorted row. Bit-packed rows, built on first use
 if no larger than `indices`, give edge counts and, where n x n bools fit
 in `indices`, a set's rows for degrees into it, induced subgraphs and
@@ -14,12 +16,15 @@ check reads degree counts alone: the one rule is
 `degree_window_violation`, and `pair_window_violation` applies it to
 both sides of a pair. A `BipartiteView` keeps read-only sides (L, R) and
 the CSR cross block A[L, R] its matchings read; only its s2 builds G[L u R].
-`adjacency_sparse()` wraps the arrays in a float64 scipy matrix for
-the spectral kernel, which is told it is symmetric, and
+`adjacency_sparse()` is that int8 scipy CSR view itself, not a copy: the
+spectral kernel, told it is symmetric, multiplies it as its pattern.
 `adjacency_dense()` materializes it up to DENSIFY_CAP vertices. The
 constructor sorts the edge keys lo * n + hi once (not at all if they
-increase already) and adds the upper triangle to its transpose. Graph
-files move in chunks of about CHUNK lines, each in whole-array passes.
+increase already) into each vertex's neighbours above it, and one
+builder, `_full_rows`, writes each row's neighbours below (scipy's
+linear-time `tocsc`) ahead of them. Graph files move in chunks, each in
+whole-array passes; a sorted file is read chunk by chunk straight into
+those upper rows. No graph-sized temporary outgrows the graph's CSR.
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ DENSIFY_CAP = 4000
 SPECTRAL_TOL = 1e-8
 PAIRING_ATTEMPT_FACTOR = 100  # cap on stub-pair draws: 100 * n * d
 # Lines of a graph file per chunk: `write_graph` renders about this many
-# edge lines at a time, `read_graph` reads 16 bytes a line, then to a line end.
+# edge lines at a time, `read_graph` reads 8 bytes a line (about a line of
+# Paley 1009 or 2029), then to a line end. Checking a chunk takes about ten
+# times its bytes in temporaries, about what rendering one takes.
 CHUNK = 1 << 16
 ROW_PIECE = 1024    # adjacency rows `_bit_rows` packs, and `_rows` unpacks, at a time
 _DIGITS_AND_BLANKS = b"0123456789 \t\r\n"     # the bytes a graph file may hold
@@ -58,10 +65,20 @@ def vertex_array(vertices, n: int) -> np.ndarray:
 
 
 def _in_range(vertices, n: int) -> np.ndarray:
-    """Any iterable's vertices as an int64 array, in their order and with their
-    repeats; the first bool or non-integer, else vertex outside range(n), raises ValueError."""
+    """`_integers(vertices)`; the first vertex outside range(n) raises ValueError."""
+    vertices = _integers(vertices)
+    if (outside := (vertices < 0) | (vertices >= n)).any():
+        raise ValueError(f"vertex {vertices[outside][0]} outside range({n})")
+    return vertices
+
+
+def _integers(vertices) -> np.ndarray:
+    """A vertex, or any iterable's vertices, as an int64 array, in their
+    order and with their repeats; the first bool or non-integer raises ValueError."""
     if isinstance(vertices, range):
         vertices = np.arange(vertices.start, vertices.stop, vertices.step)
+    elif not hasattr(vertices, "__iter__"):     # one vertex (arrays and strings iterate)
+        vertices = np.asarray(vertices)
     elif not isinstance(vertices, np.ndarray):
         ints = {*map(type, vertices := list(vertices))} <= {int}
         vertices = np.fromiter(vertices, np.int64) if ints else np.array(vertices, object)
@@ -69,10 +86,7 @@ def _in_range(vertices, n: int) -> np.ndarray:
         for v in vertices.flat:
             if type(v) is bool or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"vertex {v} is not an integer")
-    vertices = vertices.astype(np.int64, copy=False)
-    if (outside := (vertices < 0) | (vertices >= n)).any():
-        raise ValueError(f"vertex {vertices[outside][0]} outside range({n})")
-    return vertices
+    return vertices.astype(np.int64, copy=False)
 
 
 def edge_array(edges) -> np.ndarray:
@@ -105,6 +119,26 @@ def _first_invalid_edge(n: int, u: np.ndarray, v: np.ndarray):
     return i, f"duplicate edge {(int(lo[i]), int(hi[i]))}"
 
 
+def _full_rows(n: int, indptr, upper) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the graph on range(n) whose neighbours above each
+    vertex v are upper[indptr[v]:indptr[v + 1]], increasing. Each row gets
+    its neighbours below (its column of that upper triangle, from scipy's
+    linear-time `tocsc`) written ahead of those above, through a mask that
+    marks the places of the ones below."""
+    _check_size(n, 2 * len(upper))
+    indptr = indptr.astype(np.int32)    # scipy would take int64 indptr to int64 indices
+    lower = sp.csr_array((np.ones(len(upper), dtype=np.int8), upper, indptr),
+                         shape=(n, n)).tocsc()
+    below, lower = lower.indptr, lower.indices
+    runs = np.column_stack([np.diff(below), np.diff(indptr)]).ravel()
+    place = np.repeat(np.tile([True, False], n), runs)
+    indices = np.empty(2 * len(upper), dtype=np.int32)
+    indices[place] = lower
+    del lower
+    indices[np.logical_not(place, out=place)] = upper
+    return below + indptr, indices
+
+
 def _check_size(n: int, entries: int) -> None:
     """Reject `entries` adjacency entries (twice the edges) or n vertices
     past int32 CSR; generators call it before they allocate."""
@@ -131,11 +165,10 @@ class Graph:
         if e.size and (e.min() < 0 or e.max() >= n or (u == v).any()
                        or (key[1:] == key[:-1]).any()):
             raise ValueError(_first_invalid_edge(n, u, v)[1])
-        indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32)
-        key = np.remainder(key, max(n, 1), out=key).astype(np.int32)   # now hi
-        upper = sp.csr_array((np.ones(len(key), dtype=np.int8), key, indptr), shape=(n, n))
-        full = upper + upper.T      # scipy transposes in linear time
-        self._set(int(n), full.indptr, full.indices)
+        indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        upper = np.remainder(key, max(n, 1), out=key).astype(np.int32)   # now hi
+        del e, u, v, key
+        self._set(int(n), *_full_rows(int(n), indptr, upper))
 
     @classmethod
     def _from_csr(cls, n: int, indptr, indices) -> "Graph":
@@ -151,8 +184,9 @@ class Graph:
         self.indices = np.asarray(indices, dtype=np.int32)
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
-        self._csr = sp.csr_array((np.ones(len(indices), dtype=np.int8),
-                                  self.indices, self.indptr), shape=(n, n))
+        ones = np.ones(len(indices), dtype=np.int8)
+        ones.setflags(write=False)
+        self._csr = sp.csr_array((ones, self.indices, self.indptr), shape=(n, n))
         self._bits = None
 
     @property
@@ -166,17 +200,18 @@ class Graph:
         return np.diff(self.indptr)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """The sorted neighbours of v; a vertex outside range(n) raises
-        ValueError, as in `vertex_array`."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside range({self.n})")
+        """The sorted neighbours of v; a bool, a non-integer or a vertex
+        outside range(n) raises ValueError, as in `vertex_array`."""
+        if type(v) is bool or not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
+            _in_range(v, self.n)    # raises the ValueError
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def has_edge(self, u, v):
         """Whether u ~ v: a bool for two vertices, a bool array for two
-        arrays of vertices. A vertex outside range(n) has no edges. All
+        arrays of vertices. A bool or non-integer raises ValueError, as in
+        `vertex_array`; an integer outside range(n) has no edges. All
         pairs binary-search v in the sorted row of u at once."""
-        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        u, v = _integers(u), _integers(v)
         inside = (u >= 0) & (u < self.n) & (v >= 0) & (v < self.n)
         row = np.where(inside, u, 0)    # a pair outside searches [0, 0)
         lo, hi = self.indptr[row], self.indptr[row + inside]
@@ -196,9 +231,10 @@ class Graph:
         upper = rows < self.indices
         return np.column_stack([rows[upper], self.indices[upper]])
 
-    def adjacency_sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix((np.ones(len(self.indices)), self.indices, self.indptr),
-                             shape=(self.n, self.n))
+    def adjacency_sparse(self) -> sp.csr_array:
+        """The graph's own int8 CSR matrix, not a copy: its arrays are
+        read-only, and the spectral kernel multiplies it as its pattern."""
+        return self._csr
 
     def s2(self, seed: int) -> float:
         """Second singular value of the adjacency (0.0 below two vertices)."""
@@ -529,30 +565,74 @@ def certificate_to_json(cert: SpectralCertificate) -> str:
 def read_graph(path) -> Graph:
     """Graph file format: "n m" header, then m lines "u v" with u < v.
 
-    The header is read first, then chunks of about CHUNK whole lines in
-    whole-array passes; nothing is sized from m. A malformed header or
+    The header is read first, then chunks of 8 * CHUNK bytes extended to
+    a line end, in whole-array passes; nothing is sized from m. A file
+    whose edges are in range, with u < v and in strictly increasing order
+    (as `write_graph` writes them), goes straight into CSR rows, one chunk
+    at a time (`_upper_rows`). Any other file is read again as an edge
+    array that the `Graph` constructor sorts and checks. A malformed header or
     line (not two non-negative integers of at most 18 digits), fewer or
     more than m edge lines, and an edge the `Graph` constructor rejects
     raise MalformedGraphFile naming the line: the first faulty line in
     file order, and an edge only once every line has the right shape.
     """
+    edges = np.empty((0, 2), dtype=np.int64)
     with open(path, "rb") as f:
         n, m = _chunk_values(path, f.readline(), 1, 0, f).tolist()
-        parts, line = [np.empty(0, dtype=np.int64)], 2
-        while chunk := f.read(16 * CHUNK) + f.readline():
-            parts.append(_chunk_values(path, chunk, line, m, f))
-            line += chunk.count(b"\n")
-    edges = np.concatenate(parts).reshape(-1, 2)
-    del parts
-    if len(edges) < m:
-        raise MalformedGraphFile(f"{path}: line {len(edges) + 2}: "
-                                 f"the file ends after {len(edges)} of {m} edges")
+        start = f.tell()
+        if (rows := _upper_rows(n, _edge_values(path, f, m))) is None:
+            f.seek(start)
+            edges = np.concatenate([edges.ravel(), *_edge_values(path, f, m)]).reshape(-1, 2)
+    read = len(edges) if rows is None else len(rows[1])
+    if read < m:
+        raise MalformedGraphFile(f"{path}: line {read + 2}: "
+                                 f"the file ends after {read} of {m} edges")
     try:
-        return Graph(n, edges)
+        return Graph(n, edges) if rows is None else Graph._from_csr(n, *_full_rows(n, *rows))
     except ValueError as exc:
         bad = _first_invalid_edge(n, edges[:, 0], edges[:, 1])
         line, why = (1, exc) if bad is None else (bad[0] + 2, bad[1])
         raise MalformedGraphFile(f"{path}: line {line}: {why}") from None
+
+
+def _edge_values(path, f, m: int):
+    """The integers of each chunk (8 * CHUNK bytes extended to a line end)
+    of the graph file `f`, from its position on, the first at line 2, by
+    `_chunk_values`."""
+    line = 2
+    while chunk := f.read(8 * CHUNK) + f.readline():
+        yield _chunk_values(path, chunk, line, m, f)
+        line += chunk.count(b"\n")
+
+
+def _upper_rows(n: int, chunks):
+    """(indptr, upper) of a graph file's edge `chunks`, upper being the int32
+    neighbours above each vertex in CSR order, if every edge has u < v < n
+    and the keys u * n + v strictly increase within and across chunks;
+    None at the first chunk that breaks this, or if n leaves int32. Each
+    chunk is checked and converted on its own: each row's count is kept as
+    a run (row, count), and all are summed into indptr at the end."""
+    if not 0 <= n < 2 ** 31:
+        return None
+    columns, last = [np.empty(0, dtype=np.int32)], -1
+    starts, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for values in chunks:
+        u, v = values[0::2], values[1::2]
+        if not u.size:
+            continue
+        if v.max() >= n or not (u < v).all():
+            return None
+        key = u * n + v
+        if key[0] <= last or not (key[1:] > key[:-1]).all():
+            return None
+        last = key[-1]
+        first = np.flatnonzero(np.diff(u, prepend=-1))   # u increases: runs of one row
+        starts.append(u[first])
+        counts.append(np.diff(first, append=len(u)))
+        columns.append(v.astype(np.int32))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, np.concatenate(starts) + 1, np.concatenate(counts))
+    return np.cumsum(indptr, out=indptr), np.concatenate(columns)
 
 
 def _chunk_values(path, chunk: bytes, first: int, m: int, rest) -> np.ndarray:
@@ -582,7 +662,7 @@ def _chunk_values(path, chunk: bytes, first: int, m: int, rest) -> np.ndarray:
         elif len(tokens) == want:
             continue
         elif (tokens or i == 1 or b"".join(lines[i - first + 1:]).strip(b" \t\r")
-              or any(c.strip(b" \t\r\n") for c in iter(lambda: rest.read(16 * CHUNK), b""))):
+              or any(c.strip(b" \t\r\n") for c in iter(lambda: rest.read(8 * CHUNK), b""))):
             why = f"{len(tokens)} integers where {want} belong"
         else:   # only blanks follow: the edges end before line i
             return np.fromstring(b"\n".join(lines[:i - first]), np.int64, sep=" ")

@@ -14,6 +14,11 @@ dimension; other dense input takes `svd`. A nonzero LAPACK status
 naming the routine, as does a Krylov run that would pass PRODUCT_CAP.
 Callers state symmetry (graph adjacencies are symmetric by
 construction); only dense input that states nothing is tested for it.
+Sparse input whose stored entries are all 1 (a graph's int8 adjacency)
+is multiplied as its pattern: float64 row pieces of at most
+PATTERN_PIECE entries over its own index arrays and one shared ones
+array, so no float64 copy of the matrix is made, and every product has
+the bits of the float64 CSR product.
 The residuals ||A v - s u|| and, if A is not symmetric, ||A^T u - s v||
 of the computed triples must stay within `tol`. `dense_singular_values`
 is the independent test oracle.
@@ -47,6 +52,9 @@ DENSE_CUTOFF = 600
 # measured, a union of 80 permutations of Z_20000, takes about 600.
 BASIS_CAP = 60
 PRODUCT_CAP = 10_000
+# Stored entries per row piece of a 0/1 sparse matrix (a longer row is a
+# piece of its own); the pieces share one float64 ones array of that length.
+PATTERN_PIECE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,59 @@ def _check_finite(a) -> None:
         raise NonFinite("matrix has NaN/Inf entries")
 
 
+def _is_pattern(a) -> bool:
+    """Whether `a` is a CSR matrix with every stored entry 1 (so finite
+    too), in one pass over its entries, PATTERN_PIECE at a time. (Other
+    formats may sum repeated entries when converted.)"""
+    return (sp.issparse(a) and a.format == "csr"
+            and all((a.data[i:i + PATTERN_PIECE] == 1).all()
+                    for i in range(0, len(a.data), PATTERN_PIECE)))
+
+
+def _pattern_pieces(a) -> list:
+    """A sparse A whose stored entries are all 1 as float64 CSR pieces.
+
+    A's CSR rows (A^T of a pattern is converted keeping repeats) are cut
+    into pieces of at most PATTERN_PIECE entries, at least one row each.
+    A piece is a float64 CSR over a slice of A's own `indices`, its
+    `indptr` slice less the piece's first offset, and the head of one
+    shared ones array. Its arrays are set on an empty matrix: scipy's
+    constructor would copy an index slice under half its base.
+    """
+    a = a.tocsr()
+    offsets, bounds = a.indptr.astype(np.int64), [0]
+    while bounds[-1] < a.shape[0]:
+        lo = bounds[-1]
+        end = np.searchsorted(offsets, offsets[lo] + PATTERN_PIECE, side="right") - 1
+        bounds.append(max(lo + 1, int(end)))
+    spans = list(zip(bounds, bounds[1:]))
+    ones = np.ones(max(offsets[hi] - offsets[lo] for lo, hi in spans))
+    pieces = []
+    for lo, hi in spans:
+        piece = sp.csr_matrix((hi - lo, a.shape[1]))
+        start, stop = a.indptr[lo], a.indptr[hi]
+        piece.indptr, piece.indices = a.indptr[lo:hi + 1] - start, a.indices[start:stop]
+        piece.data = ones[:stop - start]
+        pieces.append(piece)
+    return pieces
+
+
+def _product(a, pattern: bool):
+    """y -> A y, every product with A in one place: over `_pattern_pieces(a)`
+    if A is a 0/1 `pattern` (each row sums the same terms in the same order
+    as a float64 copy of A would), else `a @ y`."""
+    if not pattern:
+        return lambda y: a @ y
+    pieces = _pattern_pieces(a)
+
+    def product(y):
+        y = np.ascontiguousarray(y)     # once, not once per piece
+        return np.concatenate([piece @ y for piece in pieces])
+    return product
+
+
 def _dense(a) -> np.ndarray:
-    return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+    return np.asarray(a.toarray() if sp.issparse(a) else a, dtype=float)
 
 
 def _eigen_triples(w, x, k: int):
@@ -259,12 +318,14 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
     residuals of their singular triples.
 
     `symmetric` states whether A = A^T and is trusted. Sparse input must
-    state it; for dense input None means test it to 1e-14.
+    state it; for dense input None means test it to 1e-14. Every product
+    with A (and A^T) goes through `_product`.
     Deterministic for a fixed seed: above DENSE_CUTOFF every random
     vector of the Krylov kernel is drawn from a Philox stream derived
     from `seed`.
     """
-    _check_finite(a)
+    if not (pattern := _is_pattern(a)):
+        _check_finite(a)
     m, n = a.shape
     if not (1 <= k <= min(m, n)):
         raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
@@ -274,6 +335,8 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
         if sp.issparse(a):
             raise ValueError("sparse input must state symmetric=True or False")
         symmetric = m == n and np.allclose(a, a.T, atol=1e-14, rtol=0.0)
+    product = _product(a, pattern)
+    product_t = product if symmetric else _product(a.T, pattern)
     if min(m, n) <= DENSE_CUTOFF or 2 * k >= min(m, n):
         dense = _dense(a)
         if symmetric:
@@ -286,21 +349,20 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
             u, vals, v = u[:, :k], vals[:k], vt[:k].T
     else:
         if symmetric:
-            w, x = _block_lanczos(lambda y: a @ y, n, k, tol, seed, absolute=True)
+            w, x = _block_lanczos(product, n, k, tol, seed, absolute=True)
         else:   # [[0, A], [A^T, 0]] has the eigenvalues +-s_i, and zeros
-            at = a.T
             w, x = _block_lanczos(
-                lambda y: np.concatenate([a @ y[m:], at @ y[:m]]), m + n, k,
+                lambda y: np.concatenate([product(y[m:]), product_t(y[:m])]), m + n, k,
                 tol, seed, absolute=False)
         vals, u, v = _eigen_triples(w, x, k)
         if not symmetric:
             # v = [u; v] / sqrt(2) for the eigenvalue s of [[0, A], [A^T, 0]].
             u, v = np.sqrt(2.0) * v[:m], np.sqrt(2.0) * v[m:]
     # One product per column, as the Krylov kernel makes them.
-    residuals = np.array([np.linalg.norm(a @ v[:, j] - u[:, j] * vals[j])
+    residuals = np.array([np.linalg.norm(product(v[:, j]) - u[:, j] * vals[j])
                           for j in range(k)])
     if not symmetric:   # for symmetric A, ||A^T u - s v|| is the same number
-        residuals = np.maximum(residuals, [np.linalg.norm(a.T @ u[:, j] - v[:, j] * vals[j])
+        residuals = np.maximum(residuals, [np.linalg.norm(product_t(u[:, j]) - v[:, j] * vals[j])
                                            for j in range(k)])
     vals = np.where(vals < ZERO_SNAP, 0.0, vals)
     if residuals.max() > tol:

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -279,6 +281,24 @@ def test_vertex_set_entries_refuse_a_bool_or_non_integer(paley101, cert101, entr
         VERTEX_SET_ENTRIES[entry][1](paley101, cert101, kind)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda g: g.has_edge(1, 2.5), "2.5"),
+    (lambda g: g.has_edge(True, 2.0), "True"),
+    (lambda g: g.has_edge(np.array([1, 2]), np.array([2.0, 3.0])), "2.0"),
+    (lambda g: g.neighbors(True), "True"),
+    (lambda g: g.neighbors(1.7), "1.7"),
+    (lambda g: g.degree(True), "True"),
+    (lambda g: g.degree(np.float64(3.0)), "3.0")],
+    ids=["has_edge-float", "has_edge-bool", "has_edge-arrays", "neighbors-bool",
+         "neighbors-float", "degree-bool", "degree-float"])
+def test_single_vertex_entries_refuse_bools_and_non_integers(paley13, call, named):
+    with pytest.raises(ValueError, match=rf"^vertex {named} is not an integer$"):
+        call(paley13)
+    # an integer outside range(n) still has no edges
+    assert paley13.has_edge(-1, 2) is False and paley13.has_edge(np.int64(1), 13) is False
+    assert paley13.has_edge(np.uint8(1), 2) is paley13.has_edge(1, 2)
+
+
 @pytest.mark.parametrize("vertices, named", [
     (np.array([True, False, True]), "True"), ([1.7, 2.2], "1.7"), ([3, True], "True"),
     ((2, np.float64(2.0)), "2.0"), (np.array([1.0, 2.5]), "1.0"), ("12", "1"),
@@ -486,6 +506,76 @@ def test_certify_bipartite_rejects_empty_side(paley13, left, right):
 def test_adjacency_dense_matches_sparse(paley13):
     assert np.array_equal(paley13.adjacency_dense(),
                           paley13.adjacency_sparse().toarray())
+
+
+def test_adjacency_sparse_is_the_graphs_own_matrix(paley13):
+    a = paley13.adjacency_sparse()
+    assert a is paley13.adjacency_sparse() and a.dtype == np.int8
+    assert np.shares_memory(a.indices, paley13.indices)
+    assert np.shares_memory(a.indptr, paley13.indptr)
+    assert not any(x.flags.writeable for x in (a.data, a.indices, a.indptr))
+
+
+@st.composite
+def _shuffled_edge_lists(draw):
+    """(n, pairs): a simple graph on n <= 40 vertices (n = 0 and 1, and
+    isolated vertices, included), its edges in any order and orientation."""
+    n = draw(st.integers(0, 40))
+    if n < 2:
+        return n, []
+    return n, draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+        unique_by=lambda e: (min(e), max(e)), max_size=3 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shuffled_edge_lists())
+def test_row_builder_matches_scipy_symmetrization(case):
+    n, pairs = case
+    lo, hi = np.array(sorted((min(e), max(e)) for e in pairs), dtype=np.int64).reshape(-1, 2).T
+    upper = sp.csr_array((np.ones(len(lo), dtype=np.int8), (lo, hi)), shape=(n, n))
+    want = upper + upper.T
+    indptr = np.searchsorted(lo, np.arange(n + 1))
+    for got in (graphs._full_rows(n, indptr, hi.astype(np.int32)), graphs.Graph(n, pairs)):
+        got_indptr, got_indices = got if isinstance(got, tuple) else (got.indptr, got.indices)
+        assert got_indptr.tolist() == want.indptr.tolist()
+        assert got_indices.tolist() == want.indices.tolist()
+        assert got_indices.dtype == np.int32
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shuffled_edge_lists(), st.integers(0, 3 * 40), st.sampled_from([1, 3, graphs.CHUNK]))
+def test_read_graph_of_any_edge_order_equals_the_constructor(case, ordered, chunk):
+    # The first `ordered` lines as `write_graph` writes them, the rest in
+    # any order and orientation: a small chunk reads some of the file
+    # straight into rows before it meets an unsorted line and reads again.
+    n, pairs = case
+    ordered = min(ordered, len(pairs))
+    lines = sorted((min(e), max(e)) for e in pairs[:ordered]) + pairs[ordered:]
+    text = f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in lines)
+    old = graphs.CHUNK
+    graphs.CHUNK = chunk
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.txt"
+            path.write_text(text)
+            assert graphs.read_graph(path) == graphs.Graph(n, pairs)
+    finally:
+        graphs.CHUNK = old
+
+
+def test_read_graph_peaks_within_three_times_the_graph(tmp_path, paley1009):
+    path = tmp_path / "g.txt"
+    graphs.write_graph(paley1009, path)
+    kept = sum(x.nbytes for x in (paley1009.indptr, paley1009.indices,
+                                  paley1009.adjacency_sparse().data))
+    tracemalloc.start()
+    try:
+        g = graphs.read_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == paley1009 and peak <= 3 * kept
 
 
 @st.composite

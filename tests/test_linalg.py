@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,30 +241,111 @@ def test_closed_basis_takes_fresh_rows(monkeypatch):
         linalg.singular_values_array(a, 2, tol=1e-30, symmetric=True)
 
 
-class _CountingCSR(sp.csr_matrix):
-    """A CSR matrix that counts its products, one per vector multiplied."""
-
-    products = 0
-
-    def _matmul_vector(self, other):
-        self.products += 1
-        return super()._matmul_vector(other)
-
-    def _matmul_multivector(self, other):
-        self.products += other.shape[1]
-        return super()._matmul_multivector(other)
-
-
 @pytest.mark.parametrize("q", [1009, 2029])
 def test_paley_certificate_takes_few_products(monkeypatch, q):
     # A Paley spectrum has three distinct values, so a block of two closes
     # its Krylov space after 2 + 2 + 1 products; the residual check adds 2.
-    g = graphs.gen_paley(q)
-    a = _CountingCSR(g.adjacency_sparse())
-    monkeypatch.setattr(graphs.Graph, "adjacency_sparse", lambda self: a)
-    cert = graphs.certify_expander(g, seed=0)
+    # Every product with A, on either route, goes through `_product`.
+    products, make = [], linalg._product
+
+    def counting(a, pattern):
+        product = make(a, pattern)
+        return lambda y: products.append(y.shape) or product(y)
+    monkeypatch.setattr(linalg, "_product", counting)
+    cert = graphs.certify_expander(graphs.gen_paley(q), seed=0)
     assert abs(cert.lambda_hat - (1 + math.sqrt(q)) / 2) < 1e-8
-    assert a.products <= 8
+    assert products == [(q,)] * len(products) and 5 <= len(products) <= 8
+
+
+@st.composite
+def _patterns(draw):
+    """0/1 CSR matrices with empty rows, full rows and rows of every length
+    in between, as int8 or float64 ones."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    mask = draw(arrays(np.bool_, (rows, cols)))
+    mask[draw(st.integers(0, rows - 1))] = draw(st.booleans())     # a full or empty row
+    return sp.csr_matrix(mask, dtype=draw(st.sampled_from([np.int8, np.float64])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_patterns(), st.sampled_from([1, 3, linalg.PATTERN_PIECE]), st.integers(0, 2 ** 31))
+def test_pattern_product_has_the_bits_of_the_float64_product(a, piece, seed):
+    # Pieces of one or three entries cut inside and between rows; a row
+    # longer than a piece is a piece of its own.
+    old = linalg.PATTERN_PIECE
+    linalg.PATTERN_PIECE = piece
+    try:
+        assert linalg._is_pattern(a)
+        product = linalg._product(a, True)
+        transposed = linalg._product(a.T, True)
+    finally:
+        linalg.PATTERN_PIECE = old
+    rng = np.random.default_rng(seed)
+    exact = a.astype(np.float64)
+    for y in (rng.standard_normal(a.shape[1]), rng.standard_normal((a.shape[1], 2))[:, 1]):
+        assert product(y).tobytes() == (exact @ y).tobytes()
+    y = rng.standard_normal(a.shape[0])
+    assert transposed(y).tobytes() == (exact.T @ y).tobytes()
+
+
+def test_pattern_pieces_share_the_index_arrays(monkeypatch):
+    # A row longer than a piece, empty rows, and pieces of several rows:
+    # every piece reads a slice of A's own `indices` and the head of one
+    # ones array no longer than the longest piece.
+    monkeypatch.setattr(linalg, "PATTERN_PIECE", 3)
+    mask = np.zeros((6, 8), dtype=bool)
+    mask[1, :7] = mask[2, 2] = mask[4, [0, 5]] = mask[5, 3] = True
+    a = sp.csr_array(mask.astype(np.int8))
+    pieces = linalg._pattern_pieces(a)
+    assert [p.shape[0] for p in pieces] == [1, 1, 3, 1]
+    assert [p.nnz for p in pieces] == [0, 7, 3, 1]
+    ones = pieces[0].data.base
+    assert all(p.data.base is ones for p in pieces) and len(ones) == 7
+    assert all(np.shares_memory(p.indices, a.indices) for p in pieces if p.nnz)
+    y = np.arange(8.0)
+    assert linalg._product(a, True)(y).tobytes() == (a.astype(float) @ y).tobytes()
+
+
+@pytest.mark.parametrize("data", [[1, 1, 2], [1, 1, np.nan]], ids=["two", "nan"])
+def test_an_entry_other_than_1_takes_the_plain_path(monkeypatch, data):
+    a = sp.csr_matrix((np.array(data, dtype=float), [1, 0, 2], [0, 1, 2, 3]), shape=(3, 3))
+    assert not linalg._is_pattern(a)
+    assert not linalg._is_pattern(a.toarray()) and not linalg._is_pattern(a.tocsc())
+    monkeypatch.setattr(linalg, "_pattern_pieces", None)     # never called
+    if np.isnan(data[-1]):
+        with pytest.raises(NonFinite):
+            linalg.singular_values_array(a, 2, symmetric=False)
+    else:
+        spec = linalg.singular_values_array(a, 2, symmetric=False)
+        assert np.allclose(spec.values, (2, 1), atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("make, symmetric", [
+    (lambda: graphs.gen_paley(1009).adjacency_sparse(), True),     # Krylov
+    (lambda: graphs.gen_paley(401).adjacency_sparse(), True),      # LAPACK, sparse residuals
+    (lambda: sp.random(700, 650, density=0.02, random_state=3, format="csr",
+                       data_rvs=np.ones), False)], ids=["paley-1009", "paley-401", "rectangular"])
+def test_pattern_route_gives_the_bits_of_the_float64_route(monkeypatch, make, symmetric):
+    a = make()
+    assert linalg._is_pattern(a)
+    spec = linalg.singular_values_array(a, 2, seed=5, symmetric=symmetric)
+    monkeypatch.setattr(linalg, "_is_pattern", lambda a: False)
+    plain = linalg.singular_values_array(sp.csr_matrix(a, dtype=np.float64), 2, seed=5,
+                                         symmetric=symmetric)
+    assert spec == plain
+
+
+def test_certificate_makes_no_float64_copy(paley1009):
+    # The adjacency goes to the kernel as the graph's own int8 matrix; a
+    # float64 copy alone would take 4 MB here.
+    copy = 8 * len(paley1009.indices)
+    tracemalloc.start()
+    try:
+        graphs.certify_expander(paley1009, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < copy / 4
 
 
 def _disjoint_union(g, copies):
