@@ -214,18 +214,24 @@ def _cmd_summarize(args) -> tuple:
         if path.name.endswith(".manifest.json"):
             continue
         data = json.loads(path.read_text())
-        if "schema_version" not in data or "success_fraction" not in data:
+        if not (isinstance(data, dict) and "schema_version" in data
+                and "success_fraction" in data):
             continue
         versions[str(path)] = data["schema_version"]
         records.append((path, data))
     if not records:
         raise SchemaMismatch(f"no experiment summaries in {args.directory}")
-    if len(set(versions.values())) > 1:
+    if any(v != records[0][1]["schema_version"] for v in versions.values()):
         raise SchemaMismatch(f"mixed schema versions: {versions}")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["sigma", "success_fraction", "floor", "pass"])
-    for _, data in records:
+    for path, data in records:
+        missing = [key for key in ("floor", "pass") if key not in data]
+        if not isinstance(data.get("params"), dict) or "sigma" not in data["params"]:
+            missing.insert(0, "params.sigma")
+        if missing:
+            raise SchemaMismatch(f"summary {path} has no {', '.join(missing)}")
         w.writerow([data["params"]["sigma"], data["success_fraction"],
                     data["floor"], data["pass"]])
     return EXIT_OK, _emit(buf.getvalue(), args.out)

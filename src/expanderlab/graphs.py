@@ -12,10 +12,10 @@ is a binary search in the sorted row. Bit-packed rows, built on first use
 if no larger than `indices`, give edge counts and, where n x n bools fit
 in `indices`, a set's rows for degrees into it, induced subgraphs and
 cross blocks; sparser graphs use a scipy CSR view of the arrays. A window
-check reads degree counts alone: the one rule is
-`degree_window_violation`, and `pair_window_violation` applies it to
-both sides of a pair. A `BipartiteView` keeps read-only sides (L, R) and
-the CSR cross block A[L, R] its matchings read; only its s2 builds G[L u R].
+check reads degree counts alone: every degree window, (1 +- width) times
+a target on each side in turn, is one `window_violation` call. A
+`BipartiteView` keeps read-only sides (L, R) and the CSR cross block
+A[L, R] its matchings read; only its s2 builds G[L u R].
 `adjacency_sparse()` is that int8 scipy CSR view itself, not a copy: the
 spectral kernel, told it is symmetric, multiplies it as its pattern.
 `adjacency_dense()` materializes it up to DENSIFY_CAP vertices. The
@@ -502,24 +502,16 @@ def certify_expander(g: Graph, seed: int = 0) -> SpectralCertificate:
                                residual=max(spec.residuals), seed=seed)
 
 
-def degree_window_violation(vertices, degrees, lo: float, hi: float,
-                            tol: float = 0.0):
-    """The first of `vertices`, in their given order, whose degree (that
-    of `degrees` at the same position) leaves [lo, hi] widened by tol, as
-    (vertex, degree, lo, hi); None if none does."""
-    bad = np.flatnonzero((degrees < lo - tol) | (degrees > hi + tol))
-    return (int(vertices[bad[0]]), int(degrees[bad[0]]), lo, hi) if bad.size else None
-
-
-def pair_window_violation(sides, degrees, targets, gamma: float, tol: float = 0.0):
-    """The first vertex of sides[0], then of sides[1], whose degree (in
-    `degrees` at the same place) leaves (1 +- gamma) * its side's target
-    widened by tol, as (vertex, degree, lo, hi) unwidened; None if none does."""
+def window_violation(sides, degrees, targets, width: float, tol: float = 0.0):
+    """The first vertex of sides[0], then of sides[1], and so on, whose
+    degree (in `degrees` at the same place) leaves (1 +- width) * its
+    side's target widened by tol, as (vertex, degree, lo, hi) unwidened;
+    None if none does."""
     for side, deg, target in zip(sides, degrees, targets):
-        bad = degree_window_violation(side, deg, (1 - gamma) * target,
-                                      (1 + gamma) * target, tol)
-        if bad is not None:
-            return bad
+        lo, hi = (1 - width) * target, (1 + width) * target
+        bad = np.flatnonzero((deg < lo - tol) | (deg > hi + tol))
+        if bad.size:
+            return int(side[bad[0]]), int(deg[bad[0]]), lo, hi
     return None
 
 
@@ -534,9 +526,9 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
     if not view.left.size or not view.right.size:
         raise EmptySide("both sides must be nonempty")
     n = len(view.left) + len(view.right)
-    bad = pair_window_violation((view.left, view.right), view.degrees(),
-                                (d * len(view.right) / n, d * len(view.left) / n),
-                                gamma, SPECTRAL_TOL)
+    bad = window_violation((view.left, view.right), view.degrees(),
+                           (d * len(view.right) / n, d * len(view.left) / n),
+                           gamma, SPECTRAL_TOL)
     if bad is not None:
         v, deg, lo, hi = bad
         return BipartiteViolation(vertex=v, observed=float(deg), window=(lo, hi),

@@ -7,18 +7,20 @@ Y), a path cover that chains one perfect matching per consecutive pair
 X -> B_1 -> ... -> B_{t-2} -> Y, and cycle closing through the
 connector. Vertex sets travel between phases as sorted int arrays, the
 cover paths as the rows of one k x t array, and the closing paths as
-int tuples, path i closing the gap after cover path i.
-Every phase checks the degree windows (P1, P5, Q3-Q5) of the sets it
-samples; the certificate is the only spectrum a run solves. Singular
-values of a principal submatrix never exceed the matrix's (Thompson
-1972), so s2(G[S]) <= lambda_hat for every vertex set S: no induced s2
-cap at or above lambda_hat can fail, and the gate lambda_hat <=
-lambda_ratio_cap * d proves Q4's s2 cap and the matchings' lambda
-precondition. The trace (schema 2) records only checks that ran and
-could fail; failures name the violated check and never produce an
-unverified cycle. Windows read degree counts (`Graph.cross_degree`);
-only a path-cover link, whose matching needs its cross block, is a
-`graphs.BipartiteView`, and no phase builds an induced subgraph.
+int tuples, path i closing the gap after cover path i. The partition
+and repartition phases check the sets they sample against the rows of
+`WINDOWS` (P1, P5, Q3-Q5), one `graphs.window_violation` call per set
+or pair, on the run's one `SizePlan`; the certificate is the only
+spectrum a run solves. Singular values of a principal submatrix never
+exceed the matrix's (Thompson 1972), so s2(G[S]) <= lambda_hat for
+every vertex set S: no induced s2 cap at or above lambda_hat can fail,
+and the gate lambda_hat <= lambda_ratio_cap * d proves Q4's s2 cap and
+the matchings' lambda precondition. The trace (schema 2) records only
+checks that ran and could fail; failures name the violated check and
+never produce an unverified cycle. Windows read degree counts
+(`Graph.cross_degree`); only a path-cover link, whose matching needs its
+cross block, is a `graphs.BipartiteView`, and no phase builds an
+induced subgraph.
 
 The asymptotic regime of the underlying theorem is unreachable at desk
 scale, so every threshold is a config knob with documented desk
@@ -38,20 +40,22 @@ import numpy as np
 from . import extend, matching
 from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
                      PartitionRetriesExhausted, PreconditionViolated)
-from .graphs import (BipartiteView, Graph, certify_expander,
-                     degree_window_violation, pair_window_violation)
+from .graphs import BipartiteView, Graph, certify_expander, window_violation
 from .rng import SEED_RANGE, child_seed, generator
 
 SCHEMA_VERSION = 2
 
 # Desk-profile tolerances. Blocks of size ~sqrt(n) have cross-degree
 # fluctuations of several standard deviations relative to tiny means,
-# so the two-sided windows must be wide. At these defaults the lower
-# end of the Q3 window (1 +- 2 gamma) and of the Q4 and Q5 windows
-# (1 +- gamma) is at most 0, so only their upper ends can fail. The
-# trace does not say so: it writes `holds: true` for them as for any
-# other check, naming only the gamma cap.
+# so the two-sided windows must be wide. Each sampled window is a row of
+# WINDOWS: (1 +- caps * gamma) * d * |T| / n, |T| the named `SizePlan`
+# field. At these defaults the lower ends of Q3, Q4 and Q5 are at most
+# 0, so only their upper ends can fail. The trace does not say so: it
+# writes `holds: true` for them as for any other check, naming only the
+# gamma cap.
 GAMMA_DEFAULTS = {"P1": 0.3, "P5": 0.8, "Q3": 0.8, "Q4": 1.0, "Q5": 1.5}
+WINDOWS = {"P1": ("reserve_size", 2), "P5": ("k", 1), "Q3": ("half", 2),
+           "Q4": ("k", 1), "Q5": ("half", 1)}
 CONSTANT_DEFAULTS = {
     "lambda_ratio_cap": 0.2,    # certification gate; bounds Q4 and matching s2
     "pm_gamma_cap": 1.2,        # cross-degree tolerance for perfect matchings
@@ -61,7 +65,9 @@ MAX_RETRIES = 1000    # upper end of both retry counts, far above the default 20
 
 
 def _is_number(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """A `kind` that is not a bool and, unless an integer, is finite."""
+    return isinstance(value, kind) and not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -86,12 +92,12 @@ class PipelineConfig:
                 raise ConfigError(f"{name}={getattr(self, name)!r} is not an integer")
         for name in ("reserve_fraction", "min_reserve_ratio"):
             if not _is_number(getattr(self, name), numbers.Real):
-                raise ConfigError(f"{name}={getattr(self, name)!r} is not a number")
+                raise ConfigError(f"{name}={getattr(self, name)!r} is not a finite number")
         for name in ("gamma_caps", "constant_overrides"):
             table = getattr(self, name)
             if not isinstance(table, dict) or not all(
                     _is_number(v, numbers.Real) for v in table.values()):
-                raise ConfigError(f"{name}={table!r} is not a table of numbers")
+                raise ConfigError(f"{name}={table!r} is not a table of finite numbers")
         if int(self.seed) not in SEED_RANGE:    # range scans non-int types item by item
             raise ConfigError(f"seed={self.seed} outside [-2**127, 2**127)")
         if not 0 < self.reserve_fraction < 0.5:
@@ -145,6 +151,10 @@ class SizePlan:
     k: int
     t: int              # total block count, middle blocks are 2..t-1
     reserve_size: int
+
+    @property
+    def half(self) -> int:    # size of a block's first half
+        return (self.k + 1) // 2
 
 
 def plan_sizes(n: int, cfg: PipelineConfig) -> SizePlan:
@@ -237,8 +247,16 @@ class _Rejected(Exception):
     """A sampled set failed one check: args are (check, detail)."""
 
 
-def _window(check: str, where: str, bad) -> None:
-    """Reject on a window violation (vertex, degree, lo, hi); None passes."""
+def _windows(plan: SizePlan, d: float, n: int, cfg: PipelineConfig) -> dict:
+    """Each `WINDOWS` row's (target d * |T| / n, width caps * gamma)."""
+    return {check: (d * getattr(plan, size) / n, caps * cfg.gamma(check))
+            for check, (size, caps) in WINDOWS.items()}
+
+
+def _window(windows: dict, check: str, where: str, sides, degrees) -> None:
+    """Reject on the first vertex of `sides` outside the window of `check`."""
+    target, width = windows[check]
+    bad = window_violation(sides, degrees, (target,) * len(sides), width)
     if bad is not None:
         v, deg, lo, hi = bad
         raise _Rejected(check, f"{where}deg({v})={deg} outside [{lo:.3f}, {hi:.3f}]")
@@ -256,7 +274,7 @@ def _retry(phase: str, retries: int, trace: PipelineTrace, attempt):
     raise PartitionRetriesExhausted(check, retries)
 
 
-def partition_phase(g: Graph, cert, cfg: PipelineConfig,
+def partition_phase(g: Graph, cert, plan: SizePlan, cfg: PipelineConfig,
                     trace: PipelineTrace) -> Parts:
     """Random split V = X u Y u R u M with verified properties.
 
@@ -268,33 +286,29 @@ def partition_phase(g: Graph, cert, cfg: PipelineConfig,
     because Q3-Q5 and the path cover's perfect matchings check the
     concrete sets those families stand for.
     """
-    plan = plan_sizes(g.n, cfg)
-    trace.data["plan"] = asdict(plan)
-    n, d, everyone = g.n, cert.d, np.arange(g.n)
-    k, r = plan.k, plan.reserve_size
-    target, target_k = d * r / n, d * k / n
-    g1, g5 = cfg.gamma("P1"), cfg.gamma("P5")
+    n, k, r, everyone = g.n, plan.k, plan.reserve_size, np.arange(g.n)
+    windows = _windows(plan, cert.d, n, cfg)
 
     def attempt(retry):
         perm = generator(cfg.seed, "partition", retry).permutation(n)
         parts = Parts(*(np.sort(part) for part in
                         np.split(perm, [k, 2 * k, 2 * k + r])))
-        _window("P1", "into R: ", degree_window_violation(
-            everyone, g.cross_degree(everyone, parts.reserve),
-            (1 - 2 * g1) * target, (1 + 2 * g1) * target))
+        _window(windows, "P1", "into R: ", (everyone,),
+                (g.cross_degree(everyone, parts.reserve),))
         x, y = parts.x, parts.y
-        _window("P5", "", pair_window_violation(
-            (x, y), (g.cross_degree(x, y), g.cross_degree(y, x)), (target_k,) * 2, g5))
+        _window(windows, "P5", "", (x, y),
+                (g.cross_degree(x, y), g.cross_degree(y, x)))
         return parts
 
     parts = _retry("partition", cfg.max_partition_retries, trace, attempt)
-    trace.check("partition", "P1", True, f"window ±{2 * g1:.2f} around {target:.3f}")
-    trace.check("partition", "P5", True, f"cross-degree gamma cap {g5}")
+    target, width = windows["P1"]
+    trace.check("partition", "P1", True, f"window ±{width:.2f} around {target:.3f}")
+    trace.check("partition", "P5", True, f"cross-degree gamma cap {cfg.gamma('P5')}")
     return parts
 
 
-def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
-                      trace: PipelineTrace) -> np.ndarray:
+def repartition_phase(g: Graph, cert, plan: SizePlan, parts: Parts,
+                      cfg: PipelineConfig, trace: PipelineTrace) -> np.ndarray:
     """Split the middle region into t - 2 blocks of k vertices with
     verified properties; returns them as a (t - 2) x k array of sorted rows.
 
@@ -306,14 +320,9 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
     one table of degrees into block halves. Q4's s2 cap needs no solve:
     s2(G[B_i u B_j]) <= lambda_hat <= lambda_ratio_cap * d (interlacing, gate).
     """
-    plan = plan_sizes(g.n, cfg)
-    n, d = g.n, cert.d
-    k, t, half = plan.k, plan.t, (plan.k + 1) // 2
-    everyone = np.arange(n)
+    n, k, t, half, everyone = g.n, plan.k, plan.t, plan.half, np.arange(g.n)
     vertices = np.sort(np.concatenate([parts.x, parts.y, parts.middle]))
-    g3, g4, g5 = cfg.gamma("Q3"), cfg.gamma("Q4"), cfg.gamma("Q5")
-    target = d * half / n
-    lo, hi = max(0.0, (1 - 2 * g3) * target), (1 + 2 * g3) * target
+    windows = _windows(plan, cert.d, n, cfg)
 
     def attempt(retry):
         rng = generator(cfg.seed, "repartition", retry)
@@ -322,27 +331,26 @@ def repartition_phase(g: Graph, cert, parts: Parts, cfg: PipelineConfig,
         halves = np.empty((2, t - 2, n), dtype=int)    # [h, i, v]: deg(v, half h of B_i)
         for i, block in enumerate(blocks):
             halves[:, i] = [g.cross_degree(everyone, h) for h in np.split(block, [half])]
-            _window("Q3", f"half of block {i}: ", degree_window_violation(
-                vertices, halves[0, i, vertices], lo, hi))
+            _window(windows, "Q3", f"half of block {i}: ", (vertices,),
+                    (halves[0, i, vertices],))
 
         pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
         if t > 12:
             sample = min(len(pairs), cfg.constant("q_pair_sample"))
             idx = rng.choice(len(pairs), size=sample, replace=False)
             pairs = [pairs[int(i)] for i in sorted(idx)]
-        windows = (("Q4", "pair", halves.sum(axis=0), blocks, d * k / n, g4),
-                   ("Q5", "half pair", halves[0], blocks[:, :half], target, g5))
+        degrees = (("Q4", "pair", halves.sum(axis=0), blocks),
+                   ("Q5", "half pair", halves[0], blocks[:, :half]))
         for i, j in pairs:
-            for check, where, deg, rows, pair_target, gamma in windows:
-                _window(check, f"{where} ({i},{j}): ", pair_window_violation(
-                    (rows[i], rows[j]), (deg[j, rows[i]], deg[i, rows[j]]),
-                    (pair_target,) * 2, gamma))
+            for check, where, deg, rows in degrees:
+                _window(windows, check, f"{where} ({i},{j}): ",
+                        (rows[i], rows[j]), (deg[j, rows[i]], deg[i, rows[j]]))
         return blocks, len(pairs)
 
     blocks, checked = _retry("repartition", cfg.max_repartition_retries, trace, attempt)
-    trace.check("repartition", "Q3", True, f"gamma cap {g3}")
-    trace.check("repartition", "Q4", True, f"{checked} pairs, gamma cap {g4}")
-    trace.check("repartition", "Q5", True, f"gamma cap {g5}")
+    trace.check("repartition", "Q3", True, f"gamma cap {cfg.gamma('Q3')}")
+    trace.check("repartition", "Q4", True, f"{checked} pairs, gamma cap {cfg.gamma('Q4')}")
+    trace.check("repartition", "Q5", True, f"gamma cap {cfg.gamma('Q5')}")
     return blocks
 
 
@@ -436,14 +444,16 @@ def hamilton_pipeline(g: Graph, cfg: PipelineConfig | None = None
             raise PreconditionViolated(
                 "lambda_ratio", f"lambda/d = {ratio:.4f} > {cap}")
         phase = "partition"
-        parts = partition_phase(g, cert, cfg, trace)
+        plan = plan_sizes(g.n, cfg)
+        trace.data["plan"] = asdict(plan)
+        parts = partition_phase(g, cert, plan, cfg, trace)
         phase = "connector"
         connector = extend.build_connector(
             g, parts.x, parts.y, parts.reserve, l_max=cfg.l_max,
             seed=child_seed(cfg.seed, "connector"),
             min_reserve_ratio=cfg.min_reserve_ratio)
         phase = "repartition"
-        blocks = repartition_phase(g, cert, parts, cfg, trace)
+        blocks = repartition_phase(g, cert, plan, parts, cfg, trace)
         phase = "path_cover"
         paths = path_cover_phase(g, cert, parts, blocks, cfg, trace)
         phase = "close"

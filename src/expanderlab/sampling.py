@@ -20,8 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import (AsymmetricInput, BadParameter, BadRange,
                      CertificateMismatch)
-from .graphs import (Graph, SpectralCertificate, degree_window_violation,
-                     pair_window_violation)
+from .graphs import Graph, SpectralCertificate, window_violation
 from .rng import child_seed, derive_seed, generator
 
 BATCHES = 10              # batch-means groups for standard errors
@@ -113,6 +112,13 @@ def exact_hypergeometric_tail(big_n: int, k: int, n: int, a: float,
     return total / denom
 
 
+def _finite(**params) -> None:
+    """Refuse each given parameter that is NaN or infinite (None is unset)."""
+    for name, value in params.items():
+        if value is not None and not math.isfinite(value):
+            raise BadParameter(f"{name}={value} is not finite")
+
+
 def _batch_lp(values: np.ndarray, p: float):
     """Lp mean and batch-means standard error."""
     lp = float(np.mean(np.abs(values) ** p) ** (1 / p))
@@ -137,6 +143,7 @@ def submatrix_norm_experiment(b: np.ndarray, mode: str,
     ||B||_{1->2} + 35 q ||B||_inf with sigma = m/n. q = max(p, 2 ln n).
     An all-zero B raises BadParameter: the check would compare 0 with 0.
     """
+    _finite(sigma=sigma, p=p)
     if p < 2:
         raise BadParameter(f"p={p} must be >= 2")
     if trials < 1:
@@ -218,6 +225,7 @@ def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
     """
     if cert.n != g.n:
         raise CertificateMismatch("certificate does not match the graph")
+    _finite(sigma=sigma, gamma_target=gamma_target)
     n, d, lam = g.n, cert.d, cert.lambda_hat
     m = int(round(sigma * n))
     if m < 1:
@@ -225,8 +233,6 @@ def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
     if m > n:
         raise BadParameter(f"sigma*n = {sigma * n} > n")
     gamma = cert.gamma_hat if cert.gamma_hat > 0 else gamma_target
-    lo = (1 - 2 * gamma) * sigma * d
-    hi = (1 + 2 * gamma) * sigma * d
     lam_bound = 6 * sigma * lam
     log_n = math.log(n)
     hyp = (sigma * d >= gamma ** -2 * log_n
@@ -234,7 +240,8 @@ def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
 
     def draw(rng):
         sub, members = g.induced(rng.permutation(n)[:m])
-        return sub, degree_window_violation(members, sub.degrees(), lo, hi) is None
+        return sub, window_violation((members,), (sub.degrees(),), (sigma * d,),
+                                     2 * gamma) is None
 
     return _subgraph_trials("induced-subgraph", trials, seed, sigma, gamma,
                             lam_bound, hyp, draw)
@@ -253,6 +260,7 @@ def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
     """
     if cert.n != g.n:
         raise CertificateMismatch("certificate does not match the graph")
+    _finite(sigma1=sigma1, sigma2=sigma2, gamma_target=gamma_target)
     n, d, lam = g.n, cert.d, cert.lambda_hat
     m1, m2 = int(round(sigma1 * n)), int(round(sigma2 * n))
     if m1 < 1 or m2 < 1:
@@ -266,7 +274,7 @@ def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
     def draw(rng):
         perm = rng.permutation(n)
         x, y = perm[:m1], perm[m1:m1 + m2]
-        return g.induced(perm[:m1 + m2])[0], pair_window_violation(
+        return g.induced(perm[:m1 + m2])[0], window_violation(
             (x, y), (g.cross_degree(x, y), g.cross_degree(y, x)),
             (sigma2 * d, sigma1 * d), 2 * gamma) is None
 

@@ -150,11 +150,17 @@ def test_hamilton_bad_config_key(paley401_file, tmp_path):
 @pytest.mark.parametrize("cfg_data", [{"k": "abc"}, {"seed": 1.5},
                                       {"reserve_fraction": None},
                                       {"gamma_caps": {"P1": "wide"}},
-                                      [1], "abc", None])
-def test_hamilton_mistyped_config_value(paley401_file, tmp_path, cfg_data):
+                                      [1], "abc", None,
+                                      {"min_reserve_ratio": float("inf")},
+                                      {"min_reserve_ratio": float("nan")},
+                                      {"gamma_caps": {"P1": float("nan")}},
+                                      {"constant_overrides": {"pm_gamma_cap": float("inf")}}])
+def test_hamilton_mistyped_config_value(paley401_file, tmp_path, capsys, cfg_data):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(cfg_data))
+    cfg.write_text(json.dumps(cfg_data))    # NaN and Infinity as JSON writes them
     assert run("--config", str(cfg), "hamilton", str(paley401_file)) == 2
+    if isinstance(cfg_data, dict):
+        assert next(iter(cfg_data)) in capsys.readouterr().err
 
 
 def test_hamilton_weak_expander_exit_code(tmp_path):
@@ -195,12 +201,25 @@ def test_subsample_and_summarize(paley401_file, tmp_path):
 
 def test_summarize_skips_json_that_is_not_a_summary(tmp_path, capsys):
     (tmp_path / "cert.json").write_text(json.dumps({"n": 13, "d": 6.0}))
+    for name, value in (("number", 5), ("list", [1, 2]), ("text", "summary")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(value))
     (tmp_path / "s.json").write_text(json.dumps(
         {"schema_version": 1, "success_fraction": 1.0, "floor": 0.5,
          "pass": True, "params": {"sigma": 0.5}}))
     assert run("summarize", str(tmp_path)) == 0
     assert capsys.readouterr().out == \
         "sigma,success_fraction,floor,pass\n0.5,1.0,0.5,True\n"
+
+
+@pytest.mark.parametrize("lacking", ["params", "floor", "pass"])
+def test_summarize_names_a_summary_without_a_table_field(tmp_path, capsys, lacking):
+    summary = {"schema_version": 1, "success_fraction": 1.0, "floor": 0.5,
+               "pass": True, "params": {"sigma": 0.5}}
+    del summary[lacking]
+    (tmp_path / "s.json").write_text(json.dumps(summary))
+    assert run("summarize", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "s.json") in err and lacking in err
 
 
 def test_summarize_empty_directory(tmp_path):
@@ -212,6 +231,14 @@ def test_summarize_empty_directory(tmp_path):
 def test_summarize_mixed_schema_versions(tmp_path, capsys):
     for version in (1, 2):
         (tmp_path / f"s{version}.json").write_text(json.dumps(
+            {"schema_version": version, "success_fraction": 1.0}))
+    assert run("summarize", str(tmp_path)) == 2
+    assert "mixed schema versions" in capsys.readouterr().err
+
+
+def test_summarize_compares_schema_versions_of_any_json_type(tmp_path, capsys):
+    for name, version in (("a", [1]), ("b", {"v": 1})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
             {"schema_version": version, "success_fraction": 1.0}))
     assert run("summarize", str(tmp_path)) == 2
     assert "mixed schema versions" in capsys.readouterr().err
@@ -336,11 +363,20 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
     ["--config", "{dir}", "hamilton", "{graph}"],
     ["--out", "{dir}", "certify", "{graph}"],
     ["--seed", str(2 ** 127), "certify", "{graph}"],
+    ["subsample", "--graph", "{graph}", "--sigma", "inf"],
+    ["subsample", "--graph", "{graph}", "--sigma", "nan"],
+    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "nan"],
+    ["submatrix", "--matrix", "{matrix}", "--mode", "two_sided_bernoulli",
+     "--sigma", "0.5", "--p", "inf"],
+    ["submatrix", "--matrix", "{matrix}", "--mode", "symmetric_uniform",
+     "--m", "1", "--p", "nan"],
 ], ids=["gen-paley-no-q", "gen-regular-no-d", "eml-no-samples",
         "subsample-no-trials", "subsample-negative-trials",
         "submatrix-no-trials", "match-vertex-out-of-range", "match-negative-vertex",
         "certify-directory", "submatrix-directory", "config-directory",
-        "out-directory", "seed-out-of-range"])
+        "out-directory", "seed-out-of-range", "subsample-sigma-inf",
+        "subsample-sigma-nan", "subsample-gamma-target-nan", "submatrix-p-inf",
+        "submatrix-p-nan"])
 def test_bad_arguments_exit_2(paley13_file, tmp_path, capsys, argv):
     matrix = tmp_path / "b.txt"
     matrix.write_text("2 2\n1 0\n0 1\n")

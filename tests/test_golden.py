@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import golden_digests  # noqa: E402
+from expanderlab import hamilton  # noqa: E402
 
 GOLDEN = (ROOT / "tests" / "golden_digests.txt").read_text().splitlines()
 # The first value of a line (outcome, digest or hex float) ends its name.
@@ -71,6 +72,11 @@ def test_pipeline_trace_and_cycle_digest(printed, seed):
 def test_larger_pipeline_trace_and_cycle_digest(printed, q):
     run = f"{q}-seed0"
     assert _run_values(printed, run)[:2] == _run_values(GOLDEN, run)[:2]
+
+
+def test_every_window_row_has_a_failing_run():
+    """A window row added to the pipeline needs a pinned run that fails on it."""
+    assert set(hamilton.WINDOWS) <= set(golden_digests.FAILURE_CONFIGS)
 
 
 @pytest.mark.parametrize("name", sorted(golden_digests.FAILURE_CONFIGS))

@@ -680,7 +680,7 @@ def test_bipartite_view_matches_parent_graph(n, p, seed, data):
         for side, other, deg in zip(sides, sides[::-1], view.degrees()):
             assert deg.tolist() == g.cross_degree(side, other).tolist()
         targets = (d * len(view.right) / n, d * len(view.left) / n)
-        assert graphs.pair_window_violation(sides, view.degrees(), targets, gamma) == \
+        assert graphs.window_violation(sides, view.degrees(), targets, gamma) == \
             _parent_window_violation(g, *sides, d, n, gamma)
     if a and b:
         assert pair.observed_gamma(d, n) == max(

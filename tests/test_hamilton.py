@@ -1,4 +1,7 @@
 import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,10 @@ import pytest
 from expanderlab import graphs, hamilton, linalg
 from expanderlab.errors import (ConfigError, ConnectFailed, EmptyGraph,
                                 UnbalancedSides)
+from expanderlab.rng import generator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import golden_digests  # noqa: E402
 
 
 def test_config_validation():
@@ -26,7 +33,12 @@ def test_config_validation():
     {"constant_overrides": {"q_pair_sample": 0}},
     {"constant_overrides": {"q_pair_sample": 0.5}}, {"seed": 2 ** 127},
     {"seed": -2 ** 127 - 1}, {"max_partition_retries": hamilton.MAX_RETRIES + 1},
-    {"max_repartition_retries": hamilton.MAX_RETRIES + 1}])
+    {"max_repartition_retries": hamilton.MAX_RETRIES + 1},
+    {"min_reserve_ratio": math.nan}, {"min_reserve_ratio": math.inf},
+    {"reserve_fraction": math.nan}, {"gamma_caps": {"P1": math.nan}},
+    {"gamma_caps": {"Q5": math.inf}},
+    {"constant_overrides": {"lambda_ratio_cap": math.nan}},
+    {"constant_overrides": {"pm_gamma_cap": -math.inf}}])
 def test_config_range_checks(fields):
     with pytest.raises(ConfigError):
         hamilton.PipelineConfig(**fields)
@@ -274,3 +286,125 @@ def test_trace_json_is_valid(paley13):
     result = hamilton.hamilton_pipeline(g, hamilton.PipelineConfig(seed=1))
     parsed = json.loads(result.trace.to_json())
     assert parsed["outcome"] == result.trace.outcome
+
+
+# Each sampled window by its definition: the size of its target set from
+# the size plan and its width in gamma caps, (1 +- caps * gamma) * d * |T| / n.
+WINDOW_SPEC = {"P1": (lambda plan: plan.reserve_size, 2),
+               "P5": (lambda plan: plan.k, 1),
+               "Q3": (lambda plan: (plan.k + 1) // 2, 2),
+               "Q4": (lambda plan: plan.k, 1),
+               "Q5": (lambda plan: (plan.k + 1) // 2, 1)}
+
+
+def _brute_violation(adj, plan, cfg, check, pairs):
+    """The record text of the first vertex, over the (vertices, target
+    set) `pairs` in turn, whose degree counted in the dense adjacency
+    leaves the window of `check`; None if every degree is inside."""
+    n = len(adj)
+    size, caps = WINDOW_SPEC[check]
+    target = adj.sum(axis=1).mean() * size(plan) / n
+    lo = (1 - caps * cfg.gamma(check)) * target
+    hi = (1 + caps * cfg.gamma(check)) * target
+    for vertices, into in pairs:
+        degrees = adj[np.ix_(vertices, into)].sum(axis=1)
+        for v, deg in zip(vertices.tolist(), degrees.tolist()):
+            if not lo <= deg <= hi:
+                return f"deg({v})={deg} outside [{lo:.3f}, {hi:.3f}]"
+    return None
+
+
+def _brute_rejection(adj, plan, cfg, windows):
+    """(check, record text) of the first of `windows`, each (check, where,
+    pairs), that some degree leaves; None if none does."""
+    for check, where, pairs in windows:
+        bad = _brute_violation(adj, plan, cfg, check, pairs)
+        if bad is not None:
+            return check, where + bad
+    return None
+
+
+def _brute_partition(adj, plan, cfg):
+    """The partition's expected window records and its accepted parts
+    (X, Y, M), or None when every retry is rejected."""
+    n, k, r = len(adj), plan.k, plan.reserve_size
+    records = []
+    for retry in range(cfg.max_partition_retries):
+        perm = generator(cfg.seed, "partition", retry).permutation(n)
+        x, y, reserve, middle = (np.sort(p) for p in np.split(perm, [k, 2 * k, 2 * k + r]))
+        rejected = _brute_rejection(adj, plan, cfg, [
+            ("P1", "into R: ", [(np.arange(n), reserve)]), ("P5", "", [(x, y), (y, x)])])
+        if rejected is None:
+            target = adj.sum(axis=1).mean() * r / n
+            return records + [
+                ("partition", "P1", True,
+                 f"window ±{2 * cfg.gamma('P1'):.2f} around {target:.3f}"),
+                ("partition", "P5", True, f"cross-degree gamma cap {cfg.gamma('P5')}")
+            ], (x, y, middle)
+        records.append(("partition", rejected[0], False, f"retry {retry}: {rejected[1]}"))
+    return records, None
+
+
+def _brute_repartition(adj, plan, cfg, x, y, middle):
+    """The repartition's expected window records."""
+    k, t, half = plan.k, plan.t, (plan.k + 1) // 2
+    vertices = np.sort(np.concatenate([x, y, middle]))
+    records = []
+    for retry in range(cfg.max_repartition_retries):
+        rng = generator(cfg.seed, "repartition", retry)
+        blocks = np.sort(middle[rng.permutation(len(middle))].reshape(t - 2, k), axis=1)
+        firsts = blocks[:, :half]
+        rejected = _brute_rejection(adj, plan, cfg, (
+            ("Q3", f"half of block {i}: ", [(vertices, firsts[i])]) for i in range(t - 2)))
+        pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
+        if rejected is None:
+            if t > 12:    # the seeded sample of block pairs, drawn after the blocks
+                sample = min(len(pairs), cfg.constant("q_pair_sample"))
+                pairs = [pairs[int(i)] for i in
+                         sorted(rng.choice(len(pairs), size=sample, replace=False))]
+            rejected = _brute_rejection(adj, plan, cfg, (
+                (check, f"{where} ({i},{j}): ", [(rows[i], rows[j]), (rows[j], rows[i])])
+                for i, j in pairs
+                for check, where, rows in (("Q4", "pair", blocks), ("Q5", "half pair", firsts))))
+        if rejected is None:
+            return records + [
+                ("repartition", "Q3", True, f"gamma cap {cfg.gamma('Q3')}"),
+                ("repartition", "Q4", True, f"{len(pairs)} pairs, gamma cap {cfg.gamma('Q4')}"),
+                ("repartition", "Q5", True, f"gamma cap {cfg.gamma('Q5')}")]
+        records.append(("repartition", rejected[0], False, f"retry {retry}: {rejected[1]}"))
+    return records
+
+
+@pytest.fixture(scope="module")
+def paley401():
+    g = graphs.gen_paley(401)
+    return g, g.adjacency_dense().astype(int)
+
+
+# Default caps (seed 18 rejects one partition on P5), caps whose
+# repartition retries reject on Q4 or on Q5, and each golden failing run.
+@pytest.mark.parametrize("cfg_data", [
+    {"seed": 0}, {"seed": 1}, {"seed": 18},
+    {"seed": 2, "gamma_caps": {"Q3": 0.51, "Q4": 0.5, "Q5": 0.8}},
+    *(golden_digests.FAILURE_CONFIGS[check] for check in hamilton.WINDOWS)],
+    ids=["default-seed0", "default-seed1", "default-seed18", "mixed-Q4-Q5",
+         *(f"fails-{check}" for check in hamilton.WINDOWS)])
+def test_every_window_row_matches_brute_force(paley401, cfg_data):
+    """Every partition and repartition window record of a Paley 401 run,
+    failed retries and passes, equals the one recomputed from the dense
+    adjacency and the size plan: the target, the bounds and the first
+    violator."""
+    g, adj = paley401
+    cfg = hamilton.PipelineConfig(**cfg_data)
+    plan = hamilton.plan_sizes(g.n, cfg)
+    expected, parts = _brute_partition(adj, plan, cfg)
+    if parts is not None:
+        expected += _brute_repartition(adj, plan, cfg, *parts)
+    trace = hamilton.hamilton_pipeline(g, cfg).trace
+    recorded = [(c["phase"], c["check"], c["holds"], c["detail"])
+                for c in trace.data["checks"] if c["check"] in hamilton.WINDOWS]
+    assert recorded == expected
+    for check in hamilton.WINDOWS:    # a run pinned as failing on a row rejects on it
+        if golden_digests.FAILURE_CONFIGS[check] == cfg_data:
+            assert ("partition" if check[0] == "P" else "repartition", check, False) in \
+                {record[:3] for record in recorded}

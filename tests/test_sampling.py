@@ -129,6 +129,32 @@ def test_subgraph_experiments_reject_bad_inputs(paley101, cert13, cert101,
         call(paley101, cert13, cert101)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("sigma", lambda g, c: sampling.induced_subgraph_experiment(g, c, math.inf)),
+    ("sigma", lambda g, c: sampling.induced_subgraph_experiment(g, c, math.nan)),
+    ("gamma_target", lambda g, c: sampling.induced_subgraph_experiment(
+        g, c, 0.5, gamma_target=math.nan)),
+    ("sigma1", lambda g, c: sampling.bipartite_induced_experiment(g, c, math.nan, 0.3)),
+    ("sigma2", lambda g, c: sampling.bipartite_induced_experiment(g, c, 0.3, -math.inf)),
+    ("gamma_target", lambda g, c: sampling.bipartite_induced_experiment(
+        g, c, 0.3, 0.3, gamma_target=math.inf)),
+    ("p", lambda g, c: sampling.submatrix_norm_experiment(
+        np.eye(5), "two_sided_bernoulli", sigma=0.5, p=math.inf)),
+    ("sigma", lambda g, c: sampling.submatrix_norm_experiment(
+        np.eye(5), "two_sided_bernoulli", sigma=math.nan)),
+    ("p", lambda g, c: sampling.submatrix_norm_experiment(
+        np.eye(5), "symmetric_uniform", m=2, p=math.nan)),
+])
+def test_experiments_refuse_non_finite_parameters(paley101, cert101, monkeypatch,
+                                                  name, call):
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(sampling, "generator", no_draw)
+    with pytest.raises(BadParameter, match=f"^{name}=.* is not finite"):
+        call(paley101, cert101)
+
+
 def test_bipartite_induced_experiment(paley101, cert101):
     gamma = math.sqrt(math.log(101) / (0.3 * 50))
     exp = sampling.bipartite_induced_experiment(paley101, cert101, 0.3, 0.3,
