@@ -28,10 +28,16 @@ rows. Below the cycle, on
 seeded random vertex pairs (L, R) of Paley 401 and 1009, one line per
 pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
-under three windows; one line per subgraph experiment holds the SHA-256
-of its trials' `float.hex` s2 and degrees_ok. The last two lines hold the
+under three windows; two lines per subgraph experiment hold the SHA-256
+of its trials' `float.hex` s2 and degrees_ok and, below it, of its whole
+record (every field and trial, floats as `float.hex`). Two lines hold the
 SHA-256 of the graph file `write_graph` writes for Paley 401 and 2029
-(the larger one spans several of the writer's and reader's chunks). Neighbour
+(the larger one spans several of the writer's and reader's chunks). The
+last lines hold the SHA-256 of each artifact that `expanderlab` writes at
+`--seed 7` on Paley 101 (`certify --format csv`, `eml` as CSV and JSON,
+two `subsample` summaries with their `.trials.csv` files, and
+`summarize` over the two); the manifests carry wall time and are not
+hashed. Neighbour
 order feeds scipy's Hopcroft-Karp (`maximum_bipartite_matching`), the
 greedy matching and the connector's shuffles, so a change of
 tie-breaking anywhere in the pipeline changes these digests.
@@ -48,9 +54,12 @@ without PYTHONPATH):
     PYTHONPATH=src python3 scripts/golden_digests.py > tests/golden_digests.txt
 """
 
+import dataclasses
 import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 # One BLAS thread, set before anything imports numpy, as tests/conftest.py
 # does.
@@ -58,8 +67,8 @@ os.environ["OMP_NUM_THREADS"] = os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 
-from expanderlab import (extend, graphs, hamilton, matching,  # noqa: E402
-                         mixing, sampling)
+from expanderlab import (cli, extend, graphs, hamilton,  # noqa: E402
+                         matching, mixing, sampling)
 from expanderlab.errors import ConnectFailed  # noqa: E402
 from expanderlab.rng import child_seed, generator  # noqa: E402
 
@@ -83,6 +92,18 @@ VIEWS = [(0, 24, 24), (1, 30, 18), (2, 5, 5), (3, 6, 6), (4, 4, 4)]
 # and the third holds.
 BIPARTITE_WINDOWS = [(0.3, 1.0), (2.0, 1.0), (2.0, 3.0)]
 EXPERIMENT_SEEDS = (0, 1)
+# (output file, arguments) of each CLI run on Paley 101, at `--seed 7`
+# and `--out` the output file in one directory; {graph} stands for the
+# graph file and {summaries} for the directory of the subsample summaries.
+CLI_RUNS = [
+    ("certify.csv", ["--format", "csv", "certify", "{graph}"]),
+    ("eml.csv", ["--format", "csv", "eml", "--graph", "{graph}", "--samples", "50"]),
+    ("eml.json", ["eml", "--graph", "{graph}", "--samples", "50"]),
+    *((f"summaries/subsample-{sigma}.json",
+       ["subsample", "--graph", "{graph}", "--sigma", sigma, "--trials", "20",
+        "--gamma-target", "0.3"]) for sigma in ("0.3", "0.5")),
+    ("summarize.csv", ["summarize", "{summaries}"]),
+]
 
 
 def sha256(text: str) -> str:
@@ -202,6 +223,43 @@ def experiment_digest(experiment) -> str:
     return sha256(repr([(r.s2.hex(), r.degrees_ok) for r in experiment.per_trial]))
 
 
+def experiment_record_digest(experiment) -> str:
+    """SHA-256 of every field of a `SubgraphExperiment`, its trials'
+    included, with floats as `float.hex`."""
+    return sha256(json.dumps(_hexed(dataclasses.asdict(experiment))))
+
+
+def _hexed(value):
+    """`value` with each float as `float.hex`, numpy scalars as Python
+    ones and tuples as lists."""
+    if isinstance(value, dict):
+        return {key: _hexed(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return int(value)
+
+
+def cli_digests():
+    """(artifact path, SHA-256) of each file but the manifests that the
+    `CLI_RUNS` write, in path order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        graph, summaries = root / "paley101.txt", root / "summaries"
+        graphs.write_graph(graphs.gen_paley(101), graph)
+        summaries.mkdir()
+        for out, argv in CLI_RUNS:
+            cli.main(["--seed", "7", "--out", str(root / out),
+                      *(a.format(graph=graph, summaries=summaries) for a in argv)])
+        artifacts = sorted(p for p in root.rglob("*") if p.is_file() and p != graph
+                           and not p.name.endswith(".manifest.json"))
+        return [(p.relative_to(root).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest())
+                for p in artifacts]
+
+
 def below_the_cycle(q: int, g):
     """Digest lines of the matching, bipartite-certificate and subgraph
     experiment layers on Paley q."""
@@ -216,7 +274,11 @@ def below_the_cycle(q: int, g):
         bipartite = sampling.bipartite_induced_experiment(
             g, cert, 0.25, 0.25, trials=3, seed=seed, gamma_target=0.1)
         yield q, f"induced-subgraph seed {seed}", experiment_digest(plain)
+        yield (q, f"induced-subgraph record seed {seed}",
+               experiment_record_digest(plain))
         yield q, f"bipartite-induced seed {seed}", experiment_digest(bipartite)
+        yield (q, f"bipartite-induced record seed {seed}",
+               experiment_record_digest(bipartite))
 
 
 def lines():
@@ -248,6 +310,8 @@ def _fields():
     for q in (401, 2029):
         graph_file = graphs.graph_file_bytes(paley[q])
         yield q, "graph-file", hashlib.sha256(graph_file).hexdigest()
+    for artifact, digest in cli_digests():
+        yield 101, "cli", artifact, digest
 
 
 def main():
