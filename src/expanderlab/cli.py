@@ -66,6 +66,21 @@ def _emit(text: str, out: str | None) -> list:
     return []
 
 
+def _table(rows: list) -> str:
+    """CSV text of `rows`, dicts with the same keys: a header, then a line each."""
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _certified(args) -> tuple:
+    """The graph file `args.graph` and its certificate at the CLI seed."""
+    g = graphs.read_graph(args.graph)
+    return g, graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
+
+
 def _vertex_list(spec: str) -> list:
     return [int(tok) for tok in spec.replace(",", " ").split()]
 
@@ -89,22 +104,16 @@ def _cmd_gen(args) -> tuple:
 
 
 def _cmd_certify(args) -> tuple:
-    g = graphs.read_graph(args.graph)
-    cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "d", "gamma_hat", "lambda_hat"])
-        w.writerow([cert.n, cert.d, cert.gamma_hat, cert.lambda_hat])
-        return EXIT_OK, _emit(buf.getvalue(), args.out)
-    return EXIT_OK, _emit(graphs.certificate_to_json(cert), args.out)
+    cert = _certified(args)[1]
+    text = graphs.certificate_to_json(cert) if args.format == "json" else _table(
+        [{key: getattr(cert, key) for key in ("n", "d", "gamma_hat", "lambda_hat")}])
+    return EXIT_OK, _emit(text, args.out)
 
 
 def _cmd_eml(args) -> tuple:
     if args.samples < 1:
         raise BadParameter(f"--samples {args.samples} must be at least 1")
-    g = graphs.read_graph(args.graph)
-    cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
+    g, cert = _certified(args)
     rng = generator(args.seed, "eml-samples")
     rows = []
     violated = 0
@@ -120,21 +129,13 @@ def _cmd_eml(args) -> tuple:
                      "count": audit.ordered_count,
                      "lower": audit.lower, "upper": audit.upper,
                      "holds": audit.holds})
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"samples": args.samples, "violated": violated,
-                           "rows": rows}, indent=2) + "\n"
+    text = _table(rows) if args.format == "csv" else json.dumps(
+        {"samples": args.samples, "violated": violated, "rows": rows}, indent=2) + "\n"
     return EXIT_PHASE if violated else EXIT_OK, _emit(text, args.out)
 
 
 def _cmd_subsample(args) -> tuple:
-    g = graphs.read_graph(args.graph)
-    cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
+    g, cert = _certified(args)
     exp = sampling.induced_subgraph_experiment(
         g, cert, args.sigma, trials=args.trials, seed=args.seed,
         gamma_target=args.gamma_target)
@@ -144,11 +145,7 @@ def _cmd_subsample(args) -> tuple:
     outputs = _emit(json.dumps(summary, indent=2) + "\n", args.out)
     if args.out:
         csv_path = Path(args.out).with_suffix(".trials.csv")
-        with csv_path.open("w", newline="") as fh:
-            rows = exp.csv_rows()
-            w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-            w.writeheader()
-            w.writerows(rows)
+        csv_path.write_text(_table(exp.csv_rows()), newline="")
         outputs.append(csv_path)
     return EXIT_OK if summary["pass"] else EXIT_PHASE, outputs
 
@@ -223,18 +220,16 @@ def _cmd_summarize(args) -> tuple:
         raise SchemaMismatch(f"no experiment summaries in {args.directory}")
     if any(v != records[0][1]["schema_version"] for v in versions.values()):
         raise SchemaMismatch(f"mixed schema versions: {versions}")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["sigma", "success_fraction", "floor", "pass"])
+    rows = []
     for path, data in records:
         missing = [key for key in ("floor", "pass") if key not in data]
         if not isinstance(data.get("params"), dict) or "sigma" not in data["params"]:
             missing.insert(0, "params.sigma")
         if missing:
             raise SchemaMismatch(f"summary {path} has no {', '.join(missing)}")
-        w.writerow([data["params"]["sigma"], data["success_fraction"],
-                    data["floor"], data["pass"]])
-    return EXIT_OK, _emit(buf.getvalue(), args.out)
+        rows.append({"sigma": data["params"]["sigma"], **{
+            key: data[key] for key in ("success_fraction", "floor", "pass")}})
+    return EXIT_OK, _emit(_table(rows), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--mode", choices=["max", "perfect"], default="max")
-    p.add_argument("--gamma-cap", type=float, default=1.2)
-    p.add_argument("--ratio-cap", type=float, default=0.2)
+    p.add_argument("--gamma-cap", type=float, default=hamilton.CONSTANT_DEFAULTS["pm_gamma_cap"])
+    p.add_argument("--ratio-cap", type=float, default=hamilton.CONSTANT_DEFAULTS["lambda_ratio_cap"])
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("hamilton", help="run the Hamilton-cycle pipeline")

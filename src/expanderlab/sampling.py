@@ -5,7 +5,8 @@ random-submatrix norm experiments take independent Bernoulli rows and
 columns or a uniform fixed-size principal set, and the induced-subgraph
 spectral experiments take uniform vertex sets: a trial reads the
 degrees and s2 of G[S], or the cross degrees of (X, Y) and the s2 of
-G[X u Y], each induced subgraph built once.
+G[X u Y], each induced subgraph built once, under the one trial rule of
+`_subgraph_trials` (certificate check, gamma and the 6 sigma lambda cap).
 Hypergeometric Chernoff bounds come with an exact-tail oracle so the
 inequalities can be tested against ground truth at small sizes.
 """
@@ -13,7 +14,7 @@ inequalities can be tested against ground truth at small sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,9 +61,7 @@ class SubgraphExperiment:
     per_trial: tuple
 
     def csv_rows(self):
-        return [{"trial": r.trial, "seed": r.seed, "s2": r.s2,
-                 "degrees_ok": r.degrees_ok, "success": r.success}
-                for r in self.per_trial]
+        return [asdict(r) for r in self.per_trial]
 
     def summary(self, floor: float) -> dict:
         return {"params": {"sigma": self.sigma, "trials": self.trials,
@@ -190,25 +189,35 @@ def submatrix_norm_experiment(b: np.ndarray, mode: str,
                           theoretical_bound=float(bound), seed=seed)
 
 
-def _subgraph_trials(label: str, trials: int, seed: int, sigma, gamma,
-                     lam_bound, hyp, draw) -> SubgraphExperiment:
-    """Seeded trials: draw(rng) gives the trial's sample, an induced
-    subgraph, and whether its degree windows hold; a trial succeeds when
-    they do and the sample's s2 is at most lam_bound."""
+def _subgraph_trials(label: str, g: Graph, cert: SpectralCertificate,
+                     sigma: float, gamma_target: float, trials: int, seed: int,
+                     draw, hypothesis=None) -> SubgraphExperiment:
+    """The trial rule of both subgraph experiments: gamma is gamma_hat, or
+    `gamma_target` on an exactly regular graph (its window would be a
+    point), and the s2 cap is 6 sigma lambda_hat. draw(rng, gamma) gives a
+    trial's induced subgraph and whether its degree windows hold; the
+    trial succeeds when they do and its s2 is at most the cap."""
+    if cert.n != g.n:
+        raise CertificateMismatch("certificate does not match the graph")
     if trials < 1:
         raise BadParameter(f"trials={trials} must be at least 1")
+    _finite(gamma_target=gamma_target)
+    if gamma_target <= 0:
+        raise BadParameter(f"gamma_target={gamma_target} must be positive")
+    gamma = cert.gamma_hat if cert.gamma_hat > 0 else gamma_target
+    lam_bound = 6 * sigma * cert.lambda_hat
     records = []
     for t in range(trials):
-        trial_seed = derive_seed(seed, label, t)
-        sample, degrees_ok = draw(generator(seed, label, t))
+        sample, degrees_ok = draw(generator(seed, label, t), gamma)
         s2 = sample.s2(child_seed(seed, label, t))
-        records.append(TrialRecord(trial=t, seed=trial_seed, s2=s2,
+        records.append(TrialRecord(trial=t, seed=derive_seed(seed, label, t), s2=s2,
                                    degrees_ok=degrees_ok,
                                    success=degrees_ok and s2 <= lam_bound))
     return SubgraphExperiment(
         sigma=sigma, trials=trials, gamma_used=gamma, lambda_bound=lam_bound,
         success_fraction=sum(r.success for r in records) / trials,
-        hypotheses_hold=hyp, per_trial=tuple(records))
+        hypotheses_hold=hypothesis is not None and hypothesis(gamma),
+        per_trial=tuple(records))
 
 
 def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
@@ -217,34 +226,29 @@ def induced_subgraph_experiment(g: Graph, cert: SpectralCertificate,
                                 ) -> SubgraphExperiment:
     """Spot-check that uniform sigma*n-subsets induce (sigma*n, (1±2gamma)sigma*d, 6 sigma lambda)-graphs.
 
-    gamma defaults to the certificate's gamma_hat; for exactly regular
-    inputs (gamma_hat = 0) the window would be a single point, so
-    `gamma_target` is substituted. Hypothesis satisfaction (sigma*d >=
-    C gamma^-2 ln n and sigma*lambda >= C sqrt(sigma*d ln n), C = 1) is
-    reported separately from the conclusion.
+    Hypothesis satisfaction (sigma*d >= C gamma^-2 ln n and sigma*lambda
+    >= C sqrt(sigma*d ln n), C = 1) is reported apart from the conclusion.
     """
-    if cert.n != g.n:
-        raise CertificateMismatch("certificate does not match the graph")
-    _finite(sigma=sigma, gamma_target=gamma_target)
-    n, d, lam = g.n, cert.d, cert.lambda_hat
+    _finite(sigma=sigma)
+    n, d = g.n, cert.d
     m = int(round(sigma * n))
     if m < 1:
         raise BadParameter(f"sigma*n = {sigma * n} < 1")
     if m > n:
         raise BadParameter(f"sigma*n = {sigma * n} > n")
-    gamma = cert.gamma_hat if cert.gamma_hat > 0 else gamma_target
-    lam_bound = 6 * sigma * lam
-    log_n = math.log(n)
-    hyp = (sigma * d >= gamma ** -2 * log_n
-           and sigma * lam >= math.sqrt(sigma * d * log_n))
 
-    def draw(rng):
+    def draw(rng, gamma):
         sub, members = g.induced(rng.permutation(n)[:m])
         return sub, window_violation((members,), (sub.degrees(),), (sigma * d,),
                                      2 * gamma) is None
 
-    return _subgraph_trials("induced-subgraph", trials, seed, sigma, gamma,
-                            lam_bound, hyp, draw)
+    def hypothesis(gamma):
+        log_n = math.log(n)
+        return (sigma * d >= gamma ** -2 * log_n
+                and sigma * cert.lambda_hat >= math.sqrt(sigma * d * log_n))
+
+    return _subgraph_trials("induced-subgraph", g, cert, sigma, gamma_target,
+                            trials, seed, draw, hypothesis)
 
 
 def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
@@ -258,25 +262,20 @@ def bipartite_induced_experiment(g: Graph, cert: SpectralCertificate,
     deg(v, X) for v in Y in (1±2gamma) sigma1 d, and s2(G[X u Y]) <=
     6 (sigma1+sigma2) lambda.
     """
-    if cert.n != g.n:
-        raise CertificateMismatch("certificate does not match the graph")
-    _finite(sigma1=sigma1, sigma2=sigma2, gamma_target=gamma_target)
-    n, d, lam = g.n, cert.d, cert.lambda_hat
+    _finite(sigma1=sigma1, sigma2=sigma2)
+    n, d = g.n, cert.d
     m1, m2 = int(round(sigma1 * n)), int(round(sigma2 * n))
     if m1 < 1 or m2 < 1:
         raise BadParameter("both sigma_i * n must be at least 1")
     if sigma1 + sigma2 > 1:
         raise BadParameter(f"sigma1 + sigma2 = {sigma1 + sigma2} > 1")
-    gamma = cert.gamma_hat if cert.gamma_hat > 0 else gamma_target
-    sigma = sigma1 + sigma2
-    lam_bound = 6 * sigma * lam
 
-    def draw(rng):
+    def draw(rng, gamma):
         perm = rng.permutation(n)
         x, y = perm[:m1], perm[m1:m1 + m2]
         return g.induced(perm[:m1 + m2])[0], window_violation(
             (x, y), (g.cross_degree(x, y), g.cross_degree(y, x)),
             (sigma2 * d, sigma1 * d), 2 * gamma) is None
 
-    return _subgraph_trials("bipartite-induced", trials, seed, sigma, gamma,
-                            lam_bound, False, draw)
+    return _subgraph_trials("bipartite-induced", g, cert, sigma1 + sigma2,
+                            gamma_target, trials, seed, draw)

@@ -366,6 +366,8 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
     ["subsample", "--graph", "{graph}", "--sigma", "inf"],
     ["subsample", "--graph", "{graph}", "--sigma", "nan"],
     ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "nan"],
+    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "0"],
+    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "-1"],
     ["submatrix", "--matrix", "{matrix}", "--mode", "two_sided_bernoulli",
      "--sigma", "0.5", "--p", "inf"],
     ["submatrix", "--matrix", "{matrix}", "--mode", "symmetric_uniform",
@@ -375,7 +377,8 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
         "submatrix-no-trials", "match-vertex-out-of-range", "match-negative-vertex",
         "certify-directory", "submatrix-directory", "config-directory",
         "out-directory", "seed-out-of-range", "subsample-sigma-inf",
-        "subsample-sigma-nan", "subsample-gamma-target-nan", "submatrix-p-inf",
+        "subsample-sigma-nan", "subsample-gamma-target-nan",
+        "subsample-gamma-target-0", "subsample-gamma-target-negative", "submatrix-p-inf",
         "submatrix-p-nan"])
 def test_bad_arguments_exit_2(paley13_file, tmp_path, capsys, argv):
     matrix = tmp_path / "b.txt"

@@ -147,12 +147,34 @@ def test_subgraph_experiments_reject_bad_inputs(paley101, cert13, cert101,
 ])
 def test_experiments_refuse_non_finite_parameters(paley101, cert101, monkeypatch,
                                                   name, call):
-    def no_draw(*args):
-        raise AssertionError("a trial was drawn")
-
-    monkeypatch.setattr(sampling, "generator", no_draw)
+    monkeypatch.setattr(sampling, "generator", _no_draw)
     with pytest.raises(BadParameter, match=f"^{name}=.* is not finite"):
         call(paley101, cert101)
+
+
+def _no_draw(*args):
+    raise AssertionError("a trial was drawn")
+
+
+# A 5-cycle with one chord: gamma_hat > 0, so gamma_target goes unused.
+IRREGULAR = graphs.Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+
+
+@pytest.mark.parametrize("gamma_target", [0, -1.0])
+@pytest.mark.parametrize("regular", [True, False], ids=["regular", "irregular"])
+@pytest.mark.parametrize("call", [
+    lambda g, c, gt: sampling.induced_subgraph_experiment(g, c, 0.6, gamma_target=gt),
+    lambda g, c, gt: sampling.bipartite_induced_experiment(g, c, 0.4, 0.4,
+                                                           gamma_target=gt),
+], ids=["induced", "bipartite"])
+def test_experiments_refuse_non_positive_gamma_target(paley101, cert101, monkeypatch,
+                                                      call, regular, gamma_target):
+    g = paley101 if regular else IRREGULAR
+    cert = cert101 if regular else graphs.certify_expander(g, seed=0)
+    assert (cert.gamma_hat == 0) == regular
+    monkeypatch.setattr(sampling, "generator", _no_draw)
+    with pytest.raises(BadParameter, match=f"^gamma_target={gamma_target} must be positive"):
+        call(g, cert, gamma_target)
 
 
 def test_bipartite_induced_experiment(paley101, cert101):
