@@ -160,7 +160,7 @@ class Graph:
         key = np.minimum(u, v)      # lo * n + hi; wraps harmlessly outside range(n)
         key *= n
         key += np.maximum(u, v)
-        if not (key[1:] > key[:-1]).all():  # a file `write_graph` wrote is sorted
+        if not (key[1:] > key[:-1]).all():  # `gen_named` complete graphs come sorted
             key.sort()
         if e.size and (e.min() < 0 or e.max() >= n or (u == v).any()
                        or (key[1:] == key[:-1]).any()):
@@ -224,12 +224,6 @@ class Graph:
         if hit.any():
             hit &= self.indices[np.where(hit, lo, 0)] == v
         return bool(hit) if hit.ndim == 0 else hit
-
-    def edges(self) -> np.ndarray:
-        """(m, 2) array of the edges (u, v), u < v, in increasing order."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int32), self.degrees())
-        upper = rows < self.indices
-        return np.column_stack([rows[upper], self.indices[upper]])
 
     def adjacency_sparse(self) -> sp.csr_array:
         """The graph's own int8 CSR matrix, not a copy: its arrays are

@@ -1,9 +1,10 @@
+import inspect
 import json
 import warnings
 
 import pytest
 
-from expanderlab import cli, graphs
+from expanderlab import cli, graphs, hamilton, sampling
 
 
 def run(*argv):
@@ -78,6 +79,21 @@ def test_eml_sweep(paley13_file, tmp_path):
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 31 and rows[0].startswith("sample,")
     assert all(r.endswith("True") for r in rows[1:])
+
+
+def test_cli_defaults_read_the_library_defaults():
+    parser = cli.build_parser()
+    match = parser.parse_args(["match", "--graph", "g", "--left", "0", "--right", "1"])
+    assert match.gamma_cap == hamilton.CONSTANT_DEFAULTS["pm_gamma_cap"]
+    assert match.ratio_cap == hamilton.CONSTANT_DEFAULTS["lambda_ratio_cap"]
+    for argv, experiment, names in [
+            (["subsample", "--graph", "g", "--sigma", "0.5"],
+             sampling.induced_subgraph_experiment, ("trials", "gamma_target")),
+            (["submatrix", "--matrix", "b", "--mode", "symmetric_uniform"],
+             sampling.submatrix_norm_experiment, ("trials", "p"))]:
+        args = parser.parse_args(argv)
+        defaults = inspect.signature(experiment).parameters
+        assert all(getattr(args, name) == defaults[name].default for name in names)
 
 
 @pytest.mark.parametrize("argv, code", [
