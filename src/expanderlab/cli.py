@@ -105,8 +105,8 @@ def _cmd_gen(args) -> tuple:
 
 def _cmd_certify(args) -> tuple:
     cert = _certified(args)[1]
-    text = graphs.certificate_to_json(cert) if args.format == "json" else _table(
-        [{key: getattr(cert, key) for key in ("n", "d", "gamma_hat", "lambda_hat")}])
+    row = {key: getattr(cert, key) for key in ("n", "d", "gamma_hat", "lambda_hat")}
+    text = _table([row]) if args.format == "csv" else graphs.certificate_to_json(cert)
     return EXIT_OK, _emit(text, args.out)
 
 
@@ -227,8 +227,8 @@ def _cmd_summarize(args) -> tuple:
             missing.insert(0, "params.sigma")
         if missing:
             raise SchemaMismatch(f"summary {path} has no {', '.join(missing)}")
-        rows.append({"sigma": data["params"]["sigma"], **{
-            key: data[key] for key in ("success_fraction", "floor", "pass")}})
+        rows.append({"sigma": data["params"]["sigma"], "success_fraction": data["success_fraction"],
+                     "floor": data["floor"], "pass": data["pass"]})
     return EXIT_OK, _emit(_table(rows), args.out)
 
 

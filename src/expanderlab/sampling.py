@@ -208,9 +208,10 @@ def _subgraph_trials(label: str, g: Graph, cert: SpectralCertificate,
     lam_bound = 6 * sigma * cert.lambda_hat
     records = []
     for t in range(trials):
+        trial_seed = derive_seed(seed, label, t)
         sample, degrees_ok = draw(generator(seed, label, t), gamma)
         s2 = sample.s2(child_seed(seed, label, t))
-        records.append(TrialRecord(trial=t, seed=derive_seed(seed, label, t), s2=s2,
+        records.append(TrialRecord(trial=t, seed=trial_seed, s2=s2,
                                    degrees_ok=degrees_ok,
                                    success=degrees_ok and s2 <= lam_bound))
     return SubgraphExperiment(
