@@ -129,6 +129,10 @@ def test_subgraph_experiments_reject_bad_inputs(paley101, cert13, cert101,
         call(paley101, cert13, cert101)
 
 
+def _no_draw(*args):
+    raise AssertionError("a trial was drawn")
+
+
 @pytest.mark.parametrize("name, call", [
     ("sigma", lambda g, c: sampling.induced_subgraph_experiment(g, c, math.inf)),
     ("sigma", lambda g, c: sampling.induced_subgraph_experiment(g, c, math.nan)),
@@ -150,10 +154,6 @@ def test_experiments_refuse_non_finite_parameters(paley101, cert101, monkeypatch
     monkeypatch.setattr(sampling, "generator", _no_draw)
     with pytest.raises(BadParameter, match=f"^{name}=.* is not finite"):
         call(paley101, cert101)
-
-
-def _no_draw(*args):
-    raise AssertionError("a trial was drawn")
 
 
 # A 5-cycle with one chord: gamma_hat > 0, so gamma_target goes unused.
