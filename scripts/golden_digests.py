@@ -30,11 +30,13 @@ pair holds the SHA-256 of its maximum matching's edges, of its left and
 right Hall violators, and of `certify_bipartite_expander`'s results
 under three windows; two lines per subgraph experiment hold the SHA-256
 of its trials' `float.hex` s2 and degrees_ok and, below it, of its whole
-record (every field and trial, floats as `float.hex`). Two lines hold the
+record (every field and trial, floats as `float.hex`; the bipartite
+record's `hypotheses_hold` is null, since that experiment checks no
+hypothesis). Two lines hold the
 SHA-256 of the graph file `write_graph` writes for Paley 401 and 2029
 (the larger one spans several of the writer's and reader's chunks). The
 last lines hold the SHA-256 of each artifact that `expanderlab` writes at
-`--seed 7` on Paley 101 (`certify --format csv`, `eml` as CSV and JSON,
+`--seed 7` on Paley 101 (`certify --format csv`, `eml --format csv`, `eml`,
 two `subsample` summaries with their `.trials.csv` files, and
 `summarize` over the two); the manifests carry wall time and are not
 hashed. Neighbour
@@ -96,8 +98,8 @@ EXPERIMENT_SEEDS = (0, 1)
 # and `--out` the output file in one directory; {graph} stands for the
 # graph file and {summaries} for the directory of the subsample summaries.
 CLI_RUNS = [
-    ("certify.csv", ["--format", "csv", "certify", "{graph}"]),
-    ("eml.csv", ["--format", "csv", "eml", "--graph", "{graph}", "--samples", "50"]),
+    ("certify.csv", ["certify", "--format", "csv", "{graph}"]),
+    ("eml.csv", ["eml", "--format", "csv", "--graph", "{graph}", "--samples", "50"]),
     ("eml.json", ["eml", "--graph", "{graph}", "--samples", "50"]),
     *((f"summaries/subsample-{sigma}.json",
        ["subsample", "--graph", "{graph}", "--sigma", sigma, "--trials", "20",
@@ -231,7 +233,7 @@ def experiment_record_digest(experiment) -> str:
 
 def _hexed(value):
     """`value` with each float as `float.hex`, numpy scalars as Python
-    ones and tuples as lists."""
+    ones, tuples as lists and None as it is."""
     if isinstance(value, dict):
         return {key: _hexed(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -240,7 +242,7 @@ def _hexed(value):
         return bool(value)
     if isinstance(value, (float, np.floating)):
         return float(value).hex()
-    return int(value)
+    return None if value is None else int(value)
 
 
 def cli_digests():

@@ -2,6 +2,8 @@
 
 One master seed per invocation; every subcommand derives labeled
 child seeds, so a single integer reproduces an entire experiment.
+`--seed` and `--out` are global; every other option belongs to the
+subcommands that read it, and argparse refuses it anywhere else.
 Exit codes: 0 success, 2 precondition/usage failure, 3 phase or
 theorem failure, 4 verification failure. Each subcommand returns its
 exit code and the files it wrote, which the `--out` manifest lists.
@@ -86,17 +88,17 @@ def _vertex_list(spec: str) -> list:
 
 
 def _cmd_gen(args) -> tuple:
-    kind = args.kind
-    needed = {"paley": 1, "regular": 2}.get(kind, 0)
-    if len(args.params) < needed:
-        raise BadParameter(f"gen {kind} needs {needed} size argument(s), "
-                           f"got {len(args.params)}")
+    kind, params = args.kind, args.params
+    needed = {"paley": 1, "regular": 2, "petersen": 0}.get(kind, 1)
+    if len(params) != needed:
+        raise BadParameter(f"gen {kind} takes {needed} size argument(s), "
+                           f"got {len(params)}")
     if kind == "paley":
-        g = graphs.gen_paley(args.params[0])
+        g = graphs.gen_paley(*params)
     elif kind == "regular":
-        g = graphs.gen_random_regular(*args.params[:2], seed=args.seed)
+        g = graphs.gen_random_regular(*params, seed=args.seed)
     else:
-        g = graphs.gen_named(kind, args.params[0] if args.params else None)
+        g = graphs.gen_named(kind, *params)
     if args.out:
         graphs.write_graph(g, args.out)
         return EXIT_OK, [args.out]
@@ -198,9 +200,8 @@ def _cmd_verify(args) -> tuple:
     g = graphs.read_graph(args.graph)
     cycle = hamilton.HamiltonCycle.from_line(Path(args.cycle).read_text())
     verdict = hamilton.verify_hamilton_cycle(g, cycle)
-    sys.stdout.write(json.dumps({"ok": verdict.ok,
-                                 "reason": verdict.reason}) + "\n")
-    return EXIT_OK if verdict else EXIT_VERIFICATION, []
+    text = json.dumps({"ok": verdict.ok, "reason": verdict.reason}) + "\n"
+    return EXIT_OK if verdict else EXIT_VERIFICATION, _emit(text, args.out)
 
 
 def _cmd_summarize(args) -> tuple:
@@ -240,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "constructive Hamilton-cycle pipeline.")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed; all randomness derives from it")
-    parser.add_argument("--config", help="JSON config file (hamilton)")
     parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph file")
@@ -253,11 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="spectral expander certificate")
     p.add_argument("graph")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("eml", help="random mixing-window audits")
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_eml)
 
     p = sub.add_parser("subsample", help="random induced-subgraph experiment")
@@ -288,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hamilton", help="run the Hamilton-cycle pipeline")
     p.add_argument("graph")
+    p.add_argument("--config", help="JSON pipeline config file")
     p.set_defaults(func=_cmd_hamilton)
 
     p = sub.add_parser("verify", help="verify a cycle file against a graph")
@@ -319,13 +321,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
     if outputs:
-        inputs = [p for p in (getattr(args, "graph", None),
-                              getattr(args, "matrix", None),
-                              getattr(args, "cycle", None),
-                              args.config)
+        inputs = [p for p in (getattr(args, key, None)
+                              for key in ("graph", "matrix", "cycle", "config"))
                   if p and Path(p).exists()]
-        cfg = {k: v for k, v in vars(args).items()
-               if k != "func" and not callable(v)}
+        cfg = {k: v for k, v in vars(args).items() if k != "func"}
         _write_manifest(Path(args.out), args.command, cfg, args.seed,
                         inputs, outputs, started)
     return code

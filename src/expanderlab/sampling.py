@@ -57,7 +57,7 @@ class SubgraphExperiment:
     gamma_used: float
     lambda_bound: float
     success_fraction: float
-    hypotheses_hold: bool
+    hypotheses_hold: bool | None
     per_trial: tuple
 
     def csv_rows(self):
@@ -196,7 +196,8 @@ def _subgraph_trials(label: str, g: Graph, cert: SpectralCertificate,
     `gamma_target` on an exactly regular graph (its window would be a
     point), and the s2 cap is 6 sigma lambda_hat. draw(rng, gamma) gives a
     trial's induced subgraph and whether its degree windows hold; the
-    trial succeeds when they do and its s2 is at most the cap."""
+    trial succeeds when they do and its s2 is at most the cap. Without a
+    `hypothesis`, the record's hypotheses_hold is None."""
     if cert.n != g.n:
         raise CertificateMismatch("certificate does not match the graph")
     if trials < 1:
@@ -217,7 +218,7 @@ def _subgraph_trials(label: str, g: Graph, cert: SpectralCertificate,
     return SubgraphExperiment(
         sigma=sigma, trials=trials, gamma_used=gamma, lambda_bound=lam_bound,
         success_fraction=sum(r.success for r in records) / trials,
-        hypotheses_hold=hypothesis is not None and hypothesis(gamma),
+        hypotheses_hold=None if hypothesis is None else hypothesis(gamma),
         per_trial=tuple(records))
 
 

@@ -321,9 +321,9 @@ def _write_artifacts(out_dir):
                      "gen", "paley", "401"]) == 0
     assert cli.main(["--seed", "11", "--out", str(out_dir / "cert.json"),
                      "certify", str(g)]) == 0
-    assert cli.main(["--seed", "11", "--format", "csv",
-                     "--out", str(out_dir / "eml.csv"),
-                     "eml", "--graph", str(g), "--samples", "50"]) == 0
+    assert cli.main(["--seed", "11", "--out", str(out_dir / "eml.csv"),
+                     "eml", "--format", "csv", "--graph", str(g),
+                     "--samples", "50"]) == 0
     assert cli.main(["--seed", "11", "--out", str(out_dir / "sub.json"),
                      "subsample", "--graph", str(g), "--sigma", "0.5",
                      "--trials", "10", "--gamma-target", "0.3"]) == 0

@@ -66,7 +66,7 @@ def test_certify_emits_numeric_json(paley13_file, tmp_path):
 
 
 def test_certify_csv_format(paley13_file, tmp_path, capsys):
-    assert run("--format", "csv", "certify", str(paley13_file)) == 0
+    assert run("certify", "--format", "csv", str(paley13_file)) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "n,d,gamma_hat,lambda_hat"
     assert lines[1].startswith("13,6")
@@ -74,8 +74,8 @@ def test_certify_csv_format(paley13_file, tmp_path, capsys):
 
 def test_eml_sweep(paley13_file, tmp_path):
     out = tmp_path / "eml.csv"
-    assert run("--format", "csv", "--seed", "2", "--out", str(out),
-               "eml", "--graph", str(paley13_file), "--samples", "30") == 0
+    assert run("--seed", "2", "--out", str(out), "eml", "--format", "csv",
+               "--graph", str(paley13_file), "--samples", "30") == 0
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 31 and rows[0].startswith("sample,")
     assert all(r.endswith("True") for r in rows[1:])
@@ -120,6 +120,92 @@ def test_default_format_artifacts_are_json(paley13_file, tmp_path, argv, code):
     json.loads(out.read_text())
 
 
+# The arguments after each subcommand name of a run on Paley 13, with its
+# exit code; {graph}, {matrix}, {cycle} and {summaries} stand for its inputs.
+COMMANDS = {
+    "gen": (["paley", "13"], 0),
+    "certify": (["{graph}"], 0),
+    "eml": (["--graph", "{graph}", "--samples", "5"], 0),
+    "subsample": (["--graph", "{graph}", "--sigma", "0.5", "--trials", "3",
+                   "--gamma-target", "0.3"], 3),
+    "submatrix": (["--matrix", "{matrix}", "--mode", "symmetric_uniform",
+                   "--m", "2", "--trials", "5"], 0),
+    "match": (["--graph", "{graph}", "--left", "0,1,2", "--right", "3,4,5"], 0),
+    "hamilton": (["{graph}"], 3),
+    "verify": (["{graph}", "{cycle}"], 0),
+    "summarize": (["{summaries}"], 0),
+}
+# (subcommand, option) of each pair whose option changes the artifact,
+# with a check of the artifact's text.
+HONOURED = {
+    ("certify", "--format"): lambda text: text.startswith("n,d,gamma_hat,lambda_hat\n"),
+    ("eml", "--format"): lambda text: text.startswith(
+        "sample,size_s,size_t,count,lower,upper,holds\n"),
+    ("hamilton", "--config"): lambda text: json.loads(text)["config"]["seed"] == 9,
+}
+
+
+def _inputs(tmp_path, graph) -> dict:
+    """The input files of the COMMANDS runs, by the name each argv uses."""
+    inputs = {"graph": graph, "matrix": tmp_path / "b.txt", "cycle": tmp_path / "c.txt",
+              "config": tmp_path / "cfg.json", "summaries": tmp_path / "summaries"}
+    inputs["matrix"].write_text("3 3\n2 1 0\n1 2 1\n0 1 2\n")
+    inputs["cycle"].write_text(" ".join(map(str, range(13))) + "\n")
+    inputs["config"].write_text(json.dumps({"seed": 9}))
+    inputs["summaries"].mkdir()
+    (inputs["summaries"] / "s.json").write_text(json.dumps(
+        {"schema_version": 1, "success_fraction": 1.0, "floor": 0.5,
+         "pass": True, "params": {"sigma": 0.5}}))
+    return inputs
+
+
+def test_commands_cover_every_subcommand():
+    (subcommands,) = cli.build_parser()._subparsers._group_actions
+    assert set(COMMANDS) == set(subcommands.choices)
+
+
+@pytest.mark.parametrize("option", ["--format", "--config"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_an_option_is_honoured_or_refused(paley13_file, tmp_path, command, option):
+    inputs = _inputs(tmp_path, paley13_file)
+    value = "csv" if option == "--format" else str(inputs["config"])
+    argv, code = COMMANDS[command]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "artifact"
+    got = run("--out", str(out), command, option, value,
+              *(a.format(**inputs) for a in argv))
+    written = sorted(p.name for p in out_dir.iterdir())
+    if (command, option) in HONOURED:
+        assert got == code and written == ["artifact", "artifact.manifest.json"]
+        assert HONOURED[command, option](out.read_text())
+    else:
+        assert got == 2 and written == []
+
+
+def test_options_before_the_command_are_only_seed_and_out(paley13_file, tmp_path):
+    inputs = _inputs(tmp_path, paley13_file)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = str(out_dir / "artifact")
+    assert run("--out", out, "--format", "csv", "subsample", "--graph",
+               str(paley13_file), "--sigma", "0.5", "--trials", "3") == 2
+    assert run("--out", out, "--config", str(inputs["config"]),
+               "hamilton", str(paley13_file)) == 2
+    assert list(out_dir.iterdir()) == []
+
+
+def test_verify_writes_its_verdict_and_manifest(paley13_file, tmp_path, capsys):
+    inputs = _inputs(tmp_path, paley13_file)
+    out = tmp_path / "v.json"
+    assert run("--out", str(out), "verify", str(paley13_file), str(inputs["cycle"])) == 0
+    assert json.loads(out.read_text()) == {"ok": True, "reason": "ok"}
+    assert capsys.readouterr().out == ""
+    manifest = json.loads((tmp_path / "v.json.manifest.json").read_text())
+    assert list(manifest["inputs"]) == [str(paley13_file), str(inputs["cycle"])]
+    assert manifest["outputs"] == [str(out)]
+
+
 def test_hamilton_verify_roundtrip(paley401_file, tmp_path):
     out = tmp_path / "trace.json"
     assert run("--seed", "7", "--out", str(out),
@@ -152,15 +238,15 @@ def test_hamilton_config_file(paley401_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 9, "l_max": 12}))
     out = tmp_path / "trace.json"
-    assert run("--config", str(cfg), "--out", str(out),
-               "hamilton", str(paley401_file)) == 0
+    assert run("--out", str(out), "hamilton", "--config", str(cfg),
+               str(paley401_file)) == 0
     assert json.loads(out.read_text())["config"]["seed"] == 9
 
 
 def test_hamilton_bad_config_key(paley401_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mystery": 1}))
-    assert run("--config", str(cfg), "hamilton", str(paley401_file)) == 2
+    assert run("hamilton", "--config", str(cfg), str(paley401_file)) == 2
 
 
 @pytest.mark.parametrize("cfg_data", [{"k": "abc"}, {"seed": 1.5},
@@ -174,7 +260,7 @@ def test_hamilton_bad_config_key(paley401_file, tmp_path):
 def test_hamilton_mistyped_config_value(paley401_file, tmp_path, capsys, cfg_data):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_data))    # NaN and Infinity as JSON writes them
-    assert run("--config", str(cfg), "hamilton", str(paley401_file)) == 2
+    assert run("hamilton", "--config", str(cfg), str(paley401_file)) == 2
     if isinstance(cfg_data, dict):
         assert next(iter(cfg_data)) in capsys.readouterr().err
 
@@ -366,7 +452,10 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["gen", "paley"],
     ["gen", "regular", "10"],
-    ["--format", "csv", "eml", "--graph", "{graph}", "--samples", "0"],
+    ["gen", "petersen", "7"],
+    ["gen", "cycle", "5", "6"],
+    ["gen", "paley", "13", "9"],
+    ["eml", "--format", "csv", "--graph", "{graph}", "--samples", "0"],
     ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "0"],
     ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "-3"],
     ["submatrix", "--matrix", "{matrix}", "--mode", "two_sided_bernoulli",
@@ -376,7 +465,7 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
     ["certify", "{dir}"],
     ["submatrix", "--matrix", "{dir}", "--mode", "two_sided_bernoulli",
      "--sigma", "0.5"],
-    ["--config", "{dir}", "hamilton", "{graph}"],
+    ["hamilton", "--config", "{dir}", "{graph}"],
     ["--out", "{dir}", "certify", "{graph}"],
     ["--seed", str(2 ** 127), "certify", "{graph}"],
     ["subsample", "--graph", "{graph}", "--sigma", "inf"],
@@ -388,7 +477,8 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
      "--sigma", "0.5", "--p", "inf"],
     ["submatrix", "--matrix", "{matrix}", "--mode", "symmetric_uniform",
      "--m", "1", "--p", "nan"],
-], ids=["gen-paley-no-q", "gen-regular-no-d", "eml-no-samples",
+], ids=["gen-paley-no-q", "gen-regular-no-d", "gen-petersen-extra-size",
+        "gen-cycle-extra-size", "gen-paley-extra-size", "eml-no-samples",
         "subsample-no-trials", "subsample-negative-trials",
         "submatrix-no-trials", "match-vertex-out-of-range", "match-negative-vertex",
         "certify-directory", "submatrix-directory", "config-directory",

@@ -184,3 +184,14 @@ def test_bipartite_induced_experiment(paley101, cert101):
                                                 gamma_target=gamma)
     assert exp.trials == 10
     assert exp.success_fraction >= 1 - 101 ** (-1 / 7)
+
+
+def test_only_the_induced_record_checks_a_hypothesis(paley101, cert101):
+    # The bipartite experiment states no hypothesis, so its record says
+    # that none was checked rather than that one failed.
+    plain = sampling.induced_subgraph_experiment(paley101, cert101, 0.5, trials=1,
+                                                 gamma_target=0.1)
+    bipartite = sampling.bipartite_induced_experiment(paley101, cert101, 0.25, 0.25,
+                                                      trials=1, gamma_target=0.1)
+    assert isinstance(plain.hypotheses_hold, bool)
+    assert bipartite.hypotheses_hold is None
