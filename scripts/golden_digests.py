@@ -36,10 +36,12 @@ hypothesis). Two lines hold the
 SHA-256 of the graph file `write_graph` writes for Paley 401 and 2029
 (the larger one spans several of the writer's and reader's chunks). The
 last lines hold the SHA-256 of each artifact that `expanderlab` writes at
-`--seed 7` on Paley 101 (`certify --format csv`, `eml --format csv`, `eml`,
-two `subsample` summaries with their `.trials.csv` files, and
-`summarize` over the two); the manifests carry wall time and are not
-hashed. Neighbour
+`--seed 7` on Paley 101 (`certify` as CSV and JSON, `eml` as CSV and
+JSON, two `subsample` summaries with their `.trials.csv` files,
+`summarize` over the two, `submatrix` in both modes on Paley 61's
+adjacency matrix, `match` in both modes, the `hamilton` trace with its
+`.cycle.txt`, and `verify` of that cycle); the manifests carry wall
+time and are not hashed. Neighbour
 order feeds scipy's Hopcroft-Karp (`maximum_bipartite_matching`), the
 greedy matching and the connector's shuffles, so a change of
 tie-breaking anywhere in the pipeline changes these digests.
@@ -96,15 +98,29 @@ BIPARTITE_WINDOWS = [(0.3, 1.0), (2.0, 1.0), (2.0, 3.0)]
 EXPERIMENT_SEEDS = (0, 1)
 # (output file, arguments) of each CLI run on Paley 101, at `--seed 7`
 # and `--out` the output file in one directory; {graph} stands for the
-# graph file and {summaries} for the directory of the subsample summaries.
+# graph file, {matrix} for Paley 61's adjacency matrix, {summaries} for
+# the directory of the subsample summaries and {cycle} for the cycle
+# file of the `hamilton` run.
 CLI_RUNS = [
     ("certify.csv", ["certify", "--format", "csv", "{graph}"]),
+    ("certify.json", ["certify", "{graph}"]),
     ("eml.csv", ["eml", "--format", "csv", "--graph", "{graph}", "--samples", "50"]),
     ("eml.json", ["eml", "--graph", "{graph}", "--samples", "50"]),
     *((f"summaries/subsample-{sigma}.json",
        ["subsample", "--graph", "{graph}", "--sigma", sigma, "--trials", "20",
         "--gamma-target", "0.3"]) for sigma in ("0.3", "0.5")),
     ("summarize.csv", ["summarize", "{summaries}"]),
+    ("submatrix-bernoulli.json", ["submatrix", "--matrix", "{matrix}", "--mode",
+                                  "two_sided_bernoulli", "--sigma", "0.3", "--trials", "20"]),
+    ("submatrix-uniform.json", ["submatrix", "--matrix", "{matrix}", "--mode",
+                                "symmetric_uniform", "--m", "20", "--trials", "20"]),
+    ("match-max.json", ["match", "--graph", "{graph}", "--left", "0,2,4,6,8,10",
+                        "--right", "1,3,5,7,9,11,13"]),
+    ("match-perfect.json", ["match", "--graph", "{graph}", "--mode", "perfect",
+                            "--left", "0,1,2,3,4,5,6,7,8,9",
+                            "--right", "10,11,12,13,14,15,16,17,18,19"]),
+    ("trace.json", ["hamilton", "{graph}"]),
+    ("verify.json", ["verify", "{graph}", "{cycle}"]),
 ]
 
 
@@ -250,13 +266,17 @@ def cli_digests():
     `CLI_RUNS` write, in path order."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        graph, summaries = root / "paley101.txt", root / "summaries"
-        graphs.write_graph(graphs.gen_paley(101), graph)
-        summaries.mkdir()
+        inputs = {"graph": root / "paley101.txt", "matrix": root / "paley61.txt",
+                  "summaries": root / "summaries", "cycle": root / "trace.cycle.txt"}
+        graphs.write_graph(graphs.gen_paley(101), inputs["graph"])
+        adjacency = graphs.gen_paley(61).adjacency_dense().astype(float)
+        np.savetxt(inputs["matrix"], adjacency, header="61 61", comments="")
+        inputs["summaries"].mkdir()
         for out, argv in CLI_RUNS:
             cli.main(["--seed", "7", "--out", str(root / out),
-                      *(a.format(graph=graph, summaries=summaries) for a in argv)])
-        artifacts = sorted(p for p in root.rglob("*") if p.is_file() and p != graph
+                      *(a.format(**inputs) for a in argv)])
+        artifacts = sorted(p for p in root.rglob("*") if p.is_file()
+                           and p not in (inputs["graph"], inputs["matrix"])
                            and not p.name.endswith(".manifest.json"))
         return [(p.relative_to(root).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest())
                 for p in artifacts]
