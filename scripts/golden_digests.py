@@ -12,7 +12,7 @@ Paley 401 configs that fail on each partition and repartition check
 lambda/d gate. Then one line per spectral certificate holds q, the CLI
 seed and `float.hex` of `certify_expander`'s lambda_hat and residual,
 for Paley q in {13, 101, 401, 1009, 2029} at the certificate seeds
-`expanderlab --seed 0` and `--seed 11` use. One line holds the SHA-256
+`expanderlab certify --seed 0` and `--seed 11` use. One line holds the SHA-256
 of the edges of `greedy_matching_avoiding` on criterion 7's 100 seeded
 draws on Paley 101, and one the SHA-256 of the closing paths, or the
 ConnectFailed message, of `connect_pairs` on 200 seeded draws on Paley
@@ -35,13 +35,13 @@ record's `hypotheses_hold` is null, since that experiment checks no
 hypothesis). Two lines hold the
 SHA-256 of the graph file `write_graph` writes for Paley 401 and 2029
 (the larger one spans several of the writer's and reader's chunks). The
-last lines hold the SHA-256 of each artifact that `expanderlab` writes at
-`--seed 7` on Paley 101 (`certify` as CSV and JSON, `eml` as CSV and
-JSON, two `subsample` summaries with their `.trials.csv` files,
-`summarize` over the two, `submatrix` in both modes on Paley 61's
-adjacency matrix, `match` in both modes, the `hamilton` trace with its
-`.cycle.txt`, and `verify` of that cycle); the manifests carry wall
-time and are not hashed. Neighbour
+last lines hold the SHA-256 of each artifact that `expanderlab` writes on
+Paley 101, each command that draws at `--seed 7`: `certify` as CSV and
+JSON, `eml` as CSV and JSON, two `subsample` summaries with their
+`.trials.csv` files, `summarize` over the two, `submatrix` in both modes
+on Paley 61's adjacency matrix, `match` in both modes, the `hamilton`
+trace with its `.cycle.txt`, and `verify` of that cycle. The manifests
+carry wall time and are not hashed. Neighbour
 order feeds scipy's Hopcroft-Karp (`maximum_bipartite_matching`), the
 greedy matching and the connector's shuffles, so a change of
 tie-breaking anywhere in the pipeline changes these digests.
@@ -96,30 +96,31 @@ VIEWS = [(0, 24, 24), (1, 30, 18), (2, 5, 5), (3, 6, 6), (4, 4, 4)]
 # and the third holds.
 BIPARTITE_WINDOWS = [(0.3, 1.0), (2.0, 1.0), (2.0, 3.0)]
 EXPERIMENT_SEEDS = (0, 1)
-# (output file, arguments) of each CLI run on Paley 101, at `--seed 7`
-# and `--out` the output file in one directory; {graph} stands for the
-# graph file, {matrix} for Paley 61's adjacency matrix, {summaries} for
-# the directory of the subsample summaries and {cycle} for the cycle
-# file of the `hamilton` run.
+# (output file, arguments) of each CLI run on Paley 101, with `--out` the
+# output file in one directory and `--seed 7` on each command that draws;
+# {graph} stands for the graph file, {matrix} for Paley 61's adjacency
+# matrix, {summaries} for the directory of the subsample summaries and
+# {cycle} for the cycle file of the `hamilton` run.
 CLI_RUNS = [
-    ("certify.csv", ["certify", "--format", "csv", "{graph}"]),
-    ("certify.json", ["certify", "{graph}"]),
-    ("eml.csv", ["eml", "--format", "csv", "--graph", "{graph}", "--samples", "50"]),
-    ("eml.json", ["eml", "--graph", "{graph}", "--samples", "50"]),
+    ("certify.csv", ["certify", "--seed", "7", "--format", "csv", "{graph}"]),
+    ("certify.json", ["certify", "--seed", "7", "{graph}"]),
+    ("eml.csv", ["eml", "--seed", "7", "--format", "csv", "--graph", "{graph}",
+                 "--samples", "50"]),
+    ("eml.json", ["eml", "--seed", "7", "--graph", "{graph}", "--samples", "50"]),
     *((f"summaries/subsample-{sigma}.json",
-       ["subsample", "--graph", "{graph}", "--sigma", sigma, "--trials", "20",
-        "--gamma-target", "0.3"]) for sigma in ("0.3", "0.5")),
+       ["subsample", "--seed", "7", "--graph", "{graph}", "--sigma", sigma,
+        "--trials", "20", "--gamma-target", "0.3"]) for sigma in ("0.3", "0.5")),
     ("summarize.csv", ["summarize", "{summaries}"]),
-    ("submatrix-bernoulli.json", ["submatrix", "--matrix", "{matrix}", "--mode",
-                                  "two_sided_bernoulli", "--sigma", "0.3", "--trials", "20"]),
-    ("submatrix-uniform.json", ["submatrix", "--matrix", "{matrix}", "--mode",
-                                "symmetric_uniform", "--m", "20", "--trials", "20"]),
-    ("match-max.json", ["match", "--graph", "{graph}", "--left", "0,2,4,6,8,10",
+    ("submatrix-bernoulli.json", ["submatrix", "two_sided_bernoulli", "--seed", "7",
+                                  "--matrix", "{matrix}", "--sigma", "0.3", "--trials", "20"]),
+    ("submatrix-uniform.json", ["submatrix", "symmetric_uniform", "--seed", "7",
+                                "--matrix", "{matrix}", "--m", "20", "--trials", "20"]),
+    ("match-max.json", ["match", "max", "--graph", "{graph}", "--left", "0,2,4,6,8,10",
                         "--right", "1,3,5,7,9,11,13"]),
-    ("match-perfect.json", ["match", "--graph", "{graph}", "--mode", "perfect",
+    ("match-perfect.json", ["match", "perfect", "--seed", "7", "--graph", "{graph}",
                             "--left", "0,1,2,3,4,5,6,7,8,9",
                             "--right", "10,11,12,13,14,15,16,17,18,19"]),
-    ("trace.json", ["hamilton", "{graph}"]),
+    ("trace.json", ["hamilton", "--seed", "7", "{graph}"]),
     ("verify.json", ["verify", "{graph}", "{cycle}"]),
 ]
 
@@ -148,7 +149,7 @@ def run_digests(g, cfg_data: dict) -> tuple:
 
 def certificate_bits(g, cli_seed: int) -> tuple:
     """float.hex of (lambda_hat, residual) of the certificate that
-    `expanderlab --seed cli_seed certify` computes."""
+    `expanderlab certify --seed cli_seed` computes."""
     cert = graphs.certify_expander(g, seed=child_seed(cli_seed, "certify"))
     return cert.lambda_hat.hex(), cert.residual.hex()
 
@@ -273,8 +274,7 @@ def cli_digests():
         np.savetxt(inputs["matrix"], adjacency, header="61 61", comments="")
         inputs["summaries"].mkdir()
         for out, argv in CLI_RUNS:
-            cli.main(["--seed", "7", "--out", str(root / out),
-                      *(a.format(**inputs) for a in argv)])
+            cli.main(["--out", str(root / out), *(a.format(**inputs) for a in argv)])
         artifacts = sorted(p for p in root.rglob("*") if p.is_file()
                            and p not in (inputs["graph"], inputs["matrix"])
                            and not p.name.endswith(".manifest.json"))

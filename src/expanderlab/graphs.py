@@ -29,7 +29,6 @@ those upper rows. No graph-sized temporary outgrows the graph's CSR.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -533,19 +532,6 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
                                   reason="s2 above bound")
     return BipartiteCertificate(n=n, d=d, gamma=gamma, lambda_bound=lam,
                                 s2_observed=s2)
-
-
-def certificate_to_json(cert: SpectralCertificate) -> str:
-    # json emits the shortest decimal that round-trips exactly, so the
-    # certificate survives a dump/load cycle bit-for-bit.
-    return json.dumps({
-        "n": cert.n,
-        "d": float(cert.d),
-        "gamma_hat": float(cert.gamma_hat),
-        "lambda_hat": float(cert.lambda_hat),
-        "residual": float(cert.residual),
-        "seed": cert.seed,
-    }, indent=2) + "\n"
 
 
 def read_graph(path) -> Graph:

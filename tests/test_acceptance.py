@@ -317,27 +317,25 @@ def test_criterion_10_soundness_under_failure():
 def _write_artifacts(out_dir):
     """One run of every artifact-producing subcommand at a fixed seed."""
     g = out_dir / "g.txt"
-    assert cli.main(["--seed", "11", "--out", str(g),
-                     "gen", "paley", "401"]) == 0
-    assert cli.main(["--seed", "11", "--out", str(out_dir / "cert.json"),
-                     "certify", str(g)]) == 0
-    assert cli.main(["--seed", "11", "--out", str(out_dir / "eml.csv"),
-                     "eml", "--format", "csv", "--graph", str(g),
+    assert cli.main(["--out", str(g), "gen", "paley", "401"]) == 0
+    assert cli.main(["--out", str(out_dir / "cert.json"),
+                     "certify", "--seed", "11", str(g)]) == 0
+    assert cli.main(["--out", str(out_dir / "eml.csv"),
+                     "eml", "--seed", "11", "--format", "csv", "--graph", str(g),
                      "--samples", "50"]) == 0
-    assert cli.main(["--seed", "11", "--out", str(out_dir / "sub.json"),
-                     "subsample", "--graph", str(g), "--sigma", "0.5",
+    assert cli.main(["--out", str(out_dir / "sub.json"),
+                     "subsample", "--seed", "11", "--graph", str(g), "--sigma", "0.5",
                      "--trials", "10", "--gamma-target", "0.3"]) == 0
     mat = out_dir / "b.txt"
     arr = graphs.gen_paley(61).adjacency_dense().astype(float)
     np.savetxt(mat, arr, header=f"{arr.shape[0]} {arr.shape[1]}", comments="")
-    assert cli.main(["--seed", "11", "--out", str(out_dir / "mom.json"),
-                     "submatrix", "--matrix", str(mat),
-                     "--mode", "symmetric_uniform", "--m", "20",
-                     "--trials", "20"]) == 0
-    assert cli.main(["--seed", "11", "--out", str(out_dir / "trace.json"),
-                     "hamilton", str(g)]) == 0
-    assert cli.main(["--seed", "11", "--out", str(out_dir / "m.json"),
-                     "match", "--graph", str(g),
+    assert cli.main(["--out", str(out_dir / "mom.json"),
+                     "submatrix", "symmetric_uniform", "--seed", "11",
+                     "--matrix", str(mat), "--m", "20", "--trials", "20"]) == 0
+    assert cli.main(["--out", str(out_dir / "trace.json"),
+                     "hamilton", "--seed", "11", str(g)]) == 0
+    assert cli.main(["--out", str(out_dir / "m.json"),
+                     "match", "max", "--graph", str(g),
                      "--left", "0,1,2,3", "--right", "4,5,6,7"]) == 0
     return sorted(p for p in out_dir.iterdir()
                   if not p.name.endswith(".manifest.json"))

@@ -4,7 +4,8 @@ import warnings
 
 import pytest
 
-from expanderlab import cli, graphs, hamilton, sampling
+from expanderlab import cli, graphs, sampling
+from expanderlab.rng import child_seed
 
 
 def run(*argv):
@@ -43,15 +44,15 @@ def test_gen_writes_through_write_graph(tmp_path, monkeypatch, capsys):
     path = tmp_path / "g.txt"
     assert run("--out", str(path), "gen", "paley", "13") == 0
     file = graphs.graph_file_bytes(graphs.gen_paley(13))
-    assert written == [str(path)] and path.read_bytes() == file
+    assert written == [path] and path.read_bytes() == file
     assert run("gen", "paley", "13") == 0
     assert capsys.readouterr().out == file.decode("ascii") and len(written) == 1
 
 
 def test_gen_is_reproducible(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert run("--seed", "4", "--out", str(a), "gen", "regular", "20", "4") == 0
-    assert run("--seed", "4", "--out", str(b), "gen", "regular", "20", "4") == 0
+    assert run("--out", str(a), "gen", "regular", "--seed", "4", "20", "4") == 0
+    assert run("--out", str(b), "gen", "regular", "--seed", "4", "20", "4") == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -74,7 +75,7 @@ def test_certify_csv_format(paley13_file, tmp_path, capsys):
 
 def test_eml_sweep(paley13_file, tmp_path):
     out = tmp_path / "eml.csv"
-    assert run("--seed", "2", "--out", str(out), "eml", "--format", "csv",
+    assert run("--out", str(out), "eml", "--seed", "2", "--format", "csv",
                "--graph", str(paley13_file), "--samples", "30") == 0
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 31 and rows[0].startswith("sample,")
@@ -83,13 +84,10 @@ def test_eml_sweep(paley13_file, tmp_path):
 
 def test_cli_defaults_read_the_library_defaults():
     parser = cli.build_parser()
-    match = parser.parse_args(["match", "--graph", "g", "--left", "0", "--right", "1"])
-    assert match.gamma_cap == hamilton.CONSTANT_DEFAULTS["pm_gamma_cap"]
-    assert match.ratio_cap == hamilton.CONSTANT_DEFAULTS["lambda_ratio_cap"]
     for argv, experiment, names in [
             (["subsample", "--graph", "g", "--sigma", "0.5"],
              sampling.induced_subgraph_experiment, ("trials", "gamma_target")),
-            (["submatrix", "--matrix", "b", "--mode", "symmetric_uniform"],
+            (["submatrix", "symmetric_uniform", "--matrix", "b"],
              sampling.submatrix_norm_experiment, ("trials", "p"))]:
         args = parser.parse_args(argv)
         defaults = inspect.signature(experiment).parameters
@@ -101,11 +99,10 @@ def test_cli_defaults_read_the_library_defaults():
     (["eml", "--graph", "{graph}", "--samples", "20"], 0),
     (["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "3",
       "--gamma-target", "0.3"], 3),
-    (["submatrix", "--matrix", "{matrix}", "--mode", "symmetric_uniform",
-      "--m", "2", "--trials", "5"], 0),
-    (["match", "--graph", "{graph}", "--left", "0,1,2", "--right", "3,4,5"], 0),
-    (["match", "--graph", "{graph}", "--mode", "perfect", "--left", "0,1,2",
-      "--right", "3,4,5", "--ratio-cap", "0.5"], 0),
+    (["submatrix", "symmetric_uniform", "--matrix", "{matrix}", "--m", "2",
+      "--trials", "5"], 0),
+    (["match", "max", "--graph", "{graph}", "--left", "0,1,2", "--right", "3,4,5"], 0),
+    (["match", "perfect", "--graph", "{graph}", "--left", "0", "--right", "1"], 0),
     (["hamilton", "{graph}"], 3),
 ], ids=["certify", "eml", "subsample", "submatrix", "match-max", "match-perfect",
         "hamilton"])
@@ -128,21 +125,28 @@ COMMANDS = {
     "eml": (["--graph", "{graph}", "--samples", "5"], 0),
     "subsample": (["--graph", "{graph}", "--sigma", "0.5", "--trials", "3",
                    "--gamma-target", "0.3"], 3),
-    "submatrix": (["--matrix", "{matrix}", "--mode", "symmetric_uniform",
-                   "--m", "2", "--trials", "5"], 0),
-    "match": (["--graph", "{graph}", "--left", "0,1,2", "--right", "3,4,5"], 0),
+    "submatrix": (["symmetric_uniform", "--matrix", "{matrix}", "--m", "2",
+                   "--trials", "5"], 0),
+    "match": (["max", "--graph", "{graph}", "--left", "0,1,2", "--right", "3,4,5"], 0),
     "hamilton": (["{graph}"], 3),
     "verify": (["{graph}", "{cycle}"], 0),
     "summarize": (["{summaries}"], 0),
 }
 # (subcommand, option) of each pair whose option changes the artifact,
-# with a check of the artifact's text.
+# with a check of the artifact's text; the files written also differ from
+# those of the run without the option.
 HONOURED = {
     ("certify", "--format"): lambda text: text.startswith("n,d,gamma_hat,lambda_hat\n"),
     ("eml", "--format"): lambda text: text.startswith(
         "sample,size_s,size_t,count,lower,upper,holds\n"),
-    ("hamilton", "--config"): lambda text: json.loads(text)["config"]["seed"] == 9,
+    ("hamilton", "--config"): lambda text: json.loads(text)["config"]["l_max"] == 11,
+    ("certify", "--seed"): lambda text: json.loads(text)["seed"] == child_seed(1, "certify"),
+    ("eml", "--seed"): lambda text: json.loads(text)["samples"] == 5,
+    ("subsample", "--seed"): lambda text: json.loads(text)["params"]["trials"] == 3,
+    ("submatrix", "--seed"): lambda text: json.loads(text)["trials"] == 5,
+    ("hamilton", "--seed"): lambda text: json.loads(text)["config"]["seed"] == 1,
 }
+OPTION_VALUES = {"--format": "csv", "--config": "{config}", "--seed": "1"}
 
 
 def _inputs(tmp_path, graph) -> dict:
@@ -151,7 +155,7 @@ def _inputs(tmp_path, graph) -> dict:
               "config": tmp_path / "cfg.json", "summaries": tmp_path / "summaries"}
     inputs["matrix"].write_text("3 3\n2 1 0\n1 2 1\n0 1 2\n")
     inputs["cycle"].write_text(" ".join(map(str, range(13))) + "\n")
-    inputs["config"].write_text(json.dumps({"seed": 9}))
+    inputs["config"].write_text(json.dumps({"l_max": 11}))
     inputs["summaries"].mkdir()
     (inputs["summaries"] / "s.json").write_text(json.dumps(
         {"schema_version": 1, "success_fraction": 1.0, "floor": 0.5,
@@ -164,26 +168,31 @@ def test_commands_cover_every_subcommand():
     assert set(COMMANDS) == set(subcommands.choices)
 
 
-@pytest.mark.parametrize("option", ["--format", "--config"])
+@pytest.mark.parametrize("option", ["--format", "--config", "--seed"])
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_an_option_is_honoured_or_refused(paley13_file, tmp_path, command, option):
     inputs = _inputs(tmp_path, paley13_file)
-    value = "csv" if option == "--format" else str(inputs["config"])
     argv, code = COMMANDS[command]
+    argv = [a.format(**inputs) for a in argv]
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     out = out_dir / "artifact"
-    got = run("--out", str(out), command, option, value,
-              *(a.format(**inputs) for a in argv))
+    # After the whole argv, the option reaches the parser of the mode too.
+    got = run("--out", str(out), command, *argv, option,
+              OPTION_VALUES[option].format(**inputs))
     written = sorted(p.name for p in out_dir.iterdir())
     if (command, option) in HONOURED:
-        assert got == code and written == ["artifact", "artifact.manifest.json"]
+        assert got == code and {"artifact", "artifact.manifest.json"} <= set(written)
         assert HONOURED[command, option](out.read_text())
+        artifacts = {p: p.read_bytes() for p in out_dir.iterdir()
+                     if not p.name.endswith(".manifest.json")}
+        assert run("--out", str(out), command, *argv) == code
+        assert {p: p.read_bytes() for p in artifacts} != artifacts
     else:
         assert got == 2 and written == []
 
 
-def test_options_before_the_command_are_only_seed_and_out(paley13_file, tmp_path):
+def test_options_before_the_command_are_only_out(paley13_file, tmp_path):
     inputs = _inputs(tmp_path, paley13_file)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -192,7 +201,31 @@ def test_options_before_the_command_are_only_seed_and_out(paley13_file, tmp_path
                str(paley13_file), "--sigma", "0.5", "--trials", "3") == 2
     assert run("--out", out, "--config", str(inputs["config"]),
                "hamilton", str(paley13_file)) == 2
+    assert run("--out", out, "--seed", "1", "certify", str(paley13_file)) == 2
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_stdout_holds_one_document(paley13_file, tmp_path, capsys, command):
+    inputs = _inputs(tmp_path, paley13_file)
+    argv, code = COMMANDS[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(command, *(a.format(**inputs) for a in argv)) == code
+    out = capsys.readouterr().out
+    if command == "gen":
+        assert out == graphs.graph_file_bytes(graphs.gen_paley(13)).decode("ascii")
+    elif command == "summarize":
+        assert out == "sigma,success_fraction,floor,pass\n0.5,1.0,0.5,True\n"
+    else:
+        json.loads(out)
+    assert sorted(tmp_path.rglob("*")) == before     # no sidecar, no manifest
+
+
+def test_hamilton_prints_only_its_trace(paley401_file, capsys):
+    before = sorted(paley401_file.parent.iterdir())
+    assert run("hamilton", "--seed", "7", str(paley401_file)) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "success"
+    assert sorted(paley401_file.parent.iterdir()) == before
 
 
 def test_verify_writes_its_verdict_and_manifest(paley13_file, tmp_path, capsys):
@@ -208,8 +241,7 @@ def test_verify_writes_its_verdict_and_manifest(paley13_file, tmp_path, capsys):
 
 def test_hamilton_verify_roundtrip(paley401_file, tmp_path):
     out = tmp_path / "trace.json"
-    assert run("--seed", "7", "--out", str(out),
-               "hamilton", str(paley401_file)) == 0
+    assert run("--out", str(out), "hamilton", "--seed", "7", str(paley401_file)) == 0
     trace = json.loads(out.read_text())
     assert trace["outcome"] == "success"
     cycle_file = out.with_suffix(".cycle.txt")
@@ -227,20 +259,29 @@ def test_hamilton_verify_roundtrip(paley401_file, tmp_path):
 
 def test_hamilton_trace_byte_identical(paley401_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run("--seed", "5", "--out", str(a),
-               "hamilton", str(paley401_file)) == 0
-    assert run("--seed", "5", "--out", str(b),
-               "hamilton", str(paley401_file)) == 0
+    assert run("--out", str(a), "hamilton", "--seed", "5", str(paley401_file)) == 0
+    assert run("--out", str(b), "hamilton", "--seed", "5", str(paley401_file)) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_hamilton_config_file(paley401_file, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 9, "l_max": 12}))
+    cfg.write_text(json.dumps({"l_max": 11}))
     out = tmp_path / "trace.json"
-    assert run("--out", str(out), "hamilton", "--config", str(cfg),
+    assert run("--out", str(out), "hamilton", "--seed", "9", "--config", str(cfg),
                str(paley401_file)) == 0
-    assert json.loads(out.read_text())["config"]["seed"] == 9
+    config = json.loads(out.read_text())["config"]
+    assert config["seed"] == 9 and config["l_max"] == 11
+
+
+def test_hamilton_config_file_has_no_seed(paley401_file, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out" / "trace.json"
+    cfg.write_text(json.dumps({"seed": 9}))
+    out.parent.mkdir()
+    assert run("--out", str(out), "hamilton", "--config", str(cfg),
+               str(paley401_file)) == 2
+    assert capsys.readouterr().err == f"error: config {cfg} sets seed; the seed is --seed\n"
+    assert list(out.parent.iterdir()) == []
 
 
 def test_hamilton_bad_config_key(paley401_file, tmp_path):
@@ -285,8 +326,8 @@ def test_subsample_and_summarize(paley401_file, tmp_path):
     sweep = tmp_path / "sweep"
     sweep.mkdir()
     for i, sigma in enumerate(("0.5", "0.6")):
-        code = run("--seed", str(i), "--out", str(sweep / f"s{i}.json"),
-                   "subsample", "--graph", str(paley401_file),
+        code = run("--out", str(sweep / f"s{i}.json"),
+                   "subsample", "--seed", str(i), "--graph", str(paley401_file),
                    "--sigma", sigma, "--trials", "5",
                    "--gamma-target", "0.3")
         assert code == 0
@@ -347,7 +388,7 @@ def test_summarize_compares_schema_versions_of_any_json_type(tmp_path, capsys):
 
 
 def test_match_subcommand(paley13_file, capsys):
-    assert run("match", "--graph", str(paley13_file),
+    assert run("match", "max", "--graph", str(paley13_file),
                "--left", "0,1,2", "--right", "3,4,5") == 0
     edges = json.loads(capsys.readouterr().out)
     assert 1 <= len(edges) <= 3
@@ -355,27 +396,30 @@ def test_match_subcommand(paley13_file, capsys):
 
 def test_match_perfect_reports_hall_violator(paley13_file, capsys):
     # 0 and 2 are not adjacent in Paley 13, so {0} has no partner
-    assert run("match", "--graph", str(paley13_file), "--mode", "perfect",
+    assert run("match", "perfect", "--graph", str(paley13_file),
                "--left", "0", "--right", "2") == 3
     assert capsys.readouterr().err == \
         "phase failure: no perfect matching; Hall violator: frozenset({0})\n"
 
 
 def test_match_perfect_checks_the_s2_cap(paley13_file, capsys):
-    argv = ["match", "--graph", str(paley13_file), "--mode", "perfect",
-            "--left", "0,1,2", "--right", "3,4,5"]
-    # s2 of G[{0, ..., 5}] is 2.247, above the default cap 0.2 * d = 1.2
-    assert run(*argv) == 2
+    argv = ["match", "perfect", "--graph", str(paley13_file)]
+    # s2 of G[{0, ..., 5}] is 2.247, above the cap 0.2 * d = 1.2
+    assert run(*argv, "--left", "0,1,2", "--right", "3,4,5") == 2
     assert capsys.readouterr().err.startswith("error: lambda_cap: lambda=2.24")
-    assert run(*argv, "--ratio-cap", "0.5") == 0
-    assert json.loads(capsys.readouterr().out) == [[0, 3], [1, 4], [2, 5]]
+    # s2 of the edge {0, 1} is 1.0, and gamma is 1.167, under the cap 1.2
+    assert run(*argv, "--left", "0", "--right", "1") == 0
+    assert json.loads(capsys.readouterr().out) == [[0, 1]]
 
 
-def test_match_perfect_measures_the_pairs_gamma(paley13_file, capsys):
-    # 0 and 2 are not adjacent: both cross degrees are 0, so gamma is 1.0
-    assert run("match", "--graph", str(paley13_file), "--mode", "perfect",
-               "--left", "0", "--right", "2", "--gamma-cap", "0.5") == 2
-    assert capsys.readouterr().err == "error: gamma_cap: gamma=1.0 > 0.5\n"
+def test_match_perfect_measures_the_pairs_gamma(tmp_path, capsys):
+    # In a 10-cycle the cross degrees of the edge {0, 1} are 1, against a
+    # target of d / n = 0.2, so gamma is 4.0
+    cycle = tmp_path / "c10.txt"
+    assert run("--out", str(cycle), "gen", "cycle", "10") == 0
+    assert run("match", "perfect", "--graph", str(cycle),
+               "--left", "0", "--right", "1") == 2
+    assert capsys.readouterr().err == "error: gamma_cap: gamma=4.0 > 1.2\n"
 
 
 @pytest.mark.parametrize("left, right, sizes", [
@@ -385,7 +429,7 @@ def test_match_perfect_unbalanced_sides_exit_2(paley13_file, capsys,
                                                left, right, sizes):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run("match", "--graph", str(paley13_file), "--mode", "perfect",
+        assert run("match", "perfect", "--graph", str(paley13_file),
                    "--left", left, "--right", right) == 2
     assert capsys.readouterr().err == f"error: {sizes}\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -434,8 +478,8 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, text, why):
 def test_matrix_header_below_one_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    assert run("submatrix", "--matrix", str(path),
-               "--mode", "two_sided_bernoulli", "--sigma", "0.5") == 2
+    assert run("submatrix", "two_sided_bernoulli", "--matrix", str(path),
+               "--sigma", "0.5") == 2
     header = text.splitlines()[0]
     assert capsys.readouterr().err.startswith(f'error: matrix header "{header}"')
 
@@ -443,40 +487,49 @@ def test_matrix_header_below_one_exits_2(tmp_path, capsys, text):
 def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
     path = tmp_path / "z.txt"
     path.write_text("2 2\n0 0\n0 0\n")
-    assert run("submatrix", "--matrix", str(path), "--mode",
-               "symmetric_uniform", "--m", "1", "--trials", "5") == 2
+    assert run("submatrix", "symmetric_uniform", "--matrix", str(path),
+               "--m", "1", "--trials", "5") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: B is all zero") and "vacuous" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "paley"],
-    ["gen", "regular", "10"],
-    ["gen", "petersen", "7"],
-    ["gen", "cycle", "5", "6"],
-    ["gen", "paley", "13", "9"],
-    ["eml", "--format", "csv", "--graph", "{graph}", "--samples", "0"],
-    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "0"],
-    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "-3"],
-    ["submatrix", "--matrix", "{matrix}", "--mode", "two_sided_bernoulli",
-     "--sigma", "0.5", "--trials", "0"],
-    ["match", "--graph", "{graph}", "--left", "0,1", "--right", "500"],
-    ["match", "--graph", "{graph}", "--left", "0,-1", "--right", "5"],
-    ["certify", "{dir}"],
-    ["submatrix", "--matrix", "{dir}", "--mode", "two_sided_bernoulli",
-     "--sigma", "0.5"],
-    ["hamilton", "--config", "{dir}", "{graph}"],
-    ["--out", "{dir}", "certify", "{graph}"],
-    ["--seed", str(2 ** 127), "certify", "{graph}"],
-    ["subsample", "--graph", "{graph}", "--sigma", "inf"],
-    ["subsample", "--graph", "{graph}", "--sigma", "nan"],
-    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "nan"],
-    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "0"],
-    ["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "-1"],
-    ["submatrix", "--matrix", "{matrix}", "--mode", "two_sided_bernoulli",
-     "--sigma", "0.5", "--p", "inf"],
-    ["submatrix", "--matrix", "{matrix}", "--mode", "symmetric_uniform",
-     "--m", "1", "--p", "nan"],
+# argparse refuses a usage fault with its usage line, then the error.
+USAGE = "usage: expanderlab "
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["gen", "paley"], USAGE),
+    (["gen", "regular", "10"], USAGE),
+    (["gen", "petersen", "7"], USAGE),
+    (["gen", "cycle", "5", "6"], USAGE),
+    (["gen", "paley", "13", "9"], USAGE),
+    (["eml", "--format", "csv", "--graph", "{graph}", "--samples", "0"], "error: "),
+    (["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "0"], "error: "),
+    (["subsample", "--graph", "{graph}", "--sigma", "0.5", "--trials", "-3"], "error: "),
+    (["submatrix", "two_sided_bernoulli", "--matrix", "{matrix}", "--sigma", "0.5",
+      "--trials", "0"], "error: "),
+    (["match", "max", "--graph", "{graph}", "--left", "0,1", "--right", "500"], "error: "),
+    (["match", "max", "--graph", "{graph}", "--left", "0,-1", "--right", "5"], "error: "),
+    (["certify", "{dir}"], "error: "),
+    (["submatrix", "two_sided_bernoulli", "--matrix", "{dir}", "--sigma", "0.5"], "error: "),
+    (["hamilton", "--config", "{dir}", "{graph}"], "error: "),
+    (["--out", "{dir}", "certify", "{graph}"], "error: "),
+    (["certify", "--seed", str(2 ** 127), "{graph}"], "error: "),
+    (["subsample", "--graph", "{graph}", "--sigma", "inf"], "error: "),
+    (["subsample", "--graph", "{graph}", "--sigma", "nan"], "error: "),
+    (["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "nan"], "error: "),
+    (["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "0"], "error: "),
+    (["subsample", "--graph", "{graph}", "--sigma", "0.5", "--gamma-target", "-1"], "error: "),
+    (["submatrix", "two_sided_bernoulli", "--matrix", "{matrix}", "--sigma", "0.5",
+      "--p", "inf"], "error: "),
+    (["submatrix", "symmetric_uniform", "--matrix", "{matrix}", "--m", "1",
+      "--p", "nan"], "error: "),
+    (["match", "perfect", "--graph", "{graph}", "--left", "0", "--right", "1",
+      "--gamma-cap", "0.5"], USAGE),
+    (["submatrix", "symmetric_uniform", "--matrix", "{matrix}", "--m", "1",
+      "--sigma", "0.9"], USAGE),
+    (["submatrix", "two_sided_bernoulli", "--matrix", "{matrix}", "--sigma", "0.5",
+      "--m", "3"], USAGE),
 ], ids=["gen-paley-no-q", "gen-regular-no-d", "gen-petersen-extra-size",
         "gen-cycle-extra-size", "gen-paley-extra-size", "eml-no-samples",
         "subsample-no-trials", "subsample-negative-trials",
@@ -485,11 +538,12 @@ def test_submatrix_all_zero_matrix_exits_2(tmp_path, capsys):
         "out-directory", "seed-out-of-range", "subsample-sigma-inf",
         "subsample-sigma-nan", "subsample-gamma-target-nan",
         "subsample-gamma-target-0", "subsample-gamma-target-negative", "submatrix-p-inf",
-        "submatrix-p-nan"])
-def test_bad_arguments_exit_2(paley13_file, tmp_path, capsys, argv):
+        "submatrix-p-nan", "match-perfect-gamma-cap", "submatrix-uniform-sigma",
+        "submatrix-bernoulli-m"])
+def test_bad_arguments_exit_2(paley13_file, tmp_path, capsys, argv, err):
     matrix = tmp_path / "b.txt"
     matrix.write_text("2 2\n1 0\n0 1\n")
     argv = [a.format(graph=paley13_file, matrix=matrix, dir=tmp_path)
             for a in argv]
     assert run(*argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(err)

@@ -1,10 +1,11 @@
-"""Every option of every `expanderlab` subcommand is read by the code that
-runs it, and the only options before the subcommand are `--seed` and `--out`.
+"""Every option of every `expanderlab` parser is read by the code that
+runs it, and the only option before the subcommand is `--out`.
 
-An option counts as read when the subcommand's `_cmd_*` function, or a
-function of cli.py that it hands `args` to, mentions `args.<dest>`. An
-option that no code reads changes nothing, yet argparse accepts it and
-the manifest records its value as if it had been used.
+An option counts as read when the `_cmd_*` function of its leaf parser
+(a subcommand, or a mode or kind under one), or a function of cli.py
+that it hands `args` to, mentions `args.<dest>`. An option that no code
+reads changes nothing, yet argparse accepts it and the manifest records
+its value as if it had been used.
 """
 
 import argparse
@@ -38,18 +39,31 @@ def _options(parser: argparse.ArgumentParser) -> list:
     return [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
 
 
+def _leaves(parser: argparse.ArgumentParser, path: str = ""):
+    """(command path, parser) of each parser under `parser` that runs a
+    command; a parser with sub-parsers takes no option of its own."""
+    (choices,) = parser._subparsers._group_actions
+    for name, child in choices.choices.items():
+        if child._subparsers is None:
+            yield f"{path}{name}", child
+        else:
+            assert _options(child) == list(child._subparsers._group_actions), name
+            yield from _leaves(child, f"{path}{name} ")
+
+
 def test_every_subcommand_option_is_read():
     functions = _functions()
-    (subcommands,) = cli.build_parser()._subparsers._group_actions
     unread = {}
-    for command, parser in subcommands.choices.items():
+    leaves = dict(_leaves(cli.build_parser()))
+    for command, parser in leaves.items():
         reads = _reads(parser.get_default("func").__name__, functions)
         dests = {a.dest for a in _options(parser)} - reads
         if dests:
             unread[command] = sorted(dests)
     assert not unread, f"options that no code reads: {unread}"
+    assert {"gen petersen", "match perfect", "submatrix symmetric_uniform"} <= set(leaves)
 
 
-def test_only_seed_and_out_are_global():
+def test_only_out_is_global():
     flags = [flag for a in _options(cli.build_parser()) for flag in a.option_strings]
-    assert sorted(flags) == ["--out", "--seed"]
+    assert flags == ["--out"]
