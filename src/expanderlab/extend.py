@@ -7,12 +7,17 @@ construction, and their interiors exactly partition the reserve, which
 is what the cycle-closing step needs. A path is a tuple of int
 vertices, and a path system a tuple of paths. The reserve vertices no
 path uses yet are one boolean mask over V: the BFS routes through it,
-and each vertex it leaves over is spliced into the first slot (a, b
-with aw and wb edges) of the shortest path under the budget that has
-one, ties going to the lower path index.
+keeping one parent link per vertex it reaches, and each vertex it
+leaves over is spliced into the first slot (a, b with aw and wb edges)
+of the shortest path under the budget that has one, ties going to the
+lower path index. The splice keeps the paths in buckets by length and
+finds a slot by a binary search of a path's vertices in the leftover
+vertex's sorted row, so it sets no mask per vertex.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -95,26 +100,32 @@ class Connector:
         path that has one, trying the paths shorter than the budget in
         (length, index) order: the shortest path is preferred, which
         keeps lengths balanced under the budget. A pass with no
-        insertion means the reserve cannot be consumed.
+        insertion means the reserve cannot be consumed. The paths are
+        kept in buckets by vertex count, each in index order, and a path
+        is tested against w by a binary search of its vertices in w's
+        sorted row.
         """
         rng = generator(self.seed, "connector-absorb")
-        near = np.zeros(self.g.n, dtype=bool)    # the neighbours of w
+        buckets = [[] for _ in range(self.budget + 2)]   # path indices by vertex count
+        for i, path in enumerate(routed):
+            buckets[len(path)].append(i)
         while free.any():
             left = np.flatnonzero(free).tolist()
             rng.shuffle(left)
             for w in left:
-                nbrs = self.g.neighbors(w)
-                near[nbrs] = True
-                for path in sorted(routed, key=len):
-                    if len(path) > self.budget:
-                        break
-                    hits = near[path]
-                    slots = np.flatnonzero(hits[:-1] & hits[1:])
-                    if slots.size:
-                        path.insert(int(slots[0]) + 1, w)
+                if not (nbrs := self.g.neighbors(w)).size:
+                    continue
+                for size, i in ((size, i) for size in range(self.budget + 1)
+                                for i in buckets[size]):
+                    path = np.array(routed[i])
+                    hits = nbrs.take(nbrs.searchsorted(path), mode="clip") == path
+                    slots = hits[:-1] & hits[1:]
+                    if slots.any():
+                        routed[i].insert(int(slots.argmax()) + 1, w)
                         free[w] = False
+                        buckets[size].remove(i)
+                        bisect.insort(buckets[size + 1], i)
                         break
-                near[nbrs] = False
             if free[left].all():
                 raise ConnectFailed(None, len(left),
                                     "no splice point for leftover reserve "
@@ -122,22 +133,27 @@ class Connector:
 
     def _route_shortest(self, u, v, free, rng):
         """Randomized-tie-break BFS from u to v through the free reserve;
-        `open_` marks the free vertices and v, less those already reached."""
+        `open_` marks the free vertices and v, less those already reached,
+        and `parent` links each reached vertex to the one it was reached from."""
         open_ = free.copy()
         open_[v] = True
-        frontier = [[u]]
-        while frontier and len(frontier[0]) <= self.budget:
+        frontier, parent, size = [u], {}, 1     # size: vertices on a path to the frontier
+        while frontier and size <= self.budget:
             nxt = []
-            for path in frontier:
-                nbrs = self.g.neighbors(path[-1])
+            for a in frontier:
+                nbrs = self.g.neighbors(a)
                 nbrs = nbrs[open_[nbrs]].tolist()
                 open_[nbrs] = False
                 rng.shuffle(nbrs)
                 for x in nbrs:
+                    parent[x] = a
                     if x == v:
-                        return path + [x]
-                    nxt.append(path + [x])
-            frontier = nxt
+                        path = [x]
+                        while len(path) <= size:
+                            path.append(parent[path[-1]])
+                        return path[::-1]
+                    nxt.append(x)
+            frontier, size = nxt, size + 1
         return None
 
 

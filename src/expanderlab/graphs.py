@@ -11,9 +11,12 @@ outside range(n)). An edge lookup
 is a binary search in the sorted row. Bit-packed rows, built on first use
 if no larger than `indices`, give edge counts and, where n x n bools fit
 in `indices`, a set's rows for degrees into it, induced subgraphs and
-cross blocks; sparser graphs use a scipy CSR view of the arrays. A window
-check reads degree counts alone: every degree window, (1 +- width) times
-a target on each side in turn, is one `window_violation` call. A
+cross blocks; sparser graphs use a scipy CSR view of the arrays. Degrees
+into vertex sets come from one kernel, `degrees_into`, which reads a
+whole table of equal-size groups in one pass (`cross_degree` is its
+one-group case). A window check reads degree counts alone: every degree
+window, (1 +- width) times a target on each side, over any number of
+sides at once, is one `window_violation` call. A
 `BipartiteView` keeps read-only sides (L, R) and the CSR cross block
 A[L, R] its matchings read; only its s2 builds G[L u R].
 `adjacency_sparse()` is that int8 scipy CSR view itself, not a copy: the
@@ -253,22 +256,44 @@ class Graph:
         """Number of neighbours in the vertex set `targets` of each of
         `vertices` (an array or sequence, in its order and with its
         repeats), as an int array. A vertex of either outside range(n)
-        raises ValueError.
-
-        The rows of `targets` give every vertex's degree into it (the
-        adjacency is symmetric), as column sums of unpacked bit rows or a
-        bincount of CSR columns; `vertices` picks from that.
+        raises ValueError. It is `degrees_into`'s one-group case: the
+        degrees into `targets` of every vertex, picked at `vertices`.
         """
-        return self._cross_degree(_in_range(vertices, self.n),
-                                  vertex_array(targets, self.n))
+        vertices = _in_range(vertices, self.n)
+        return self._degrees_into(vertex_array(targets, self.n)[None])[0][vertices]
 
-    def _cross_degree(self, vertices, targets: np.ndarray) -> np.ndarray:
-        """`cross_degree` of int64 `vertices` inside range(n) into
-        `targets` that already passed `vertex_array`."""
-        if (pieces := self._rows(targets)) is None:
-            return np.bincount(self._csr[targets].indices, minlength=self.n)[vertices]
-        return sum((rows.sum(axis=0, dtype=np.int32) for rows in pieces),
-                   np.zeros(self.n, dtype=np.intp))[vertices]
+    def degrees_into(self, groups) -> np.ndarray:
+        """(len(groups), n) int array whose [i, v] is the number of
+        neighbours of v in groups[i], for a 2-D array of vertices whose
+        rows are groups of one size (each row's entries counted with their
+        repeats). A vertex outside range(n), a bool, a non-integer or an
+        array that is not 2-D raises ValueError."""
+        groups = np.asarray(groups)
+        if groups.ndim != 2:
+            raise ValueError(f"groups must be a 2-D array of vertices, got {groups.ndim}-D")
+        return self._degrees_into(_in_range(groups.ravel(), self.n).reshape(groups.shape))
+
+    def _degrees_into(self, groups: np.ndarray) -> np.ndarray:
+        """`degrees_into` of a 2-D int array inside range(n). The adjacency
+        is symmetric, so row i is the column sums of the rows of groups[i]:
+        of unpacked bit rows, as many whole groups at a time as fit in
+        ROW_PIECE rows (a larger group a piece at a time), or one bincount
+        of the CSR columns of all groups, each labelled by its group."""
+        count, size = groups.shape
+        per = max(1, ROW_PIECE // max(size, 1))    # whole groups per unpacked piece
+        spans = [(lo, min(lo + per, count)) for lo in range(0, count, per)]
+        reads = [self._rows(groups[lo:hi].ravel()) for lo, hi in spans]
+        if not reads or reads[0] is None:
+            rows = self._csr[groups.ravel()]
+            labels = np.repeat(np.arange(count) * self.n, size)
+            return np.bincount(np.repeat(labels, np.diff(rows.indptr)) + rows.indices,
+                               minlength=count * self.n).reshape(count, self.n)
+        out = np.zeros((count, self.n), dtype=np.intp)
+        for (lo, hi), pieces in zip(spans, reads):
+            for rows in pieces:     # one piece, unless a group outgrows ROW_PIECE
+                # ROW_PIECE < 2**16 rows of a group: their count fits in uint16
+                out[lo:hi] += rows.reshape(hi - lo, -1, self.n).sum(axis=1, dtype=np.uint16)
+        return out
 
     def _block(self, left: np.ndarray, right: np.ndarray) -> sp.csr_array:
         """A[left, right] of two vertex arrays, the bytes scipy indexing gives."""
@@ -298,7 +323,7 @@ class Graph:
         """`count_edges_between` of sets that already passed `vertex_array`."""
         both = np.intersect1d(s, t, assume_unique=True)
         if (bits := self._bit_rows()) is None:
-            ordered, inside = (int(self._cross_degree(a, b).sum())
+            ordered, inside = (int(self._degrees_into(b[None])[0][a].sum())
                                for a, b in ((s, t), (both, both)))
         else:
             masks = np.zeros((2, bits.shape[1] * 64), dtype=bool)
@@ -498,14 +523,27 @@ def certify_expander(g: Graph, seed: int = 0) -> SpectralCertificate:
 def window_violation(sides, degrees, targets, width: float, tol: float = 0.0):
     """The first vertex of sides[0], then of sides[1], and so on, whose
     degree (in `degrees` at the same place) leaves (1 +- width) * its
-    side's target widened by tol, as (vertex, degree, lo, hi) unwidened;
-    None if none does."""
-    for side, deg, target in zip(sides, degrees, targets):
-        lo, hi = (1 - width) * target, (1 + width) * target
-        bad = np.flatnonzero((deg < lo - tol) | (deg > hi + tol))
-        if bad.size:
-            return int(side[bad[0]]), int(deg[bad[0]]), lo, hi
-    return None
+    side's target widened by tol, as (side, vertex, degree, lo, hi), side
+    its index and lo, hi unwidened; None if none does. All sides are
+    checked in one pass: sides of one size as the rows of one array
+    (such as a 2-D `degrees`), others as one row of all of them."""
+    sizes = [len(side) for side in sides]
+    if not sum(sizes):
+        return None
+    targets = np.asarray(targets, dtype=float)
+    lo, hi = (1 - width) * targets, (1 + width) * targets
+    if len(set(sizes)) == 1:    # each side's bounds broadcast along its row
+        deg, low, high = np.asarray(degrees), (lo - tol)[:, None], (hi + tol)[:, None]
+    else:                       # each side's bounds repeated along its stretch
+        deg = np.concatenate(degrees)[None]
+        low, high = (np.repeat(bound, sizes)[None] for bound in (lo - tol, hi + tol))
+    bad = np.flatnonzero((deg < low) | (deg > high))
+    if not bad.size:
+        return None
+    first = int(bad[0])
+    side = int(np.searchsorted(np.cumsum(sizes), first, side="right"))
+    at = first - sum(sizes[:side])
+    return side, int(sides[side][at]), int(deg.flat[first]), float(lo[side]), float(hi[side])
 
 
 def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
@@ -523,7 +561,7 @@ def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
                            (d * len(view.right) / n, d * len(view.left) / n),
                            gamma, SPECTRAL_TOL)
     if bad is not None:
-        v, deg, lo, hi = bad
+        _, v, deg, lo, hi = bad
         return BipartiteViolation(vertex=v, observed=float(deg), window=(lo, hi),
                                   reason="cross-degree outside window")
     s2 = view.s2(seed)

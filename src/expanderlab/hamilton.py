@@ -9,18 +9,20 @@ connector. Vertex sets travel between phases as sorted int arrays, the
 cover paths as the rows of one k x t array, and the closing paths as
 int tuples, path i closing the gap after cover path i. The partition
 and repartition phases check the sets they sample against the rows of
-`WINDOWS` (P1, P5, Q3-Q5), one `graphs.window_violation` call per set
-or pair, on the run's one `SizePlan`; the certificate is the only
-spectrum a run solves. Singular values of a principal submatrix never
-exceed the matrix's (Thompson 1972), so s2(G[S]) <= lambda_hat for
-every vertex set S: no induced s2 cap at or above lambda_hat can fail,
-and the gate lambda_hat <= lambda_ratio_cap * d proves Q4's s2 cap and
-the matchings' lambda precondition. The trace (schema 2) records only
-checks that ran and could fail; failures name the violated check and
-never produce an unverified cycle. Windows read degree counts
-(`Graph.cross_degree`); only a path-cover link, whose matching needs its
-cross block, is a `graphs.BipartiteView`, and no phase builds an
-induced subgraph.
+`WINDOWS` (P1, P5, Q3-Q5), one `graphs.window_violation` call per check
+over all its blocks or sampled pairs, on the run's one `SizePlan`; a
+rejection names the first violator by block or pair, then check, then
+side, then position. The certificate is the only spectrum a run solves.
+Singular values of a principal submatrix never exceed the matrix's
+(Thompson 1972), so s2(G[S]) <= lambda_hat for every vertex set S: no
+induced s2 cap at or above lambda_hat can fail, and the gate lambda_hat
+<= lambda_ratio_cap * d proves Q4's s2 cap and the matchings' lambda
+precondition. The trace (schema 2) records only checks that ran and
+could fail; failures name the violated check and never produce an
+unverified cycle. Windows read degree counts (`Graph.cross_degree`, and
+in the repartition one `Graph.degrees_into` table of block halves per
+retry); only a path-cover link, whose matching needs its cross block, is
+a `graphs.BipartiteView`, and no phase builds an induced subgraph.
 
 The asymptotic regime of the underlying theorem is unreachable at desk
 scale, so every threshold is a config knob with documented desk
@@ -253,13 +255,15 @@ def _windows(plan: SizePlan, d: float, n: int, cfg: PipelineConfig) -> dict:
             for check, (size, caps) in WINDOWS.items()}
 
 
-def _window(windows: dict, check: str, where: str, sides, degrees) -> None:
-    """Reject on the first vertex of `sides` outside the window of `check`."""
+def _window(windows: dict, check: str, sides, degrees):
+    """The first vertex of `sides` outside the window of `check`, as (its
+    side's index, "deg(v)=... outside [lo, hi]"); None if none is."""
     target, width = windows[check]
     bad = window_violation(sides, degrees, (target,) * len(sides), width)
     if bad is not None:
-        v, deg, lo, hi = bad
-        raise _Rejected(check, f"{where}deg({v})={deg} outside [{lo:.3f}, {hi:.3f}]")
+        side, v, deg, lo, hi = bad
+        return side, f"deg({v})={deg} outside [{lo:.3f}, {hi:.3f}]"
+    return None
 
 
 def _retry(phase: str, retries: int, trace: PipelineTrace, attempt):
@@ -293,11 +297,12 @@ def partition_phase(g: Graph, cert, plan: SizePlan, cfg: PipelineConfig,
         perm = generator(cfg.seed, "partition", retry).permutation(n)
         parts = Parts(*(np.sort(part) for part in
                         np.split(perm, [k, 2 * k, 2 * k + r])))
-        _window(windows, "P1", "into R: ", (everyone,),
-                (g.cross_degree(everyone, parts.reserve),))
+        if bad := _window(windows, "P1", (everyone,),
+                          (g.cross_degree(everyone, parts.reserve),)):
+            raise _Rejected("P1", f"into R: {bad[1]}")
         x, y = parts.x, parts.y
-        _window(windows, "P5", "", (x, y),
-                (g.cross_degree(x, y), g.cross_degree(y, x)))
+        if bad := _window(windows, "P5", (x, y), (g.cross_degree(x, y), g.cross_degree(y, x))):
+            raise _Rejected("P5", bad[1])
         return parts
 
     parts = _retry("partition", cfg.max_partition_retries, trace, attempt)
@@ -320,7 +325,7 @@ def repartition_phase(g: Graph, cert, plan: SizePlan, parts: Parts,
     one table of degrees into block halves. Q4's s2 cap needs no solve:
     s2(G[B_i u B_j]) <= lambda_hat <= lambda_ratio_cap * d (interlacing, gate).
     """
-    n, k, t, half, everyone = g.n, plan.k, plan.t, plan.half, np.arange(g.n)
+    n, k, t, half = g.n, plan.k, plan.t, plan.half
     vertices = np.sort(np.concatenate([parts.x, parts.y, parts.middle]))
     windows = _windows(plan, cert.d, n, cfg)
 
@@ -328,23 +333,27 @@ def repartition_phase(g: Graph, cert, plan: SizePlan, parts: Parts,
         rng = generator(cfg.seed, "repartition", retry)
         blocks = parts.middle[rng.permutation(len(parts.middle))].reshape(t - 2, k)
         blocks.sort(axis=1)
-        halves = np.empty((2, t - 2, n), dtype=int)    # [h, i, v]: deg(v, half h of B_i)
-        for i, block in enumerate(blocks):
-            halves[:, i] = [g.cross_degree(everyone, h) for h in np.split(block, [half])]
-            _window(windows, "Q3", f"half of block {i}: ", (vertices,),
-                    (halves[0, i, vertices],))
+        # first[i, v], second[i, v]: deg(v, first half of B_i), deg(v, second half)
+        first, second = (g.degrees_into(h) for h in np.split(blocks, [half], axis=1))
+        if bad := _window(windows, "Q3", (vertices,) * (t - 2), first[:, vertices]):
+            raise _Rejected("Q3", f"half of block {bad[0]}: {bad[1]}")
 
         pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
         if t > 12:
             sample = min(len(pairs), cfg.constant("q_pair_sample"))
             idx = rng.choice(len(pairs), size=sample, replace=False)
             pairs = [pairs[int(i)] for i in sorted(idx)]
-        degrees = (("Q4", "pair", halves.sum(axis=0), blocks),
-                   ("Q5", "half pair", halves[0], blocks[:, :half]))
-        for i, j in pairs:
-            for check, where, deg, rows in degrees:
-                _window(windows, check, f"{where} ({i},{j}): ",
-                        (rows[i], rows[j]), (deg[j, rows[i]], deg[i, rows[j]]))
+        ends = np.array(pairs, dtype=int).reshape(-1, 2)
+        found = []      # (pair index, check, detail), Q4 before Q5 on one pair
+        for check, where, deg, rows in (("Q4", "pair", first + second, blocks),
+                                        ("Q5", "half pair", first, blocks[:, :half])):
+            sides = rows[ends.ravel()]      # B_i then B_j (or their halves), pair by pair
+            facing = ends[:, ::-1].ravel()  # the block each side's degrees go into
+            if bad := _window(windows, check, sides, deg[facing[:, None], sides]):
+                i, j = pairs[bad[0] // 2]
+                found.append((bad[0] // 2, check, f"{where} ({i},{j}): {bad[1]}"))
+        if found:
+            raise _Rejected(*min(found, key=lambda f: f[0])[1:])
         return blocks, len(pairs)
 
     blocks, checked = _retry("repartition", cfg.max_repartition_retries, trace, attempt)
@@ -411,8 +420,12 @@ def close_cycle(paths, connector, trace: PipelineTrace) -> HamiltonCycle:
 
 
 def verify_hamilton_cycle(g: Graph, cycle: HamiltonCycle) -> CycleVerification:
-    """Independent verifier: spanning permutation, all steps are edges."""
+    """Independent verifier: spanning permutation, all steps are edges.
+    Below three vertices no order is a cycle: its closing step would
+    repeat an edge (n = 2) or it has no edge at all (n < 2)."""
     order = cycle.order
+    if g.n < 3:
+        return CycleVerification(False, f"n={g.n} < 3 has no Hamilton cycle")
     if len(order) != g.n:
         return CycleVerification(False, f"length {len(order)} != n={g.n}")
     if len(set(order)) != len(order):

@@ -239,6 +239,16 @@ def test_verify_writes_its_verdict_and_manifest(paley13_file, tmp_path, capsys):
     assert manifest["outputs"] == [str(out)]
 
 
+def test_verify_refuses_a_closed_walk_on_two_vertices(tmp_path, capsys):
+    # `0 1` on the one-edge graph walks its one edge twice: no cycle
+    graph, cycle = tmp_path / "k2.txt", tmp_path / "c.txt"
+    graph.write_text("2 1\n0 1\n")
+    cycle.write_text("0 1\n")
+    assert run("verify", str(graph), str(cycle)) == 4
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False, "reason": "n=2 < 3 has no Hamilton cycle"}
+
+
 def test_hamilton_verify_roundtrip(paley401_file, tmp_path):
     out = tmp_path / "trace.json"
     assert run("--out", str(out), "hamilton", "--seed", "7", str(paley401_file)) == 0

@@ -1,6 +1,9 @@
+import copy
+
+import numpy as np
 import pytest
 
-from expanderlab import extend
+from expanderlab import extend, graphs
 from expanderlab.errors import (BadParameter, ConnectFailed,
                                 PreconditionViolated, ReserveTooSmall,
                                 UnbalancedSides)
@@ -134,3 +137,106 @@ def test_connector_fails_without_a_splice_point(paley101):
                                   [22, 33, 34, 60, 70, 93], l_max=4)
     with pytest.raises(ConnectFailed, match=r"no splice point .* \[22, 60, 93\]"):
         conn.connect_pairs([(45, 19), (89, 75)])
+
+
+class _OneVertexAtATime(extend.Connector):
+    """The connector as it spliced and routed before: a neighbour mask set
+    and cleared for each leftover vertex, the paths sorted by length for
+    each, and a BFS that copies a path for every vertex it reaches."""
+
+    def _absorb(self, routed, free):
+        rng = extend.generator(self.seed, "connector-absorb")
+        near = np.zeros(self.g.n, dtype=bool)
+        while free.any():
+            left = np.flatnonzero(free).tolist()
+            rng.shuffle(left)
+            for w in left:
+                nbrs = self.g.neighbors(w)
+                near[nbrs] = True
+                for path in sorted(routed, key=len):
+                    if len(path) > self.budget:
+                        break
+                    hits = near[path]
+                    slots = np.flatnonzero(hits[:-1] & hits[1:])
+                    if slots.size:
+                        path.insert(int(slots[0]) + 1, w)
+                        free[w] = False
+                        break
+                near[nbrs] = False
+            if free[left].all():
+                raise ConnectFailed(None, len(left),
+                                    "no splice point for leftover reserve "
+                                    f"vertices {sorted(left)[:10]}")
+
+    def _route_shortest(self, u, v, free, rng):
+        open_ = free.copy()
+        open_[v] = True
+        frontier = [[u]]
+        while frontier and len(frontier[0]) <= self.budget:
+            nxt = []
+            for path in frontier:
+                nbrs = self.g.neighbors(path[-1])
+                nbrs = nbrs[open_[nbrs]].tolist()
+                open_[nbrs] = False
+                rng.shuffle(nbrs)
+                for x in nbrs:
+                    if x == v:
+                        return path + [x]
+                    nxt.append(path + [x])
+            frontier = nxt
+        return None
+
+
+def _gnp(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return graphs.Graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ConnectFailed as exc:
+        return str(exc)
+
+
+def _connector_cases():
+    """(graph, X, Y, reserve, l_max, seed, pairs): seeded draws on graphs
+    on both sides of the set-read rule (G(300, 0.5) unpacks bit rows,
+    G(400, 0.1) and G(120, 0.3) do not) and on Paley 401, and a reserve
+    with no splice point on Paley 101."""
+    for g in (_gnp(300, 0.5, 1), _gnp(400, 0.1, 2), _gnp(120, 0.3, 3), graphs.gen_paley(401)):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(3, 12))
+            perm = rng.permutation(g.n)
+            x, y = perm[:k], perm[k:2 * k]
+            reserve = perm[2 * k:2 * k + int(rng.integers(2 * k, 6 * k))]
+            pairs = list(zip(x.tolist(), rng.permutation(y).tolist()))
+            yield g, x, y, reserve, int(rng.integers(6, 14)), seed, pairs
+    yield (graphs.gen_paley(101), [45, 89], [19, 75], [22, 33, 34, 60, 70, 93], 4, 0,
+           [(45, 19), (89, 75)])
+
+
+def test_splicing_and_routing_match_the_vertex_by_vertex_loops():
+    splice_failures = 0
+    for g, x, y, reserve, l_max, seed, pairs in _connector_cases():
+        states = []     # (routed, free) as each connect_pairs call reached its splice
+
+        class Recorded(extend.Connector):
+            def _absorb(self, routed, free):
+                states.append(copy.deepcopy((routed, free)))
+                return super()._absorb(routed, free)
+
+        args = (g, np.concatenate([x, y]), graphs.vertex_array(reserve, g.n), l_max, seed)
+        now, before = (_outcome(lambda c=cls(*args): c.connect_pairs(pairs))
+                       for cls in (Recorded, _OneVertexAtATime))
+        assert now == before
+        for state in states:    # the same paths and free mask after every splice
+            after = [copy.deepcopy(state) for _ in range(2)]
+            outcomes = [_outcome(lambda c=cls(*args), s=s: c._absorb(*s)) for cls, s in
+                        zip((extend.Connector, _OneVertexAtATime), after)]
+            assert outcomes[0] == outcomes[1]
+            assert after[0][0] == after[1][0]
+            assert np.array_equal(after[0][1], after[1][1])
+            splice_failures += isinstance(outcomes[0], str)
+    assert splice_failures and "no splice point" in now

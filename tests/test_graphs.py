@@ -478,6 +478,39 @@ def test_graphs_below_the_rule_never_unpack(monkeypatch, make):
     assert g._bits is None
 
 
+@pytest.mark.parametrize("piece", [graphs.ROW_PIECE, 5])
+@pytest.mark.parametrize("make, unpacks", [(lambda: graphs.gen_paley(1009), True),
+                                           (lambda: _gnp(600, 0.01, 4), False)],
+                         ids=["paley-1009", "gnp-600-0.01"])
+def test_degrees_into_matches_cross_degree_and_brute_force(monkeypatch, piece, make, unpacks):
+    # Paley 1009 reads unpacked bit rows, G(600, 0.01) a labelled bincount
+    # of its CSR columns. Pieces of 5 rows split every group above 5
+    # vertices, and one group of all n vertices outgrows either piece.
+    monkeypatch.setattr(graphs, "ROW_PIECE", piece)
+    g = make()
+    assert (g._rows(np.arange(1)) is not None) == unpacks
+    dense = g.adjacency_dense().astype(np.int64)
+    rng = np.random.default_rng(9)
+    for count, size in ((7, 1), (5, 22), (9, 23), (3, 46), (20, 25), (1, g.n)):
+        groups = rng.permutation(g.n)[:count * size].reshape(count, size)
+        got = g.degrees_into(groups)
+        assert got.shape == (count, g.n)
+        assert got.tolist() == [g.cross_degree(range(g.n), group).tolist() for group in groups]
+        assert np.array_equal(got, dense[:, groups].sum(axis=2).T)
+    repeats = rng.integers(0, g.n, size=(4, 9))     # entries counted with their repeats
+    assert np.array_equal(g.degrees_into(repeats), dense[:, repeats].sum(axis=2).T)
+    assert g.degrees_into(np.empty((0, 3), dtype=int)).shape == (0, g.n)
+    assert not g.degrees_into(np.empty((2, 0), dtype=int)).any()
+
+
+@pytest.mark.parametrize("groups", [[0, 1], [[0, 101]], [[-1, 0]], [[True, False]],
+                                    [[0.0, 1.0]], [[[0]]]],
+                         ids=["1-D", "above", "below", "bools", "floats", "3-D"])
+def test_degrees_into_refuses_what_is_not_a_2d_vertex_array(paley101, groups):
+    with pytest.raises(ValueError):
+        paley101.degrees_into(groups)
+
+
 def test_bipartite_view_validation(paley13):
     with pytest.raises(ValueError):
         graphs.BipartiteView(parent=paley13, left=(0, 1), right=(1, 2))
@@ -652,12 +685,12 @@ def test_csr_graph_matches_brute_force(edge_list, data):
 
 def _parent_window_violation(g, left, right, d, n, gamma):
     """The pair window rule, vertex by vertex, with parent-graph degrees."""
-    for side, other in ((left, right), (right, left)):
+    for index, (side, other) in enumerate(((left, right), (right, left))):
         target = d * len(other) / n
         lo, hi = (1 - gamma) * target, (1 + gamma) * target
         for v, deg in zip(side, g.cross_degree(side, other).tolist()):
             if not lo <= deg <= hi:
-                return v, deg, lo, hi
+                return index, v, deg, lo, hi
     return None
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from expanderlab import graphs, hamilton, linalg
 from expanderlab.errors import (ConfigError, ConnectFailed, EmptyGraph,
-                                UnbalancedSides)
+                                PartitionRetriesExhausted, UnbalancedSides)
 from expanderlab.rng import generator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -124,6 +124,15 @@ def test_verify_cycle_reasons(k4):
     chord = hamilton.verify_hamilton_cycle(
         c4, hamilton.HamiltonCycle((0, 2, 1, 3)))
     assert not chord and "missing edge" in chord.reason
+
+
+@pytest.mark.parametrize("n, edges, order", [(2, [(0, 1)], (0, 1)), (1, [], (0,)),
+                                             (0, [], ())], ids=["k2", "k1", "empty"])
+def test_no_order_below_three_vertices_is_a_cycle(n, edges, order):
+    # (0, 1) on K2 is a closed walk that uses its one edge twice
+    verdict = hamilton.verify_hamilton_cycle(graphs.Graph(n, edges),
+                                             hamilton.HamiltonCycle(order))
+    assert not verdict and verdict.reason == f"n={n} < 3 has no Hamilton cycle"
 
 
 def _parts(x, y):
@@ -408,3 +417,98 @@ def test_every_window_row_matches_brute_force(paley401, cfg_data):
         if golden_digests.FAILURE_CONFIGS[check] == cfg_data:
             assert ("partition" if check[0] == "P" else "repartition", check, False) in \
                 {record[:3] for record in recorded}
+
+
+def _one_side_at_a_time(sides, degrees, targets, width):
+    """The window rule as it read one side at a time: (vertex, degree, lo, hi)."""
+    for side, deg, target in zip(sides, degrees, targets):
+        lo, hi = (1 - width) * target, (1 + width) * target
+        bad = np.flatnonzero((deg < lo) | (deg > hi))
+        if bad.size:
+            return int(side[bad[0]]), int(deg[bad[0]]), lo, hi
+    return None
+
+
+def _per_pair_repartition(g, d, plan, parts, cfg):
+    """The repartition's retry loop as it read one block, one pair and one
+    check at a time: its window records, and its blocks (None when every
+    retry is rejected)."""
+    n, k, t, half, everyone = g.n, plan.k, plan.t, plan.half, np.arange(g.n)
+    vertices = np.sort(np.concatenate([parts.x, parts.y, parts.middle]))
+    windows = {check: (d * getattr(plan, size) / n, caps * cfg.gamma(check))
+               for check, (size, caps) in hamilton.WINDOWS.items()}
+
+    def window(check, where, sides, degrees):
+        target, width = windows[check]
+        bad = _one_side_at_a_time(sides, degrees, (target,) * len(sides), width)
+        if bad is not None:
+            v, deg, lo, hi = bad
+            raise hamilton._Rejected(check, f"{where}deg({v})={deg} outside [{lo:.3f}, {hi:.3f}]")
+
+    records = []
+    for retry in range(cfg.max_repartition_retries):
+        rng = generator(cfg.seed, "repartition", retry)
+        blocks = parts.middle[rng.permutation(len(parts.middle))].reshape(t - 2, k)
+        blocks.sort(axis=1)
+        try:
+            halves = np.empty((2, t - 2, n), dtype=int)
+            for i, block in enumerate(blocks):
+                halves[:, i] = [g.cross_degree(everyone, h) for h in np.split(block, [half])]
+                window("Q3", f"half of block {i}: ", (vertices,), (halves[0, i, vertices],))
+            pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
+            if t > 12:
+                sample = min(len(pairs), cfg.constant("q_pair_sample"))
+                idx = rng.choice(len(pairs), size=sample, replace=False)
+                pairs = [pairs[int(i)] for i in sorted(idx)]
+            degrees = (("Q4", "pair", halves.sum(axis=0), blocks),
+                       ("Q5", "half pair", halves[0], blocks[:, :half]))
+            for i, j in pairs:
+                for check, where, deg, rows in degrees:
+                    window(check, f"{where} ({i},{j}): ", (rows[i], rows[j]),
+                           (deg[j, rows[i]], deg[i, rows[j]]))
+        except hamilton._Rejected as rejected:
+            check, detail = rejected.args
+            records.append(("repartition", check, False, f"retry {retry}: {detail}"))
+            continue
+        return records + [
+            ("repartition", "Q3", True, f"gamma cap {cfg.gamma('Q3')}"),
+            ("repartition", "Q4", True, f"{len(pairs)} pairs, gamma cap {cfg.gamma('Q4')}"),
+            ("repartition", "Q5", True, f"gamma cap {cfg.gamma('Q5')}")], blocks
+    return records, None
+
+
+# G(400, 0.2) reads CSR rows and G(300, 0.5) and Paley 401 unpacked bit
+# rows; the tight caps reject retries on the named checks. Plans with
+# t <= 12 check every block pair, the others a seeded sample.
+@pytest.mark.parametrize("make, cfg_data, rejects", [
+    (lambda: golden_digests.gnp(400, 0.2), {"k": 30, "gamma_caps": {"Q3": 1.0, "Q4": 0.7, "Q5": 0.7}},
+     {"Q3", "Q4", "Q5"}),
+    (lambda: golden_digests.gnp(400, 0.2), {"k": 30, "gamma_caps": {"Q3": 1.5, "Q4": 0.5}}, {"Q4"}),
+    (lambda: golden_digests.gnp(300, 0.5), {"gamma_caps": {"Q3": 0.7, "Q4": 0.6, "Q5": 0.7}},
+     {"Q4", "Q5"}),
+    (lambda: golden_digests.gnp(300, 0.5), {"gamma_caps": {"Q3": 0.7, "Q4": 0.8, "Q5": 1.0}},
+     {"Q5"}),
+    (lambda: graphs.gen_paley(401), {"gamma_caps": {"Q3": 0.5, "Q4": 0.5, "Q5": 0.5}},
+     {"Q3", "Q4", "Q5"}),
+    (lambda: graphs.gen_paley(401), {}, set())],
+    ids=["gnp-400-csr-tight", "gnp-400-csr-Q4", "gnp-300-bits-tight", "gnp-300-bits-passes",
+         "paley-401-tight", "paley-401-default"])
+def test_array_windows_match_the_per_pair_loop(make, cfg_data, rejects):
+    g = make()
+    assert (g._rows(np.arange(1)) is None) == (g.n == 400)     # the CSR route
+    cfg = hamilton.PipelineConfig(seed=3, max_repartition_retries=40, **cfg_data)
+    plan = hamilton.plan_sizes(g.n, cfg)
+    perm = generator(3, "parts").permutation(g.n)
+    parts = hamilton.Parts(*(np.sort(p) for p in np.split(
+        perm, [plan.k, 2 * plan.k, 2 * plan.k + plan.reserve_size])))
+    d = float(g.degrees().mean())
+    expected, blocks = _per_pair_repartition(g, d, plan, parts, cfg)
+    trace = hamilton.PipelineTrace(g.n, cfg)
+    try:
+        got = hamilton.repartition_phase(g, graphs.SpectralCertificate(g.n, d, 0.0, 0.0, 0.0, 0),
+                                         plan, parts, cfg, trace)
+    except PartitionRetriesExhausted:
+        got = None
+    assert [tuple(c.values()) for c in trace.data["checks"]] == expected
+    assert (got is None and blocks is None) or np.array_equal(got, blocks)
+    assert {c[1] for c in expected if not c[2]} == rejects
