@@ -288,7 +288,7 @@ class Graph:
             labels = np.repeat(np.arange(count) * self.n, size)
             return np.bincount(np.repeat(labels, np.diff(rows.indptr)) + rows.indices,
                                minlength=count * self.n).reshape(count, self.n)
-        out = np.zeros((count, self.n), dtype=np.intp)
+        out = np.zeros((count, self.n), dtype=np.int32)
         for (lo, hi), pieces in zip(spans, reads):
             for rows in pieces:     # one piece, unless a group outgrows ROW_PIECE
                 # ROW_PIECE < 2**16 rows of a group: their count fits in uint16
