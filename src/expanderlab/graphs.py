@@ -525,25 +525,21 @@ def window_violation(sides, degrees, targets, width: float, tol: float = 0.0):
     degree (in `degrees` at the same place) leaves (1 +- width) * its
     side's target widened by tol, as (side, vertex, degree, lo, hi), side
     its index and lo, hi unwidened; None if none does. All sides are
-    checked in one pass: sides of one size as the rows of one array
-    (such as a 2-D `degrees`), others as one row of all of them."""
+    checked in one pass over their degrees laid end to end, each side's
+    bounds repeated along its stretch."""
     sizes = [len(side) for side in sides]
     if not sum(sizes):
         return None
     targets = np.asarray(targets, dtype=float)
     lo, hi = (1 - width) * targets, (1 + width) * targets
-    if len(set(sizes)) == 1:    # each side's bounds broadcast along its row
-        deg, low, high = np.asarray(degrees), (lo - tol)[:, None], (hi + tol)[:, None]
-    else:                       # each side's bounds repeated along its stretch
-        deg = np.concatenate(degrees)[None]
-        low, high = (np.repeat(bound, sizes)[None] for bound in (lo - tol, hi + tol))
-    bad = np.flatnonzero((deg < low) | (deg > high))
+    deg = np.concatenate(degrees)
+    bad = np.flatnonzero((deg < np.repeat(lo - tol, sizes)) | (deg > np.repeat(hi + tol, sizes)))
     if not bad.size:
         return None
     first = int(bad[0])
     side = int(np.searchsorted(np.cumsum(sizes), first, side="right"))
     at = first - sum(sizes[:side])
-    return side, int(sides[side][at]), int(deg.flat[first]), float(lo[side]), float(hi[side])
+    return side, int(sides[side][at]), int(deg[first]), float(lo[side]), float(hi[side])
 
 
 def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,

@@ -18,9 +18,7 @@ Sparse input whose stored entries are all 1 (a graph's int8 adjacency)
 is multiplied as its pattern: float64 row pieces of at most
 PATTERN_PIECE entries over its own index arrays and one shared ones
 array, so no float64 copy of the matrix is made, and every product has
-the bits of the float64 CSR product. A matrix whose index and data arrays
-are read-only (a `Graph`'s own) keeps its all-ones scan and its pieces,
-so they are made once per graph.
+the bits of the float64 CSR product.
 The residuals ||A v - s u|| and, if A is not symmetric, ||A^T u - s v||
 of the computed triples must stay within `tol`. `dense_singular_values`
 is the independent test oracle.
@@ -119,27 +117,13 @@ def _pattern_pieces(a) -> list:
     return pieces
 
 
-def _kept(a, build):
-    """build(a), made once per sparse matrix whose indptr, indices and data
-    are read-only (a `Graph`'s own adjacency) and kept on it while they
-    are the same arrays; made afresh for any other matrix."""
-    arrays = [getattr(a, name, None) for name in ("indptr", "indices", "data")]
-    if not all(isinstance(x, np.ndarray) and not x.flags.writeable for x in arrays):
-        return build(a)
-    kept = vars(a).setdefault("_expanderlab_kept", {})
-    held = kept.get(build)
-    if held is None or any(x is not y for x, y in zip(held[0], arrays)):
-        held = kept[build] = (arrays, build(a))
-    return held[1]
-
-
 def _product(a, pattern: bool):
     """y -> A y, every product with A in one place: over `_pattern_pieces(a)`
     if A is a 0/1 `pattern` (each row sums the same terms in the same order
     as a float64 copy of A would), else `a @ y`."""
     if not pattern:
         return lambda y: a @ y
-    pieces = _kept(a, _pattern_pieces)
+    pieces = _pattern_pieces(a)
 
     def product(y):
         y = np.ascontiguousarray(y)     # once, not once per piece
@@ -340,7 +324,7 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
     vector of the Krylov kernel is drawn from a Philox stream derived
     from `seed`.
     """
-    if not (pattern := _kept(a, _is_pattern)):
+    if not (pattern := _is_pattern(a)):
         _check_finite(a)
     m, n = a.shape
     if not (1 <= k <= min(m, n)):

@@ -348,32 +348,6 @@ def test_certificate_makes_no_float64_copy(paley1009):
     assert peak < copy / 4
 
 
-def test_pattern_scan_and_pieces_are_made_once_per_graph(monkeypatch):
-    # Kept only on a matrix whose three arrays are read-only, as a
-    # graph's own are, and made again once an array is replaced.
-    made = []
-    for name in ("_is_pattern", "_pattern_pieces"):
-        build = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda a, build=build: made.append(build) or build(a))
-    a = graphs.gen_paley(1009).adjacency_sparse()
-    first, second = (linalg.singular_values_array(a, 2, seed=3, symmetric=True)
-                     for _ in range(2))
-    assert first == second and len(made) == 2
-    writable = sp.csr_array((a.data.copy(), a.indices.copy(), a.indptr.copy()), shape=a.shape)
-    for _ in range(2):
-        assert linalg.singular_values_array(writable, 2, seed=3, symmetric=True) == first
-    assert len(made) == 6
-    ones = np.ones_like(a.data)
-    ones.setflags(write=False)
-    frozen = sp.csr_array((a.data, a.indices, a.indptr), shape=a.shape)
-    for _ in range(2):
-        linalg.singular_values_array(frozen, 2, seed=3, symmetric=True)
-    assert len(made) == 8
-    frozen.data = ones
-    assert linalg.singular_values_array(frozen, 2, seed=3, symmetric=True) == first
-    assert len(made) == 10
-
-
 def _disjoint_union(g, copies):
     rows = np.repeat(np.arange(g.n), g.degrees())
     edges = np.column_stack([rows, g.indices])[rows < g.indices]
