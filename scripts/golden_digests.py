@@ -226,11 +226,13 @@ def view_digests(g, cert, view_seed: int, a: int, b: int) -> tuple:
     """SHA-256 of the maximum matching, the (left, right) Hall violators
     and the bipartite certificates of one seeded pair."""
     perm = np.random.default_rng(view_seed).permutation(g.n)
-    view = graphs.BipartiteView(parent=g, left=perm[:a], right=perm[a:a + b])
+    left, right = perm[:a], perm[a:a + b]
+    view = graphs.BipartiteView(parent=g, left=left, right=right)
     edges = matching.max_matching(view).to_json()
-    violators = [matching.hall_violator(view, side) for side in ("left", "right")]
+    violators = [matching.hall_violator(pair) for pair in
+                 (view, graphs.BipartiteView(parent=g, left=right, right=left))]
     d = cert.d * (a + b) / g.n
-    certificates = [graphs.certify_bipartite_expander(view, d, gamma, scale * d ** 0.5)
+    certificates = [graphs.certify_bipartite_expander(view, gamma, scale * d ** 0.5)
                     for gamma, scale in BIPARTITE_WINDOWS]
     return (sha256(edges),
             sha256(repr([None if s is None else sorted(s) for s in violators])),

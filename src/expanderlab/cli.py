@@ -159,16 +159,13 @@ def _cmd_submatrix(args) -> tuple:
 
 
 def _cmd_match(args) -> tuple:
-    g = graphs.read_graph(args.graph)
-    view = graphs.BipartiteView(parent=g, left=_vertex_list(args.left),
-                                right=_vertex_list(args.right))
+    view = graphs.BipartiteView(graphs.read_graph(args.graph), _vertex_list(args.left),
+                                _vertex_list(args.right))
     if args.mode == "max":
         m = matching.max_matching(view)
     else:   # argparse allows only "max" and "perfect"
-        cert = graphs.certify_expander(g, seed=child_seed(args.seed, "certify"))
         m = matching.perfect_matching_expander(
-            view, d=cert.d, gamma=view.observed_gamma(cert.d, g.n),
-            lam=view.s2(child_seed(args.seed, "match-s2")),
+            view, view.s2(child_seed(args.seed, "match-s2")),
             gamma_cap=hamilton.CONSTANT_DEFAULTS["pm_gamma_cap"],
             ratio_cap=hamilton.CONSTANT_DEFAULTS["lambda_ratio_cap"])
     return EXIT_OK, {"": m.to_json() + "\n"}

@@ -379,8 +379,8 @@ class BipartiteView:
     """Disjoint vertex sets (L, R) of a parent graph, each a read-only
     `vertex_array`, and their CSR cross block A[L, R], read once by
     `Graph._block`: row i is left[i], column j is right[j], columns increase
-    within a row. Built where a matching or an s2 needs the block; degrees,
-    gamma and matchings read it, and only `s2` builds G[L u R]."""
+    within a row. Built where a matching or an s2 needs the block; degrees, gamma
+    (d = 2m/n, the parent's) and matchings read it; only `s2` builds G[L u R]."""
 
     __slots__ = ("parent", "left", "right", "block")
 
@@ -399,13 +399,13 @@ class BipartiteView:
         return (np.diff(self.block.indptr),
                 np.bincount(self.block.indices, minlength=len(self.right)))
 
-    def observed_gamma(self, d: float, n: int) -> float:
-        """Largest relative deviation of a cross degree between L and R
-        from its target d * |other| / n, over sides facing a non-empty side."""
-        worst = 0.0
+    def observed_gamma(self) -> float:
+        """Largest relative deviation of a cross degree between L and R from its
+        target d * |other| / n, d = 2m / n, over sides facing a non-empty side."""
+        n, worst = self.parent.n, 0.0
         for other, deg in zip((self.right, self.left), self.degrees()):
             if other.size:
-                target = d * other.size / n
+                target = 2 * self.parent.edge_count / n * other.size / n
                 deviation = np.abs(deg - target) / target
                 worst = max(worst, float(deviation.max(initial=0.0)))
         return worst
@@ -542,17 +542,18 @@ def window_violation(sides, degrees, targets, width: float, tol: float = 0.0):
     return side, int(sides[side][at]), int(deg[first]), float(lo[side]), float(hi[side])
 
 
-def certify_bipartite_expander(view: BipartiteView, d: float, gamma: float,
-                               lam: float, seed: int = 0):
+def certify_bipartite_expander(view: BipartiteView, gamma: float, lam: float,
+                               seed: int = 0):
     """Check the proportional cross-degree windows and the s2 bound.
 
-    Cross-degrees of every vertex must be (1 +- gamma) * d * |other side| / n
-    with n the size of the union; s2 of the induced subgraph on the union
+    Cross-degrees of every vertex must be (1 +- gamma) * d * |other side| / n,
+    n = |L u R| and d the parent's mean degree 2m/N times n/N; s2 of G[L u R]
     must be at most lam. Returns the certificate, or the first violation.
     """
     if not view.left.size or not view.right.size:
         raise EmptySide("both sides must be nonempty")
-    n = len(view.left) + len(view.right)
+    n, parent_n = len(view.left) + len(view.right), view.parent.n
+    d = 2 * view.parent.edge_count / parent_n * n / parent_n
     bad = window_violation((view.left, view.right), view.degrees(),
                            (d * len(view.right) / n, d * len(view.left) / n),
                            gamma, SPECTRAL_TOL)

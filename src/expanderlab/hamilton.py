@@ -42,7 +42,7 @@ import numpy as np
 from . import extend, matching
 from .errors import (ConfigError, ConnectFailed, ExpanderLabError,
                      PartitionRetriesExhausted, PreconditionViolated)
-from .graphs import BipartiteView, Graph, certify_expander, window_violation
+from .graphs import BipartiteView, Graph, _integers, certify_expander, window_violation
 from .rng import SEED_RANGE, child_seed, generator
 
 SCHEMA_VERSION = 2
@@ -374,18 +374,16 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
     ends in Y and the paths cover X, Y and every block exactly. Sides of
     unequal size stop at `matching.perfect_matching_expander`
     (UnbalancedSides). Each link's lambda is lambda_hat, a bound on its s2
-    by interlacing; the matching's lambda precondition is the comparison
-    the certification gate made, so it cannot reject here.
+    by interlacing; the matching reads d (2m/n, the certificate's d) and gamma
+    off the link, so its lambda precondition is the gate's and cannot reject.
     """
     chain = [parts.x, *sorted(blocks, key=lambda block: block[0]), parts.y]  # rows sorted
     columns = [parts.x]
     n_sizes = []
     for left, right in zip(chain, chain[1:]):
-        view = BipartiteView(parent=g, left=left, right=right)
         pm = matching.perfect_matching_expander(
-            view, d=cert.d, gamma=view.observed_gamma(cert.d, g.n),
-            lam=cert.lambda_hat, gamma_cap=cfg.constant("pm_gamma_cap"),
-            ratio_cap=cfg.constant("lambda_ratio_cap"))
+            BipartiteView(parent=g, left=left, right=right), cert.lambda_hat,
+            gamma_cap=cfg.constant("pm_gamma_cap"), ratio_cap=cfg.constant("lambda_ratio_cap"))
         n_sizes.append(pm.size)
         columns.append(pm.edges[np.searchsorted(pm.edges[:, 0], columns[-1]), 1])
     trace.data["n_sizes"] = n_sizes
@@ -416,21 +414,25 @@ def close_cycle(paths, connector, trace: PipelineTrace) -> HamiltonCycle:
         "reserve": len(connector.reserved),
         "closing_lengths": [len(p) - 1 for p in closing],
     }
-    return HamiltonCycle(order=tuple(int(v) for v in order))
+    return HamiltonCycle(order=tuple(order))
 
 
 def verify_hamilton_cycle(g: Graph, cycle: HamiltonCycle) -> CycleVerification:
     """Independent verifier: spanning permutation, all steps are edges.
-    Below three vertices no order is a cycle: its closing step would
-    repeat an edge (n = 2) or it has no edge at all (n < 2)."""
-    order = cycle.order
+    Below three vertices no order is a cycle (n = 2 repeats its one edge);
+    a bool, a non-integer or an integer past int64 is not a vertex."""
     if g.n < 3:
         return CycleVerification(False, f"n={g.n} < 3 has no Hamilton cycle")
-    if len(order) != g.n:
-        return CycleVerification(False, f"length {len(order)} != n={g.n}")
-    if len(set(order)) != len(order):
+    if len(cycle.order) != g.n:
+        return CycleVerification(False, f"length {len(cycle.order)} != n={g.n}")
+    try:
+        order = _integers(cycle.order)
+    except (ValueError, OverflowError):
+        return CycleVerification(False, "not a permutation of V")
+    ranked = np.sort(order)
+    if (ranked[1:] == ranked[:-1]).any():
         return CycleVerification(False, "repeated vertex")
-    if set(order) != set(range(g.n)):
+    if ranked[0] != 0 or ranked[-1] != g.n - 1:
         return CycleVerification(False, "not a permutation of V")
     following = np.roll(order, -1)
     missing = np.flatnonzero(~g.has_edge(order, following))

@@ -2,7 +2,8 @@
 expander matching lemmas (perfect matching in a balanced bipartite
 expander; greedy matching avoiding prescribed sets). All of them read
 the CSR cross block A[L, R] of a `graphs.BipartiteView`, which the view
-reads once from the parent graph's rows.
+reads once from the parent graph's rows; the perfect-matching lemma
+reads d and gamma off its pair.
 
 Maximum matchings are scipy's Hopcroft-Karp, reached as
 `sp.csgraph.maximum_bipartite_matching` so that scipy loads
@@ -74,43 +75,39 @@ def max_matching(view: BipartiteView) -> Matching:
         view.block, perm_type="column"))
 
 
-def hall_violator(view: BipartiteView, side: str = "left"):
-    """A set S on `side` with |N(S)| < |S|, or None if that side is saturated.
+def hall_violator(view: BipartiteView):
+    """A set S of left vertices with |N(S) n R| < |S|, or None if L is
+    saturated; R's is the one of the swapped pair BipartiteView(parent, R, L).
 
-    Koenig's construction: the vertices of `side` that alternating paths
-    reach from the ones a maximum matching leaves unmatched. Every
-    reached vertex of the other side is matched back into that set (else
-    the matching would not be maximum), so |N(S)| = |S| - #unmatched <
-    |S|. By Dulmage-Mendelsohn the set is the same for every maximum
-    matching.
+    Koenig's construction: the left vertices that alternating paths reach
+    from the ones a maximum matching leaves unmatched. Every reached right
+    vertex is matched back into that set (else the matching would not be
+    maximum), so |N(S)| = |S| - #unmatched < |S|. By Dulmage-Mendelsohn
+    the set is the same for every maximum matching.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    block, own = view.block, view.left
-    if side == "right":
-        block, own = block.T.tocsr(), view.right
-    partner = sp.csgraph.maximum_bipartite_matching(block, perm_type="column")
+    partner = sp.csgraph.maximum_bipartite_matching(view.block, perm_type="column")
     reached = partner < 0
     if not reached.any():
         return None
     matched = np.flatnonzero(~reached)
-    row_of = np.full(block.shape[1], -1)
+    row_of = np.full(len(view.right), -1)
     row_of[partner[matched]] = matched
-    seen = np.zeros(block.shape[1], dtype=bool)
+    seen = np.zeros(len(view.right), dtype=bool)
     frontier = np.flatnonzero(reached)
     while frontier.size:
-        cols = np.unique(block[frontier].indices)
+        cols = np.unique(view.block[frontier].indices)
         cols = cols[~seen[cols]]
         seen[cols] = True
         frontier = row_of[cols]     # a matched row is reached only here
         reached[frontier] = True
-    return frozenset(own[reached].tolist())
+    return frozenset(view.left[reached].tolist())
 
 
-def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
-                              lam: float, *, gamma_cap: float,
+def perfect_matching_expander(view: BipartiteView, lam: float, *, gamma_cap: float,
                               ratio_cap: float) -> Matching:
-    """Perfect matching in a balanced certified bipartite expander.
+    """Perfect matching in a balanced bipartite expander with s2 at most
+    `lam`, its d (the parent's mean degree 2m/n, refused at 0) and gamma
+    (`observed_gamma`) read off the pair.
 
     Under the verified preconditions the matching must exist; a miss is
     reported as a theorem falsification carrying the Hall violator, which
@@ -119,7 +116,9 @@ def perfect_matching_expander(view: BipartiteView, d: float, gamma: float,
     if len(view.left) != len(view.right):
         raise UnbalancedSides(
             f"|V1|={len(view.left)} != |V2|={len(view.right)}")
-    if gamma > gamma_cap:
+    if not (d := 2 * view.parent.edge_count / max(view.parent.n, 1)):
+        raise PreconditionViolated("mean_degree", "d = 0: the graph has no edges")
+    if (gamma := view.observed_gamma()) > gamma_cap:
         raise PreconditionViolated("gamma_cap", f"gamma={gamma} > {gamma_cap}")
     if lam > ratio_cap * d:
         raise PreconditionViolated(

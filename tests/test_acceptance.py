@@ -181,15 +181,12 @@ def test_criterion_06_perfect_matchings(paley1009, cert1009):
         perm = rng.permutation(1009)
         left, right = perm[:150], perm[150:300]
         view = graphs.BipartiteView(parent=paley1009, left=left, right=right)
-        d_view = cert1009.d * 300 / 1009
         bipcert = graphs.certify_bipartite_expander(
-            view, d=d_view * 300 / 150 / 2, gamma=0.5,
-            lam=0.2 * cert1009.d, seed=i)
+            view, gamma=0.5, lam=0.2 * cert1009.d, seed=i)
         if not isinstance(bipcert, graphs.BipartiteCertificate):
             continue
         m = matching.perfect_matching_expander(
-            view, d=cert1009.d, gamma=0.5, lam=bipcert.s2_observed,
-            gamma_cap=1.2, ratio_cap=0.2)
+            view, bipcert.s2_observed, gamma_cap=1.2, ratio_cap=0.2)
         if m.size == 150 and matching.verify_matching(m, paley1009,
                                                       left, right):
             wins += 1

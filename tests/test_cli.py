@@ -432,6 +432,39 @@ def test_match_perfect_measures_the_pairs_gamma(tmp_path, capsys):
     assert capsys.readouterr().err == "error: gamma_cap: gamma=4.0 > 1.2\n"
 
 
+def test_match_perfect_makes_no_certificate(paley13_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("match perfect certified the whole graph")
+    monkeypatch.setattr(graphs, "certify_expander", fail)
+    assert run("match", "perfect", "--graph", str(paley13_file),
+               "--left", "0", "--right", "1") == 0
+    assert json.loads(capsys.readouterr().out) == [[0, 1]]
+
+
+def test_match_perfect_ignores_an_isolated_vertex_outside_the_pair(tmp_path, capsys):
+    # Paley 13 and an isolated vertex 13: d = 78/14, and the pair's union
+    # {0, 1, 6, 7} induces the two edges {0, 1} and {6, 7}, so s2 = 1.0
+    # is under 0.2 * d and gamma = 0.256 under 1.2
+    graph = tmp_path / "g14.txt"
+    lines = graphs.graph_file_bytes(graphs.gen_paley(13)).decode().splitlines()
+    graph.write_text("\n".join(["14 39", *lines[1:]]) + "\n")
+    assert run("match", "perfect", "--graph", str(graph),
+               "--left", "0,6", "--right", "1,7") == 0
+    assert json.loads(capsys.readouterr().out) == [[0, 1], [6, 7]]
+
+
+@pytest.mark.parametrize("header, left, right", [("0 0", "", ""), ("3 0", "0", "1")],
+                         ids=["no-vertices", "no-edges"])
+def test_match_perfect_on_an_empty_graph_exits_2(tmp_path, capsys, header, left, right):
+    graph = tmp_path / "empty.txt"
+    graph.write_text(header + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("match", "perfect", "--graph", str(graph),
+                   "--left", left, "--right", right) == 2
+    assert capsys.readouterr().err == "error: mean_degree: d = 0: the graph has no edges\n"
+
+
 @pytest.mark.parametrize("left, right, sizes", [
     ("", "2", "|V1|=0 != |V2|=1"), ("0", "", "|V1|=1 != |V2|=0"),
     ("0,1", "2", "|V1|=2 != |V2|=1")])

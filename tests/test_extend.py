@@ -139,6 +139,14 @@ def test_connector_fails_without_a_splice_point(paley101):
         conn.connect_pairs([(45, 19), (89, 75)])
 
 
+def test_connector_fails_on_an_isolated_reserve_vertex(paley101):
+    # Paley 101 with a vertex 101 that has no neighbour, so no slot takes it
+    g = graphs.Graph(102, np.argwhere(np.triu(paley101.adjacency_dense(), k=1)))
+    conn = extend.build_connector(g, [0, 1], [2, 3], [*range(50, 60), 101], l_max=8)
+    with pytest.raises(ConnectFailed, match=r"no splice point .* \[101\]"):
+        conn.connect_pairs([(0, 2), (1, 3)])
+
+
 class _OneVertexAtATime(extend.Connector):
     """The connector as it spliced and routed before: a neighbour mask set
     and cleared for each leftover vertex, the paths sorted by length for

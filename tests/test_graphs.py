@@ -25,6 +25,7 @@ from expanderlab.errors import (BadResidueClass, EmptySide, IsolatedVertex,
 def test_paley_13_shape(paley13):
     assert paley13.n == 13
     assert paley13.edge_count == 39
+    assert repr(paley13) == "Graph(n=13, m=39)"
     assert all(paley13.degree(v) == 6 for v in range(13))
 
 
@@ -123,6 +124,17 @@ def test_certify_rejects_isolated_vertex():
     g = graphs.Graph(4, [(0, 1), (1, 2)])
     with pytest.raises(IsolatedVertex, match="vertex 3 is isolated"):
         graphs.certify_expander(g)
+
+
+def test_mean_degree_from_the_edge_count_is_the_certificates(paley1009, cert1009):
+    # A vertex pair's d is its parent's 2m/n; the path cover's lambda
+    # precondition repeats the certification gate only if that is cert.d
+    rng = np.random.default_rng(0)
+    gnp = [graphs.Graph(n, np.argwhere(np.triu(rng.random((n, n)) < 0.5, k=1)))
+           for n in range(10, 297, 19)]
+    for g in [graphs.gen_paley(2029), *gnp]:
+        assert 2 * g.edge_count / g.n == graphs.certify_expander(g).d
+    assert 2 * paley1009.edge_count / paley1009.n == cert1009.d
 
 
 def test_graph_io_roundtrip(tmp_path, petersen):
@@ -533,7 +545,7 @@ def test_bipartite_view_validation(paley13):
 def test_certify_bipartite_rejects_empty_side(paley13, left, right):
     view = graphs.BipartiteView(parent=paley13, left=left, right=right)
     with pytest.raises(EmptySide):
-        graphs.certify_bipartite_expander(view, d=6.0, gamma=0.5, lam=1.2)
+        graphs.certify_bipartite_expander(view, gamma=0.5, lam=1.2)
 
 
 def test_adjacency_dense_matches_sparse(paley13):
@@ -715,10 +727,11 @@ def test_bipartite_view_matches_parent_graph(n, p, seed, data):
         targets = (d * len(view.right) / n, d * len(view.left) / n)
         assert graphs.window_violation(sides, view.degrees(), targets, gamma) == \
             _parent_window_violation(g, *sides, d, n, gamma)
-    if a and b:
-        assert pair.observed_gamma(d, n) == max(
-            np.abs(g.cross_degree(side, other) - d * len(other) / n).max()
-            / (d * len(other) / n) for side, other in ((left, right), (right, left)))
+    if a and b and g.edge_count:
+        mean = g.degrees().mean()
+        assert pair.observed_gamma() == max(
+            np.abs(g.cross_degree(side, other) - mean * len(other) / n).max()
+            / (mean * len(other) / n) for side, other in ((left, right), (right, left)))
 
     members = np.sort(perm[:a + b])
     dense = g.adjacency_dense()[np.ix_(members, members)]
@@ -744,8 +757,8 @@ def test_bipartite_view_matches_parent_graph(n, p, seed, data):
     m = matching.max_matching(pair)
     assert matching.verify_matching(m, g, left, right)
     assert 2 * m.size == len(nx.bipartite.maximum_matching(cross, left.tolist()))
-    for side, own, other in (("left", left, right), ("right", right, left)):
-        violator = matching.hall_violator(pair, side)
+    for own, other in ((left, right), (right, left)):
+        violator = matching.hall_violator(graphs.BipartiteView(g, own, other))
         if m.size == len(own):
             assert violator is None
         else:

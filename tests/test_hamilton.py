@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expanderlab import graphs, hamilton, linalg
 from expanderlab.errors import (ConfigError, ConnectFailed, EmptyGraph,
@@ -124,6 +126,42 @@ def test_verify_cycle_reasons(k4):
     chord = hamilton.verify_hamilton_cycle(
         c4, hamilton.HamiltonCycle((0, 2, 1, 3)))
     assert not chord and "missing edge" in chord.reason
+
+
+def _verdict_by_sets(g, order):
+    """The verifier's verdict on an integer order, read through Python sets."""
+    if len(order) != g.n:
+        return False, f"length {len(order)} != n={g.n}"
+    if len(set(order)) != len(order):
+        return False, "repeated vertex"
+    if set(order) != set(range(g.n)):
+        return False, "not a permutation of V"
+    for u, v in zip(order, order[1:] + order[:1]):
+        if not g.has_edge(u, v):
+            return False, f"missing edge ({u},{v})"
+    return True, "ok"
+
+
+_NOT_A_VERTEX = st.one_of(st.booleans(), st.floats(allow_nan=True),
+                          st.integers(min_value=2 ** 63), st.integers(max_value=-2 ** 63 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2 ** 32 - 1), st.data())
+def test_verifier_returns_a_verdict_for_any_tuple(n, seed, data):
+    rng = np.random.default_rng(seed)
+    g = graphs.Graph(n, np.argwhere(np.triu(rng.random((n, n)) < 0.7, k=1)))
+    order = [int(v) for v in rng.permutation(n)]     # a permutation, then edits
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, n - 1))
+        order[at] = data.draw(st.one_of(st.integers(-2, n + 1), _NOT_A_VERTEX))
+    order = tuple((order + [0])[:data.draw(st.sampled_from([n, n, n - 1, n + 1]))])
+    verdict = hamilton.verify_hamilton_cycle(g, hamilton.HamiltonCycle(order))
+    assert isinstance(verdict, hamilton.CycleVerification)
+    if all(type(v) is int and -2 ** 63 <= v < 2 ** 63 for v in order):
+        assert (verdict.ok, verdict.reason) == _verdict_by_sets(g, order)
+    elif len(order) == n:
+        assert (verdict.ok, verdict.reason) == (False, "not a permutation of V")
 
 
 @pytest.mark.parametrize("n, edges, order", [(2, [(0, 1)], (0, 1)), (1, [], (0,)),

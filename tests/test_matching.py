@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -63,7 +65,7 @@ def test_hall_violator_is_genuine():
     # left vertices {0,1,2} all point at the single right vertex {3}
     view = _view_from_edges(5, [(0, 3), (1, 3), (2, 3)],
                             left=[0, 1, 2], right=[3, 4])
-    violator = matching.hall_violator(view, side="left")
+    violator = matching.hall_violator(view)
     assert violator is not None
     nbrs = set()
     for u in violator:
@@ -107,13 +109,16 @@ def test_hall_violator_is_the_koenig_set_of_any_maximum_matching(n, p, seed, dat
     perm = rng.permutation(n).tolist()
     left, right = sorted(perm[:a]), sorted(perm[a:a + b])   # either may be empty
     view = graphs.BipartiteView(parent=g, left=left, right=right)
-    for side, own, other in (("left", left, right), ("right", right, left)):
-        assert matching.hall_violator(view, side) == _networkx_koenig_set(g, own, other)
+    swapped = graphs.BipartiteView(parent=g, left=right, right=left)   # R's violator
+    for pair, own, other in ((view, left, right), (swapped, right, left)):
+        assert matching.hall_violator(pair) == _networkx_koenig_set(g, own, other)
     if a == b:
         want = _networkx_koenig_set(g, left, right)
-        try:
-            m = matching.perfect_matching_expander(view, d=1.0, gamma=0.0, lam=0.0,
-                                                   gamma_cap=1 / 6, ratio_cap=1 / 200)
+        try:    # caps that admit every pair of a graph with edges
+            m = matching.perfect_matching_expander(view, 0.0, gamma_cap=math.inf,
+                                                   ratio_cap=0.0)
+        except PreconditionViolated as exc:
+            assert not g.edge_count and exc.hypothesis == "mean_degree"
         except PerfectMatchingFailed as exc:
             assert want is not None and exc.violator == want
         else:
@@ -128,34 +133,47 @@ def test_perfect_matching_expander_on_paley(paley1009, cert1009):
     union, _ = paley1009.induced(list(left) + list(right))
     lam = linalg.singular_values_array(union.adjacency_sparse(), 2,
                                        seed=0, symmetric=True).values[1]
-    m = matching.perfect_matching_expander(view, d=cert1009.d, gamma=0.5,
-                                           lam=lam, gamma_cap=1.2,
-                                           ratio_cap=0.2)
+    m = matching.perfect_matching_expander(view, lam, gamma_cap=1.2, ratio_cap=0.2)
     assert m.size == 150
     assert matching.verify_matching(m, paley1009, left, right)
 
 
 def test_perfect_matching_preconditions(paley13):
-    caps = {"gamma_cap": 1 / 6, "ratio_cap": 1 / 200}
+    caps = {"gamma_cap": 1.2, "ratio_cap": 0.2}     # the pipeline's defaults
     view = graphs.BipartiteView(parent=paley13, left=(0, 1), right=(2, 3, 4))
     with pytest.raises(UnbalancedSides):
-        matching.perfect_matching_expander(view, d=6, gamma=0.1, lam=0.01, **caps)
-    balanced = graphs.BipartiteView(parent=paley13, left=(0, 1), right=(2, 3))
-    with pytest.raises(PreconditionViolated) as exc:
-        matching.perfect_matching_expander(balanced, d=6, gamma=0.5, lam=0.01, **caps)
+        matching.perfect_matching_expander(view, view.s2(seed=0), **caps)
+    # In a 10-cycle the cross degrees of the edge {0, 1} are 1, against a
+    # target of d / n = 0.2, so gamma is 4.0; its s2, 1.0, is above
+    # 0.2 * d = 0.4 as well, but gamma is checked first
+    edge = graphs.BipartiteView(parent=graphs.gen_named("cycle", 10), left=(0,), right=(1,))
+    with pytest.raises(PreconditionViolated, match=r"gamma=4\.0 > 1\.2") as exc:
+        matching.perfect_matching_expander(edge, edge.s2(seed=0), **caps)
     assert exc.value.hypothesis == "gamma_cap"
-    with pytest.raises(PreconditionViolated) as exc:
-        matching.perfect_matching_expander(balanced, d=6, gamma=0.1, lam=5.0, **caps)
+    # s2 of G[{0, ..., 5}] in Paley 13 is 2.247, above 0.2 * d = 1.2, and
+    # its gamma, 1.167, is under the cap
+    six = graphs.BipartiteView(parent=paley13, left=(0, 1, 2), right=(3, 4, 5))
+    assert six.observed_gamma() <= caps["gamma_cap"]
+    with pytest.raises(PreconditionViolated, match=r"lambda=2\.24") as exc:
+        matching.perfect_matching_expander(six, six.s2(seed=0), **caps)
     assert exc.value.hypothesis == "lambda_cap"
+    edgeless = graphs.BipartiteView(parent=graphs.Graph(4, []), left=(0,), right=(1,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolated) as exc:
+            matching.perfect_matching_expander(edgeless, 0.0, **caps)
+    assert exc.value.hypothesis == "mean_degree"
 
 
 def test_perfect_matching_failure_carries_violator():
+    # The star 3 - {0, 1, 2} has gamma 5.0 and s2 sqrt(3) with d = 1; the
+    # caps admit both, and {0, 1, 2} has the one neighbour 3
     view = _view_from_edges(6, [(0, 3), (1, 3), (2, 3)],
                             left=[0, 1, 2], right=[3, 4, 5])
     with pytest.raises(PerfectMatchingFailed) as exc:
-        matching.perfect_matching_expander(view, d=1000, gamma=0.01, lam=0.1,
-                                           gamma_cap=1 / 6, ratio_cap=1 / 200)
-    assert exc.value.violator
+        matching.perfect_matching_expander(view, view.s2(seed=0), gamma_cap=5.0,
+                                           ratio_cap=2.0)
+    assert exc.value.violator == {0, 1, 2}
 
 
 def test_greedy_matching_complete_graph(k4):
@@ -196,12 +214,6 @@ def test_greedy_matching_takes_the_smallest_edge_each_step(paley101, cert101,
         i, j = hits[0]                  # row-major: the smallest edge
         want.append([int(left.pop(i)), int(right.pop(j))])
     assert m.edges.tolist() == want
-
-
-def test_hall_violator_rejects_an_unknown_side(paley13):
-    view = graphs.BipartiteView(parent=paley13, left=(0, 1), right=(2, 3))
-    with pytest.raises(ValueError, match="side must be"):
-        matching.hall_violator(view, side="middle")
 
 
 def test_greedy_matching_preconditions(paley13, paley101, cert101):
