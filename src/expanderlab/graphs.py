@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from . import linalg
 from .errors import (BadResidueClass, EmptyGraph, EmptySide, IsolatedVertex,
                      MalformedGraphFile, NotPrime, ParityViolation,
-                     RetryExhausted, UnknownName)
+                     PreconditionViolated, RetryExhausted, UnknownName)
 from .rng import generator
 
 DENSIFY_CAP = 4000
@@ -401,8 +401,12 @@ class BipartiteView:
 
     def observed_gamma(self) -> float:
         """Largest relative deviation of a cross degree between L and R from its
-        target d * |other| / n, d = 2m / n, over sides facing a non-empty side."""
+        target d * |other| / n, d = 2m / n, over sides facing a non-empty side.
+        A parent without edges, where every target is 0, raises
+        PreconditionViolated("mean_degree")."""
         n, worst = self.parent.n, 0.0
+        if not self.parent.edge_count:
+            raise PreconditionViolated("mean_degree", "d = 0: the graph has no edges")
         for other, deg in zip((self.right, self.left), self.degrees()):
             if other.size:
                 target = 2 * self.parent.edge_count / n * other.size / n

@@ -4,8 +4,11 @@ Singular values, matrix norms, line-sum normalization and reading matrix
 files. Every spectrum in the package comes from one kernel,
 `singular_values_array`: LAPACK up to DENSE_CUTOFF, and above it one
 block Lanczos routine on A if symmetric, else on [[0, A], [A^T, 0]],
-with a seeded start block, one product with A per vector, and a stop at
-the first block whose k wanted Ritz pairs meet `tol`. Dense symmetric
+with one product with A per vector and a stop at the first block whose
+k wanted Ritz pairs meet `tol`. Its start block is k seeded rows or,
+where the all-ones vector is an eigenvector for the largest eigenvalue
+(a nonnegative matrix with equal line sums, such as a regular graph's
+adjacency), the all-ones row, then k - 1 seeded rows. Dense symmetric
 input takes the k lowest and the k highest eigenpairs from one
 tridiagonal reduction (dsyevr's own steps, the same bits as two
 index-range `eigh` calls), or one full `eigh` once 2k reaches the
@@ -131,6 +134,31 @@ def _product(a, pattern: bool):
     return product
 
 
+def _ones_is_perron(a, pattern: bool, symmetric: bool) -> bool:
+    """Whether the all-ones vector is an eigenvector for the largest
+    eigenvalue of A, or of [[0, A], [A^T, 0]] unless A is `symmetric`.
+
+    It is when A is nonnegative and its rows (and columns) all have one
+    sum c: c is then an eigenvalue, and no eigenvalue exceeds the largest
+    line sum of |A| (Perron-Frobenius); a regular graph's adjacency has
+    c = d. A pattern's sums are its row lengths and column counts, read
+    without a pass over its entries; any other storage of the same matrix
+    gives the same answer, so the start block, like every product, has
+    the same bits on both routes.
+    """
+    if pattern:
+        sums = [np.diff(a.indptr)]
+        if not symmetric:
+            sums.append(np.bincount(a.indices, minlength=a.shape[1]))
+    elif (a.data if sp.issparse(a) else a).min(initial=0) < 0:
+        return False
+    else:
+        sums = [np.asarray(a.sum(axis=axis)).ravel()
+                for axis in ((1,) if symmetric else (1, 0))]
+    sums = np.concatenate(sums)
+    return bool((sums == sums[0]).all())
+
+
 def _dense(a) -> np.ndarray:
     return np.asarray(a.toarray() if sp.issparse(a) else a, dtype=float)
 
@@ -249,7 +277,7 @@ def _orthonormalize(rows: np.ndarray, q: np.ndarray, m: int) -> tuple[np.ndarray
 
 
 def _block_lanczos(product, dim: int, k: int, tol: float, seed: int, *,
-                   absolute: bool) -> tuple[np.ndarray, np.ndarray]:
+                   absolute: bool, perron: bool) -> tuple[np.ndarray, np.ndarray]:
     """The k eigenpairs (w, x) of largest |w| (`absolute`) or largest w of
     the symmetric operator `product` on R^dim, each with ||A x - w x||
     within tol / 2.
@@ -258,8 +286,14 @@ def _block_lanczos(product, dim: int, k: int, tol: float, seed: int, *,
     reorthogonalization: the basis rows Q and W = A Q are kept, the
     Gram-Schmidt coefficients of each new block's products are its
     columns of H = Q^T A Q, and each Ritz residual ||W y - w Q y|| is
-    computed explicitly after every block. A basis that closes before
-    converging takes fresh seeded random rows; one that would outgrow
+    computed explicitly after every block. The start block is k seeded
+    rows. If `perron` (the all-ones vector is an eigenvector for the top
+    wanted eigenvalue), its first row is the all-ones row instead: that
+    pair is exact after one product, and the k - 1 seeded rows work in its
+    orthogonal complement. (Another all-ones row could close an invariant
+    subspace of exact but unwanted pairs, such as an equitable
+    partition's quotient, and stop the kernel there.) A basis that closes
+    before converging takes fresh seeded random rows; one that would outgrow
     BASIS_CAP restarts thick from its best Ritz vectors (Wu & Simon
     2000); PRODUCT_CAP products raise NoConvergence. Deterministic for a
     fixed seed: every random row comes from one Philox stream.
@@ -268,7 +302,10 @@ def _block_lanczos(product, dim: int, k: int, tol: float, seed: int, *,
     rng = generator(seed, "lanczos-start", dim)
     q, w = np.empty((k, dim)), np.empty((k, dim))   # grown as they are used
     h = np.zeros((cap, cap))
-    _, b = _orthonormalize(rng.standard_normal((k, dim)), q, 0)
+    start = rng.standard_normal((k, dim))
+    if perron:
+        start[0] = 1.0
+    _, b = _orthonormalize(start, q, 0)
     m = products = 0    # rows of Q with products, then b pending rows
     worst = np.inf
     while True:
@@ -348,12 +385,13 @@ def singular_values_array(a, k: int, tol: float = DEFAULT_TOL,
             u, vals, vt = np.linalg.svd(dense, full_matrices=False)
             u, vals, v = u[:, :k], vals[:k], vt[:k].T
     else:
+        perron = _ones_is_perron(a, pattern, symmetric)
         if symmetric:
-            w, x = _block_lanczos(product, n, k, tol, seed, absolute=True)
+            w, x = _block_lanczos(product, n, k, tol, seed, absolute=True, perron=perron)
         else:   # [[0, A], [A^T, 0]] has the eigenvalues +-s_i, and zeros
             w, x = _block_lanczos(
                 lambda y: np.concatenate([product(y[m:]), product_t(y[:m])]), m + n, k,
-                tol, seed, absolute=False)
+                tol, seed, absolute=False, perron=perron)
         vals, u, v = _eigen_triples(w, x, k)
         if not symmetric:
             # v = [u; v] / sqrt(2) for the eigenvalue s of [[0, A], [A^T, 0]].

@@ -56,15 +56,13 @@ def _matching_of(view: BipartiteView, partner: np.ndarray) -> Matching:
                                                 view.right[partner[rows]]]))
 
 
-def verify_matching(m: Matching, g: Graph, left=None, right=None) -> bool:
+def verify_matching(m: Matching, g: Graph, left, right) -> bool:
     """Independent check: edges exist in g, are vertex-disjoint and lie
-    between `left` and `right` when those are given."""
+    between `left` and `right`."""
     lefts, rights = map(set, m.edges.T.tolist())
     if len(lefts) != m.size or len(rights) != m.size:
         return False
-    if left is not None and not lefts <= set(left):
-        return False
-    if right is not None and not rights <= set(right):
+    if not (lefts <= set(left) and rights <= set(right)):
         return False
     return bool(g.has_edge(*m.edges.T).all())
 
@@ -106,8 +104,8 @@ def hall_violator(view: BipartiteView):
 def perfect_matching_expander(view: BipartiteView, lam: float, *, gamma_cap: float,
                               ratio_cap: float) -> Matching:
     """Perfect matching in a balanced bipartite expander with s2 at most
-    `lam`, its d (the parent's mean degree 2m/n, refused at 0) and gamma
-    (`observed_gamma`) read off the pair.
+    `lam`, its gamma (`observed_gamma`, which refuses a parent without
+    edges) and d (the parent's mean degree 2m/n) read off the pair.
 
     Under the verified preconditions the matching must exist; a miss is
     reported as a theorem falsification carrying the Hall violator, which
@@ -116,10 +114,9 @@ def perfect_matching_expander(view: BipartiteView, lam: float, *, gamma_cap: flo
     if len(view.left) != len(view.right):
         raise UnbalancedSides(
             f"|V1|={len(view.left)} != |V2|={len(view.right)}")
-    if not (d := 2 * view.parent.edge_count / max(view.parent.n, 1)):
-        raise PreconditionViolated("mean_degree", "d = 0: the graph has no edges")
     if (gamma := view.observed_gamma()) > gamma_cap:
         raise PreconditionViolated("gamma_cap", f"gamma={gamma} > {gamma_cap}")
+    d = 2 * view.parent.edge_count / view.parent.n
     if lam > ratio_cap * d:
         raise PreconditionViolated(
             "lambda_cap", f"lambda={lam} > {ratio_cap}*d={ratio_cap * d}")

@@ -193,12 +193,13 @@ def test_krylov_basis_spanning_every_dimension_raises():
     # meets leaves no fresh direction to draw.
     a = _symmetric(6, 0)
     with pytest.raises(NoConvergence, match="spans all 6 dimensions"):
-        linalg._block_lanczos(lambda y: a @ y, 6, 2, 1e-300, 0, absolute=True)
+        linalg._block_lanczos(lambda y: a @ y, 6, 2, 1e-300, 0, absolute=True,
+                              perron=False)
 
 
 def _cap_products(monkeypatch):
-    """A product cap below the 5 products that Paley 1009 needs."""
-    monkeypatch.setattr(linalg, "PRODUCT_CAP", 4)
+    """A product cap below the 3 products that Paley 1009 needs."""
+    monkeypatch.setattr(linalg, "PRODUCT_CAP", 2)
 
 
 def _perturb_vectors(monkeypatch):
@@ -214,7 +215,7 @@ def _perturb_vectors(monkeypatch):
 
 
 @pytest.mark.parametrize("fault, message", [
-    (_cap_products, "stopped at 4 products"),
+    (_cap_products, "stopped at 2 products"),
     (_perturb_vectors, "worst residual .* above tolerance")],
     ids=["product-cap", "perturbed-vector"])
 def test_krylov_failures_raise_no_convergence(monkeypatch, fault, message):
@@ -232,9 +233,10 @@ def test_krylov_failures_raise_no_convergence(monkeypatch, fault, message):
 
 
 def test_closed_basis_takes_fresh_rows(monkeypatch):
-    # Paley 1009's Krylov space closes after 5 products. No Ritz pair can
-    # meet a tolerance of 1e-30, so the kernel draws fresh rows and goes
-    # on to the product cap instead of stopping (or looping) at 5.
+    # Paley 1009's Krylov space closes after 3 products (and again after 7
+    # and 11). No Ritz pair can meet a tolerance of 1e-30, so the kernel
+    # draws fresh rows and goes on to the product cap instead of stopping
+    # (or looping) at 3.
     monkeypatch.setattr(linalg, "PRODUCT_CAP", 12)
     a = graphs.gen_paley(1009).adjacency_sparse()
     with pytest.raises(NoConvergence, match="stopped at 11 products"):
@@ -243,9 +245,10 @@ def test_closed_basis_takes_fresh_rows(monkeypatch):
 
 @pytest.mark.parametrize("q", [1009, 2029])
 def test_paley_certificate_takes_few_products(monkeypatch, q):
-    # A Paley spectrum has three distinct values, so a block of two closes
-    # its Krylov space after 2 + 2 + 1 products; the residual check adds 2.
-    # Every product with A, on either route, goes through `_product`.
+    # A Paley spectrum has three distinct values. The start block [1, r]
+    # closes its Krylov space after 2 + 1 products, since the all-ones row
+    # is an eigenvector; the residual check adds 2. Every product with A,
+    # on either route, goes through `_product`.
     products, make = [], linalg._product
 
     def counting(a, pattern):
@@ -254,7 +257,7 @@ def test_paley_certificate_takes_few_products(monkeypatch, q):
     monkeypatch.setattr(linalg, "_product", counting)
     cert = graphs.certify_expander(graphs.gen_paley(q), seed=0)
     assert abs(cert.lambda_hat - (1 + math.sqrt(q)) / 2) < 1e-8
-    assert products == [(q,)] * len(products) and 5 <= len(products) <= 8
+    assert products == [(q,)] * 5
 
 
 @st.composite
@@ -369,6 +372,65 @@ def test_three_paley_401_copies_give_top_values_d_d():
     assert g.n > linalg.DENSE_CUTOFF
     spec = linalg.singular_values_array(g.adjacency_sparse(), 2, symmetric=True)
     assert np.allclose(spec.values, (200, 200), atol=1e-8, rtol=0)
+
+
+def _two_cells(n, a, b, c, seed):
+    """Circulants of degree a on Z_n and b on n + Z_n, with each vertex i of
+    the first cell joined to n + (i + s) mod n for c shifts s. The two cells
+    are an equitable partition, so the all-ones vector is no eigenvector
+    but spans, with A 1, an invariant plane whose eigenvalues are those of
+    [[a, c], [c, b]]."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    edges = [np.column_stack([base + i, base + (i + h) % n])
+             for base, degree in ((0, a), (n, b))
+             for h in rng.choice(np.arange(1, n // 2), degree // 2, replace=False)]
+    edges += [np.column_stack([i, n + (i + s) % n]) for s in rng.choice(n, c, replace=False)]
+    return graphs.Graph(2 * n, np.concatenate(edges))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_equitable_partition_keeps_the_seeded_start(seed):
+    # The quotient's eigenvalues are 60.5 and 9.5, the second below the
+    # graph's own second one. A start block led by the all-ones row would
+    # close that plane after 2 products, with exact Ritz pairs, and stop
+    # there with lambda_hat = 9.5; only an eigenvector for the top
+    # eigenvalue may lead.
+    g = _two_cells(400, 60, 10, 5, seed)
+    a = g.adjacency_sparse()
+    assert not linalg._ones_is_perron(a, True, True)
+    want = np.sort(np.abs(np.linalg.eigvalsh(a.toarray().astype(float))))[::-1][:2]
+    assert want[1] > 12
+    spec = linalg.singular_values_array(a, 2, symmetric=True, seed=seed)
+    assert np.allclose(spec.values, want, atol=1e-8, rtol=0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("shift", ["centered", "laplacian"])
+def test_signed_matrix_with_an_all_ones_eigenvector(k, shift):
+    # A - (d/n) J and D - A have the all-ones vector as an eigenvector for
+    # 0, not for their largest |eigenvalue|; each top value of the centered
+    # Paley matrix is (1 + sqrt(q)) / 2, twice over.
+    a = graphs.gen_paley(1009).adjacency_dense().astype(float)
+    a = a - 504 / 1009 if shift == "centered" else np.diag(a.sum(axis=1)) - a
+    assert not linalg._ones_is_perron(a, False, True)
+    want = np.sort(np.abs(np.linalg.eigvalsh(a)))[::-1][:k]
+    spec = linalg.singular_values_array(a, k, symmetric=True)
+    assert np.allclose(spec.values, want, atol=1e-7, rtol=0)
+
+
+def test_biregular_pattern_starts_from_the_all_ones_row():
+    # Every row and column of a directed circulant holds the same count c,
+    # so [[0, A], [A^T, 0]] has the all-ones eigenvector for s_1 = c.
+    n, shifts = 700, np.random.default_rng(3).choice(700, 20, replace=False)
+    i = np.repeat(np.arange(n), len(shifts))
+    a = sp.csr_array((np.ones(len(i), dtype=np.int8), (i, (i + np.tile(shifts, n)) % n)),
+                     shape=(n, n))
+    assert linalg._ones_is_perron(a, True, False)
+    spec = linalg.singular_values_array(a, 2, symmetric=False)
+    want = np.linalg.svd(a.toarray().astype(float), compute_uv=False)[:2]
+    assert spec.values[0] == pytest.approx(20, abs=1e-9)
+    assert np.allclose(spec.values, want, atol=1e-8, rtol=0)
 
 
 def test_sparse_input_must_state_symmetry():

@@ -165,6 +165,19 @@ def test_perfect_matching_preconditions(paley13):
     assert exc.value.hypothesis == "mean_degree"
 
 
+@pytest.mark.parametrize("n, side", [(4, [0]), (4, []), (0, [])])
+def test_observed_gamma_refuses_a_graph_without_edges(n, side):
+    # Every target of an edgeless parent is 0, so its gamma would be 0 / 0
+    # (a RuntimeWarning, read as 0.0 by max).
+    edgeless = graphs.BipartiteView(graphs.Graph(n, []), side, [1] if side else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolated,
+                           match="^mean_degree: d = 0: the graph has no edges$") as exc:
+            edgeless.observed_gamma()
+    assert exc.value.hypothesis == "mean_degree"
+
+
 def test_perfect_matching_failure_carries_violator():
     # The star 3 - {0, 1, 2} has gamma 5.0 and s2 sqrt(3) with d = 1; the
     # caps admit both, and {0, 1, 2} has the one neighbour 3
