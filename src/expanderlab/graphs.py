@@ -195,6 +195,13 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
+    def mean_degree(self) -> float:
+        """d = 2m/n, the one definition of d (the mean of `degrees()` bit for bit:
+        2m is exact in float64); a graph without edges raises PreconditionViolated."""
+        if not self.edge_count:
+            raise PreconditionViolated("mean_degree", "d = 0: the graph has no edges")
+        return 2 * self.edge_count / self.n
+
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
@@ -315,7 +322,7 @@ class Graph:
         twice; the unordered count e(S,T) counts it once. Each is exact:
         sum_{v in S} popcount(row_v & mask_T) on the bit rows, O(|S| n / 64),
         or, where the rows would outgrow the CSR (1.25 GB against 64 MB at
-        n = 10^5, d = 160), a `cross_degree` sum on the CSR, O(|T| d).
+        n = 10^5, d = 160), a sum over S of one `_degrees_into` row on the CSR.
         """
         return self._count_edges(vertex_array(s, self.n), vertex_array(t, self.n))
 
@@ -380,7 +387,7 @@ class BipartiteView:
     `vertex_array`, and their CSR cross block A[L, R], read once by
     `Graph._block`: row i is left[i], column j is right[j], columns increase
     within a row. Built where a matching or an s2 needs the block; degrees, gamma
-    (d = 2m/n, the parent's) and matchings read it; only `s2` builds G[L u R]."""
+    (d the parent's `mean_degree()`) and matchings read it; only `s2` builds G[L u R]."""
 
     __slots__ = ("parent", "left", "right", "block")
 
@@ -401,15 +408,12 @@ class BipartiteView:
 
     def observed_gamma(self) -> float:
         """Largest relative deviation of a cross degree between L and R from its
-        target d * |other| / n, d = 2m / n, over sides facing a non-empty side.
-        A parent without edges, where every target is 0, raises
-        PreconditionViolated("mean_degree")."""
-        n, worst = self.parent.n, 0.0
-        if not self.parent.edge_count:
-            raise PreconditionViolated("mean_degree", "d = 0: the graph has no edges")
+        target d * |other| / n, d the parent's `mean_degree()` (which refuses a
+        parent without edges), over sides facing a non-empty side."""
+        n, d, worst = self.parent.n, self.parent.mean_degree(), 0.0
         for other, deg in zip((self.right, self.left), self.degrees()):
             if other.size:
-                target = 2 * self.parent.edge_count / n * other.size / n
+                target = d * other.size / n
                 deviation = np.abs(deg - target) / target
                 worst = max(worst, float(deviation.max(initial=0.0)))
         return worst
@@ -515,7 +519,7 @@ def certify_expander(g: Graph, seed: int = 0) -> SpectralCertificate:
     degs = g.degrees()
     if degs.min() == 0:
         raise IsolatedVertex(f"vertex {int(np.argmin(degs))} is isolated")
-    d = float(degs.mean())
+    d = g.mean_degree()
     gamma_hat = float(np.abs(degs - d).max() / d)
     spec = linalg.singular_values_array(g.adjacency_sparse(), 2, tol=SPECTRAL_TOL,
                                         seed=seed, symmetric=True)
@@ -551,13 +555,13 @@ def certify_bipartite_expander(view: BipartiteView, gamma: float, lam: float,
     """Check the proportional cross-degree windows and the s2 bound.
 
     Cross-degrees of every vertex must be (1 +- gamma) * d * |other side| / n,
-    n = |L u R| and d the parent's mean degree 2m/N times n/N; s2 of G[L u R]
-    must be at most lam. Returns the certificate, or the first violation.
+    n = |L u R| and d the parent's `mean_degree()` times n/N (refused without
+    edges); s2 of G[L u R] at most lam. Returns the certificate, or the first violation.
     """
     if not view.left.size or not view.right.size:
         raise EmptySide("both sides must be nonempty")
     n, parent_n = len(view.left) + len(view.right), view.parent.n
-    d = 2 * view.parent.edge_count / parent_n * n / parent_n
+    d = view.parent.mean_degree() * n / parent_n
     bad = window_violation((view.left, view.right), view.degrees(),
                            (d * len(view.right) / n, d * len(view.left) / n),
                            gamma, SPECTRAL_TOL)

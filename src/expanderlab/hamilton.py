@@ -10,7 +10,7 @@ cover paths as the rows of one k x t array, and the closing paths as
 int tuples, path i closing the gap after cover path i. The partition
 and repartition phases check the sets they sample against the rows of
 `WINDOWS` (P1, P5, Q3-Q5), one `graphs.window_violation` call per check
-over all its blocks or sampled pairs, on the run's one `SizePlan`; a
+over all its blocks or sampled pairs, on the run's one `_windows`; a
 rejection names the first violator by block or pair, then check, then
 side, then position. The certificate is the only spectrum a run solves.
 Singular values of a principal submatrix never exceed the matrix's
@@ -25,9 +25,9 @@ retry); only a path-cover link, whose matching needs its cross block, is
 a `graphs.BipartiteView`, and no phase builds an induced subgraph.
 
 The asymptotic regime of the underlying theorem is unreachable at desk
-scale, so every threshold is a config knob with documented desk
-defaults; the combinatorial structure of the construction is preserved
-exactly.
+scale, so every window width and gate is a config knob with documented
+desk defaults (the block-pair sample is the constant `PAIR_SAMPLE`); the
+combinatorial structure of the construction is preserved exactly.
 """
 
 from __future__ import annotations
@@ -50,18 +50,17 @@ SCHEMA_VERSION = 2
 # Desk-profile tolerances. Blocks of size ~sqrt(n) have cross-degree
 # fluctuations of several standard deviations relative to tiny means,
 # so the two-sided windows must be wide. Each sampled window is a row of
-# WINDOWS: (1 +- caps * gamma) * d * |T| / n, |T| the named `SizePlan`
-# field. At these defaults the lower ends of Q3, Q4 and Q5 are at most
-# 0, so only their upper ends can fail. The trace does not say so: it
-# writes `holds: true` for them as for any other check, naming only the
-# gamma cap.
-GAMMA_DEFAULTS = {"P1": 0.3, "P5": 0.8, "Q3": 0.8, "Q4": 1.0, "Q5": 1.5}
-WINDOWS = {"P1": ("reserve_size", 2), "P5": ("k", 1), "Q3": ("half", 2),
-           "Q4": ("k", 1), "Q5": ("half", 1)}
+# WINDOWS, (|T| field, caps, default gamma): (1 +- caps * gamma) * d * |T| / n,
+# |T| the named `SizePlan` field. At these defaults the lower ends of Q3,
+# Q4 and Q5 are at most 0, so only their upper ends can fail. The trace
+# does not say so: it writes `holds: true` for them as for any other
+# check, naming only the gamma cap.
+WINDOWS = {"P1": ("reserve_size", 2, 0.3), "P5": ("k", 1, 0.8), "Q3": ("half", 2, 0.8),
+           "Q4": ("k", 1, 1.0), "Q5": ("half", 1, 1.5)}
+PAIR_SAMPLE = 40    # block pairs Q4 and Q5 check when t > 12, of at least 55
 CONSTANT_DEFAULTS = {
     "lambda_ratio_cap": 0.2,    # certification gate; bounds Q4 and matching s2
     "pm_gamma_cap": 1.2,        # cross-degree tolerance for perfect matchings
-    "q_pair_sample": 40,        # block pairs checked when t > 12
 }
 MAX_RETRIES = 1000    # upper end of both retry counts, far above the default 20
 
@@ -117,19 +116,16 @@ class PipelineConfig:
             raise ConfigError(
                 f"min_reserve_ratio={self.min_reserve_ratio} must be positive")
         for key, cap in self.gamma_caps.items():
-            if key not in GAMMA_DEFAULTS:
+            if key not in WINDOWS:
                 raise ConfigError(f"unknown gamma cap {key!r}")
             if cap < 0:
                 raise ConfigError(f"gamma cap {key}={cap} is negative")
         for key in self.constant_overrides:
             if key not in CONSTANT_DEFAULTS:
                 raise ConfigError(f"unknown constant override {key!r}")
-        sample = self.constant("q_pair_sample")
-        if not _is_number(sample, numbers.Integral) or sample < 1:
-            raise ConfigError(f"q_pair_sample={sample!r} is not a positive integer")
 
     def gamma(self, key: str) -> float:
-        return self.gamma_caps.get(key, GAMMA_DEFAULTS[key])
+        return self.gamma_caps.get(key, WINDOWS[key][2])
 
     def constant(self, key: str) -> float:
         return self.constant_overrides.get(key, CONSTANT_DEFAULTS[key])
@@ -250,9 +246,9 @@ class _Rejected(Exception):
 
 
 def _windows(plan: SizePlan, d: float, n: int, cfg: PipelineConfig) -> dict:
-    """Each `WINDOWS` row's (target d * |T| / n, width caps * gamma)."""
+    """Each `WINDOWS` row's (target d * |T| / n, width caps * gamma), once a run."""
     return {check: (d * getattr(plan, size) / n, caps * cfg.gamma(check))
-            for check, (size, caps) in WINDOWS.items()}
+            for check, (size, caps, _) in WINDOWS.items()}
 
 
 def _window(windows: dict, check: str, sides, degrees):
@@ -278,7 +274,7 @@ def _retry(phase: str, retries: int, trace: PipelineTrace, attempt):
     raise PartitionRetriesExhausted(check, retries)
 
 
-def partition_phase(g: Graph, cert, plan: SizePlan, cfg: PipelineConfig,
+def partition_phase(g: Graph, windows: dict, plan: SizePlan, cfg: PipelineConfig,
                     trace: PipelineTrace) -> Parts:
     """Random split V = X u Y u R u M with verified properties.
 
@@ -291,7 +287,6 @@ def partition_phase(g: Graph, cert, plan: SizePlan, cfg: PipelineConfig,
     concrete sets those families stand for.
     """
     n, k, r, everyone = g.n, plan.k, plan.reserve_size, np.arange(g.n)
-    windows = _windows(plan, cert.d, n, cfg)
 
     def attempt(retry):
         perm = generator(cfg.seed, "partition", retry).permutation(n)
@@ -312,7 +307,7 @@ def partition_phase(g: Graph, cert, plan: SizePlan, cfg: PipelineConfig,
     return parts
 
 
-def repartition_phase(g: Graph, cert, plan: SizePlan, parts: Parts,
+def repartition_phase(g: Graph, windows: dict, plan: SizePlan, parts: Parts,
                       cfg: PipelineConfig, trace: PipelineTrace) -> np.ndarray:
     """Split the middle region into t - 2 blocks of k vertices with
     verified properties; returns them as a (t - 2) x k array of sorted rows.
@@ -321,13 +316,12 @@ def repartition_phase(g: Graph, cert, plan: SizePlan, parts: Parts,
     every block splits into halves of (k + 1) // 2 and k // 2 vertices,
     so neither needs a check. Q3: degrees into the first halves within
     the Q3 window. Q4/Q5: block pairs and first-half pairs are bipartite
-    expanders (all pairs when t <= 12, a seeded sample above), read from
+    expanders (all pairs when t <= 12, `PAIR_SAMPLE` seeded ones above), read from
     one table of degrees into block halves. Q4's s2 cap needs no solve:
     s2(G[B_i u B_j]) <= lambda_hat <= lambda_ratio_cap * d (interlacing, gate).
     """
     n, k, t, half = g.n, plan.k, plan.t, plan.half
     vertices = np.sort(np.concatenate([parts.x, parts.y, parts.middle]))
-    windows = _windows(plan, cert.d, n, cfg)
 
     def attempt(retry):
         rng = generator(cfg.seed, "repartition", retry)
@@ -340,8 +334,7 @@ def repartition_phase(g: Graph, cert, plan: SizePlan, parts: Parts,
 
         pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
         if t > 12:
-            sample = min(len(pairs), cfg.constant("q_pair_sample"))
-            idx = rng.choice(len(pairs), size=sample, replace=False)
+            idx = rng.choice(len(pairs), size=PAIR_SAMPLE, replace=False)
             pairs = [pairs[int(i)] for i in sorted(idx)]
         ends = np.array(pairs, dtype=int).reshape(-1, 2)
         found = []      # (pair index, check, detail), Q4 before Q5 on one pair
@@ -363,8 +356,8 @@ def repartition_phase(g: Graph, cert, plan: SizePlan, parts: Parts,
     return blocks
 
 
-def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
-                     trace: PipelineTrace) -> np.ndarray:
+def path_cover_phase(g: Graph, lambda_hat: float, parts: Parts, blocks,
+                     cfg: PipelineConfig, trace: PipelineTrace) -> np.ndarray:
     """Thread k vertex-disjoint paths from X to Y through the middle blocks.
 
     The blocks, ordered by smallest vertex, form the chain X -> B_1 ->
@@ -374,15 +367,15 @@ def path_cover_phase(g: Graph, cert, parts: Parts, blocks, cfg: PipelineConfig,
     ends in Y and the paths cover X, Y and every block exactly. Sides of
     unequal size stop at `matching.perfect_matching_expander`
     (UnbalancedSides). Each link's lambda is lambda_hat, a bound on its s2
-    by interlacing; the matching reads d (2m/n, the certificate's d) and gamma
-    off the link, so its lambda precondition is the gate's and cannot reject.
+    by interlacing; the matching reads d (`mean_degree()`, the certificate's
+    d) and gamma off the link, so its lambda precondition is the gate's.
     """
     chain = [parts.x, *sorted(blocks, key=lambda block: block[0]), parts.y]  # rows sorted
     columns = [parts.x]
     n_sizes = []
     for left, right in zip(chain, chain[1:]):
         pm = matching.perfect_matching_expander(
-            BipartiteView(parent=g, left=left, right=right), cert.lambda_hat,
+            BipartiteView(parent=g, left=left, right=right), lambda_hat,
             gamma_cap=cfg.constant("pm_gamma_cap"), ratio_cap=cfg.constant("lambda_ratio_cap"))
         n_sizes.append(pm.size)
         columns.append(pm.edges[np.searchsorted(pm.edges[:, 0], columns[-1]), 1])
@@ -461,16 +454,17 @@ def hamilton_pipeline(g: Graph, cfg: PipelineConfig | None = None
         phase = "partition"
         plan = plan_sizes(g.n, cfg)
         trace.data["plan"] = asdict(plan)
-        parts = partition_phase(g, cert, plan, cfg, trace)
+        windows = _windows(plan, cert.d, g.n, cfg)
+        parts = partition_phase(g, windows, plan, cfg, trace)
         phase = "connector"
         connector = extend.build_connector(
             g, parts.x, parts.y, parts.reserve, l_max=cfg.l_max,
             seed=child_seed(cfg.seed, "connector"),
             min_reserve_ratio=cfg.min_reserve_ratio)
         phase = "repartition"
-        blocks = repartition_phase(g, cert, plan, parts, cfg, trace)
+        blocks = repartition_phase(g, windows, plan, parts, cfg, trace)
         phase = "path_cover"
-        paths = path_cover_phase(g, cert, parts, blocks, cfg, trace)
+        paths = path_cover_phase(g, cert.lambda_hat, parts, blocks, cfg, trace)
         phase = "close"
         cycle = close_cycle(paths, connector, trace)
         phase = "verification"

@@ -105,7 +105,7 @@ def perfect_matching_expander(view: BipartiteView, lam: float, *, gamma_cap: flo
                               ratio_cap: float) -> Matching:
     """Perfect matching in a balanced bipartite expander with s2 at most
     `lam`, its gamma (`observed_gamma`, which refuses a parent without
-    edges) and d (the parent's mean degree 2m/n) read off the pair.
+    edges) and d (the parent's `mean_degree()`) read off the pair.
 
     Under the verified preconditions the matching must exist; a miss is
     reported as a theorem falsification carrying the Hall violator, which
@@ -116,7 +116,7 @@ def perfect_matching_expander(view: BipartiteView, lam: float, *, gamma_cap: flo
             f"|V1|={len(view.left)} != |V2|={len(view.right)}")
     if (gamma := view.observed_gamma()) > gamma_cap:
         raise PreconditionViolated("gamma_cap", f"gamma={gamma} > {gamma_cap}")
-    d = 2 * view.parent.edge_count / view.parent.n
+    d = view.parent.mean_degree()
     if lam > ratio_cap * d:
         raise PreconditionViolated(
             "lambda_cap", f"lambda={lam} > {ratio_cap}*d={ratio_cap * d}")

@@ -1,9 +1,11 @@
-"""Every public top-level function and class of the package has a caller
-outside tests/: in the package itself, in scripts/ or in bench/.
+"""Every public top-level function and class of the package, and every
+public method of those classes, has a caller outside tests/: in the
+package itself, in scripts/ or in bench/.
 
 A name counts as reached when that code mentions it as a `Name`, an
 `Attribute`, an import alias or an exact identifier string (bench/tracer.py
-looks layers up by name). Library code that only tests reach is deleted,
+looks layers up by name); a method counts by its own name, whatever the
+object it is called on. Library code that only tests reach is deleted,
 except the names below, which exist for the tests.
 """
 
@@ -27,12 +29,18 @@ TEST_ONLY = {
 
 
 def _public_definitions() -> dict:
+    """{qualified name: name} of the public top-level functions and classes
+    and of the public methods of those classes."""
     defined = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                defined[node.name] = f"{path.stem}.{node.name}"
+                defined[f"{path.stem}.{node.name}"] = node.name
+                for method in node.body if isinstance(node, ast.ClassDef) else ():
+                    if (isinstance(method, ast.FunctionDef)
+                            and not method.name.startswith("_")):
+                        defined[f"{path.stem}.{node.name}.{method.name}"] = method.name
     return defined
 
 
@@ -56,13 +64,13 @@ def _mentioned_names() -> set:
 
 def test_every_public_name_has_a_caller_outside_tests():
     mentioned = _mentioned_names()
-    unreached = {name: qual for name, qual in _public_definitions().items()
+    unreached = {qual: name for qual, name in _public_definitions().items()
                  if name not in mentioned}
-    assert sorted(unreached) == sorted(TEST_ONLY), (
+    assert sorted(unreached.values()) == sorted(TEST_ONLY), (
         f"reached only by tests: "
-        f"{sorted(q for n, q in unreached.items() if n not in TEST_ONLY)}; "
+        f"{sorted(q for q, n in unreached.items() if n not in TEST_ONLY)}; "
         f"allowed but reached or gone: "
-        f"{sorted(set(TEST_ONLY) - set(unreached))}")
+        f"{sorted(set(TEST_ONLY) - set(unreached.values()))}")
 
 
 def test_every_traced_layer_exists():

@@ -298,6 +298,8 @@ def test_hamilton_bad_config_key(paley401_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mystery": 1}))
     assert run("hamilton", "--config", str(cfg), str(paley401_file)) == 2
+    cfg.write_text(json.dumps({"constant_overrides": {"q_pair_sample": 40}}))
+    assert run("hamilton", "--config", str(cfg), str(paley401_file)) == 2
 
 
 @pytest.mark.parametrize("cfg_data", [{"k": "abc"}, {"seed": 1.5},

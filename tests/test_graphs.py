@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from expanderlab import extend, graphs, linalg, matching, mixing
 from expanderlab.errors import (BadResidueClass, EmptySide, IsolatedVertex,
                                 MalformedGraphFile, NotPrime, ParityViolation,
-                                RetryExhausted, UnknownName)
+                                PreconditionViolated, RetryExhausted, UnknownName)
 
 
 def test_paley_13_shape(paley13):
@@ -127,14 +127,14 @@ def test_certify_rejects_isolated_vertex():
 
 
 def test_mean_degree_from_the_edge_count_is_the_certificates(paley1009, cert1009):
-    # A vertex pair's d is its parent's 2m/n; the path cover's lambda
-    # precondition repeats the certification gate only if that is cert.d
+    # A vertex pair's d is its parent's mean_degree(); the path cover's
+    # lambda precondition repeats the certification gate only if that is cert.d
     rng = np.random.default_rng(0)
     gnp = [graphs.Graph(n, np.argwhere(np.triu(rng.random((n, n)) < 0.5, k=1)))
            for n in range(10, 297, 19)]
     for g in [graphs.gen_paley(2029), *gnp]:
-        assert 2 * g.edge_count / g.n == graphs.certify_expander(g).d
-    assert 2 * paley1009.edge_count / paley1009.n == cert1009.d
+        assert g.mean_degree() == graphs.certify_expander(g).d
+    assert paley1009.mean_degree() == cert1009.d
 
 
 def test_graph_io_roundtrip(tmp_path, petersen):
@@ -546,6 +546,18 @@ def test_certify_bipartite_rejects_empty_side(paley13, left, right):
     view = graphs.BipartiteView(parent=paley13, left=left, right=right)
     with pytest.raises(EmptySide):
         graphs.certify_bipartite_expander(view, gamma=0.5, lam=1.2)
+
+
+def test_mean_degree_refuses_a_graph_without_edges():
+    # d = 0 makes every window target 0; the bipartite certificate of such
+    # a parent read d = 0.0 and certified a pair that observed_gamma refused
+    view = graphs.BipartiteView(graphs.Graph(4, []), [0], [1])
+    for refused in (graphs.Graph(0, []).mean_degree, view.parent.mean_degree,
+                    lambda: graphs.certify_bipartite_expander(view, 0.5, 1.0, 0)):
+        with pytest.raises(PreconditionViolated,
+                           match="^mean_degree: d = 0: the graph has no edges$") as exc:
+            refused()
+        assert exc.value.hypothesis == "mean_degree"
 
 
 def test_adjacency_dense_matches_sparse(paley13):

@@ -78,6 +78,8 @@ def test_config_roundtrip_and_unknown_keys():
     assert back == cfg
     with pytest.raises(ConfigError):
         hamilton.PipelineConfig.from_dict({"seed": 1, "extra": 2})
+    with pytest.raises(ConfigError, match="unknown constant override 'q_pair_sample'"):
+        hamilton.PipelineConfig(constant_overrides={"q_pair_sample": 40})
     for dead in ("theta_scale", "q1_overlap_cap", "p2_scale"):
         with pytest.raises(ConfigError, match=dead):
             hamilton.PipelineConfig(constant_overrides={dead: 1.0})
@@ -86,7 +88,7 @@ def test_config_roundtrip_and_unknown_keys():
 def test_config_gamma_and_constant_lookup():
     cfg = hamilton.PipelineConfig(gamma_caps={"P1": 0.25})
     assert cfg.gamma("P1") == 0.25
-    assert cfg.gamma("Q4") == hamilton.GAMMA_DEFAULTS["Q4"]
+    assert cfg.gamma("Q4") == hamilton.WINDOWS["Q4"][2]
     assert cfg.constant("lambda_ratio_cap") == 0.2
 
 
@@ -188,7 +190,7 @@ def test_path_cover_chains_perfect_matchings_over_equal_blocks():
     parts = _parts(range(0, 4), range(4, 8))
     blocks = np.arange(8, 16).reshape(2, 4)[::-1]
     trace = hamilton.PipelineTrace(g.n, cfg)
-    paths = hamilton.path_cover_phase(g, cert, parts, blocks, cfg, trace)
+    paths = hamilton.path_cover_phase(g, cert.lambda_hat, parts, blocks, cfg, trace)
     assert trace.data["n_sizes"] == [4, 4, 4]
     assert paths.shape == (4, 4)
     assert paths[:, 0].tolist() == [0, 1, 2, 3]
@@ -205,7 +207,7 @@ def test_path_cover_uneven_blocks_raise_unbalanced_sides():
     blocks = [tuple(range(8, 12)), tuple(range(12, 15))]
     trace = hamilton.PipelineTrace(g.n, cfg)
     with pytest.raises(UnbalancedSides):
-        hamilton.path_cover_phase(g, cert, _parts(range(4), range(4, 8)),
+        hamilton.path_cover_phase(g, cert.lambda_hat, _parts(range(4), range(4, 8)),
                                   blocks, cfg, trace)
 
 
@@ -406,9 +408,8 @@ def _brute_repartition(adj, plan, cfg, x, y, middle):
         pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
         if rejected is None:
             if t > 12:    # the seeded sample of block pairs, drawn after the blocks
-                sample = min(len(pairs), cfg.constant("q_pair_sample"))
-                pairs = [pairs[int(i)] for i in
-                         sorted(rng.choice(len(pairs), size=sample, replace=False))]
+                idx = rng.choice(len(pairs), size=hamilton.PAIR_SAMPLE, replace=False)
+                pairs = [pairs[int(i)] for i in sorted(idx)]
             rejected = _brute_rejection(adj, plan, cfg, (
                 (check, f"{where} ({i},{j}): ", [(rows[i], rows[j]), (rows[j], rows[i])])
                 for i, j in pairs
@@ -474,7 +475,7 @@ def _per_pair_repartition(g, d, plan, parts, cfg):
     n, k, t, half, everyone = g.n, plan.k, plan.t, plan.half, np.arange(g.n)
     vertices = np.sort(np.concatenate([parts.x, parts.y, parts.middle]))
     windows = {check: (d * getattr(plan, size) / n, caps * cfg.gamma(check))
-               for check, (size, caps) in hamilton.WINDOWS.items()}
+               for check, (size, caps, _) in hamilton.WINDOWS.items()}
 
     def window(check, where, sides, degrees):
         target, width = windows[check]
@@ -495,8 +496,7 @@ def _per_pair_repartition(g, d, plan, parts, cfg):
                 window("Q3", f"half of block {i}: ", (vertices,), (halves[0, i, vertices],))
             pairs = [(i, j) for i in range(t - 2) for j in range(i + 1, t - 2)]
             if t > 12:
-                sample = min(len(pairs), cfg.constant("q_pair_sample"))
-                idx = rng.choice(len(pairs), size=sample, replace=False)
+                idx = rng.choice(len(pairs), size=hamilton.PAIR_SAMPLE, replace=False)
                 pairs = [pairs[int(i)] for i in sorted(idx)]
             degrees = (("Q4", "pair", halves.sum(axis=0), blocks),
                        ("Q5", "half pair", halves[0], blocks[:, :half]))
@@ -543,7 +543,7 @@ def test_array_windows_match_the_per_pair_loop(make, cfg_data, rejects):
     expected, blocks = _per_pair_repartition(g, d, plan, parts, cfg)
     trace = hamilton.PipelineTrace(g.n, cfg)
     try:
-        got = hamilton.repartition_phase(g, graphs.SpectralCertificate(g.n, d, 0.0, 0.0, 0.0, 0),
+        got = hamilton.repartition_phase(g, hamilton._windows(plan, d, g.n, cfg),
                                          plan, parts, cfg, trace)
     except PartitionRetriesExhausted:
         got = None
